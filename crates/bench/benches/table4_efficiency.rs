@@ -214,8 +214,7 @@ fn main() {
     );
 
     // Pointer-solver ablation: online cycle collapse on a cycle-chain
-    // stress app (work counters and wall clock), plus the overlapped
-    // comparison pass end to end on the medium app.
+    // stress app (work counters and wall clock).
     group("pointer_ablation");
     let cyc_harness = harness_gen::generate(sierra_bench::pointer_cycle_stress_app(48, 8));
     let analyze_cycles = |collapse: bool| {
@@ -263,29 +262,6 @@ fn main() {
     let t_collapse_off = time("cg_pa_cycle_collapse_off", 20, || {
         analyze_cycles(false).stats.worklist_iterations
     });
-
-    let overlap_run = |overlap: bool| {
-        let cfg = SierraConfig::builder().overlap_compare(overlap).build();
-        Sierra::with_config(cfg).analyze_app(app.clone())
-    };
-    let overlap_probe = overlap_run(true);
-    let overlap_saved = overlap_probe.metrics.overlap_saved;
-    println!(
-        "overlapped comparison pass: compare {:.3?} hidden behind refutation, {:.3?} saved",
-        overlap_probe.metrics.timings.compare, overlap_saved
-    );
-    let t_overlap_on = time("pipeline_overlap_compare_on", 10, || {
-        overlap_run(true).races.len()
-    });
-    let t_overlap_off = time("pipeline_overlap_compare_off", 10, || {
-        overlap_run(false).races.len()
-    });
-    println!(
-        "end-to-end with overlap {:.3?} vs serial {:.3?} ({:.2}x)",
-        t_overlap_on,
-        t_overlap_off,
-        t_overlap_off.as_secs_f64() / t_overlap_on.as_secs_f64().max(1e-9)
-    );
 
     // Triage ablation: the harm classifier's work counters and crash
     // precision/recall over the whole 20-app corpus, plus the end-to-end
@@ -670,9 +646,6 @@ fn main() {
                 ("propagations_collapse_off", num(pa_off.stats.propagations)),
                 ("cg_pa_collapse_on_us", us(t_collapse_on)),
                 ("cg_pa_collapse_off_us", us(t_collapse_off)),
-                ("overlap_saved_us", us(overlap_saved)),
-                ("pipeline_overlap_on_us", us(t_overlap_on)),
-                ("pipeline_overlap_off_us", us(t_overlap_off)),
             ]),
         ),
         (

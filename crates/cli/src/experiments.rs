@@ -110,10 +110,6 @@ pub struct AppRow {
     pub t_refutation: Duration,
     /// Stage time: the no-AS comparison pass (Table 3's RP-noAS column).
     pub t_compare: Duration,
-    /// Whether the comparison pass ran overlapped with refutation.
-    pub compare_overlapped: bool,
-    /// Wall-clock saved by overlapping comparison with refutation.
-    pub overlap_saved: Duration,
     /// Total pipeline time.
     pub t_total: Duration,
 }
@@ -176,8 +172,6 @@ impl AppRow {
             t_prefilter: m.timings.prefilter,
             t_refutation: m.timings.refutation,
             t_compare: m.timings.compare,
-            compare_overlapped: m.compare_overlapped,
-            overlap_saved: m.overlap_saved,
             t_total: m.timings.total,
             ..Self::default()
         }
@@ -598,7 +592,7 @@ pub fn table4(rows: &[AppRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<17} {:>10} {:>8} {:>11} {:>12} {:>8} {:>10} {:>11} {:>11} {:>10} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+        "{:<17} {:>10} {:>8} {:>11} {:>12} {:>8} {:>10} {:>11} {:>10} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
         "App",
         "CG+PA(ms)",
         "HBG(ms)",
@@ -607,7 +601,6 @@ pub fn table4(rows: &[AppRow]) -> String {
         "Hist(ms)",
         "Triage(ms)",
         "Compare(ms)",
-        "OvlSave(ms)",
         "Total(ms)",
         "PAiters",
         "SCCs",
@@ -628,7 +621,7 @@ pub fn table4(rows: &[AppRow]) -> String {
             continue;
         }
         out.push_str(&format!(
-            "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>11.2} {:>10.2} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+            "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
             r.name,
             ms(r.t_cg_pa),
             ms(r.t_hbg),
@@ -637,7 +630,6 @@ pub fn table4(rows: &[AppRow]) -> String {
             ms(r.t_histories),
             ms(r.t_triage),
             ms(r.t_compare),
-            ms(r.overlap_saved),
             ms(r.t_total),
             r.pa_worklist_iters,
             r.pa_collapsed_sccs,
@@ -658,7 +650,7 @@ pub fn table4(rows: &[AppRow]) -> String {
         median(&ok.iter().map(|r| f(r)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
-        "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>11.2} {:>10.2} {:>8.0} {:>5.0} {:>7.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
+        "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>5.0} {:>7.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
         "MEDIAN",
         med(&|r| ms(r.t_cg_pa)),
         med(&|r| ms(r.t_hbg)),
@@ -667,7 +659,6 @@ pub fn table4(rows: &[AppRow]) -> String {
         med(&|r| ms(r.t_histories)),
         med(&|r| ms(r.t_triage)),
         med(&|r| ms(r.t_compare)),
-        med(&|r| ms(r.overlap_saved)),
         med(&|r| ms(r.t_total)),
         med(&|r| r.pa_worklist_iters as f64),
         med(&|r| r.pa_collapsed_sccs as f64),
@@ -903,7 +894,7 @@ mod tests {
         let t4 = table4(std::slice::from_ref(&row));
         assert!(t4.contains("CG+PA") && t4.contains("PAiters"));
         assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned") && t4.contains("Infeas"));
-        assert!(t4.contains("Compare(ms)") && t4.contains("OvlSave(ms)"));
+        assert!(t4.contains("Compare(ms)"));
         assert!(t4.contains("SCCs") && t4.contains("CollNod"));
         assert!(t4.contains("Hist(ms)") && t4.contains("HistChk"));
         assert!(t4.contains("HistDis") && t4.contains("HistInf"));

@@ -18,8 +18,6 @@
 //! --opaque-policy <P>   opaque call sites (reflection, intent
 //!                       dispatch): ignore | resolve | havoc
 //!                       (default ignore)
-//! --no-overlap-compare  run the comparison pass serially instead of
-//!                       overlapped with refutation
 //! --no-histories        disable the message-history refutation stage
 //!                       (ablation; reproduces the pre-stage pipeline
 //!                       byte-for-byte)
@@ -88,8 +86,7 @@ impl Default for CommonFlags {
 impl CommonFlags {
     /// Extracts `--context`, `--budget`, `--jobs`, `--refute-jobs`,
     /// `--no-prefilter`, `--no-cycle-collapse`, `--worklist`,
-    /// `--opaque-policy`, `--no-overlap-compare`, `--no-histories`,
-    /// `--no-triage`,
+    /// `--opaque-policy`, `--no-histories`, `--no-triage`,
     /// `--min-harm`, `--cache-dir`, `--cache-max-mb`,
     /// `--no-shared-intern`, `--shared-store`, and
     /// `--no-artifact-cache` from `args`, removing
@@ -147,9 +144,6 @@ impl CommonFlags {
         if let Some(v) = take_flag(args, "--opaque-policy")? {
             let policy: pointer::OpaquePolicy = v.parse()?;
             builder = builder.opaque_policy(policy);
-        }
-        if take_switch(args, "--no-overlap-compare") {
-            builder = builder.overlap_compare(false);
         }
         if take_switch(args, "--no-histories") {
             builder = builder.no_histories(true);
@@ -267,20 +261,13 @@ mod tests {
 
     #[test]
     fn pointer_ablation_flags_are_consumed() {
-        let mut args = argv(&[
-            "table4",
-            "--no-cycle-collapse",
-            "--worklist",
-            "fifo",
-            "--no-overlap-compare",
-        ]);
+        let mut args = argv(&["table4", "--no-cycle-collapse", "--worklist", "fifo"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert!(!flags.config.pointer_options.cycle_collapse);
         assert_eq!(
             flags.config.pointer_options.worklist,
             pointer::WorklistPolicy::Fifo
         );
-        assert!(!flags.config.overlap_compare);
         assert_eq!(args, argv(&["table4"]));
 
         let mut args = argv(&["table4"]);
@@ -290,7 +277,6 @@ mod tests {
             flags.config.pointer_options.worklist,
             pointer::WorklistPolicy::TopoLrf
         );
-        assert!(flags.config.overlap_compare);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! --worklist <POLICY>  pointer solver worklist: topo-lrf | fifo
 //! --opaque-policy <P>  opaque call sites (reflection, intent dispatch):
 //!                      ignore | resolve | havoc
-//! --no-overlap-compare run the comparison pass serially, not overlapped
 //! --no-histories       disable the message-history refutation stage
 //! --no-triage          disable post-refutation harm triage
 //! --min-harm <LEVEL>   drop reports below LEVEL: benign | value |
@@ -55,7 +54,7 @@ use sierra_core::Sierra;
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
                      shared flags: --context <SPEC> --budget <N> --jobs <N> --refute-jobs <N> --no-prefilter\n\
                      \x20             --no-cycle-collapse --worklist <topo-lrf|fifo> --opaque-policy <ignore|resolve|havoc>\n\
-                     \x20             --no-overlap-compare --no-histories --no-triage\n\
+                     \x20             --no-histories --no-triage\n\
                      \x20             --min-harm <benign|value|use-before-init|null-deref>\n\
                      \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store --no-artifact-cache\n\
                      \x20             --no-shared-intern";

@@ -113,11 +113,10 @@ impl Json {
 
     /// Parses one JSON document (surrounding whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
@@ -163,14 +162,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -180,7 +180,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -202,13 +202,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -250,7 +250,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses a string literal starting at `pos`. Each run of plain bytes up
+/// to the next `"` or `\` is copied as one slice: both delimiters are
+/// ASCII, so every run ends on a char boundary of the already-valid
+/// `text`, and parsing stays linear in the input length.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -275,10 +280,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let hex = text
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .ok_or("truncated or invalid \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         // Surrogate pairs are not needed by our protocol;
                         // map lone surrogates to the replacement char.
@@ -290,11 +295,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..run]);
+                *pos = run;
             }
         }
     }
@@ -316,6 +322,30 @@ mod tests {
         );
         let rendered = v.render();
         assert_eq!(Json::parse(&rendered).expect("re-parses"), v);
+    }
+
+    #[test]
+    fn long_multibyte_strings_with_escapes_round_trip() {
+        // ~256 KB: re-validating the rest of the input per character
+        // would scan gigabytes here.
+        let long = "ascii ünïcödé 日本語 🦀 \"q\" \\ \t\n\u{1} ".repeat(6 * 1024);
+        let value = obj(vec![("s", Json::Str(long)), ("n", num(7))]);
+        assert_eq!(Json::parse(&value.render()), Ok(value));
+    }
+
+    #[test]
+    fn unicode_escapes_and_non_ascii_beside_escapes_parse() {
+        for (text, want) in [
+            (r#""\u0041\u00e9\u65e5x""#, "Aé日x"),
+            (r#""é\"ü\\日\n🦀\u00e9""#, "é\"ü\\日\n🦀é"),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Str(want.to_owned())));
+        }
+        let v = Json::parse(r#"{"ключ":"знач\tение"}"#).expect("parses");
+        assert_eq!(v.get("ключ").and_then(Json::as_str), Some("знач\tение"));
+        for bad in [r#""\u00""#, r#""\u+041""#, r#""\u00é""#, r#""open é"#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -69,8 +69,16 @@ impl LinkedSummaries {
     /// order. Methods whose digests all match a previous run build the
     /// identical constraint graph, so the artifact is interchangeable.
     pub fn analysis_key(&self) -> u64 {
+        self.analysis_key_for(self.config_fp)
+    }
+
+    /// [`Self::analysis_key`] under another config fingerprint. Valid for
+    /// any config that differs only in axes summaries do not read (the
+    /// context selector): the comparison pass keys its hybrid-selector
+    /// `Analysis` this way over the main pass's summaries.
+    pub fn analysis_key_for(&self, config_fp: u64) -> u64 {
         let mut h = Fnv64::new();
-        h.write_u64(self.structural_fp).write_u64(self.config_fp);
+        h.write_u64(self.structural_fp).write_u64(config_fp);
         for (id, s) in &self.methods {
             h.write_u64(u64::from(id.0)).write_u64(s.pointer_digest);
         }

@@ -50,12 +50,6 @@ pub struct SierraConfig {
     /// worklist policy, index sensitivity). The comparison pass inherits
     /// them, so an ablation flips both runs together.
     pub pointer_options: AnalysisOptions,
-    /// Run the comparison pass (`compare_without_as`) concurrently with
-    /// the refutation stage instead of serially after it, hiding its
-    /// full PA+SHBG+candidates latency behind symbolic execution. The
-    /// comparison result is a deterministic count computed from shared
-    /// immutable inputs, so overlapping cannot change any output.
-    pub overlap_compare: bool,
     /// Disable the post-refutation harm-triage stage (the `--no-triage`
     /// ablation). Race reports then carry no harm annotation and every
     /// output is byte-identical to the pre-triage pipeline.
@@ -86,7 +80,6 @@ impl Default for SierraConfig {
             no_prefilter: false,
             refute_jobs: 1,
             pointer_options: AnalysisOptions::default(),
-            overlap_compare: true,
             no_triage: false,
             no_histories: false,
             min_harm: None,
@@ -177,13 +170,6 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Enables or disables overlapping the comparison pass with
-    /// refutation.
-    pub fn overlap_compare(mut self, yes: bool) -> Self {
-        self.cfg.overlap_compare = yes;
-        self
-    }
-
     /// Disables (or re-enables) the post-refutation harm-triage stage.
     pub fn no_triage(mut self, yes: bool) -> Self {
         self.cfg.no_triage = yes;
@@ -232,8 +218,7 @@ pub struct StageTimings {
     pub histories: Duration,
     /// Post-refutation harm triage.
     pub triage: Duration,
-    /// The comparison pass (`racy pairs w/o AS`), whether it ran
-    /// overlapped with refutation or serially after it.
+    /// The comparison pass (`racy pairs w/o AS`).
     pub compare: Duration,
     /// End-to-end.
     pub total: Duration,
@@ -267,11 +252,6 @@ pub struct StageMetrics {
     /// Worker threads the refutation stage actually used (`0` when the
     /// stage was skipped).
     pub refute_jobs_used: usize,
-    /// Whether the comparison pass ran concurrently with refutation.
-    pub compare_overlapped: bool,
-    /// Wall-clock time the overlap hid: the smaller of the comparison
-    /// and refutation stage times when overlapped, zero otherwise.
-    pub overlap_saved: Duration,
     /// Summary-store counters from the linking pass: how many per-method
     /// summaries were served from the store vs. recomputed, and whether
     /// the whole points-to `Analysis` artifact was reused. Never affects

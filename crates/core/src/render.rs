@@ -133,18 +133,13 @@ impl Report {
         if with_timings {
             let _ = writeln!(
                 out,
-                "stages: harness {:.2} ms, CG+PA {:.2} ms, HBG {:.2} ms, prefilter {:.2} ms, refutation {:.2} ms, compare {:.2} ms ({}), total {:.2} ms",
+                "stages: harness {:.2} ms, CG+PA {:.2} ms, HBG {:.2} ms, prefilter {:.2} ms, refutation {:.2} ms, compare {:.2} ms, total {:.2} ms",
                 ms(t.harness),
                 ms(t.cg_pa),
                 ms(t.hbg),
                 ms(t.prefilter),
                 ms(t.refutation),
                 ms(t.compare),
-                if self.metrics.compare_overlapped {
-                    "overlapped"
-                } else {
-                    "serial"
-                },
                 ms(t.total)
             );
         }

@@ -47,7 +47,7 @@ use prefilter::{PrunedPair, Verdict};
 use shbg::Shbg;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use symexec::{Outcome, Refuter, RefuterConfig, RefuterStats};
 
 /// A pipeline stage, for error reporting and progress metrics.
@@ -144,8 +144,8 @@ enum SessionInput {
     /// `AndroidApp` is hundreds of bytes and would dominate the enum.
     App(Box<AndroidApp>),
     /// An already-generated harness (its generation time is *not*
-    /// charged to the session) — the comparison pass and the corpus
-    /// engine share one harness across sessions this way.
+    /// charged to the session) — ablation drivers share one harness
+    /// across sessions this way.
     Harness(Arc<HarnessResult>),
     /// Inline `.sierra` source, parsed at `build()`.
     Source {
@@ -334,15 +334,6 @@ impl AnalysisSession {
             .expect("app input is always valid")
     }
 
-    /// Starts a session over an already-generated harness.
-    #[deprecated(note = "use SessionBuilder::new(config).harness(h).build()")]
-    pub fn from_harness(config: SierraConfig, harness: Arc<HarnessResult>) -> Self {
-        SessionBuilder::new(config)
-            .harness(harness)
-            .build()
-            .expect("harness input is always valid")
-    }
-
     /// The configuration the session runs with.
     pub fn config(&self) -> &SierraConfig {
         &self.config
@@ -406,48 +397,15 @@ impl AnalysisSession {
             self.metrics.link.summaries_shared = shared_hits;
             self.metrics.last_stage = Some(Stage::Link);
 
-            let analysis_key = linked.analysis_key();
-            let use_blobs = !self.config.no_artifact_cache && self.store.persists_artifacts();
-            let mut from_blob = false;
-            let cached = self.store.get_analysis(analysis_key).or_else(|| {
-                // Cold-process path: rehydrate the artifact blob the
-                // durable store persisted. A blob that fails the deep
-                // decode (e.g. written by a different build) is a plain
-                // miss; the re-solve below rewrites it.
-                if !use_blobs {
-                    return None;
-                }
-                let blob = self.store.get_artifact(analysis_key)?;
-                let decoded = pointer::artifact::decode(&blob, harness.app.framework.clone())?;
-                from_blob = true;
-                Some(Arc::new(decoded))
-            });
-            let analysis = match cached {
-                Some(cached) => {
-                    // The cached artifact carries the stats of the run
-                    // that produced it, so reports stay byte-identical;
-                    // the work done *this* session is in `link`.
-                    self.metrics.link.analysis_reused = true;
-                    self.metrics.link.pointer_iterations_run = 0;
-                    if from_blob {
-                        self.store.put_analysis(analysis_key, Arc::clone(&cached));
-                    }
-                    cached
-                }
-                None => {
-                    let analysis = Arc::new(pointer::analyze_opts(
-                        &harness,
-                        self.config.selector,
-                        self.config.pointer_options,
-                    ));
-                    self.metrics.link.pointer_iterations_run = analysis.stats.worklist_iterations;
-                    self.store.put_analysis(analysis_key, Arc::clone(&analysis));
-                    if use_blobs {
-                        self.store
-                            .put_artifact(analysis_key, &pointer::artifact::encode(&analysis));
-                    }
-                    analysis
-                }
+            let (analysis, reused) =
+                self.load_or_solve(&harness, linked.analysis_key(), self.config.selector);
+            // A reused artifact keeps its producing run's stats (reports
+            // stay byte-identical); this session's work is in `link`.
+            self.metrics.link.analysis_reused = reused;
+            self.metrics.link.pointer_iterations_run = if reused {
+                0
+            } else {
+                analysis.stats.worklist_iterations
             };
             self.metrics.link.corrupt_misses = self.store.corrupt_misses() - corrupt_before;
             self.metrics.link.evictions = self.store.evictions() - evicted_before;
@@ -462,6 +420,45 @@ impl AnalysisSession {
             self.analysis = Some(analysis);
         }
         Ok(self.analysis.as_ref().expect("just analyzed"))
+    }
+
+    /// Gets the points-to `Analysis` cached under `key` — in memory, else
+    /// from a durable artifact blob — or solves it with `selector` and
+    /// caches it. Returns the analysis and whether it was reused.
+    fn load_or_solve(
+        &self,
+        harness: &HarnessResult,
+        key: u64,
+        selector: SelectorKind,
+    ) -> (Arc<Analysis>, bool) {
+        let store = self.store.as_ref();
+        if let Some(cached) = store.get_analysis(key) {
+            return (cached, true);
+        }
+        // Cold-process path: rehydrate the artifact blob the durable
+        // store persisted. A blob that fails the deep decode (e.g.
+        // written by a different build) is a plain miss; the re-solve
+        // below rewrites it.
+        let use_blobs = !self.config.no_artifact_cache && store.persists_artifacts();
+        let decoded = use_blobs
+            .then(|| store.get_artifact(key))
+            .flatten()
+            .and_then(|blob| pointer::artifact::decode(&blob, harness.app.framework.clone()));
+        if let Some(decoded) = decoded {
+            let decoded = Arc::new(decoded);
+            store.put_analysis(key, Arc::clone(&decoded));
+            return (decoded, true);
+        }
+        let analysis = Arc::new(pointer::analyze_opts(
+            harness,
+            selector,
+            self.config.pointer_options,
+        ));
+        store.put_analysis(key, Arc::clone(&analysis));
+        if use_blobs {
+            store.put_artifact(key, &pointer::artifact::encode(&analysis));
+        }
+        (analysis, false)
     }
 
     /// Stage 3: SHBG construction (§4), over the linked dominance facts.
@@ -492,14 +489,8 @@ impl AnalysisSession {
             let analysis = self.analysis.as_ref().expect("stage 2 ran");
             let linked = self.linked.as_ref().expect("stage 2 linked");
             let graph = self.shbg.as_ref().expect("stage 3 ran");
-            let accesses = collect_accesses_from_sites(
-                analysis,
-                &harness.app.program,
-                Some(harness.harness_class),
-                &linked.sites_map(),
-            );
-            let deduped = dedupe(accesses);
-            let pairs = racy_pairs(&deduped, analysis, graph)
+            let accesses = linked_accesses(harness, analysis, linked);
+            let pairs = racy_pairs(&accesses, analysis, graph)
                 .into_iter()
                 .map(|(a, b)| (a.clone(), b.clone()))
                 .collect();
@@ -766,86 +757,40 @@ impl AnalysisSession {
         Ok(self.races.as_ref().expect("stage 6 ran"))
     }
 
+    /// The comparison pass without action sensitivity (Table 3 col 6):
+    /// the candidate-pair count under the hybrid selector of the same k.
+    /// It reuses this session's linked summaries — `summarize_method`
+    /// reads no selector, so they are the hybrid config's summaries too
+    /// — and re-keys only the points-to `Analysis`, under the hybrid
+    /// config fingerprint, so that solve is cached like the main one.
+    fn compare_without_as(&self) -> usize {
+        let harness = self.harness.as_ref().expect("stage 1 ran");
+        let linked = self.linked.as_ref().expect("stage 2 linked");
+        let selector = match self.config.selector {
+            SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
+            other => other,
+        };
+        let key =
+            linked.analysis_key_for(config_fingerprint(selector, self.config.pointer_options));
+        let (analysis, _) = self.load_or_solve(harness, key, selector);
+        let graph = shbg::build_with_dominance(&analysis, harness, &linked.dominance_map());
+        let accesses = linked_accesses(harness, &analysis, linked);
+        racy_pairs(&accesses, &analysis, &graph).len()
+    }
+
     /// Runs every remaining stage (plus the comparison pass when
     /// configured) and assembles the [`SierraResult`].
-    ///
-    /// The comparison pass without action sensitivity (Table 3 col 6) is
-    /// a second session over the same generated harness — and the same
-    /// summary store (its different config fingerprint keeps the keys
-    /// disjoint) — stopped after the candidate stage. Under
-    /// `overlap_compare` it runs on a scoped worker thread *concurrently
-    /// with refutation*: the two only share the immutable
-    /// `Arc<HarnessResult>` and the thread-safe store, and the pass
-    /// returns a single deterministic count, so every output is
-    /// byte-identical to the serial schedule.
     pub fn finish(mut self) -> Result<SierraResult, SessionError> {
-        // Force everything refutation needs so the overlapped window
-        // contains exactly the refutation stage.
-        self.prefilter()?;
-
-        let harness = self.harness.clone().expect("stages ran");
-        let compare_cfg = self.config.compare_without_as.then(|| {
-            let plain = match self.config.selector {
-                SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
-                other => other,
-            };
-            SierraConfig {
-                selector: plain,
-                compare_without_as: false,
-                skip_refutation: true,
-                ..self.config
-            }
-        });
-        let run_compare = |cfg: SierraConfig,
-                           harness: Arc<HarnessResult>,
-                           store: Arc<dyn SummaryStore>,
-                           shared: Option<Arc<dyn SummaryStore>>|
-         -> Result<(usize, Duration), SessionError> {
-            let t = Instant::now();
-            let mut builder = SessionBuilder::new(cfg).harness(harness).store(store);
-            if let Some(shared) = shared {
-                builder = builder.shared_store(shared);
-            }
-            let count = builder.build()?.candidates()?.len();
-            Ok((count, t.elapsed()))
-        };
-
-        let mut compare_overlapped = false;
-        let (racy_pairs_without_as, compare_elapsed) = match compare_cfg {
-            Some(cfg) if self.config.overlap_compare && !self.config.skip_refutation => {
-                compare_overlapped = true;
-                let shared = Arc::clone(&harness);
-                let shared_store = Arc::clone(&self.store);
-                let shared_layer = self.shared.clone();
-                std::thread::scope(|scope| {
-                    let compare =
-                        scope.spawn(move || run_compare(cfg, shared, shared_store, shared_layer));
-                    let refuted = self.refute().map(|_| ());
-                    let compared = compare
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e));
-                    refuted.and(compared)
-                })?
-            }
-            Some(cfg) => run_compare(
-                cfg,
-                Arc::clone(&harness),
-                Arc::clone(&self.store),
-                self.shared.clone(),
-            )?,
-            None => (0, Duration::ZERO),
-        };
-        self.refute()?;
         self.triage()?;
-        self.metrics.timings.compare = compare_elapsed;
-        self.metrics.compare_overlapped = compare_overlapped;
-        if compare_cfg.is_some() {
+        let harness = self.harness.clone().expect("stages ran");
+        let racy_pairs_without_as = if self.config.compare_without_as {
+            let t = Instant::now();
+            let count = self.compare_without_as();
+            self.metrics.timings.compare = t.elapsed();
             self.metrics.last_stage = Some(Stage::Compare);
-        }
-        self.metrics.overlap_saved = if compare_overlapped {
-            compare_elapsed.min(self.metrics.timings.refutation)
+            count
         } else {
-            Duration::ZERO
+            0
         };
 
         let analysis = self.analysis.expect("stages ran");
@@ -974,6 +919,21 @@ pub fn refute_candidates(
         stats: base.stats,
         jobs_used: jobs,
     }
+}
+
+/// Instantiates the linked access sites against `analysis`, one
+/// representative per `(action, addr)`.
+fn linked_accesses(
+    harness: &HarnessResult,
+    analysis: &Analysis,
+    linked: &LinkedSummaries,
+) -> Vec<Access> {
+    dedupe(collect_accesses_from_sites(
+        analysis,
+        &harness.app.program,
+        Some(harness.harness_class),
+        &linked.sites_map(),
+    ))
 }
 
 /// Deduplicates accesses to one representative per `(action, addr)`.

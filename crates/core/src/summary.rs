@@ -245,7 +245,7 @@ pub fn summary_key(structural_fp: u64, printed_body: &str, config_fp: u64) -> u6
 /// whole-`Analysis` artifacts. Keys are content hashes, so a store never
 /// needs invalidation logic: stale entries are simply never looked up
 /// again. Implementations must be shareable across the serve worker pool
-/// and the overlapped comparison pass (`Send + Sync`). Keys hash name
+/// and the corpus engine's workers (`Send + Sync`). Keys hash name
 /// text rather than symbol values, so one store serves sessions built
 /// over a shared [`apir::SymbolArena`] and private-interner sessions
 /// interchangeably.

@@ -500,3 +500,74 @@ fn soundness_section_renders_only_under_non_ignore_policies() {
         "resolve can only raise callback recall"
     );
 }
+
+/// The comparison pass reuses the main pass's linked summaries. Sound
+/// because summaries are equal under the action-sensitive and hybrid
+/// config fingerprints, and then its count equals a hybrid session's.
+#[test]
+fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
+    use crate::summary::{config_fingerprint, load_or_summarize, structural_fingerprint};
+    use crate::{MemoryStore, OpaquePolicy, SessionBuilder};
+    use pointer::SelectorKind;
+
+    const SEED: u64 = 0x00c0_4a2e_5eed; // vary to sweep other F-Droid apps
+    let mut rng = sierra_prng::SplitMix64::new(SEED);
+    let mut apps: Vec<_> = corpus::twenty::build_all()
+        .into_iter()
+        .map(|(spec, app, _)| (spec.name.to_owned(), app))
+        .collect();
+    for _ in 0..4 {
+        let i = rng.usize(corpus::fdroid::APP_COUNT);
+        apps.push((format!("fdroid app{i:03}"), corpus::fdroid::build_app(i).0));
+    }
+    apps.push((
+        "Reflection".into(),
+        corpus::reflection_idioms::reflection_idioms_app().0,
+    ));
+    apps.push((
+        "Intent".into(),
+        corpus::reflection_idioms::intent_idioms_app().0,
+    ));
+
+    for (name, app) in &apps {
+        for policy in [
+            OpaquePolicy::Ignore,
+            OpaquePolicy::Resolve,
+            OpaquePolicy::Havoc,
+        ] {
+            let cfg = SierraConfig::builder().opaque_policy(policy).build();
+            let hybrid = match cfg.selector {
+                SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
+                other => panic!("default selector {other:?} is not action-sensitive"),
+            };
+            let result = Sierra::with_config(cfg).analyze_app(app.clone());
+            let harness = std::sync::Arc::clone(&result.harness);
+            let program = &harness.app.program;
+            let summaries = |selector| {
+                load_or_summarize(
+                    program,
+                    &harness.app.framework,
+                    cfg.pointer_options.index_sensitive,
+                    structural_fingerprint(program),
+                    config_fingerprint(selector, cfg.pointer_options),
+                    &MemoryStore::new(),
+                    None,
+                )
+                .0
+            };
+            let context = format!("{name} ({SEED:#x}) under {policy}");
+            assert!(summaries(cfg.selector) == summaries(hybrid), "{context}");
+
+            let hybrid_cfg = SierraConfig {
+                selector: hybrid,
+                ..cfg
+            };
+            let standalone = SessionBuilder::new(hybrid_cfg)
+                .harness(harness)
+                .build()
+                .and_then(|mut session| session.candidates().map(<[_]>::len))
+                .expect("pipeline runs");
+            assert_eq!(result.racy_pairs_without_as, standalone, "{context}");
+        }
+    }
+}

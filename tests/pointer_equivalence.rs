@@ -6,8 +6,8 @@
 //! figure apps, and a cycle-bearing fixture under every ablation —
 //! collapse on/off, topo-lrf vs fifo worklist — and the racy-pair
 //! counts, candidate pairs, pruned pairs, and final reports must match.
-//! The overlapped comparison pass must likewise leave the rendered race
-//! reports byte-identical at any refutation parallelism.
+//! The comparison pass and the rendered race reports must likewise be
+//! byte-identical at any refutation parallelism.
 
 use corpus::twenty;
 use pointer::{Access, WorklistPolicy};
@@ -192,14 +192,11 @@ fn worklist_policy_does_not_change_results() {
 }
 
 #[test]
-fn overlapped_comparison_yields_byte_identical_reports_at_any_parallelism() {
+fn comparison_pass_yields_byte_identical_reports_at_any_refute_jobs() {
     for (name, app) in corpus() {
         let mut renderings: Vec<Vec<String>> = Vec::new();
-        for (overlap, refute_jobs) in [(true, 1), (true, 4), (false, 1), (false, 4)] {
-            let cfg = SierraConfig::builder()
-                .overlap_compare(overlap)
-                .refute_jobs(refute_jobs)
-                .build();
+        for refute_jobs in [1, 4] {
+            let cfg = SierraConfig::builder().refute_jobs(refute_jobs).build();
             let result = Sierra::with_config(cfg).analyze_app(app.clone());
             let mut lines = report_lines(&result);
             lines.insert(
