@@ -1,4 +1,4 @@
-//! A sharded, append-only symbol arena shared across analysis jobs.
+//! An append-only symbol arena shared across analysis jobs.
 //!
 //! Corpus runs (`engine::run_jobs`) and the long-lived `sierra serve`
 //! loop intern the same framework class/method/field names once per app;
@@ -8,11 +8,10 @@
 //!
 //! The arena is append-only: symbols are never removed or renumbered, so
 //! a `Symbol` minted by any job stays valid for the lifetime of the
-//! arena. Reads take a per-shard `RwLock` in read mode (uncontended in
-//! the steady state, where every lookup hits); writes lock only the one
-//! shard owning the string's hash. A `Symbol` encodes its shard in the
-//! low bits — `(index << SHARD_BITS) | shard` — so resolution never
-//! searches.
+//! arena, and a `Symbol` is simply the string's index in the table. One
+//! `RwLock` guards the table. That is enough: corpus runners intern on
+//! the main thread before fanning out to workers, and serve's steady
+//! state is all read-lock hits, so writers almost never contend.
 //!
 //! [`Interner::with_arena`]: crate::Interner::with_arena
 
@@ -20,38 +19,34 @@ use crate::interner::{fnv64_str, Symbol};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-/// log2 of the shard count; shards are picked from the string hash.
-const SHARD_BITS: u32 = 4;
-/// Number of independently locked shards.
-const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
-/// One lock domain of the arena.
+/// The arena's contents, behind its one lock.
 #[derive(Debug, Default)]
-struct Shard {
-    /// Interned strings, indexed by the symbol's local index.
+struct Table {
+    /// Interned strings, indexed by symbol.
     strings: Vec<Arc<str>>,
-    /// Hash of the string → local indices of candidates with that hash.
+    /// Hash of the string → symbols of candidates with that hash.
     lookup: HashMap<u64, Vec<u32>>,
-    /// Total text bytes resident in this shard.
+    /// Total text bytes resident.
     bytes: usize,
 }
 
-impl Shard {
-    fn find(&self, hash: u64, text: &str) -> Option<u32> {
+impl Table {
+    fn find(&self, hash: u64, text: &str) -> Option<Symbol> {
         self.lookup
             .get(&hash)?
             .iter()
             .copied()
             .find(|&i| &*self.strings[i as usize] == text)
+            .map(Symbol)
     }
 }
 
 /// A process-wide, append-only string interner safe for concurrent use.
 ///
-/// See the [module docs](self) for the sharding and encoding scheme.
+/// See the [module docs](self) for the locking scheme.
 #[derive(Default)]
 pub struct SymbolArena {
-    shards: [RwLock<Shard>; SHARD_COUNT],
+    table: RwLock<Table>,
 }
 
 impl SymbolArena {
@@ -61,17 +56,8 @@ impl SymbolArena {
         Self::default()
     }
 
-    fn shard_of(hash: u64) -> usize {
-        (hash as usize) & (SHARD_COUNT - 1)
-    }
-
-    fn encode(shard: usize, index: u32) -> Symbol {
-        debug_assert!(index < (1 << (32 - SHARD_BITS)), "arena shard overflow");
-        Symbol((index << SHARD_BITS) | shard as u32)
-    }
-
-    fn decode(sym: Symbol) -> (usize, u32) {
-        ((sym.0 as usize) & (SHARD_COUNT - 1), sym.0 >> SHARD_BITS)
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Table> {
+        self.table.read().expect("arena lock")
     }
 
     /// Interns `text`, returning its stable symbol. Idempotent and safe
@@ -79,33 +65,26 @@ impl SymbolArena {
     /// same new string agree on one symbol.
     pub fn intern(&self, text: &str) -> Symbol {
         let hash = fnv64_str(text);
-        let shard_i = Self::shard_of(hash);
-        {
-            let shard = self.shards[shard_i].read().expect("arena shard lock");
-            if let Some(i) = shard.find(hash, text) {
-                return Self::encode(shard_i, i);
-            }
+        if let Some(sym) = self.read().find(hash, text) {
+            return sym;
         }
-        let mut shard = self.shards[shard_i].write().expect("arena shard lock");
+        let mut table = self.table.write().expect("arena lock");
         // Double-check under the write lock: another thread may have
         // interned the string between our read probe and here.
-        if let Some(i) = shard.find(hash, text) {
-            return Self::encode(shard_i, i);
+        if let Some(sym) = table.find(hash, text) {
+            return sym;
         }
-        let index = u32::try_from(shard.strings.len()).expect("shard symbol space");
-        shard.strings.push(Arc::from(text));
-        shard.bytes += text.len();
-        shard.lookup.entry(hash).or_default().push(index);
-        Self::encode(shard_i, index)
+        let index = u32::try_from(table.strings.len()).expect("arena symbol space");
+        table.strings.push(Arc::from(text));
+        table.bytes += text.len();
+        table.lookup.entry(hash).or_default().push(index);
+        Symbol(index)
     }
 
     /// Looks `text` up without interning it.
     #[must_use]
     pub fn get(&self, text: &str) -> Option<Symbol> {
-        let hash = fnv64_str(text);
-        let shard_i = Self::shard_of(hash);
-        let shard = self.shards[shard_i].read().expect("arena shard lock");
-        shard.find(hash, text).map(|i| Self::encode(shard_i, i))
+        self.read().find(fnv64_str(text), text)
     }
 
     /// Resolves a symbol minted by this arena to its shared text.
@@ -115,18 +94,13 @@ impl SymbolArena {
     /// Panics if `sym` was not produced by this arena.
     #[must_use]
     pub fn resolve(&self, sym: Symbol) -> Arc<str> {
-        let (shard_i, index) = Self::decode(sym);
-        let shard = self.shards[shard_i].read().expect("arena shard lock");
-        Arc::clone(&shard.strings[index as usize])
+        Arc::clone(&self.read().strings[sym.0 as usize])
     }
 
     /// Number of distinct strings interned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("arena shard lock").strings.len())
-            .sum()
+        self.read().strings.len()
     }
 
     /// Whether the arena holds no strings.
@@ -135,14 +109,11 @@ impl SymbolArena {
         self.len() == 0
     }
 
-    /// Total text bytes resident across all shards — the storage every
-    /// arena-backed interner shares instead of duplicating.
+    /// Total text bytes resident — the storage every arena-backed
+    /// interner shares instead of duplicating.
     #[must_use]
     pub fn bytes_resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("arena shard lock").bytes)
-            .sum()
+        self.read().bytes
     }
 }
 
@@ -186,11 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn symbols_encode_their_shard() {
+    fn symbols_are_dense_indices() {
         let arena = SymbolArena::new();
         for i in 0..256 {
             let text = format!("sym{i}");
             let s = arena.intern(&text);
+            assert_eq!(s, Symbol(i));
             assert_eq!(&*arena.resolve(s), text.as_str());
         }
         assert_eq!(arena.len(), 256);

@@ -5,9 +5,9 @@
 //! isolation on the medium app so the relative costs can be compared, and
 //! the per-stage work counters (`StageMetrics`) are printed alongside.
 //!
-//! A final group measures the parallel refutation stage on a
-//! refutation-bound stress app (`--refute-jobs 1` vs `4`) and writes all
-//! measurements to `BENCH_table4.json` for CI artifact upload.
+//! Ablation groups follow (prefilter, cycle collapse, triage, histories,
+//! summary and artifact reuse, corpus throughput), and all measurements
+//! are written to `BENCH_table4.json` for CI artifact upload.
 //!
 //! ```sh
 //! cargo bench --bench table4_efficiency
@@ -16,9 +16,7 @@
 use pointer::{Access, SelectorKind};
 use sierra_bench::{group, time};
 use sierra_core::json::{num, obj};
-use sierra_core::{
-    refute_candidates, Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SummaryStore,
-};
+use sierra_core::{Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SummaryStore};
 use std::sync::Arc;
 use std::time::Duration;
 use symexec::{Refuter, RefuterConfig};
@@ -107,72 +105,6 @@ fn main() {
         "refuter: {} paths over {} queries ({} refuted, {} budget-exhausted)",
         m.refuter.paths, m.refuter.queries, m.refuter.refuted, m.refuter.budget_exhausted
     );
-
-    // Parallel refutation speedup on a refutation-bound stress app: each
-    // of its candidate pairs drives the backward executor to its path
-    // budget, so the stage is embarrassingly parallel across pairs.
-    group("refutation_parallel_speedup");
-    let stress = sierra_bench::refutation_stress_app(13, 8);
-    let stress_harness = harness_gen::generate(stress);
-    let stress_analysis = pointer::analyze(&stress_harness, SelectorKind::ActionSensitive(1));
-    let stress_accesses = pointer::collect_accesses(
-        &stress_analysis,
-        &stress_harness.app.program,
-        Some(stress_harness.harness_class),
-    );
-    // Keep only the posted-runnable vs lifecycle write-write pairs:
-    // other combinations (guard-field reads, lifecycle-vs-lifecycle
-    // writes) resolve cheaply and would dilute the measurement.
-    let posted = |a: &Access| {
-        matches!(
-            stress_analysis.actions.action(a.action).kind,
-            android_model::ActionKind::RunnablePost
-        )
-    };
-    let stress_pairs = conflicting_pairs(&stress_accesses, |a, b| {
-        a.is_write && b.is_write && posted(a) != posted(b)
-    });
-    assert!(
-        stress_pairs.len() >= 8,
-        "stress app must produce one candidate per field, got {}",
-        stress_pairs.len()
-    );
-    let what = stress_harness.app.framework.message_what;
-    let refute_with = |jobs: usize| {
-        refute_candidates(
-            &stress_analysis,
-            &stress_harness.app.program,
-            what,
-            RefuterConfig::default(),
-            jobs,
-            &stress_pairs,
-            None,
-        )
-    };
-    let probe = refute_with(1);
-    assert!(
-        probe.stats.budget_exhausted == stress_pairs.len(),
-        "every stress query must exhaust the path budget ({} of {})",
-        probe.stats.budget_exhausted,
-        stress_pairs.len()
-    );
-    println!(
-        "stress fixture: {} candidate pairs, {} paths explored per serial run",
-        stress_pairs.len(),
-        probe.stats.paths
-    );
-    let t_jobs1 = time("refute_candidates_jobs_1", 10, || {
-        refute_with(1).outcomes.len()
-    });
-    let t_jobs4 = time("refute_candidates_jobs_4", 10, || {
-        refute_with(4).outcomes.len()
-    });
-    let speedup = t_jobs1.as_secs_f64() / t_jobs4.as_secs_f64();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("parallel refutation speedup at 4 jobs: {speedup:.2}x ({cores} core(s) available)");
-    if cores < 4 {
-        println!("note: fewer than 4 cores available; the 4-job run cannot realize its full speedup here");
-    }
 
     // Prefilter ablation: the stress app's GUI handlers carry pairs the
     // refuter can only resolve by exhausting its path budget, while the
@@ -603,16 +535,6 @@ fn main() {
                 ("closure_sccs", num(m.shbg.closure_sccs)),
                 ("refuter_paths", num(m.refuter.paths)),
                 ("refuter_queries", num(m.refuter.queries)),
-            ]),
-        ),
-        (
-            "refutation_parallel",
-            obj(vec![
-                ("candidate_pairs", num(stress_pairs.len())),
-                ("cores_available", num(cores)),
-                ("jobs1_mean_us", us(t_jobs1)),
-                ("jobs4_mean_us", us(t_jobs4)),
-                ("speedup", Json::Num(speedup)),
             ]),
         ),
         (

@@ -43,15 +43,13 @@ pub fn size_classes() -> Vec<(&'static str, AndroidApp, GroundTruth)> {
 /// With `diamonds` ≥ 13 the frontier exceeds the default 5,000-path
 /// budget, making each query cost exactly one budget's worth of work —
 /// refuted-method caching never kicks in (budgeted queries are not
-/// cached), so all `fields` queries stay equally expensive and
-/// embarrassingly parallel.
+/// cached), so all `fields` queries stay equally expensive.
 ///
 /// The activity additionally carries two GUI handlers full of
 /// statically-prunable pairs — constant-dead writes (`d0..d5`),
 /// `inited`-guarded reads of `cfg0..cfg2` — which the pre-refutation
-/// prefilter removes but the refuter alone cannot resolve cheaply. The
-/// benchmark's write-write × posted-vs-lifecycle pair filter excludes
-/// all of them, so the parallel-speedup measurement is unaffected.
+/// prefilter removes but the refuter alone cannot resolve cheaply; the
+/// prefilter ablation measures exactly that gap.
 pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     let mut app = android_model::AndroidAppBuilder::new("RefuteStress");
     let fw = app.framework().clone();

@@ -6,6 +6,7 @@
 //! regardless of scheduling, and an app whose analysis panics becomes an
 //! error row instead of killing the run.
 
+use apir::SymbolArena;
 use corpus::{fdroid, twenty, EvalCounts, GroundTruth, HarmEval};
 use eventracer::EventRacerConfig;
 use sierra_core::{
@@ -309,42 +310,24 @@ fn row_or_error(outcome: Result<AppRow, EngineError>) -> AppRow {
     }
 }
 
-/// The corpus-wide symbol arena for one run, or `None` under
-/// `--no-shared-intern` (every app then gets a private interner).
-fn corpus_arena(shared_intern: bool) -> Option<Arc<apir::SymbolArena>> {
-    shared_intern.then(|| Arc::new(apir::SymbolArena::new()))
-}
-
 /// Runs the 20-app dataset (Tables 3 and 4) on `jobs` workers.
 pub fn run_twenty(sierra_cfg: SierraConfig, er_cfg: &EventRacerConfig, jobs: usize) -> Vec<AppRow> {
-    run_twenty_with(sierra_cfg, er_cfg, jobs, true)
+    run_twenty_cached(sierra_cfg, er_cfg, jobs, None)
 }
 
-/// [`run_twenty`] with explicit control over shared interning. Apps are
-/// built on the caller's thread over one corpus-wide arena (when
-/// `shared_intern`), then analyzed on `jobs` workers; reports are
-/// byte-identical either way and at any job count.
-pub fn run_twenty_with(
-    sierra_cfg: SierraConfig,
-    er_cfg: &EventRacerConfig,
-    jobs: usize,
-    shared_intern: bool,
-) -> Vec<AppRow> {
-    run_twenty_cached(sierra_cfg, er_cfg, jobs, shared_intern, None)
-}
-
-/// [`run_twenty_with`] against an optional persistence layer. Workers
-/// share the cache: a second pass over the same store reuses every
-/// unchanged summary and points-to artifact, and with a shared layer
-/// each framework-method summary is computed once corpus-wide.
+/// [`run_twenty`] against an optional persistence layer. Apps are built
+/// on the caller's thread over one corpus-wide symbol arena, then
+/// analyzed on `jobs` workers. Workers share the cache: a second pass
+/// over the same store reuses every unchanged summary and points-to
+/// artifact, and with a shared layer each framework-method summary is
+/// computed once corpus-wide.
 pub fn run_twenty_cached(
     sierra_cfg: SierraConfig,
     er_cfg: &EventRacerConfig,
     jobs: usize,
-    shared_intern: bool,
     cache: Option<&CorpusCache>,
 ) -> Vec<AppRow> {
-    let items: Vec<(String, _)> = twenty::build_all_with(corpus_arena(shared_intern))
+    let items: Vec<(String, _)> = twenty::build_all_with(Some(Arc::new(SymbolArena::new())))
         .into_iter()
         .map(|(spec, app, truth)| (spec.name.to_owned(), (app, truth)))
         .collect();
@@ -359,31 +342,19 @@ pub fn run_twenty_cached(
 /// Runs the first `count` apps of the 174-app dataset (Table 5) on
 /// `jobs` workers.
 pub fn run_fdroid(count: usize, sierra_cfg: SierraConfig, jobs: usize) -> Vec<AppRow> {
-    run_fdroid_with(count, sierra_cfg, jobs, true)
+    run_fdroid_cached(count, sierra_cfg, jobs, None)
 }
 
-/// [`run_fdroid`] with explicit control over shared interning (see
-/// [`run_twenty_with`]).
-pub fn run_fdroid_with(
-    count: usize,
-    sierra_cfg: SierraConfig,
-    jobs: usize,
-    shared_intern: bool,
-) -> Vec<AppRow> {
-    run_fdroid_cached(count, sierra_cfg, jobs, shared_intern, None)
-}
-
-/// [`run_fdroid_with`] against an optional persistence layer (see
+/// [`run_fdroid`] against an optional persistence layer (see
 /// [`run_twenty_cached`]).
 pub fn run_fdroid_cached(
     count: usize,
     sierra_cfg: SierraConfig,
     jobs: usize,
-    shared_intern: bool,
     cache: Option<&CorpusCache>,
 ) -> Vec<AppRow> {
     let er_cfg = EventRacerConfig::default();
-    let items: Vec<(String, _)> = fdroid::iter_apps_with(corpus_arena(shared_intern))
+    let items: Vec<(String, _)> = fdroid::iter_apps_with(Some(Arc::new(SymbolArena::new())))
         .take(count)
         .map(|(i, app, truth)| (format!("app{i:03}"), (app, truth)))
         .collect();
@@ -733,10 +704,9 @@ pub fn run_soundness_corpus(
     sierra_cfg: SierraConfig,
     er_cfg: &EventRacerConfig,
     jobs: usize,
-    shared_intern: bool,
     cache: Option<&CorpusCache>,
 ) -> Vec<AppRow> {
-    let mut rows = run_twenty_cached(sierra_cfg, er_cfg, jobs, shared_intern, cache);
+    let mut rows = run_twenty_cached(sierra_cfg, er_cfg, jobs, cache);
     for (name, (app, truth)) in [
         (
             "ReflectionIdioms",

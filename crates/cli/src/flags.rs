@@ -7,14 +7,10 @@
 //!                       | k-obj:K | hybrid:K          (default action:1)
 //! --budget <N>          refuter path budget             (default 5000)
 //! --jobs <N>            corpus worker threads; 0 = all cores   (default 0)
-//! --refute-jobs <N>     refutation worker threads per app;
-//!                       0 = all cores                   (default 1)
 //! --no-prefilter        disable the pre-refutation static pruning
 //!                       stage (escape/guard/constprop)
 //! --no-cycle-collapse   disable online cycle collapse in the pointer
 //!                       solver (ablation)
-//! --worklist <POLICY>   pointer solver worklist: topo-lrf | fifo
-//!                       (default topo-lrf)
 //! --opaque-policy <P>   opaque call sites (reflection, intent
 //!                       dispatch): ignore | resolve | havoc
 //!                       (default ignore)
@@ -39,20 +35,18 @@
 //! --no-artifact-cache   do not persist or load whole-`Analysis`
 //!                       artifact blobs (ablation; summary files and
 //!                       in-memory artifact reuse are unaffected)
-//! --no-shared-intern    give every app/request its own private string
-//!                       interner instead of the process-wide shared
-//!                       symbol arena (ablation; reports are identical
-//!                       either way)
 //! ```
 //!
 //! [`CommonFlags::parse`] consumes the recognized flags (and their
 //! values) from the argument list, leaving positional arguments and
-//! subcommand-specific flags in place.
+//! subcommand-specific flags in place. Once the subcommand has taken its
+//! own flags, [`reject_unknown_flags`] turns any `--flag` still left into
+//! an error, so a misspelt or removed flag never runs silently.
 
 use sierra_core::SierraConfig;
 
 /// Parsed values of the shared flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CommonFlags {
     /// `--jobs N`: engine worker threads (0 = available parallelism).
     pub jobs: usize,
@@ -60,9 +54,6 @@ pub struct CommonFlags {
     pub cache_dir: Option<String>,
     /// `--cache-max-mb N`: on-disk store size cap in megabytes.
     pub cache_max_mb: Option<u64>,
-    /// Intern names into one process-wide [`apir::SymbolArena`] shared
-    /// across apps/requests (`true` unless `--no-shared-intern`).
-    pub shared_intern: bool,
     /// `--shared-store`: share framework-method summaries across all
     /// apps/requests through a corpus-shared layer.
     pub shared_store: bool,
@@ -70,26 +61,11 @@ pub struct CommonFlags {
     pub config: SierraConfig,
 }
 
-impl Default for CommonFlags {
-    fn default() -> Self {
-        Self {
-            jobs: 0,
-            cache_dir: None,
-            cache_max_mb: None,
-            shared_intern: true,
-            shared_store: false,
-            config: SierraConfig::default(),
-        }
-    }
-}
-
 impl CommonFlags {
-    /// Extracts `--context`, `--budget`, `--jobs`, `--refute-jobs`,
-    /// `--no-prefilter`, `--no-cycle-collapse`, `--worklist`,
-    /// `--opaque-policy`, `--no-histories`, `--no-triage`,
-    /// `--min-harm`, `--cache-dir`, `--cache-max-mb`,
-    /// `--no-shared-intern`, `--shared-store`, and
-    /// `--no-artifact-cache` from `args`, removing
+    /// Extracts `--context`, `--budget`, `--jobs`, `--no-prefilter`,
+    /// `--no-cycle-collapse`, `--opaque-policy`, `--no-histories`,
+    /// `--no-triage`, `--min-harm`, `--cache-dir`, `--cache-max-mb`,
+    /// `--shared-store`, and `--no-artifact-cache` from `args`, removing
     /// each recognized flag (and its value, if any). Unknown flags and
     /// positionals are untouched.
     pub fn parse(args: &mut Vec<String>) -> Result<Self, String> {
@@ -103,7 +79,6 @@ impl CommonFlags {
             ),
             None => None,
         };
-        let shared_intern = !take_switch(args, "--no-shared-intern");
         let shared_store = take_switch(args, "--shared-store");
         if take_switch(args, "--no-artifact-cache") {
             builder = builder.no_artifact_cache(true);
@@ -125,21 +100,11 @@ impl CommonFlags {
                 .parse()
                 .map_err(|_| format!("invalid --jobs {v:?}: expected a count"))?;
         }
-        if let Some(v) = take_flag(args, "--refute-jobs")? {
-            let refute_jobs = v
-                .parse()
-                .map_err(|_| format!("invalid --refute-jobs {v:?}: expected a count"))?;
-            builder = builder.refute_jobs(refute_jobs);
-        }
         if take_switch(args, "--no-prefilter") {
             builder = builder.no_prefilter(true);
         }
         if take_switch(args, "--no-cycle-collapse") {
             builder = builder.no_cycle_collapse(true);
-        }
-        if let Some(v) = take_flag(args, "--worklist")? {
-            let policy: pointer::WorklistPolicy = v.parse()?;
-            builder = builder.worklist_policy(policy);
         }
         if let Some(v) = take_flag(args, "--opaque-policy")? {
             let policy: pointer::OpaquePolicy = v.parse()?;
@@ -159,7 +124,6 @@ impl CommonFlags {
             jobs,
             cache_dir,
             cache_max_mb,
-            shared_intern,
             shared_store,
             config: builder.build(),
         })
@@ -168,7 +132,7 @@ impl CommonFlags {
 
 /// Removes `flag` and its value from `args`; errors when the value is
 /// missing.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
@@ -180,10 +144,14 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     Ok(Some(value))
 }
 
-/// Removes `flag` and its value from `args` without interpreting it
-/// (subcommand-specific flags like `--apps`).
-pub fn take_raw_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    take_flag(args, flag).ok().flatten()
+/// Errors on the first argument after the subcommand that still starts
+/// with `--`. Call it once the shared flags and the subcommand's own
+/// flags have been taken: anything left is unknown.
+pub fn reject_unknown_flags(args: &[String]) -> Result<(), String> {
+    match args.iter().skip(1).find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag:?}")),
+        None => Ok(()),
+    }
 }
 
 /// Removes a value-less switch from `args`; returns whether it was
@@ -228,23 +196,13 @@ mod tests {
             "k-obj:2",
             "--budget",
             "100",
-            "--refute-jobs",
-            "8",
         ]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert_eq!(flags.jobs, 4);
         assert_eq!(flags.config.selector, SelectorKind::KObj(2));
         assert_eq!(flags.config.refuter.max_paths, 100);
-        assert_eq!(flags.config.refute_jobs, 8);
         // Subcommand flags survive.
         assert_eq!(args, argv(&["table5", "--apps", "10"]));
-    }
-
-    #[test]
-    fn refute_jobs_defaults_to_serial() {
-        let mut args = argv(&["table4"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert_eq!(flags.config.refute_jobs, 1);
     }
 
     #[test]
@@ -261,22 +219,14 @@ mod tests {
 
     #[test]
     fn pointer_ablation_flags_are_consumed() {
-        let mut args = argv(&["table4", "--no-cycle-collapse", "--worklist", "fifo"]);
+        let mut args = argv(&["table4", "--no-cycle-collapse"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert!(!flags.config.pointer_options.cycle_collapse);
-        assert_eq!(
-            flags.config.pointer_options.worklist,
-            pointer::WorklistPolicy::Fifo
-        );
         assert_eq!(args, argv(&["table4"]));
 
         let mut args = argv(&["table4"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert!(flags.config.pointer_options.cycle_collapse);
-        assert_eq!(
-            flags.config.pointer_options.worklist,
-            pointer::WorklistPolicy::TopoLrf
-        );
     }
 
     #[test]
@@ -370,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_intern_switch_is_consumed() {
-        let mut args = argv(&["table3", "--no-shared-intern"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.shared_intern);
-        assert_eq!(args, argv(&["table3"]));
-
-        let mut args = argv(&["table3"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.shared_intern);
-        assert!(CommonFlags::default().shared_intern);
-    }
-
-    #[test]
     fn shared_store_switch_is_consumed() {
         let mut args = argv(&["table3", "--shared-store"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
@@ -412,10 +349,6 @@ mod tests {
         assert!(CommonFlags::parse(&mut argv(&["x", "--context", "bogus"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--jobs", "many"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--budget"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--refute-jobs", "-1"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--refute-jobs"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--worklist", "dfs"])).is_err());
-        assert!(CommonFlags::parse(&mut argv(&["x", "--worklist"])).is_err());
     }
 
     #[test]

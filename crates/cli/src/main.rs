@@ -20,10 +20,8 @@
 //! --context <SPEC>     insensitive | action:K | k-cfa:K | k-obj:K | hybrid:K
 //! --budget <N>         refuter path budget
 //! --jobs <N>           corpus engine worker threads (0 = all cores)
-//! --refute-jobs <N>    per-app refutation worker threads (0 = all cores)
 //! --no-prefilter       disable pre-refutation static pruning
 //! --no-cycle-collapse  disable online cycle collapse in the pointer solver
-//! --worklist <POLICY>  pointer solver worklist: topo-lrf | fifo
 //! --opaque-policy <P>  opaque call sites (reflection, intent dispatch):
 //!                      ignore | resolve | havoc
 //! --no-histories       disable the message-history refutation stage
@@ -38,9 +36,9 @@
 //!                      shared layer (computed once per framework fingerprint)
 //! --no-artifact-cache  summaries only: never persist or load whole
 //!                      points-to artifacts (ablation)
-//! --no-shared-intern   private per-app interners instead of the shared
-//!                      symbol arena (ablation)
 //! ```
+//!
+//! Any other `--flag` is an error (exit code 2) that names the flag.
 //!
 //! Corpus commands run against `--cache-dir` print an aggregate
 //! `cache: …` hit-stats line after their table; a second identical run
@@ -48,16 +46,15 @@
 
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments;
-use sierra_cli::flags::{take_raw_flag, CommonFlags};
+use sierra_cli::flags::{reject_unknown_flags, take_flag, CommonFlags};
 use sierra_core::Sierra;
 
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
-                     shared flags: --context <SPEC> --budget <N> --jobs <N> --refute-jobs <N> --no-prefilter\n\
-                     \x20             --no-cycle-collapse --worklist <topo-lrf|fifo> --opaque-policy <ignore|resolve|havoc>\n\
+                     shared flags: --context <SPEC> --budget <N> --jobs <N> --no-prefilter\n\
+                     \x20             --no-cycle-collapse --opaque-policy <ignore|resolve|havoc>\n\
                      \x20             --no-histories --no-triage\n\
                      \x20             --min-harm <benign|value|use-before-init|null-deref>\n\
-                     \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store --no-artifact-cache\n\
-                     \x20             --no-shared-intern";
+                     \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store --no-artifact-cache";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,6 +66,33 @@ fn main() {
         }
     };
     let cmd = args.first().cloned().unwrap_or_else(|| "help".to_owned());
+    // The subcommand's own flags; whatever `--flag` is left after them
+    // is unknown.
+    let own_flags = (|| {
+        let apps = match cmd.as_str() {
+            "table5" => take_flag(&mut args, "--apps")?,
+            _ => None,
+        };
+        let apps = match apps {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid --apps {v:?}: expected a count"))?,
+            None => corpus::fdroid::APP_COUNT,
+        };
+        let socket = match cmd.as_str() {
+            "serve" => take_flag(&mut args, "--socket")?,
+            _ => None,
+        };
+        reject_unknown_flags(&args)?;
+        Ok::<_, String>((apps, socket))
+    })();
+    let (apps, socket) = match own_flags {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     // Any persistence flag turns the run's cache layer on: `--cache-dir`
     // alone persists summaries + artifacts, `--shared-store` alone still
     // shares framework summaries (in memory) within this corpus pass,
@@ -97,49 +121,22 @@ fn main() {
     match cmd.as_str() {
         "table2" => print!("{}", experiments::table2()),
         "table3" => {
-            let rows = experiments::run_twenty_cached(
-                sierra_cfg,
-                &er_cfg,
-                jobs,
-                common.shared_intern,
-                cache.as_ref(),
-            );
+            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
             print!("{}", experiments::table3(&rows));
             print_cache_stats(&rows);
         }
         "table4" => {
-            let rows = experiments::run_twenty_cached(
-                sierra_cfg,
-                &er_cfg,
-                jobs,
-                common.shared_intern,
-                cache.as_ref(),
-            );
+            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
             print!("{}", experiments::table4(&rows));
             print_cache_stats(&rows);
         }
         "table5" => {
-            let count = take_raw_flag(&mut args, "--apps")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(corpus::fdroid::APP_COUNT);
-            let rows = experiments::run_fdroid_cached(
-                count,
-                sierra_cfg,
-                jobs,
-                common.shared_intern,
-                cache.as_ref(),
-            );
+            let rows = experiments::run_fdroid_cached(apps, sierra_cfg, jobs, cache.as_ref());
             print!("{}", experiments::table5(&rows));
             print_cache_stats(&rows);
         }
         "compare" => {
-            let rows = experiments::run_twenty_cached(
-                sierra_cfg,
-                &er_cfg,
-                jobs,
-                common.shared_intern,
-                cache.as_ref(),
-            );
+            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
             print!("{}", experiments::comparison_summary(&rows));
             print_cache_stats(&rows);
         }
@@ -267,13 +264,7 @@ fn main() {
             for policy in sierra_core::OpaquePolicy::ALL {
                 let mut cfg = sierra_cfg;
                 cfg.pointer_options.opaque_policy = policy;
-                let rows = experiments::run_soundness_corpus(
-                    cfg,
-                    &er_cfg,
-                    jobs,
-                    common.shared_intern,
-                    cache.as_ref(),
-                );
+                let rows = experiments::run_soundness_corpus(cfg, &er_cfg, jobs, cache.as_ref());
                 sections.push((policy.as_str(), rows));
             }
             for (policy, rows) in &sections {
@@ -287,7 +278,6 @@ fn main() {
             print!("{}", experiments::soundness_summary(&summary));
         }
         "serve" => {
-            let socket = take_raw_flag(&mut args, "--socket");
             if let Err(e) = sierra_cli::serve::run(&common, socket) {
                 eprintln!("{e}");
                 std::process::exit(2);

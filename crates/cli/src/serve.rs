@@ -9,10 +9,9 @@
 //! edited) app reuse per-method summaries and — when no solver-relevant
 //! statement changed — the whole points-to analysis. With `--cache-dir`
 //! the store persists to disk and survives server restarts. Sessions
-//! also share one [`apir::SymbolArena`] (unless `--no-shared-intern`),
-//! so the framework's class/method/field names are interned once per
-//! server process rather than once per request; summary keys and
-//! reports are identical either way.
+//! also share one [`apir::SymbolArena`], so the framework's
+//! class/method/field names are interned once per server process
+//! rather than once per request.
 //!
 //! ## Requests
 //!
@@ -101,7 +100,7 @@ pub fn run(flags: &CommonFlags, socket: Option<String>) -> Result<(), String> {
     // One arena for the whole server lifetime: requests intern into it
     // concurrently and it only grows (append-only), so a long-lived
     // server stops allocating name strings once the vocabulary is warm.
-    let arena = flags.shared_intern.then(|| Arc::new(SymbolArena::new()));
+    let arena = Arc::new(SymbolArena::new());
     match socket {
         Some(path) => serve_socket(&path, flags.config, flags.jobs, store, shared, arena),
         None => {
@@ -131,7 +130,7 @@ fn serve_socket(
     jobs: usize,
     store: Arc<dyn SummaryStore>,
     shared: Option<Arc<dyn SummaryStore>>,
-    arena: Option<Arc<SymbolArena>>,
+    arena: Arc<SymbolArena>,
 ) -> Result<(), String> {
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)
@@ -152,7 +151,7 @@ fn serve_socket(
             jobs,
             Arc::clone(&store),
             shared.clone(),
-            arena.clone(),
+            Arc::clone(&arena),
         ) {
             break;
         }
@@ -168,7 +167,7 @@ fn serve_socket(
     _jobs: usize,
     _store: Arc<dyn SummaryStore>,
     _shared: Option<Arc<dyn SummaryStore>>,
-    _arena: Option<Arc<SymbolArena>>,
+    _arena: Arc<SymbolArena>,
 ) -> Result<(), String> {
     Err("--socket requires a Unix platform; use stdin mode instead".to_owned())
 }
@@ -183,7 +182,7 @@ fn serve_connection<R: BufRead>(
     jobs: usize,
     store: Arc<dyn SummaryStore>,
     shared: Option<Arc<dyn SummaryStore>>,
-    arena: Option<Arc<SymbolArena>>,
+    arena: Arc<SymbolArena>,
 ) -> bool {
     let workers = effective_jobs(jobs, usize::MAX);
     let mut shutdown = false;
@@ -195,7 +194,7 @@ fn serve_connection<R: BufRead>(
             let writer = Arc::clone(writer);
             let store = Arc::clone(&store);
             let shared = shared.clone();
-            let arena = arena.clone();
+            let arena = Arc::clone(&arena);
             scope.spawn(move || loop {
                 // Receive under the lock, release before analyzing so the
                 // other workers can pick up queued requests.
@@ -204,9 +203,14 @@ fn serve_connection<R: BufRead>(
                     guard.recv()
                 };
                 match next {
-                    Ok(req) => {
-                        handle_request(req, config, &store, shared.clone(), arena.clone(), &writer)
-                    }
+                    Ok(req) => handle_request(
+                        req,
+                        config,
+                        &store,
+                        shared.clone(),
+                        Arc::clone(&arena),
+                        &writer,
+                    ),
                     Err(_) => break, // sender dropped: input finished
                 }
             });
@@ -274,7 +278,7 @@ fn handle_request(
     config: SierraConfig,
     store: &Arc<dyn SummaryStore>,
     shared: Option<Arc<dyn SummaryStore>>,
-    arena: Option<Arc<SymbolArena>>,
+    arena: Arc<SymbolArena>,
     out: &SharedWriter,
 ) {
     if let Err(e) = analyze(&req, config, store, shared, arena, out) {
@@ -289,7 +293,7 @@ fn analyze(
     config: SierraConfig,
     store: &Arc<dyn SummaryStore>,
     shared: Option<Arc<dyn SummaryStore>>,
-    arena: Option<Arc<SymbolArena>>,
+    arena: Arc<SymbolArena>,
     out: &SharedWriter,
 ) -> Result<(), sierra_core::SessionError> {
     let mut builder = SessionBuilder::new(config)
@@ -298,10 +302,7 @@ fn analyze(
     if let Some(shared) = shared {
         builder = builder.shared_store(shared);
     }
-    if let Some(arena) = arena {
-        builder = builder.arena(arena);
-    }
-    let mut session = builder.build()?;
+    let mut session = builder.arena(arena).build()?;
     let id = req.id;
 
     let harnesses = session.harness()?.harness_count();
@@ -464,7 +465,7 @@ mod tests {
             1,
             store,
             shared,
-            Some(Arc::new(SymbolArena::new())),
+            Arc::new(SymbolArena::new()),
         );
         let bytes = buffer.lock().expect("buffer lock").clone();
         let text = String::from_utf8(bytes).expect("utf-8 output");

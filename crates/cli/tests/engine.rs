@@ -47,27 +47,25 @@ fn fdroid_slice_is_schedule_independent() {
 
 #[test]
 fn race_reports_are_deterministically_ordered() {
-    // Same app, different refutation parallelism: the rendered result —
-    // including the numbered race list any triage annotations ride on —
-    // must be byte-identical, and the list must follow the content-based
-    // rank order rather than discovery order.
-    let render = |refute_jobs: usize| {
-        let cfg = SierraConfig::builder().refute_jobs(refute_jobs).build();
+    // The same app analyzed twice: the rendered result — including the
+    // numbered race list any triage annotations ride on — must be
+    // byte-identical, and the list must follow the content-based rank
+    // order rather than discovery order.
+    let render = || {
         let (app, _truth) = corpus::twenty::build_app(corpus::TWENTY[0]);
-        sierra_core::Sierra::with_config(cfg).analyze_app(app)
+        sierra_core::Sierra::with_config(SierraConfig::default()).analyze_app(app)
     };
-    let serial = render(1);
-    let parallel = render(4);
-    // Drop the lines that legitimately vary with scheduling: wall clock
-    // ("stages:" and the triage stage's ms figure) and the refuter's
-    // worker count. The harm annotations on the race lines themselves
-    // remain under comparison.
+    let first = render();
+    let second = render();
+    // Drop the lines that legitimately vary from run to run: wall clock
+    // ("stages:" and the histories and triage stages' ms figures). The
+    // harm annotations on the race lines themselves remain under
+    // comparison.
     let stable = |r: &sierra_core::SierraResult| {
         format!("{r}")
             .lines()
             .filter(|l| {
                 !l.starts_with("stages:")
-                    && !l.starts_with("refuter:")
                     && !l.starts_with("histories:")
                     && !l.starts_with("triage:")
             })
@@ -75,11 +73,11 @@ fn race_reports_are_deterministically_ordered() {
             .join("\n")
     };
     assert_eq!(
-        stable(&serial),
-        stable(&parallel),
-        "race reports must not depend on refutation scheduling"
+        stable(&first),
+        stable(&second),
+        "race reports must not depend on the run"
     );
-    let keys: Vec<_> = serial.races.iter().map(|r| r.rank_key()).collect();
+    let keys: Vec<_> = first.races.iter().map(|r| r.rank_key()).collect();
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(keys, sorted, "races must be emitted in rank order");

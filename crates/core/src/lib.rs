@@ -51,10 +51,7 @@ pub use pointer::OpaquePolicy;
 pub use prefilter::{PrefilterStats, PrunedPair, Verdict};
 pub use render::Report;
 pub use report::{describe_action, describe_pair, priority_of, Priority, RaceReport};
-pub use session::{
-    refute_candidates, AnalysisSession, PrefilterOutcome, RefutationRun, SessionBuilder,
-    SessionError, Stage,
-};
+pub use session::{AnalysisSession, PrefilterOutcome, SessionBuilder, SessionError, Stage};
 pub use soundness::SoundnessStats;
 pub use summary::{
     config_fingerprint, framework_fingerprint, structural_fingerprint, summary_key, DiskStore,

@@ -15,7 +15,7 @@ use crate::session::{AnalysisSession, Stage};
 use android_model::AndroidApp;
 use harness_gen::HarnessResult;
 use histories::HistoryStats;
-use pointer::{Analysis, AnalysisOptions, OpaquePolicy, SelectorKind, SolverStats, WorklistPolicy};
+use pointer::{Analysis, AnalysisOptions, OpaquePolicy, SelectorKind, SolverStats};
 use prefilter::{PrefilterStats, PrunedPair};
 use shbg::{Shbg, ShbgStats};
 use soundness::SoundnessStats;
@@ -42,12 +42,8 @@ pub struct SierraConfig {
     /// and constant-branch analyses), restoring the old
     /// `candidates → refute` pipeline for A/B measurement.
     pub no_prefilter: bool,
-    /// Worker threads for the refutation stage (`0` = all cores,
-    /// default `1` = serial). Verdicts are thread-count-independent:
-    /// any value produces byte-identical race reports.
-    pub refute_jobs: usize,
     /// Pointer-analysis options for the main pass (cycle collapse,
-    /// worklist policy, index sensitivity). The comparison pass inherits
+    /// opaque-call policy, index sensitivity). The comparison pass inherits
     /// them, so an ablation flips both runs together.
     pub pointer_options: AnalysisOptions,
     /// Disable the post-refutation harm-triage stage (the `--no-triage`
@@ -78,7 +74,6 @@ impl Default for SierraConfig {
             compare_without_as: true,
             skip_refutation: false,
             no_prefilter: false,
-            refute_jobs: 1,
             pointer_options: AnalysisOptions::default(),
             no_triage: false,
             no_histories: false,
@@ -138,12 +133,6 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Sets the refutation worker-pool size (`0` = all cores).
-    pub fn refute_jobs(mut self, jobs: usize) -> Self {
-        self.cfg.refute_jobs = jobs;
-        self
-    }
-
     /// Replaces the pointer-analysis options wholesale.
     pub fn pointer_options(mut self, options: AnalysisOptions) -> Self {
         self.cfg.pointer_options = options;
@@ -154,12 +143,6 @@ impl SierraConfigBuilder {
     /// (the `--no-cycle-collapse` ablation).
     pub fn no_cycle_collapse(mut self, yes: bool) -> Self {
         self.cfg.pointer_options.cycle_collapse = !yes;
-        self
-    }
-
-    /// Sets the solver's worklist scheduling policy.
-    pub fn worklist_policy(mut self, policy: WorklistPolicy) -> Self {
-        self.cfg.pointer_options.worklist = policy;
         self
     }
 
@@ -249,9 +232,6 @@ pub struct StageMetrics {
     /// reachable-callback recall (computed after the pointer stage
     /// regardless of policy; only *rendered* under `resolve`/`havoc`).
     pub soundness: SoundnessStats,
-    /// Worker threads the refutation stage actually used (`0` when the
-    /// stage was skipped).
-    pub refute_jobs_used: usize,
     /// Summary-store counters from the linking pass: how many per-method
     /// summaries were served from the store vs. recomputed, and whether
     /// the whole points-to `Analysis` artifact was reused. Never affects

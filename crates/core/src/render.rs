@@ -146,7 +146,7 @@ impl Report {
         let pa = &self.metrics.pointer;
         let _ = writeln!(
             out,
-            "pointer: {} worklist iterations, {} propagations, {} CG edges, {} contexts, {} objects, {} pts-set bytes, {} SCC(s) collapsed ({} node(s)), {} worklist",
+            "pointer: {} worklist iterations, {} propagations, {} CG edges, {} contexts, {} objects, {} pts-set bytes, {} SCC(s) collapsed ({} node(s))",
             pa.worklist_iterations,
             pa.propagations,
             pa.cg_edges,
@@ -154,8 +154,7 @@ impl Report {
             pa.abstract_objects,
             pa.pts_set_bytes,
             pa.collapsed_sccs,
-            pa.collapsed_nodes,
-            pa.worklist_policy
+            pa.collapsed_nodes
         );
         let hb = &self.metrics.shbg;
         let _ = write!(out, "shbg: {} rule applications (", hb.total_applications());
@@ -189,14 +188,13 @@ impl Report {
         let rf = &self.metrics.refuter;
         let _ = writeln!(
             out,
-            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted, {} cache hits, {} worker(s))",
+            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted, {} cache hits)",
             rf.paths,
             rf.queries,
             rf.refuted,
             rf.witnessed,
             rf.budget_exhausted,
-            rf.cache_hits,
-            self.metrics.refute_jobs_used
+            rf.cache_hits
         );
         // Only emitted when the stage ran, so `--no-histories` output
         // stays byte-identical to the histories-free pipeline.
@@ -352,7 +350,6 @@ impl Report {
                     ("witnessed", num(rf.witnessed)),
                     ("budget_exhausted", num(rf.budget_exhausted)),
                     ("cache_hits", num(rf.cache_hits)),
-                    ("workers", num(self.metrics.refute_jobs_used)),
                 ]),
             ),
             (

@@ -31,7 +31,6 @@
 //! Each stage records its wall-clock time and work counters into
 //! [`StageMetrics`].
 
-use crate::engine::{effective_jobs, run_jobs};
 use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, SierraResult, StageMetrics};
 use crate::report::{priority_of, RaceReport};
@@ -39,7 +38,7 @@ use crate::summary::{
     config_fingerprint, load_or_summarize, structural_fingerprint, MemoryStore, SummaryStore,
 };
 use android_model::AndroidApp;
-use apir::{FieldId, InfeasibleEdges, Program};
+use apir::InfeasibleEdges;
 use harness_gen::HarnessResult;
 use histories::HistoryModel;
 use pointer::{collect_accesses_from_sites, Access, Analysis, SelectorKind};
@@ -48,7 +47,7 @@ use shbg::Shbg;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use symexec::{Outcome, Refuter, RefuterConfig, RefuterStats};
+use symexec::{Outcome, Refuter, RefuterStats};
 
 /// A pipeline stage, for error reporting and progress metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -534,9 +533,7 @@ impl AnalysisSession {
                     infeasible: Arc::new(run.infeasible),
                 }
             };
-            let elapsed = t.elapsed();
-            self.metrics.timings.prefilter = elapsed;
-            self.metrics.prefilter.prefilter_ns = elapsed.as_nanos() as u64;
+            self.metrics.timings.prefilter = t.elapsed();
             self.metrics.last_stage = Some(Stage::Prefilter);
             self.prefilter = Some(outcome);
         }
@@ -612,23 +609,16 @@ impl AnalysisSession {
             };
             let t = Instant::now();
             let program = &harness.app.program;
-            let (outcomes, refuter_stats, jobs_used) = if self.config.skip_refutation {
+            let (outcomes, refuter_stats) = if self.config.skip_refutation {
                 (
                     vec![Outcome::Budget; candidates.len()],
                     RefuterStats::default(),
-                    0,
                 )
             } else {
-                let run = refute_candidates(
-                    analysis,
-                    program,
-                    harness.app.framework.message_what,
-                    self.config.refuter,
-                    self.config.refute_jobs,
-                    candidates,
-                    Some(infeasible),
-                );
-                (run.outcomes, run.stats, run.jobs_used)
+                let mut refuter = Refuter::new(analysis, program, self.config.refuter)
+                    .with_message_model(harness.app.framework.message_what)
+                    .with_infeasible_edges(infeasible);
+                (refuter.refute_all(candidates), refuter.stats)
             };
             let mut races: Vec<RaceReport> = Vec::new();
             for ((a, b), outcome) in candidates.iter().zip(outcomes) {
@@ -650,7 +640,6 @@ impl AnalysisSession {
             }
             races.sort_by_key(|r| r.rank_key());
             self.metrics.refuter = refuter_stats;
-            self.metrics.refute_jobs_used = jobs_used;
             self.metrics.timings.refutation = t.elapsed();
             self.metrics.last_stage = Some(Stage::Refute);
             self.races = Some(races);
@@ -709,8 +698,6 @@ impl AnalysisSession {
                 self.metrics.histories.discharged_destroy = destroy;
                 self.metrics.histories.discharged_pause = pause;
                 self.metrics.timings.histories += t.elapsed();
-                self.metrics.histories.histories_ns =
-                    self.metrics.timings.histories.as_nanos() as u64;
                 self.metrics.last_stage = Some(Stage::Histories);
             }
         }
@@ -734,7 +721,7 @@ impl AnalysisSession {
                 let t = Instant::now();
                 let pairs: Vec<(Access, Access)> =
                     races.iter().map(|r| (r.a.clone(), r.b.clone())).collect();
-                let (verdicts, mut stats) = triage::classify_races(
+                let (verdicts, stats) = triage::classify_races(
                     &harness.app.program,
                     analysis,
                     graph,
@@ -747,9 +734,7 @@ impl AnalysisSession {
                 if let Some(min) = self.config.min_harm {
                     races.retain(|r| r.triage.as_ref().is_some_and(|t| t.harm >= min));
                 }
-                let elapsed = t.elapsed();
-                stats.triage_ns = elapsed.as_nanos() as u64;
-                self.metrics.timings.triage = elapsed;
+                self.metrics.timings.triage = t.elapsed();
                 self.metrics.triage = stats;
                 self.metrics.last_stage = Some(Stage::Triage);
             }
@@ -828,96 +813,6 @@ impl AnalysisSession {
             shbg: graph,
             harness,
         })
-    }
-}
-
-/// Fixed batch size of the batch-synchronous refutation cache protocol.
-/// Deliberately independent of the worker count: every pair in a batch
-/// sees exactly the refuted-methods cache as of the batch start, so the
-/// batching (and therefore every verdict) is identical at any
-/// `refute_jobs` setting.
-const REFUTE_BATCH: usize = 16;
-
-/// The result of a standalone refutation run over a candidate list.
-#[derive(Debug)]
-pub struct RefutationRun {
-    /// Per-candidate verdicts, in input order.
-    pub outcomes: Vec<Outcome>,
-    /// Aggregated refuter counters (summed in input order).
-    pub stats: RefuterStats,
-    /// Worker threads the run resolved to.
-    pub jobs_used: usize,
-}
-
-/// Refutes a candidate-pair list on a pool of `jobs` worker threads
-/// (`0` = all cores), preserving the paper's §5 refuted-node caching
-/// across batches.
-///
-/// Refutation is embarrassingly parallel per pair *except* for the
-/// cache, whose state changes verdict-relevant pruning. To stay
-/// thread-count-independent the pairs are processed in fixed-size
-/// batches: each pair runs on a [`Refuter::fork`] that snapshots the
-/// cache at batch start, and the forks' newly-refuted method sets are
-/// merged (an order-independent set union) only between batches. The
-/// serial path runs the identical batched algorithm, so
-/// `jobs = 1` and `jobs = N` produce byte-identical verdicts and
-/// stats — the same determinism contract as the corpus engine.
-pub fn refute_candidates(
-    analysis: &Analysis,
-    program: &Program,
-    message_what: FieldId,
-    config: RefuterConfig,
-    jobs: usize,
-    candidates: &[(Access, Access)],
-    infeasible: Option<Arc<InfeasibleEdges>>,
-) -> RefutationRun {
-    let jobs = effective_jobs(jobs, candidates.len());
-    let mut base = Refuter::new(analysis, program, config).with_message_model(message_what);
-    if let Some(edges) = infeasible {
-        base = base.with_infeasible_edges(edges);
-    }
-    let mut outcomes: Vec<Outcome> = Vec::with_capacity(candidates.len());
-    for batch in candidates.chunks(REFUTE_BATCH) {
-        if jobs == 1 {
-            // No thread-pool overhead, but the same fork-per-pair,
-            // merge-at-batch-end protocol as the parallel path.
-            let finished: Vec<(Outcome, Refuter)> = batch
-                .iter()
-                .map(|(a, b)| {
-                    let mut worker = base.fork();
-                    let outcome = worker.refute_pair(a, b);
-                    (outcome, worker)
-                })
-                .collect();
-            for (outcome, worker) in finished {
-                outcomes.push(outcome);
-                base.merge_from(worker);
-            }
-        } else {
-            let items: Vec<(String, &(Access, Access))> = batch
-                .iter()
-                .enumerate()
-                .map(|(i, pair)| (format!("pair-{}", outcomes.len() + i), pair))
-                .collect();
-            let rows = run_jobs(jobs, items, |_, (a, b)| {
-                let mut worker = base.fork();
-                let outcome = worker.refute_pair(a, b);
-                (outcome, worker)
-            });
-            for row in rows {
-                // A panic inside a pair's query is a pipeline bug; keep
-                // the pre-parallel behaviour of propagating it so the
-                // corpus engine records the whole app as a failed row.
-                let (outcome, worker) = row.unwrap_or_else(|e| panic!("{e}"));
-                outcomes.push(outcome);
-                base.merge_from(worker);
-            }
-        }
-    }
-    RefutationRun {
-        outcomes,
-        stats: base.stats,
-        jobs_used: jobs,
     }
 }
 

@@ -213,72 +213,6 @@ fn display_and_dot_outputs_are_complete() {
 }
 
 #[test]
-fn refutation_verdicts_are_thread_count_independent() {
-    // §5 caching is batch-synchronous, so the refuter must produce
-    // byte-identical reports for any worker count. NPR News yields
-    // enough candidate pairs to span more than one cache batch.
-    let spec = *corpus::TWENTY
-        .iter()
-        .find(|s| s.name == "NPR News")
-        .expect("NPR News in the 20-app dataset");
-    let apps = [
-        figures::intra_component().0,
-        figures::inter_component().0,
-        figures::open_sudoku_guard().0,
-        corpus::twenty::build_app(spec).0,
-    ];
-    for app in apps {
-        let serial = Sierra::with_config(SierraConfig::builder().refute_jobs(1).build())
-            .analyze_app(app.clone());
-        let parallel =
-            Sierra::with_config(SierraConfig::builder().refute_jobs(8).build()).analyze_app(app);
-        assert_eq!(serial.metrics.refute_jobs_used, 1);
-        let p = &serial.harness.app.program;
-        let describe = |r: &crate::SierraResult| {
-            r.races
-                .iter()
-                .map(|race| {
-                    format!(
-                        "{:?} [{:?}] {}",
-                        race.priority,
-                        race.outcome,
-                        race.describe(p, &r.analysis.actions)
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            describe(&serial),
-            describe(&parallel),
-            "{}: reports must not depend on --refute-jobs",
-            serial.app_name
-        );
-        let s = &serial.metrics.refuter;
-        let par = &parallel.metrics.refuter;
-        assert_eq!(
-            (
-                s.paths,
-                s.queries,
-                s.refuted,
-                s.witnessed,
-                s.budget_exhausted,
-                s.cache_hits
-            ),
-            (
-                par.paths,
-                par.queries,
-                par.refuted,
-                par.witnessed,
-                par.budget_exhausted,
-                par.cache_hits
-            ),
-            "{}: refuter counters must not depend on --refute-jobs",
-            serial.app_name
-        );
-    }
-}
-
-#[test]
 fn triage_fixture_classifies_each_harm_variant() {
     let (app, truth) = corpus::triage_idioms::triage_idioms_app();
     let result = Sierra::new().analyze_app(app);

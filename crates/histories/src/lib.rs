@@ -107,8 +107,6 @@ pub struct HistoryStats {
     pub dead_callbacks: usize,
     /// Dead-callback CFG edges actually exported to the refuter.
     pub infeasible_exported: usize,
-    /// Wall-clock time of the stage, in nanoseconds.
-    pub histories_ns: u64,
 }
 
 impl HistoryStats {

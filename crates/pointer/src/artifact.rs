@@ -38,7 +38,7 @@
 use crate::ctx::{CtxData, CtxElem, CtxTable, ObjData, ObjTable, SelectorKind};
 use crate::ptsset::PtsSet;
 use crate::solver::{Analysis, AnalysisOptions, NodeId, NodeKey, PostRecord, SolverStats};
-use crate::{OpaquePolicy, WorklistPolicy};
+use crate::OpaquePolicy;
 use android_model::{
     Action, ActionId, ActionKind, ActionRegistry, FrameworkClasses, GuiEventKind, LifecycleEvent,
     ThreadKind,
@@ -50,7 +50,7 @@ use std::collections::{HashMap, HashSet};
 const MAGIC: &[u8; 8] = b"SIERRART";
 
 /// Artifact layout version; bump on any payload format change.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Envelope header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -395,10 +395,6 @@ impl Writer {
     fn options(&mut self, o: AnalysisOptions) {
         self.u8(o.index_sensitive as u8);
         self.u8(o.cycle_collapse as u8);
-        self.u8(match o.worklist {
-            WorklistPolicy::Fifo => 0,
-            WorklistPolicy::TopoLrf => 1,
-        });
         self.u8(match o.opaque_policy {
             OpaquePolicy::Ignore => 0,
             OpaquePolicy::Resolve => 1,
@@ -536,10 +532,6 @@ impl Writer {
         self.u64(s.pts_set_bytes as u64);
         self.u64(s.collapsed_sccs as u64);
         self.u64(s.collapsed_nodes as u64);
-        self.u8(match s.worklist_policy {
-            WorklistPolicy::Fifo => 0,
-            WorklistPolicy::TopoLrf => 1,
-        });
     }
 
     fn node_key(&mut self, key: &NodeKey) {
@@ -635,7 +627,6 @@ impl Reader<'_> {
         Some(AnalysisOptions {
             index_sensitive: self.bool()?,
             cycle_collapse: self.bool()?,
-            worklist: self.worklist()?,
             opaque_policy: self.opaque_policy()?,
         })
     }
@@ -653,14 +644,6 @@ impl Reader<'_> {
         match self.u8()? {
             0 => Some(false),
             1 => Some(true),
-            _ => None,
-        }
-    }
-
-    fn worklist(&mut self) -> Option<WorklistPolicy> {
-        match self.u8()? {
-            0 => Some(WorklistPolicy::Fifo),
-            1 => Some(WorklistPolicy::TopoLrf),
             _ => None,
         }
     }
@@ -791,7 +774,6 @@ impl Reader<'_> {
             pts_set_bytes: self.u64()? as usize,
             collapsed_sccs: self.u64()? as usize,
             collapsed_nodes: self.u64()? as usize,
-            worklist_policy: self.worklist()?,
         })
     }
 

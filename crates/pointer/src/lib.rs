@@ -32,7 +32,7 @@ pub use ptsset::PtsSet;
 pub use result::{collect_accesses, collect_accesses_from_sites, Access, AccessLoc};
 pub use solver::{
     analyze, analyze_opts, scratch_pool_stats, Analysis, AnalysisOptions, OpaquePolicy, PostRecord,
-    SolverStats, WorklistPolicy,
+    SolverStats,
 };
 pub use summary::{
     extract_pointer_facts, fnv64, method_access_sites, pointer_digest, reachable_access_sites,

@@ -25,54 +25,8 @@ use apir::{
 };
 use harness_gen::{HarnessResult, HarnessSiteKind};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
-
-/// Worklist scheduling policy for the propagation loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorklistPolicy {
-    /// Plain FIFO queue (the pre-overhaul behavior, kept for ablation).
-    Fifo,
-    /// Least-recently-fired priority order with node-id tie-breaks: a
-    /// node that has not fired yet (or fired longest ago) pops first, so
-    /// deltas flow downstream through the current condensation before
-    /// upstream nodes re-fire. Deterministic: priorities are
-    /// `(last_fired_stamp, node_id)` and both are derived from the
-    /// solver's own (single-threaded, id-ordered) execution.
-    #[default]
-    TopoLrf,
-}
-
-impl WorklistPolicy {
-    /// Stable lowercase name (used by CLI flags and metrics output).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WorklistPolicy::Fifo => "fifo",
-            WorklistPolicy::TopoLrf => "topo-lrf",
-        }
-    }
-}
-
-impl std::str::FromStr for WorklistPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fifo" => Ok(WorklistPolicy::Fifo),
-            "topo-lrf" | "topo" | "lrf" => Ok(WorklistPolicy::TopoLrf),
-            other => Err(format!(
-                "unknown worklist policy `{other}` (expected `fifo` or `topo-lrf`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for WorklistPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Soundness policy for opaque call edges — reflection lookups and
 /// inter-component intent dispatch ([`FrameworkOp::is_policy_gated`]).
@@ -151,8 +105,6 @@ pub struct AnalysisOptions {
     /// Off restores the PR 3 solver for the `--no-cycle-collapse`
     /// ablation; results are identical either way.
     pub cycle_collapse: bool,
-    /// Worklist scheduling policy.
-    pub worklist: WorklistPolicy,
     /// Soundness policy for reflection and intent-dispatch edges.
     pub opaque_policy: OpaquePolicy,
 }
@@ -162,7 +114,6 @@ impl Default for AnalysisOptions {
         Self {
             index_sensitive: true,
             cycle_collapse: true,
-            worklist: WorklistPolicy::default(),
             opaque_policy: OpaquePolicy::default(),
         }
     }
@@ -228,8 +179,6 @@ pub struct SolverStats {
     /// Constraint-graph nodes retired into a representative by collapse
     /// (members minus representatives, summed over all collapsed SCCs).
     pub collapsed_nodes: usize,
-    /// The worklist scheduling policy the solve ran with.
-    pub worklist_policy: WorklistPolicy,
 }
 
 #[derive(Debug, Clone)]
@@ -421,38 +370,13 @@ pub fn analyze_opts(
     Solver::new(harness, selector, options).run()
 }
 
-/// The propagation worklist under either scheduling policy. The
-/// `queued` flags in the solver guarantee at most one live entry per
-/// node, so the heap variant never holds duplicates.
-#[derive(Debug)]
-enum Worklist {
-    Fifo(VecDeque<NodeId>),
-    /// Min-heap on `(last_fired_stamp, node_id)`.
-    Lrf(BinaryHeap<Reverse<(u64, u32)>>),
-}
-
-impl Worklist {
-    fn new(policy: WorklistPolicy) -> Self {
-        match policy {
-            WorklistPolicy::Fifo => Worklist::Fifo(VecDeque::new()),
-            WorklistPolicy::TopoLrf => Worklist::Lrf(BinaryHeap::new()),
-        }
-    }
-
-    fn push(&mut self, n: NodeId, last_fired: &[u64]) {
-        match self {
-            Worklist::Fifo(q) => q.push_back(n),
-            Worklist::Lrf(h) => h.push(Reverse((last_fired[n.0 as usize], n.0))),
-        }
-    }
-
-    fn pop(&mut self) -> Option<NodeId> {
-        match self {
-            Worklist::Fifo(q) => q.pop_front(),
-            Worklist::Lrf(h) => h.pop().map(|Reverse((_, id))| NodeId(id)),
-        }
-    }
-}
+/// The propagation worklist: a min-heap on `(last_fired_stamp, node)`.
+/// A node that has not fired yet (or fired longest ago) pops first, so
+/// deltas flow downstream through the current condensation before
+/// upstream nodes re-fire; node ids break ties, so the order is
+/// deterministic. The solver's `queued` flags keep at most one live
+/// entry per node.
+type Worklist = BinaryHeap<Reverse<(u64, NodeId)>>;
 
 /// Reusable solver working memory: every per-node side table that does
 /// *not* flow into the final [`Analysis`] (those are `nodes` and `pts`).
@@ -466,7 +390,7 @@ impl Worklist {
 /// Reuse is invisible to results: only capacities survive between
 /// solves, never values, so reports stay byte-identical with or without
 /// a warm pool.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SolverScratch {
     keys: Vec<NodeKey>,
     delta: Vec<Vec<ObjId>>,
@@ -480,35 +404,14 @@ struct SolverScratch {
     worklist: Worklist,
 }
 
-impl Default for SolverScratch {
-    fn default() -> Self {
-        Self {
-            keys: Vec::new(),
-            delta: Vec::new(),
-            succ: Vec::new(),
-            pending: Vec::new(),
-            queued: Vec::new(),
-            parent: Vec::new(),
-            last_fired: Vec::new(),
-            lcd_seen: HashSet::new(),
-            lcd_queue: Vec::new(),
-            worklist: Worklist::new(WorklistPolicy::default()),
-        }
-    }
-}
-
 impl SolverScratch {
     /// Prepares a (possibly recycled) scratch for a new solve. Per-node
     /// slots are left as-is — `Solver::node` clears each one as it is
     /// handed out — so only the global structures are reset here.
-    fn reset_for(&mut self, policy: WorklistPolicy) {
+    fn reset(&mut self) {
         self.lcd_seen.clear();
         self.lcd_queue.clear();
-        match (&mut self.worklist, policy) {
-            (Worklist::Fifo(q), WorklistPolicy::Fifo) => q.clear(),
-            (Worklist::Lrf(h), WorklistPolicy::TopoLrf) => h.clear(),
-            (w, p) => *w = Worklist::new(p),
-        }
+        self.worklist.clear();
     }
 }
 
@@ -656,7 +559,7 @@ impl<'a> Solver<'a> {
             }
         }
         let mut scratch = scratch_pool().take();
-        scratch.reset_for(options.worklist);
+        scratch.reset();
         let SolverScratch {
             keys,
             delta,
@@ -710,7 +613,6 @@ impl<'a> Solver<'a> {
     }
 
     fn run(mut self) -> Analysis {
-        self.stats.worklist_policy = self.options.worklist;
         for h in &self.harness.activities {
             let (root, _) = self.actions.obtain(
                 h.activity,
@@ -728,7 +630,7 @@ impl<'a> Solver<'a> {
             });
             self.mark_reachable(h.method, ctx);
         }
-        while let Some(n) = self.worklist.pop() {
+        while let Some(Reverse((_, n))) = self.worklist.pop() {
             let n_idx = n.0 as usize;
             self.queued[n_idx] = false;
             let delta = std::mem::take(&mut self.delta[n_idx]);
@@ -817,7 +719,7 @@ impl<'a> Solver<'a> {
             last_fired: std::mem::take(&mut self.last_fired),
             lcd_seen: std::mem::take(&mut self.lcd_seen),
             lcd_queue: std::mem::take(&mut self.lcd_queue),
-            worklist: std::mem::replace(&mut self.worklist, Worklist::new(WorklistPolicy::Fifo)),
+            worklist: std::mem::take(&mut self.worklist),
         });
         Analysis {
             selector: self.selector,
@@ -895,7 +797,8 @@ impl<'a> Solver<'a> {
             self.delta[n.0 as usize].push(o);
             if !self.queued[n.0 as usize] {
                 self.queued[n.0 as usize] = true;
-                self.worklist.push(n, &self.last_fired);
+                self.worklist
+                    .push(Reverse((self.last_fired[n.0 as usize], n)));
             }
         }
     }
@@ -937,7 +840,7 @@ impl<'a> Solver<'a> {
             stats.propagations += d.len() - before;
             if !queued[t] {
                 queued[t] = true;
-                worklist.push(to, last_fired);
+                worklist.push(Reverse((last_fired[t], to)));
             }
         }
     }
@@ -1054,7 +957,7 @@ impl<'a> Solver<'a> {
         self.delta[rep] = self.pts[rep].iter().collect();
         if !self.delta[rep].is_empty() && !self.queued[rep] {
             self.queued[rep] = true;
-            self.worklist.push(rep_id, &self.last_fired);
+            self.worklist.push(Reverse((self.last_fired[rep], rep_id)));
         }
         self.stats.collapsed_sccs += 1;
         self.stats.collapsed_nodes += scc.len() - 1;

@@ -143,8 +143,6 @@ pub struct PrefilterStats {
     pub pruned_constprop: usize,
     /// Statically-infeasible branch edges found (exported to the refuter).
     pub infeasible_edges: usize,
-    /// Wall-clock time of the stage, in nanoseconds.
-    pub prefilter_ns: u64,
 }
 
 impl PrefilterStats {
@@ -163,7 +161,7 @@ pub struct PrefilterResult {
     pub pruned: Vec<PrunedPair>,
     /// Statically-infeasible branch edges over all reachable methods.
     pub infeasible: InfeasibleEdges,
-    /// Stage counters (`prefilter_ns` is left to the caller's timer).
+    /// Stage counters.
     pub stats: PrefilterStats,
 }
 

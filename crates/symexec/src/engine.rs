@@ -23,6 +23,10 @@ use pointer::{Access, Analysis, CtxId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Pairs per batch in [`Refuter::refute_all`]: the refuted-node cache
+/// grows only between batches.
+const REFUTE_BATCH: usize = 16;
+
 /// Refutation tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RefuterConfig {
@@ -77,19 +81,6 @@ pub struct RefuterStats {
     pub paths: usize,
 }
 
-impl RefuterStats {
-    /// Adds `other`'s counters into `self` (used when merging the
-    /// per-worker refuters of a parallel refutation batch).
-    pub fn absorb(&mut self, other: &RefuterStats) {
-        self.queries += other.queries;
-        self.refuted += other.refuted;
-        self.witnessed += other.witnessed;
-        self.budget_exhausted += other.budget_exhausted;
-        self.cache_hits += other.cache_hits;
-        self.paths += other.paths;
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Backward from the later access to its action entry.
@@ -129,8 +120,9 @@ pub struct Refuter<'a> {
     program: &'a Program,
     analysis: &'a Analysis,
     config: RefuterConfig,
-    /// Inverse call graph: callee frame → (caller frame, site).
-    /// Shared read-only across forked workers, so `fork` is cheap.
+    /// Inverse call graph: callee frame → (caller frame, site). Behind
+    /// an `Arc` so the backward search can walk it while `self` is
+    /// mutably borrowed.
     callers: Arc<CallerIndex>,
     /// Methods visited by fully-refuted queries (the paper's cache).
     refuted_methods: HashSet<MethodId>,
@@ -153,9 +145,9 @@ impl<'a> Refuter<'a> {
                 callers.entry((m, ctx)).or_default().push((cm, cctx, site));
             }
         }
-        // The source map iterates in hash order, which varies per thread;
-        // sorted caller lists keep path exploration (and its budget
-        // counters) identical regardless of which worker runs the query.
+        // The source map iterates in hash order, which varies per
+        // process; sorted caller lists keep path exploration (and its
+        // budget counters) identical from run to run.
         for list in callers.values_mut() {
             list.sort_unstable();
         }
@@ -169,34 +161,6 @@ impl<'a> Refuter<'a> {
             infeasible: Arc::new(InfeasibleEdges::new()),
             stats: RefuterStats::default(),
         }
-    }
-
-    /// A worker refuter for one batch of a parallel refutation: shares
-    /// the caller index (an `Arc` bump), snapshots the current
-    /// refuted-methods cache, and starts with zeroed stats. Verdicts of
-    /// a fork depend only on the snapshot, never on what sibling
-    /// workers discover concurrently — that is what makes parallel
-    /// refutation thread-count-independent.
-    #[must_use]
-    pub fn fork(&self) -> Refuter<'a> {
-        Refuter {
-            program: self.program,
-            analysis: self.analysis,
-            config: self.config,
-            callers: Arc::clone(&self.callers),
-            refuted_methods: self.refuted_methods.clone(),
-            message_what_field: self.message_what_field,
-            infeasible: Arc::clone(&self.infeasible),
-            stats: RefuterStats::default(),
-        }
-    }
-
-    /// Merges a finished fork back: unions its refuted-methods cache
-    /// (set union is order-independent, so merge order cannot affect
-    /// later batches) and absorbs its stats.
-    pub fn merge_from(&mut self, other: Refuter<'a>) {
-        self.refuted_methods.extend(other.refuted_methods);
-        self.stats.absorb(&other.stats);
     }
 
     /// Enables `Message.what` constant-propagation facts: a
@@ -237,8 +201,37 @@ impl<'a> Refuter<'a> {
         true
     }
 
-    /// Queries a candidate racy pair.
+    /// Queries a candidate racy pair. A refuted query's visited methods
+    /// enter the refuted-node cache at once.
     pub fn refute_pair(&mut self, a: &Access, b: &Access) -> Outcome {
+        let (outcome, visited) = self.query(a, b);
+        self.cache(visited);
+        outcome
+    }
+
+    /// Queries every pair in order, in batches of 16: each pair sees the
+    /// refuted-node cache as of its batch's start, and the methods
+    /// visited by the batch's refuted queries enter the cache when the
+    /// batch ends. A method refuted by one pair can therefore answer
+    /// pairs of later batches, never a sibling in its own batch.
+    pub fn refute_all(&mut self, pairs: &[(Access, Access)]) -> Vec<Outcome> {
+        let mut outcomes = Vec::with_capacity(pairs.len());
+        for batch in pairs.chunks(REFUTE_BATCH) {
+            let mut refuted = HashSet::new();
+            for (a, b) in batch {
+                let (outcome, visited) = self.query(a, b);
+                outcomes.push(outcome);
+                refuted.extend(visited);
+            }
+            self.cache(refuted);
+        }
+        outcomes
+    }
+
+    /// Runs one query against the current cache without updating it. The
+    /// returned method set is the search's visited methods if the query
+    /// was refuted, and empty otherwise.
+    fn query(&mut self, a: &Access, b: &Access) -> (Outcome, HashSet<MethodId>) {
         self.stats.queries += 1;
         if self.config.use_cache
             && self.refuted_methods.contains(&a.method)
@@ -246,32 +239,31 @@ impl<'a> Refuter<'a> {
         {
             self.stats.cache_hits += 1;
             self.stats.refuted += 1;
-            return Outcome::Refuted;
+            return (Outcome::Refuted, HashSet::new());
         }
         let mut visited_methods: HashSet<MethodId> = HashSet::new();
         let d1 = self.witness(a, b, &mut visited_methods);
-        if d1 == WitnessResult::NoWitness {
-            self.finish_refuted(visited_methods);
-            return Outcome::Refuted;
-        }
-        let d2 = self.witness(b, a, &mut visited_methods);
+        let d2 = if d1 == WitnessResult::NoWitness {
+            d1
+        } else {
+            self.witness(b, a, &mut visited_methods)
+        };
         if d2 == WitnessResult::NoWitness {
-            self.finish_refuted(visited_methods);
-            return Outcome::Refuted;
+            self.stats.refuted += 1;
+            return (Outcome::Refuted, visited_methods);
         }
         if d1 == WitnessResult::Budget || d2 == WitnessResult::Budget {
             self.stats.budget_exhausted += 1;
-            Outcome::Budget
+            (Outcome::Budget, HashSet::new())
         } else {
             self.stats.witnessed += 1;
-            Outcome::TruePositive
+            (Outcome::TruePositive, HashSet::new())
         }
     }
 
-    fn finish_refuted(&mut self, visited: HashSet<MethodId>) {
-        self.stats.refuted += 1;
+    fn cache(&mut self, refuted: HashSet<MethodId>) {
         if self.config.use_cache {
-            self.refuted_methods.extend(visited);
+            self.refuted_methods.extend(refuted);
         }
     }
 

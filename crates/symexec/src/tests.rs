@@ -336,6 +336,34 @@ fn cache_short_circuits_repeat_queries() {
     assert_eq!(refuter.stats.queries, 2);
 }
 
+/// `refute_all`'s batch rule: the methods a refuted pair visits join the
+/// cache only when its 16-pair batch ends. Of 17 copies of one refutable
+/// pair, the first 16 share a batch and all run in full; only the 17th,
+/// in the next batch, is answered from the cache.
+#[test]
+fn refute_all_grows_the_cache_only_between_batches() {
+    let f = fig8();
+    let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
+    let accesses = collect_accesses(
+        &analysis,
+        &f.harness.app.program,
+        Some(f.harness.harness_class),
+    );
+    let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
+        matches!(k, ActionKind::RunnablePost)
+    });
+    let alpha_b = access_in(&accesses, &analysis, f.accum, true, |k| {
+        matches!(k, ActionKind::Lifecycle { .. })
+    });
+    let pairs = vec![(alpha_a.clone(), alpha_b.clone()); 17];
+    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, RefuterConfig::default());
+    let outcomes = refuter.refute_all(&pairs);
+    assert_eq!(outcomes, vec![Outcome::Refuted; 17]);
+    assert_eq!(refuter.stats.queries, 17);
+    assert_eq!(refuter.stats.refuted, 17);
+    assert_eq!(refuter.stats.cache_hits, 1, "only the 17th pair may hit");
+}
+
 #[test]
 fn refutation_ascends_through_nested_callers() {
     // The guarded write sits two calls below the action entry:

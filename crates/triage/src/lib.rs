@@ -157,8 +157,6 @@ pub struct TriageStats {
     /// Methods reached by the interprocedural nullness solves (summed,
     /// after caching).
     pub methods_analyzed: usize,
-    /// Wall-clock nanoseconds (filled by the session).
-    pub triage_ns: u64,
 }
 
 impl TriageStats {
@@ -182,7 +180,6 @@ impl TriageStats {
         self.likely_benign += other.likely_benign;
         self.dataflow_iterations += other.dataflow_iterations;
         self.methods_analyzed += other.methods_analyzed;
-        self.triage_ns += other.triage_ns;
     }
 }
 

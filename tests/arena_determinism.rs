@@ -1,20 +1,38 @@
 //! Shared-arena determinism: interning every app of a corpus run into
 //! one process-wide [`apir::SymbolArena`] must never change analysis
-//! results — not at any worker count, and not against the private
-//! per-app interner baseline. The rendered tables carry every counter
+//! results — not at any worker count, and not against apps built with
+//! private per-app interners. The rendered tables carry every counter
 //! the pipeline reports (and no wall-clock columns), so comparing them
 //! byte for byte is the strongest cheap equality check available.
 
 use apir::SymbolArena;
-use sierra_cli::experiments::{run_fdroid_with, table3};
+use eventracer::EventRacerConfig;
+use sierra_cli::experiments::{run_app, run_fdroid, table3, AppRow};
 use sierra_core::SierraConfig;
 use sierra_prng::SplitMix64;
 use std::sync::Arc;
 
 const CORPUS_APPS: usize = 6;
 
-fn corpus_table(jobs: usize, shared_intern: bool) -> String {
-    let rows = run_fdroid_with(CORPUS_APPS, SierraConfig::default(), jobs, shared_intern);
+/// The corpus over one shared arena, analyzed on `jobs` workers.
+fn shared_arena_table(jobs: usize) -> String {
+    checked_table(run_fdroid(CORPUS_APPS, SierraConfig::default(), jobs))
+}
+
+/// The same apps, each built with its own private interner.
+fn private_interner_table() -> String {
+    let er_cfg = EventRacerConfig::default();
+    let rows = corpus::fdroid::iter_apps_with(None)
+        .take(CORPUS_APPS)
+        .map(|(i, app, truth)| {
+            let name = format!("app{i:03}");
+            run_app(&name, app, &truth, SierraConfig::default(), &er_cfg)
+        })
+        .collect();
+    checked_table(rows)
+}
+
+fn checked_table(rows: Vec<AppRow>) -> String {
     assert!(
         rows.iter().all(|r| r.error.is_none()),
         "no app may fail: {:?}",
@@ -27,14 +45,17 @@ fn corpus_table(jobs: usize, shared_intern: bool) -> String {
 
 #[test]
 fn corpus_reports_are_byte_identical_across_arena_and_job_count() {
-    let reference = corpus_table(1, true);
-    for (jobs, shared) in [(8, true), (1, false), (8, false)] {
-        let other = corpus_table(jobs, shared);
-        assert_eq!(
-            reference, other,
-            "corpus results diverged at jobs={jobs}, shared_intern={shared}"
-        );
-    }
+    let reference = shared_arena_table(1);
+    assert_eq!(
+        reference,
+        shared_arena_table(8),
+        "corpus results diverged at jobs=8"
+    );
+    assert_eq!(
+        reference,
+        private_interner_table(),
+        "corpus results diverged with private interners"
+    );
 }
 
 #[test]

@@ -1,16 +1,13 @@
 //! Equivalence regression for the pointer-solver performance overhaul.
 //!
-//! Online cycle collapse and the topology-aware worklist are pure
-//! optimizations: they may change how much work the solver does, never
-//! what it computes. The pipeline is run across the 20-app dataset, the
-//! figure apps, and a cycle-bearing fixture under every ablation —
-//! collapse on/off, topo-lrf vs fifo worklist — and the racy-pair
-//! counts, candidate pairs, pruned pairs, and final reports must match.
-//! The comparison pass and the rendered race reports must likewise be
-//! byte-identical at any refutation parallelism.
+//! Online cycle collapse is a pure optimization: it may change how much
+//! work the solver does, never what it computes. The pipeline is run
+//! across the 20-app dataset, the figure apps, and a cycle-bearing
+//! fixture with collapse on and off, and the racy-pair counts, candidate
+//! pairs, pruned pairs, and final reports must match.
 
 use corpus::twenty;
-use pointer::{Access, WorklistPolicy};
+use pointer::Access;
 use sierra_core::{Sierra, SierraConfig, SierraResult};
 
 fn pair_key(a: &Access, b: &Access) -> String {
@@ -37,9 +34,9 @@ fn report_lines(r: &SierraResult) -> Vec<String> {
 }
 
 /// Strips `A<digits>:` action-id prefixes from a report line. Action ids
-/// are assigned in op-resolution order, which a different worklist
-/// policy may permute; the action's *identity* (kind, callback, view) is
-/// what must be preserved.
+/// are assigned in op-resolution order, which a different solver
+/// schedule may permute; the action's *identity* (kind, callback, view)
+/// is what must be preserved.
 fn scrub_action_ids(line: &str) -> String {
     let mut out = String::new();
     let bytes = line.as_bytes();
@@ -163,61 +160,6 @@ fn cycle_collapse_is_a_pure_optimization_across_the_corpus() {
         collapsed_anywhere,
         "at least one corpus app must exercise cycle collapse"
     );
-}
-
-#[test]
-fn worklist_policy_does_not_change_results() {
-    for (name, app) in corpus() {
-        let lrf = Sierra::new().analyze_app(app.clone());
-        let fifo = Sierra::with_config(
-            SierraConfig::builder()
-                .worklist_policy(WorklistPolicy::Fifo)
-                .build(),
-        )
-        .analyze_app(app);
-        assert_same_counts(&name, &lrf, &fifo);
-        // Policies may mint action ids in a different order; the reports
-        // must be identical once ids are scrubbed down to identities.
-        let scrub = |r: &SierraResult| {
-            let mut v: Vec<String> = report_lines(r)
-                .iter()
-                .map(|l| scrub_action_ids(l))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(scrub(&lrf), scrub(&fifo), "{name}");
-        assert_eq!(lrf.pruned.len(), fifo.pruned.len(), "{name}");
-    }
-}
-
-#[test]
-fn comparison_pass_yields_byte_identical_reports_at_any_refute_jobs() {
-    for (name, app) in corpus() {
-        let mut renderings: Vec<Vec<String>> = Vec::new();
-        for refute_jobs in [1, 4] {
-            let cfg = SierraConfig::builder().refute_jobs(refute_jobs).build();
-            let result = Sierra::with_config(cfg).analyze_app(app.clone());
-            let mut lines = report_lines(&result);
-            lines.insert(
-                0,
-                format!(
-                    "{} {} {}",
-                    result.racy_pairs_with_as,
-                    result.racy_pairs_without_as,
-                    result.races.len()
-                ),
-            );
-            renderings.push(lines);
-        }
-        let first = &renderings[0];
-        for (i, r) in renderings.iter().enumerate() {
-            assert_eq!(
-                r, first,
-                "{name}: rendering {i} differs from the serial baseline"
-            );
-        }
-    }
 }
 
 #[test]
