@@ -3,8 +3,10 @@
 //! [`Report::render_stable`] is the pipeline's output contract: every
 //! report minus its wall-clock parts. This suite pins it byte for byte
 //! for the 20 Table-2 apps and the shipped `fixtures/*.sierra` under the
-//! default configuration, and for the reflection/intent fixture apps
-//! under the `resolve` opaque policy. The goldens live in
+//! default configuration, for the reflection/intent fixture apps
+//! under the `resolve` opaque policy, and for the fixtures plus the
+//! prefilter/triage/reflection idiom apps under each stage ablation
+//! and `min_harm(NullDeref)`. The goldens live in
 //! `tests/golden/`; on a mismatch the actual text is written under
 //! `target/golden-actual/` and the test fails naming that path.
 //!
@@ -14,7 +16,7 @@
 
 use sierra::android_model::{parse_app, AndroidApp};
 use sierra::corpus;
-use sierra::sierra_core::{OpaquePolicy, Report, Sierra, SierraConfig};
+use sierra::sierra_core::{Harm, OpaquePolicy, Report, Sierra, SierraConfig};
 use std::path::{Path, PathBuf};
 
 /// Renders each app under `cfg`, one stable report after another.
@@ -33,8 +35,8 @@ fn twenty() -> String {
     render_all(SierraConfig::default(), apps)
 }
 
-fn fixtures() -> String {
-    let apps = [
+fn fixture_apps() -> Vec<AndroidApp> {
+    [
         "fig1_intra_component",
         "fig2_inter_component",
         "fig8_guarded_timer",
@@ -47,8 +49,11 @@ fn fixtures() -> String {
         let src = std::fs::read_to_string(&path).expect("fixture readable");
         parse_app(stem, &src).expect("fixture parses")
     })
-    .collect();
-    render_all(SierraConfig::default(), apps)
+    .collect()
+}
+
+fn fixtures() -> String {
+    render_all(SierraConfig::default(), fixture_apps())
 }
 
 fn reflection_resolve() -> String {
@@ -60,6 +65,36 @@ fn reflection_resolve() -> String {
         corpus::reflection_idioms::intent_idioms_app().0,
     ];
     render_all(cfg, apps)
+}
+
+/// Every stage ablation (and `min_harm`) over the fixtures and the
+/// prefilter, triage and reflection idiom apps, one section per config.
+fn ablations() -> String {
+    let configs = [
+        ("no prefilter", SierraConfig::builder().no_prefilter(true)),
+        ("no histories", SierraConfig::builder().no_histories(true)),
+        ("no triage", SierraConfig::builder().no_triage(true)),
+        ("skip refutation", SierraConfig::builder().skip_refutation()),
+        (
+            "no compare",
+            SierraConfig::builder().compare_without_as(false),
+        ),
+        (
+            "min harm null-deref",
+            SierraConfig::builder().min_harm(Harm::NullDeref),
+        ),
+    ];
+    configs
+        .into_iter()
+        .map(|(label, builder)| {
+            let mut apps = fixture_apps();
+            apps.push(corpus::prefilter_idioms::prefilter_idioms_app().0);
+            apps.push(corpus::triage_idioms::triage_idioms_app().0);
+            apps.push(corpus::reflection_idioms::reflection_idioms_app().0);
+            format!("== {label}\n{}", render_all(builder.build(), apps))
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// Compares `actual` with `tests/golden/<name>`; on a mismatch writes
@@ -86,6 +121,7 @@ fn stable_reports_match_goldens() {
         ("twenty.txt", twenty()),
         ("fixtures.txt", fixtures()),
         ("reflection_resolve.txt", reflection_resolve()),
+        ("ablations.txt", ablations()),
     ]
     .iter()
     .filter_map(|(name, actual)| check(name, actual).err())
