@@ -13,7 +13,7 @@
 
 use pointer::SelectorKind;
 use sierra_bench::{group, time};
-use sierra_core::{SessionBuilder, Sierra, SierraConfig};
+use sierra_core::{SessionBuilder, Sierra, SierraConfig, Stage};
 use std::sync::Arc;
 use symexec::RefuterConfig;
 
@@ -34,8 +34,8 @@ fn context_ablation() {
     for sel in selectors {
         let cfg = SierraConfig::builder()
             .selector(sel)
-            .compare_without_as(false)
-            .skip_refutation()
+            .without(Stage::Compare)
+            .without(Stage::Refute)
             .build();
         time(&format!("analysis/{sel}"), 15, || {
             let mut session = SessionBuilder::new(cfg)
@@ -57,7 +57,7 @@ fn refutation_budget() {
                 max_paths: budget,
                 ..Default::default()
             })
-            .compare_without_as(false)
+            .without(Stage::Compare)
             .build();
         time(&format!("max_paths/{budget}"), 10, || {
             Sierra::with_config(cfg)
@@ -77,7 +77,7 @@ fn cache_ablation() {
                 use_cache,
                 ..Default::default()
             })
-            .compare_without_as(false)
+            .without(Stage::Compare)
             .build();
         time(&format!("refutation/{label}"), 8, || {
             Sierra::with_config(cfg)

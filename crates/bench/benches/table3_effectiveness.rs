@@ -10,7 +10,7 @@
 //! ```
 
 use sierra_bench::{group, time};
-use sierra_core::{Sierra, SierraConfig};
+use sierra_core::{Sierra, SierraConfig, Stage};
 
 fn main() {
     group("table3_effectiveness");
@@ -23,7 +23,7 @@ fn main() {
         time(&format!("full_pipeline/{name}"), 10, || {
             Sierra::new().analyze_app(app.clone()).races.len()
         });
-        let cfg = SierraConfig::builder().compare_without_as(false).build();
+        let cfg = SierraConfig::builder().without(Stage::Compare).build();
         time(&format!("pipeline_no_comparison_pass/{name}"), 10, || {
             Sierra::with_config(cfg)
                 .analyze_app(app.clone())

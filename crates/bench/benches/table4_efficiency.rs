@@ -16,7 +16,7 @@
 use pointer::{Access, SelectorKind};
 use sierra_bench::{group, time};
 use sierra_core::json::{num, obj};
-use sierra_core::{Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SummaryStore};
+use sierra_core::{Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, Stage, SummaryStore};
 use std::sync::Arc;
 use std::time::Duration;
 use symexec::{Refuter, RefuterConfig};
@@ -114,7 +114,10 @@ fn main() {
     group("prefilter_ablation");
     let run_stress = |no_prefilter: bool| {
         let app = sierra_bench::refutation_stress_app(13, 8);
-        let cfg = SierraConfig::builder().no_prefilter(no_prefilter).build();
+        let mut cfg = SierraConfig::default();
+        if no_prefilter {
+            cfg.stages = cfg.stages.without(Stage::Prefilter);
+        }
         Sierra::with_config(cfg).analyze_app(app)
     };
     let pf = run_stress(false);
@@ -250,7 +253,10 @@ fn main() {
         harm_eval.scored
     );
     let triage_run = |no_triage: bool| {
-        let cfg = SierraConfig::builder().no_triage(no_triage).build();
+        let mut cfg = SierraConfig::default();
+        if no_triage {
+            cfg.stages = cfg.stages.without(Stage::Triage);
+        }
         Sierra::with_config(cfg).analyze_app(app.clone())
     };
     let t_triage_on = time("pipeline_triage_on", 10, || triage_run(false).races.len());
@@ -316,7 +322,10 @@ fn main() {
         hist.infeasible_exported,
     );
     let histories_run = |no_histories: bool| {
-        let cfg = SierraConfig::builder().no_histories(no_histories).build();
+        let mut cfg = SierraConfig::default();
+        if no_histories {
+            cfg.stages = cfg.stages.without(Stage::Histories);
+        }
         Sierra::with_config(cfg).analyze_app(app.clone())
     };
     let t_histories_on = time("pipeline_histories_on", 10, || {

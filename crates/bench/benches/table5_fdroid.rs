@@ -10,7 +10,7 @@
 //! ```
 
 use sierra_bench::{group, time};
-use sierra_core::{run_jobs, Sierra, SierraConfig};
+use sierra_core::{run_jobs, Sierra, SierraConfig, Stage};
 
 fn main() {
     group("table5_fdroid");
@@ -23,7 +23,7 @@ fn main() {
     });
 
     let apps: Vec<_> = corpus::fdroid::iter_apps().take(10).collect();
-    let cfg = SierraConfig::builder().compare_without_as(false).build();
+    let cfg = SierraConfig::builder().without(Stage::Compare).build();
     time("analyze_10_apps_serial", 5, || {
         apps.iter()
             .map(|(_, app, _)| {

@@ -303,7 +303,7 @@ pub fn group(name: &str) {
 mod tests {
     use super::*;
     use pointer::Access;
-    use sierra_core::{Sierra, SierraConfig};
+    use sierra_core::{Sierra, SierraConfig, Stage};
     use std::collections::HashSet;
 
     fn pair_key(a: &Access, b: &Access) -> String {
@@ -327,8 +327,9 @@ mod tests {
         let (mut total, mut pruned_total) = (0usize, 0usize);
         for app in apps {
             let with = Sierra::new().analyze_app(app.clone());
-            let without = Sierra::with_config(SierraConfig::builder().no_prefilter(true).build())
-                .analyze_app(app);
+            let without =
+                Sierra::with_config(SierraConfig::builder().without(Stage::Prefilter).build())
+                    .analyze_app(app);
             total += with.racy_pairs_with_as;
             pruned_total += with.pruned.len();
             assert_eq!(with.racy_pairs_with_as, without.racy_pairs_with_as);

@@ -10,7 +10,8 @@ use apir::SymbolArena;
 use corpus::{fdroid, twenty, EvalCounts, GroundTruth, HarmEval};
 use eventracer::EventRacerConfig;
 use sierra_core::{
-    run_jobs, EngineError, Report, SessionBuilder, Sierra, SierraConfig, SierraResult, SummaryStore,
+    run_jobs, EngineError, Report, SessionBuilder, Sierra, SierraConfig, SierraResult,
+    StageTimings, SummaryStore,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,16 +60,12 @@ pub struct AppRow {
     pub harm_eval: HarmEval,
     /// Dataflow worklist iterations spent by the triage stage.
     pub triage_iters: usize,
-    /// Stage time: harm triage.
-    pub t_triage: Duration,
     /// Pairs the message-history stage subjected to the product check.
     pub hist_checked: usize,
     /// Pairs the message-history stage discharged as unrealizable.
     pub hist_discharged: usize,
     /// Dead-callback CFG edges the history model exported to the refuter.
     pub hist_infeasible: usize,
-    /// Stage time: message-history refutation.
-    pub t_histories: Duration,
     /// Ground-truth evaluation of EventRacer's reports.
     pub eventracer_eval: EvalCounts,
     /// Races EventRacer reported.
@@ -101,18 +98,8 @@ pub struct AppRow {
     pub pruned_pairs: usize,
     /// Statically-infeasible branch edges found by constant propagation.
     pub infeasible_edges: usize,
-    /// Stage time: call graph + pointer analysis.
-    pub t_cg_pa: Duration,
-    /// Stage time: SHBG construction.
-    pub t_hbg: Duration,
-    /// Stage time: prefilter pruning.
-    pub t_prefilter: Duration,
-    /// Stage time: refutation.
-    pub t_refutation: Duration,
-    /// Stage time: the no-AS comparison pass (Table 3's RP-noAS column).
-    pub t_compare: Duration,
-    /// Total pipeline time.
-    pub t_total: Duration,
+    /// Per-stage wall-clock times.
+    pub timings: StageTimings,
 }
 
 impl AppRow {
@@ -150,11 +137,9 @@ impl AppRow {
             triage_value: m.triage.value_inconsistency,
             triage_benign: m.triage.likely_benign,
             triage_iters: m.triage.dataflow_iterations,
-            t_triage: m.timings.triage,
             hist_checked: m.histories.pairs_checked,
             hist_discharged: m.histories.discharged_total(),
             hist_infeasible: m.histories.infeasible_exported,
-            t_histories: m.timings.histories,
             summaries_reused: m.link.summaries_reused,
             summaries_recomputed: m.link.summaries_recomputed,
             summaries_shared: m.link.summaries_shared,
@@ -168,12 +153,7 @@ impl AppRow {
             refuter_paths: m.refuter.paths,
             pruned_pairs: m.prefilter.pruned_total(),
             infeasible_edges: m.prefilter.infeasible_edges,
-            t_cg_pa: m.timings.cg_pa,
-            t_hbg: m.timings.hbg,
-            t_prefilter: m.timings.prefilter,
-            t_refutation: m.timings.refutation,
-            t_compare: m.timings.compare,
-            t_total: m.timings.total,
+            timings: m.timings,
             ..Self::default()
         }
     }
@@ -594,14 +574,14 @@ pub fn table4(rows: &[AppRow]) -> String {
         out.push_str(&format!(
             "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
             r.name,
-            ms(r.t_cg_pa),
-            ms(r.t_hbg),
-            ms(r.t_prefilter),
-            ms(r.t_refutation),
-            ms(r.t_histories),
-            ms(r.t_triage),
-            ms(r.t_compare),
-            ms(r.t_total),
+            ms(r.timings.cg_pa),
+            ms(r.timings.hbg),
+            ms(r.timings.prefilter),
+            ms(r.timings.refutation),
+            ms(r.timings.histories),
+            ms(r.timings.triage),
+            ms(r.timings.compare),
+            ms(r.timings.total),
             r.pa_worklist_iters,
             r.pa_collapsed_sccs,
             r.pa_collapsed_nodes,
@@ -623,14 +603,14 @@ pub fn table4(rows: &[AppRow]) -> String {
     out.push_str(&format!(
         "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>5.0} {:>7.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
         "MEDIAN",
-        med(&|r| ms(r.t_cg_pa)),
-        med(&|r| ms(r.t_hbg)),
-        med(&|r| ms(r.t_prefilter)),
-        med(&|r| ms(r.t_refutation)),
-        med(&|r| ms(r.t_histories)),
-        med(&|r| ms(r.t_triage)),
-        med(&|r| ms(r.t_compare)),
-        med(&|r| ms(r.t_total)),
+        med(&|r| ms(r.timings.cg_pa)),
+        med(&|r| ms(r.timings.hbg)),
+        med(&|r| ms(r.timings.prefilter)),
+        med(&|r| ms(r.timings.refutation)),
+        med(&|r| ms(r.timings.histories)),
+        med(&|r| ms(r.timings.triage)),
+        med(&|r| ms(r.timings.compare)),
+        med(&|r| ms(r.timings.total)),
         med(&|r| r.pa_worklist_iters as f64),
         med(&|r| r.pa_collapsed_sccs as f64),
         med(&|r| r.pa_collapsed_nodes as f64),
@@ -681,10 +661,10 @@ pub fn table5(rows: &[AppRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     out.push_str(&format!(
         "Efficiency medians: CG+PA {:.2} ms, HBG {:.2} ms, refutation {:.2} ms, total {:.2} ms\n",
-        m(&|r| ms(r.t_cg_pa)),
-        m(&|r| ms(r.t_hbg)),
-        m(&|r| ms(r.t_refutation)),
-        m(&|r| ms(r.t_total)),
+        m(&|r| ms(r.timings.cg_pa)),
+        m(&|r| ms(r.timings.hbg)),
+        m(&|r| ms(r.timings.refutation)),
+        m(&|r| ms(r.timings.total)),
     ));
     out.push_str(&format!(
         "Work medians: {:.0} PA worklist iterations, {:.0} CG edges, {:.0} HB rule applications, {:.0} refuter paths\n",

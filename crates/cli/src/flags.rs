@@ -43,7 +43,7 @@
 //! own flags, [`reject_unknown_flags`] turns any `--flag` still left into
 //! an error, so a misspelt or removed flag never runs silently.
 
-use sierra_core::SierraConfig;
+use sierra_core::{SierraConfig, Stage};
 
 /// Parsed values of the shared flags.
 #[derive(Debug, Clone, Default)]
@@ -101,7 +101,7 @@ impl CommonFlags {
                 .map_err(|_| format!("invalid --jobs {v:?}: expected a count"))?;
         }
         if take_switch(args, "--no-prefilter") {
-            builder = builder.no_prefilter(true);
+            builder = builder.without(Stage::Prefilter);
         }
         if take_switch(args, "--no-cycle-collapse") {
             builder = builder.no_cycle_collapse(true);
@@ -111,10 +111,10 @@ impl CommonFlags {
             builder = builder.opaque_policy(policy);
         }
         if take_switch(args, "--no-histories") {
-            builder = builder.no_histories(true);
+            builder = builder.without(Stage::Histories);
         }
         if take_switch(args, "--no-triage") {
-            builder = builder.no_triage(true);
+            builder = builder.without(Stage::Triage);
         }
         if let Some(v) = take_flag(args, "--min-harm")? {
             let level: sierra_core::Harm = v.parse().map_err(|e| format!("{e}"))?;
@@ -209,12 +209,12 @@ mod tests {
     fn no_prefilter_switch_is_consumed() {
         let mut args = argv(&["analyze", "fig1", "--no-prefilter"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.no_prefilter);
+        assert!(!flags.config.stages.contains(Stage::Prefilter));
         assert_eq!(args, argv(&["analyze", "fig1"]));
 
         let mut args = argv(&["analyze", "fig1"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.no_prefilter);
+        assert!(flags.config.stages.contains(Stage::Prefilter));
     }
 
     #[test]
@@ -261,13 +261,13 @@ mod tests {
     fn triage_flags_are_consumed() {
         let mut args = argv(&["analyze", "fig1", "--no-triage"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.no_triage);
+        assert!(!flags.config.stages.contains(Stage::Triage));
         assert_eq!(flags.config.min_harm, None);
         assert_eq!(args, argv(&["analyze", "fig1"]));
 
         let mut args = argv(&["analyze", "fig1", "--min-harm", "use-before-init"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.no_triage);
+        assert!(flags.config.stages.contains(Stage::Triage));
         assert_eq!(
             flags.config.min_harm,
             Some(sierra_core::Harm::UseBeforeInit)
@@ -296,12 +296,12 @@ mod tests {
     fn histories_switch_is_consumed() {
         let mut args = argv(&["analyze", "fig1", "--no-histories"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.no_histories);
+        assert!(!flags.config.stages.contains(Stage::Histories));
         assert_eq!(args, argv(&["analyze", "fig1"]));
 
         let mut args = argv(&["analyze", "fig1"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.no_histories);
+        assert!(flags.config.stages.contains(Stage::Histories));
     }
 
     #[test]

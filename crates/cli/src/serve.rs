@@ -23,8 +23,10 @@
 //!
 //! ## Events
 //!
-//! Each analyze request produces a stream of `stage` events (wall-clock
-//! milliseconds plus that stage's work counters), then a `report` event
+//! Each analyze request produces one `stage` event per stage that ran,
+//! in driver order (wall-clock milliseconds plus that stage's work
+//! counters; a stage removed by `--no-histories` and the like sends
+//! none), then a `report` event
 //! carrying the full [`Report`] JSON, then a `done` event with the
 //! store-reuse counters:
 //!
@@ -43,7 +45,7 @@ use apir::SymbolArena;
 use sierra_core::engine::effective_jobs;
 use sierra_core::{
     json::{num, obj},
-    AnalysisSession, DiskStore, Json, MemoryStore, Report, SessionBuilder, SierraConfig,
+    DiskStore, Json, MemoryStore, Report, SessionBuilder, SierraConfig, Stage, StageMetrics,
     SummaryStore,
 };
 use std::io::{BufRead, BufReader, Write};
@@ -228,7 +230,7 @@ fn serve_connection<R: BufRead>(
                 Ok(ParsedLine::Analyze(req)) => {
                     let _ = tx.send(req);
                 }
-                Err((id, message)) => emit(writer, error_event(id, &message)),
+                Err((id, message)) => emit_error(writer, id, &message),
             }
         }
         drop(tx); // workers drain the queue, then exit
@@ -282,12 +284,12 @@ fn handle_request(
     out: &SharedWriter,
 ) {
     if let Err(e) = analyze(&req, config, store, shared, arena, out) {
-        emit(out, error_event(req.id, &e.to_string()));
+        emit_error(out, req.id, &e.to_string());
     }
 }
 
-/// Drives one session stage by stage, streaming a `stage` event after
-/// each, then the `report` and `done` events.
+/// Drives one session, streaming a `stage` event after each stage that
+/// runs (in driver order), then the `report` and `done` events.
 fn analyze(
     req: &Request,
     config: SierraConfig,
@@ -302,123 +304,74 @@ fn analyze(
     if let Some(shared) = shared {
         builder = builder.shared_store(shared);
     }
-    let mut session = builder.arena(arena).build()?;
+    let session = builder.arena(arena).build()?;
     let id = req.id;
-
-    let harnesses = session.harness()?.harness_count();
-    emit_stage(out, id, &session, "harness", |m| {
-        (ms(m.timings.harness), vec![("harnesses", num(harnesses))])
-    });
-    session.pointer()?;
-    emit_stage(out, id, &session, "pointer", |m| {
-        (
-            ms(m.timings.cg_pa),
-            vec![
-                ("worklist_iterations", num(m.pointer.worklist_iterations)),
-                ("cg_edges", num(m.pointer.cg_edges)),
-                ("summaries_reused", num(m.link.summaries_reused)),
-                ("summaries_recomputed", num(m.link.summaries_recomputed)),
-                ("summaries_shared", num(m.link.summaries_shared)),
-                ("analysis_reused", Json::Bool(m.link.analysis_reused)),
-            ],
-        )
-    });
-    session.shbg()?;
-    emit_stage(out, id, &session, "shbg", |m| {
-        (
-            ms(m.timings.hbg),
-            vec![
-                ("rule_applications", num(m.shbg.total_applications())),
-                ("fixpoint_rounds", num(m.shbg.fixpoint_rounds)),
-            ],
-        )
-    });
-    let pairs = session.candidates()?.len();
-    emit_stage(out, id, &session, "candidates", |_| {
-        (0.0, vec![("pairs", num(pairs))])
-    });
-    let pruned = session.prefilter()?.pruned.len();
-    emit_stage(out, id, &session, "prefilter", |m| {
-        (ms(m.timings.prefilter), vec![("pruned", num(pruned))])
-    });
-    let races = session.refute()?.len();
-    emit_stage(out, id, &session, "refute", |m| {
-        (
-            ms(m.timings.refutation),
-            vec![
-                ("races", num(races)),
-                ("paths", num(m.refuter.paths)),
-                ("refuted", num(m.refuter.refuted)),
-            ],
-        )
-    });
-
-    let result = session.finish()?;
-    let report = Report::from_result(&result);
-    emit(
-        out,
-        obj(vec![
-            ("id", id_json(id)),
-            ("event", Json::Str("report".to_owned())),
-            ("report", report.render_json()),
-        ]),
-    );
+    let result = session.finish_with(|stage, m| {
+        let ms = m.timings.of(stage).as_secs_f64() * 1e3;
+        let counters = obj(stage_counters(stage, m));
+        let name = Json::Str(stage.to_string());
+        let fields = vec![
+            ("stage", name),
+            ("ms", Json::Num(ms)),
+            ("counters", counters),
+        ];
+        emit(out, id, "stage", fields);
+    })?;
+    let report = Report::from_result(&result).render_json();
+    emit(out, id, "report", vec![("report", report)]);
     let link = result.metrics.link;
-    emit(
-        out,
-        obj(vec![
-            ("id", id_json(id)),
-            ("event", Json::Str("done".to_owned())),
-            ("races", num(result.races.len())),
-            ("summaries_reused", num(link.summaries_reused)),
-            ("summaries_recomputed", num(link.summaries_recomputed)),
-            ("summaries_shared", num(link.summaries_shared)),
-            ("analysis_reused", Json::Bool(link.analysis_reused)),
-        ]),
-    );
+    let done = vec![
+        ("races", num(result.races.len())),
+        ("summaries_reused", num(link.summaries_reused)),
+        ("summaries_recomputed", num(link.summaries_recomputed)),
+        ("summaries_shared", num(link.summaries_shared)),
+        ("analysis_reused", Json::Bool(link.analysis_reused)),
+    ];
+    emit(out, id, "done", done);
     Ok(())
 }
 
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+fn emit_error(out: &SharedWriter, id: Option<u64>, message: &str) {
+    let message = Json::Str(message.to_owned());
+    emit(out, id, "error", vec![("message", message)]);
 }
 
-fn id_json(id: Option<u64>) -> Json {
-    id.map_or(Json::Null, |n| Json::Num(n as f64))
+/// A `stage` event's counters: the work the stage recorded.
+fn stage_counters(stage: Stage, m: &StageMetrics) -> Vec<(&'static str, Json)> {
+    match stage {
+        Stage::Harness | Stage::Candidates | Stage::Compare => Vec::new(),
+        Stage::Pointer => vec![
+            ("worklist_iterations", num(m.pointer.worklist_iterations)),
+            ("cg_edges", num(m.pointer.cg_edges)),
+            ("summaries_reused", num(m.link.summaries_reused)),
+            ("summaries_recomputed", num(m.link.summaries_recomputed)),
+            ("summaries_shared", num(m.link.summaries_shared)),
+            ("analysis_reused", Json::Bool(m.link.analysis_reused)),
+        ],
+        Stage::Shbg => vec![
+            ("rule_applications", num(m.shbg.total_applications())),
+            ("fixpoint_rounds", num(m.shbg.fixpoint_rounds)),
+        ],
+        Stage::Prefilter => vec![("pruned", num(m.prefilter.pruned_total()))],
+        Stage::Refute => vec![
+            ("paths", num(m.refuter.paths)),
+            ("refuted", num(m.refuter.refuted)),
+        ],
+        Stage::Histories => vec![
+            ("pairs_checked", num(m.histories.pairs_checked)),
+            ("discharged", num(m.histories.discharged_total())),
+        ],
+        Stage::Triage => vec![("classified", num(m.triage.classified))],
+    }
 }
 
-fn error_event(id: Option<u64>, message: &str) -> Json {
-    obj(vec![
-        ("id", id_json(id)),
-        ("event", Json::Str("error".to_owned())),
-        ("message", Json::Str(message.to_owned())),
-    ])
-}
-
-fn emit_stage(
-    out: &SharedWriter,
-    id: Option<u64>,
-    session: &AnalysisSession,
-    stage: &str,
-    payload: impl FnOnce(&sierra_core::StageMetrics) -> (f64, Vec<(&'static str, Json)>),
-) {
-    let (elapsed_ms, counters) = payload(session.metrics());
-    emit(
-        out,
-        obj(vec![
-            ("id", id_json(id)),
-            ("event", Json::Str("stage".to_owned())),
-            ("stage", Json::Str(stage.to_owned())),
-            ("ms", Json::Num(elapsed_ms)),
-            ("counters", obj(counters)),
-        ]),
-    );
-}
-
-/// Writes one event as a single line and flushes, so clients see the
-/// stream as it happens.
-fn emit(out: &SharedWriter, event: Json) {
-    let mut line = event.render();
+/// Writes one event — the request id, the event kind, then `fields` —
+/// as a single line and flushes, so clients see the stream as it
+/// happens.
+fn emit(out: &SharedWriter, id: Option<u64>, kind: &str, fields: Vec<(&'static str, Json)>) {
+    let id = id.map_or(Json::Null, |n| Json::Num(n as f64));
+    let head = [("id", id), ("event", Json::Str(kind.to_owned()))];
+    let mut line = obj(head.into_iter().chain(fields).collect()).render();
     line.push('\n');
     let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
     let _ = w.write_all(line.as_bytes());
@@ -521,7 +474,10 @@ mod tests {
                     "shbg",
                     "candidates",
                     "prefilter",
-                    "refute"
+                    "refute",
+                    "histories",
+                    "triage",
+                    "compare"
                 ],
                 "request {id}"
             );

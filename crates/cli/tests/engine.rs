@@ -4,11 +4,11 @@
 
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments::{run_fdroid, run_twenty, table3, table5};
-use sierra_core::{run_jobs, SierraConfig};
+use sierra_core::{run_jobs, SierraConfig, Stage};
 
 #[test]
 fn parallel_and_serial_sweeps_render_identical_tables() {
-    let cfg = SierraConfig::builder().compare_without_as(false).build();
+    let cfg = SierraConfig::builder().without(Stage::Compare).build();
     let er = EventRacerConfig {
         runs: 4,
         ..Default::default()
@@ -31,7 +31,7 @@ fn parallel_and_serial_sweeps_render_identical_tables() {
 
 #[test]
 fn fdroid_slice_is_schedule_independent() {
-    let cfg = SierraConfig::builder().compare_without_as(false).build();
+    let cfg = SierraConfig::builder().without(Stage::Compare).build();
     let serial = run_fdroid(8, cfg, 1);
     let parallel = run_fdroid(8, cfg, 4);
     let strip_timings = |rows: &[sierra_cli::experiments::AppRow]| {

@@ -137,3 +137,53 @@ fn cache_dir_persists_summaries_across_server_restarts() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `stage` events of request `id`, as (name, ms) in stream order.
+fn stages(events: &[Json], id: u64) -> Vec<(String, f64)> {
+    events
+        .iter()
+        .filter(|e| {
+            e.get("id").and_then(Json::as_u64) == Some(id)
+                && e.get("event").and_then(Json::as_str) == Some("stage")
+        })
+        .map(|e| {
+            let name = e.get("stage").and_then(Json::as_str).expect("stage name");
+            let ms = match e.get("ms") {
+                Some(Json::Num(ms)) => *ms,
+                other => panic!("stage {name} has no ms: {other:?}"),
+            };
+            (name.to_owned(), ms)
+        })
+        .collect()
+}
+
+#[test]
+fn serve_streams_one_timed_event_per_stage_that_ran() {
+    let input = format!("{}\n{{\"op\":\"shutdown\"}}\n", analyze_line(1));
+    let all = [
+        "harness",
+        "pointer",
+        "shbg",
+        "candidates",
+        "prefilter",
+        "refute",
+        "histories",
+        "triage",
+        "compare",
+    ];
+    for (flags, expected) in [
+        (&[][..], all.to_vec()),
+        (
+            &["--no-histories"][..],
+            all.iter().copied().filter(|s| *s != "histories").collect(),
+        ),
+    ] {
+        let events = stages(&run_serve(flags, &input), 1);
+        let names: Vec<&str> = events.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, expected, "stage sequence under {flags:?}");
+        assert!(
+            events.iter().all(|(_, ms)| *ms > 0.0),
+            "every stage is measured under {flags:?}: {events:?}"
+        );
+    }
+}

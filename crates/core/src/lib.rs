@@ -16,9 +16,15 @@
 //!    escape analysis, write-once guard detection, and constant/branch
 //!    pruning — removes pairs that cannot race before the refuter runs.
 //! 6. **Refutation** (`symexec`): goal-directed backward symbolic
-//!    execution rules out ad-hoc-synchronized pairs.
-//! 7. **Prioritization** (§3.1): app code above framework code, pointer
-//!    fields above primitives.
+//!    execution rules out ad-hoc-synchronized pairs, then
+//!    **prioritization** (§3.1) ranks app code above framework code and
+//!    pointer fields above primitives.
+//! 7. **Message histories** (`histories`) prune pairs whose callbacks no
+//!    realizable lifecycle event history reaches together; **harm
+//!    triage** (`triage`) gives each race a harm verdict.
+//! 8. **Comparison pass**: candidate pairs without action sensitivity.
+//!
+//! [`AnalysisSession`] runs these [`Stage`]s through one driver.
 //!
 //! ```no_run
 //! use android_model::AndroidAppBuilder;
@@ -38,6 +44,7 @@ mod pipeline;
 mod render;
 mod report;
 mod session;
+mod stages;
 mod summary;
 
 pub use engine::{run_jobs, EngineError};
@@ -45,13 +52,14 @@ pub use histories::{HistoryPattern, HistoryStats};
 pub use json::Json;
 pub use link::{LinkStats, LinkedSummaries};
 pub use pipeline::{
-    Sierra, SierraConfig, SierraConfigBuilder, SierraResult, StageMetrics, StageTimings,
+    Sierra, SierraConfig, SierraConfigBuilder, SierraResult, Stage, StageMetrics, StageSet,
+    StageTimings,
 };
 pub use pointer::OpaquePolicy;
 pub use prefilter::{PrefilterStats, PrunedPair, Verdict};
 pub use render::Report;
 pub use report::{describe_action, describe_pair, priority_of, Priority, RaceReport};
-pub use session::{AnalysisSession, PrefilterOutcome, SessionBuilder, SessionError, Stage};
+pub use session::{AnalysisSession, PrefilterOutcome, SessionBuilder, SessionError};
 pub use soundness::SoundnessStats;
 pub use summary::{
     config_fingerprint, framework_fingerprint, structural_fingerprint, summary_key, DiskStore,

@@ -1,17 +1,21 @@
 //! The end-to-end SIERRA pipeline (Figure 3).
 //!
 //! `app → harness generation → pointer analysis (action-sensitive) →
-//! SHBG → racy pairs → symbolic refutation → prioritized race reports`.
+//! SHBG → racy pairs → prefilter → symbolic refutation → message
+//! histories → harm triage → prioritized race reports`, plus the
+//! comparison pass without action sensitivity (Table 3, column 6).
 //!
-//! The pipeline is staged: [`crate::AnalysisSession`] exposes each stage
-//! (`harness → pointer → shbg → candidates → refute`) so drivers can stop
-//! early, share a generated harness across passes, or collect per-stage
-//! [`StageMetrics`]. [`Sierra::analyze_app`] remains the one-shot
-//! entry point and is a thin wrapper over a session.
+//! The pipeline is staged: [`crate::AnalysisSession`] runs the stages
+//! (`harness → pointer → shbg → candidates → prefilter → refute →
+//! histories → triage → compare`, the [`Stage`] order) through one
+//! driver, so callers can stop early, share a generated harness across
+//! passes, or collect per-stage [`StageMetrics`]. A [`StageSet`] in the
+//! config says which stages run. [`Sierra::analyze_app`] remains the
+//! one-shot entry point and is a thin wrapper over a session.
 
 use crate::link::LinkStats;
 use crate::report::RaceReport;
-use crate::session::{AnalysisSession, Stage};
+use crate::session::AnalysisSession;
 use android_model::AndroidApp;
 use harness_gen::HarnessResult;
 use histories::HistoryStats;
@@ -23,6 +27,75 @@ use std::sync::Arc;
 use std::time::Duration;
 use symexec::{RefuterConfig, RefuterStats};
 
+/// A pipeline stage. The variants are in driver order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Stage {
+    /// Harness generation (§3.2).
+    Harness,
+    /// Summary linking, call graph + pointer analysis (§3.3), and the
+    /// call-graph soundness audit.
+    Pointer,
+    /// SHBG construction (§4).
+    Shbg,
+    /// Candidate racy-pair generation (§4.1).
+    Candidates,
+    /// Pre-refutation static pruning.
+    Prefilter,
+    /// Symbolic refutation (§5) and prioritization (§3.1).
+    Refute,
+    /// Message-history refutation.
+    Histories,
+    /// Harm triage.
+    Triage,
+    /// The comparison pass without action sensitivity.
+    Compare,
+}
+
+impl Stage {
+    const fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
+/// The lowercase variant name (`harness`, …, `compare`).
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&format!("{self:?}").to_ascii_lowercase())
+    }
+}
+
+/// The stages a session runs (default: all of them). An ablation is a
+/// stage removed with [`StageSet::without`]; the driver then stores
+/// that stage's identity output instead of running it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSet(u16);
+
+impl StageSet {
+    /// Every stage.
+    pub const ALL: StageSet = StageSet((Stage::Compare.bit() << 1) - 1);
+
+    /// The stages every later stage consumes; they cannot be removed.
+    const CORE: u16 =
+        Stage::Harness.bit() | Stage::Pointer.bit() | Stage::Shbg.bit() | Stage::Candidates.bit();
+
+    /// Whether `stage` runs.
+    pub fn contains(self, stage: Stage) -> bool {
+        self.0 & stage.bit() != 0
+    }
+
+    /// The set without `stage`. The one dependency rule: removing
+    /// `Refute` also removes `Prefilter` and `Histories`, since an
+    /// unrefuted run reports raw candidate pairs. The core stages
+    /// (`Harness`, `Pointer`, `Shbg`, `Candidates`) stay in the set.
+    pub fn without(self, stage: Stage) -> StageSet {
+        let mut dropped = stage.bit();
+        if stage == Stage::Refute {
+            dropped |= Stage::Prefilter.bit() | Stage::Histories.bit();
+        }
+        StageSet((self.0 & !dropped) | Self::CORE)
+    }
+}
+
 /// Pipeline configuration. Construct with [`SierraConfig::builder`].
 #[derive(Debug, Clone, Copy)]
 pub struct SierraConfig {
@@ -30,34 +103,16 @@ pub struct SierraConfig {
     pub selector: SelectorKind,
     /// Refutation knobs.
     pub refuter: RefuterConfig,
-    /// Also run a non-action-sensitive pass to report "racy pairs w/o AS"
-    /// (Table 3, column 6). The comparison selector is hybrid with the
-    /// same k.
-    pub compare_without_as: bool,
-    /// Skip the refutation stage (reports every racy pair; used by
-    /// ablations). Implies `no_prefilter`: ablations count raw
-    /// candidates.
-    pub skip_refutation: bool,
-    /// Disable the pre-refutation static pruning stage (escape, guard,
-    /// and constant-branch analyses), restoring the old
-    /// `candidates → refute` pipeline for A/B measurement.
-    pub no_prefilter: bool,
+    /// The stages that run (default: all). A removed stage's output is
+    /// byte-identical to a pipeline that never had it.
+    pub stages: StageSet,
     /// Pointer-analysis options for the main pass (cycle collapse,
     /// opaque-call policy, index sensitivity). The comparison pass inherits
     /// them, so an ablation flips both runs together.
     pub pointer_options: AnalysisOptions,
-    /// Disable the post-refutation harm-triage stage (the `--no-triage`
-    /// ablation). Race reports then carry no harm annotation and every
-    /// output is byte-identical to the pre-triage pipeline.
-    pub no_triage: bool,
-    /// Disable the message-history refutation stage (the
-    /// `--no-histories` ablation), restoring the `refute → triage`
-    /// pipeline byte-identically. The stage is also skipped under
-    /// `skip_refutation`, whose ablations count raw pairs.
-    pub no_histories: bool,
     /// Drop reports classified below this harm level (`--min-harm`).
-    /// `None` keeps everything. Ignored under `no_triage`, which never
-    /// classifies.
+    /// `None` keeps everything. Ignored without the `Triage` stage,
+    /// which is what classifies.
     pub min_harm: Option<triage::Harm>,
     /// Disable persisting/loading serialized `Analysis` artifact blobs
     /// (the `--no-artifact-cache` ablation). In-memory artifact reuse
@@ -71,12 +126,8 @@ impl Default for SierraConfig {
         Self {
             selector: SelectorKind::ActionSensitive(1),
             refuter: RefuterConfig::default(),
-            compare_without_as: true,
-            skip_refutation: false,
-            no_prefilter: false,
+            stages: StageSet::ALL,
             pointer_options: AnalysisOptions::default(),
-            no_triage: false,
-            no_histories: false,
             min_harm: None,
             no_artifact_cache: false,
         }
@@ -115,21 +166,9 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Enables or disables the comparison pass without action sensitivity.
-    pub fn compare_without_as(mut self, yes: bool) -> Self {
-        self.cfg.compare_without_as = yes;
-        self
-    }
-
-    /// Disables the refutation stage.
-    pub fn skip_refutation(mut self) -> Self {
-        self.cfg.skip_refutation = true;
-        self
-    }
-
-    /// Enables or disables the pre-refutation static pruning stage.
-    pub fn no_prefilter(mut self, yes: bool) -> Self {
-        self.cfg.no_prefilter = yes;
+    /// Removes `stage` from the run (see [`StageSet::without`]).
+    pub fn without(mut self, stage: Stage) -> Self {
+        self.cfg.stages = self.cfg.stages.without(stage);
         self
     }
 
@@ -153,19 +192,7 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Disables (or re-enables) the post-refutation harm-triage stage.
-    pub fn no_triage(mut self, yes: bool) -> Self {
-        self.cfg.no_triage = yes;
-        self
-    }
-
-    /// Disables (or re-enables) the message-history refutation stage.
-    pub fn no_histories(mut self, yes: bool) -> Self {
-        self.cfg.no_histories = yes;
-        self
-    }
-
-    /// Drops reports triaged below `level` (no-op under `no_triage`).
+    /// Drops reports triaged below `level` (no-op without `Triage`).
     pub fn min_harm(mut self, level: triage::Harm) -> Self {
         self.cfg.min_harm = Some(level);
         self
@@ -184,15 +211,19 @@ impl SierraConfigBuilder {
     }
 }
 
-/// Wall-clock time of each pipeline stage (Table 4).
+/// Wall-clock time of each pipeline stage (Table 4). A stage that did
+/// not run records zero.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Harness generation.
     pub harness: Duration,
-    /// Call-graph + pointer analysis ("CG+PA").
+    /// Summary linking, call-graph + pointer analysis and the soundness
+    /// audit ("CG+PA").
     pub cg_pa: Duration,
     /// SHBG construction ("HBG").
     pub hbg: Duration,
+    /// Candidate racy-pair generation.
+    pub candidates: Duration,
     /// Pre-refutation static pruning.
     pub prefilter: Duration,
     /// Symbolic-execution refutation.
@@ -203,8 +234,30 @@ pub struct StageTimings {
     pub triage: Duration,
     /// The comparison pass (`racy pairs w/o AS`).
     pub compare: Duration,
-    /// End-to-end.
+    /// End-to-end, from session start. At least the sum of the stages.
     pub total: Duration,
+}
+
+impl StageTimings {
+    /// The time recorded for `stage`.
+    pub fn of(mut self, stage: Stage) -> Duration {
+        *self.of_mut(stage)
+    }
+
+    /// The slot that accumulates `stage`'s time.
+    pub(crate) fn of_mut(&mut self, stage: Stage) -> &mut Duration {
+        match stage {
+            Stage::Harness => &mut self.harness,
+            Stage::Pointer => &mut self.cg_pa,
+            Stage::Shbg => &mut self.hbg,
+            Stage::Candidates => &mut self.candidates,
+            Stage::Prefilter => &mut self.prefilter,
+            Stage::Refute => &mut self.refutation,
+            Stage::Histories => &mut self.histories,
+            Stage::Triage => &mut self.triage,
+            Stage::Compare => &mut self.compare,
+        }
+    }
 }
 
 /// Per-stage wall-clock timings plus the work counters each stage
@@ -223,10 +276,10 @@ pub struct StageMetrics {
     pub prefilter: PrefilterStats,
     /// Refutation counters.
     pub refuter: RefuterStats,
-    /// Message-history refutation counters (all zero under
-    /// `no_histories` or `skip_refutation`).
+    /// Message-history refutation counters (all zero without the
+    /// `Histories` stage).
     pub histories: HistoryStats,
-    /// Harm-triage counters (all zero under `no_triage`).
+    /// Harm-triage counters (all zero without the `Triage` stage).
     pub triage: triage::TriageStats,
     /// Call-graph soundness audit: unresolved-site classification and
     /// reachable-callback recall (computed after the pointer stage
@@ -238,9 +291,6 @@ pub struct StageMetrics {
     /// results — reuse changes work done, not answers — so it is excluded
     /// from the stable report rendering.
     pub link: LinkStats,
-    /// The last pipeline stage that ran (for progress reporting and
-    /// typed errors; `None` before the first stage).
-    pub last_stage: Option<Stage>,
 }
 
 /// The result of analyzing one app.
@@ -254,10 +304,11 @@ pub struct SierraResult {
     pub action_count: usize,
     /// Ordered pairs in the transitively-closed SHBG ("HB edges").
     pub hb_edges: usize,
-    /// Theoretical maximum ordered pairs (per-harness `n·(n−1)/2` summed).
+    /// Theoretical maximum ordered pairs: `n·(n−1)/2` over all `n` of the
+    /// app's actions, cross-harness pairs included.
     pub hb_max: usize,
-    /// Candidate racy pairs without action sensitivity (0 when the
-    /// comparison pass is disabled).
+    /// Candidate racy pairs without action sensitivity (0 without the
+    /// `Compare` stage).
     pub racy_pairs_without_as: usize,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
@@ -265,13 +316,13 @@ pub struct SierraResult {
     /// stage ran, each carries a [`triage::TriageVerdict`] and reports
     /// below `min_harm` have been dropped.
     pub races: Vec<RaceReport>,
-    /// Whether the harm-triage stage ran (false under `no_triage`).
+    /// Whether the harm-triage stage ran.
     pub triage_ran: bool,
-    /// Whether the message-history stage ran (false under
-    /// `no_histories` or `skip_refutation`).
+    /// Whether the message-history stage ran.
     pub histories_ran: bool,
-    /// Candidate pairs the prefilter removed before refutation, each
-    /// with its machine-checkable reason (empty under `no_prefilter`).
+    /// Candidate pairs the prefilter and the histories stage removed,
+    /// each with its machine-checkable reason (prefilter pairs first,
+    /// each stage's in candidate order).
     pub pruned: Vec<PrunedPair>,
     /// Per-stage timings and counters.
     pub metrics: StageMetrics,

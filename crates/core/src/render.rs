@@ -392,6 +392,7 @@ impl Report {
                     ("harness", Json::Num(ms(t.harness))),
                     ("cg_pa", Json::Num(ms(t.cg_pa))),
                     ("hbg", Json::Num(ms(t.hbg))),
+                    ("candidates", Json::Num(ms(t.candidates))),
                     ("prefilter", Json::Num(ms(t.prefilter))),
                     ("refutation", Json::Num(ms(t.refutation))),
                     ("histories", Json::Num(ms(t.histories))),

@@ -1,6 +1,6 @@
 //! End-to-end pipeline tests on the paper's figure apps.
 
-use crate::{Priority, Sierra, SierraConfig};
+use crate::{Priority, Sierra, SierraConfig, Stage};
 use corpus::{figures, RaceLabel};
 
 fn reported_groups(result: &crate::SierraResult) -> Vec<(String, String)> {
@@ -115,7 +115,7 @@ fn action_sensitivity_does_not_increase_racy_pairs() {
 #[test]
 fn skip_refutation_reports_every_racy_pair() {
     let (app, _) = figures::open_sudoku_guard();
-    let config = SierraConfig::builder().skip_refutation().build();
+    let config = SierraConfig::builder().without(Stage::Refute).build();
     let with = Sierra::with_config(config).analyze_app(app);
     let (app2, _) = figures::open_sudoku_guard();
     let without = Sierra::new().analyze_app(app2);
@@ -309,7 +309,7 @@ fn min_harm_filters_reports_below_the_threshold() {
 #[test]
 fn no_triage_restores_unannotated_reports() {
     let (app, _) = corpus::triage_idioms::triage_idioms_app();
-    let plain = Sierra::with_config(SierraConfig::builder().no_triage(true).build())
+    let plain = Sierra::with_config(SierraConfig::builder().without(Stage::Triage).build())
         .analyze_app(app.clone());
     let triaged = Sierra::new().analyze_app(app);
     assert!(!plain.triage_ran);
@@ -502,6 +502,84 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
                 .and_then(|mut session| session.candidates().map(<[_]>::len))
                 .expect("pipeline runs");
             assert_eq!(result.racy_pairs_without_as, standalone, "{context}");
+        }
+    }
+}
+
+#[test]
+fn removing_refute_also_removes_prefilter_and_histories() {
+    use crate::StageSet;
+    let set = StageSet::ALL.without(Stage::Refute);
+    for stage in [Stage::Prefilter, Stage::Refute, Stage::Histories] {
+        assert!(!set.contains(stage), "{stage} dropped with refute");
+    }
+    for stage in [Stage::Triage, Stage::Compare] {
+        assert!(set.contains(stage), "{stage} is independent of refute");
+    }
+    // Every other removal drops exactly the stage named.
+    let set = StageSet::ALL.without(Stage::Prefilter);
+    assert!(!set.contains(Stage::Prefilter));
+    assert!(set.contains(Stage::Refute) && set.contains(Stage::Histories));
+    // The core stages feed every later one and cannot be removed.
+    for core in [
+        Stage::Harness,
+        Stage::Pointer,
+        Stage::Shbg,
+        Stage::Candidates,
+    ] {
+        assert_eq!(StageSet::ALL.without(core), StageSet::ALL, "{core}");
+        assert!(set.without(core).contains(core), "{core}");
+    }
+}
+
+#[test]
+fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
+    use std::time::Duration;
+    let stages = [
+        Stage::Harness,
+        Stage::Pointer,
+        Stage::Shbg,
+        Stage::Candidates,
+        Stage::Prefilter,
+        Stage::Refute,
+        Stage::Histories,
+        Stage::Triage,
+        Stage::Compare,
+    ];
+    for (app, _) in [
+        corpus::prefilter_idioms::prefilter_idioms_app(),
+        corpus::protocol_idioms::pause_unregister(),
+    ] {
+        let full = Sierra::new().analyze_app(app.clone());
+        let t = full.metrics.timings;
+        let sum: Duration = stages.iter().map(|&s| t.of(s)).sum();
+        assert!(sum <= t.total, "{sum:?} of stages > {:?} total", t.total);
+
+        for removed in [
+            Stage::Prefilter,
+            Stage::Refute,
+            Stage::Histories,
+            Stage::Triage,
+            Stage::Compare,
+        ] {
+            let cfg = SierraConfig::builder().without(removed).build();
+            let r = Sierra::with_config(cfg).analyze_app(app.clone());
+            let m = &r.metrics;
+            for stage in stages.iter().filter(|&&s| !cfg.stages.contains(s)) {
+                assert_eq!(
+                    m.timings.of(*stage),
+                    Duration::ZERO,
+                    "{stage} without {removed}"
+                );
+            }
+            let zero = match removed {
+                Stage::Prefilter => m.prefilter == Default::default(),
+                Stage::Refute => m.refuter == Default::default(),
+                Stage::Histories => m.histories == Default::default(),
+                Stage::Triage => m.triage == Default::default(),
+                _ => r.racy_pairs_without_as == 0,
+            };
+            assert!(zero, "{removed} recorded counters while removed");
         }
     }
 }

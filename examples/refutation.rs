@@ -9,15 +9,15 @@
 //! ```
 
 use sierra::corpus::figures;
-use sierra::sierra_core::{Sierra, SierraConfig};
+use sierra::sierra_core::{Sierra, SierraConfig, Stage};
 
 fn main() {
     let (app, _) = figures::open_sudoku_guard();
     let with_refutation = Sierra::new().analyze_app(app);
 
     let (app, _) = figures::open_sudoku_guard();
-    let without =
-        Sierra::with_config(SierraConfig::builder().skip_refutation().build()).analyze_app(app);
+    let without = Sierra::with_config(SierraConfig::builder().without(Stage::Refute).build())
+        .analyze_app(app);
 
     println!(
         "candidate racy pairs: {}  → after refutation: {}",

@@ -11,7 +11,7 @@
 
 use corpus::{protocol_idioms, twenty, GroundTruth, RaceLabel};
 use pointer::Access;
-use sierra_core::{Sierra, SierraConfig, SierraResult, Verdict};
+use sierra_core::{Sierra, SierraConfig, SierraResult, Stage, Verdict};
 use std::collections::HashSet;
 
 fn pair_key(a: &Access, b: &Access) -> String {
@@ -34,8 +34,8 @@ fn reported_groups(result: &SierraResult) -> Vec<(String, String)> {
 
 fn check_partition(name: &str, app: android_model::AndroidApp, truth: &GroundTruth) {
     let with = Sierra::new().analyze_app(app.clone());
-    let without =
-        Sierra::with_config(SierraConfig::builder().no_histories(true).build()).analyze_app(app);
+    let without = Sierra::with_config(SierraConfig::builder().without(Stage::Histories).build())
+        .analyze_app(app);
 
     assert!(with.histories_ran, "{name}");
     assert!(!without.histories_ran, "{name}");
@@ -196,7 +196,7 @@ fn protocol_fixtures_hit_each_refutation_pattern() {
 #[test]
 fn ablated_run_renders_without_any_histories_trace() {
     let (app, _) = protocol_idioms::pause_unregister();
-    let result = Sierra::with_config(SierraConfig::builder().no_histories(true).build())
+    let result = Sierra::with_config(SierraConfig::builder().without(Stage::Histories).build())
         .analyze_app(app.clone());
     let text = format!("{result}");
     assert!(

@@ -1,7 +1,7 @@
 //! End-to-end integration: the full pipeline over the corpus datasets.
 
 use sierra::corpus::{self, twenty, RaceLabel};
-use sierra::sierra_core::{Sierra, SierraConfig, SierraResult};
+use sierra::sierra_core::{Sierra, SierraConfig, SierraResult, Stage};
 
 fn groups(result: &SierraResult) -> Vec<(String, String)> {
     let p = &result.harness.app.program;
@@ -90,8 +90,8 @@ fn ranked_reports_put_app_pointer_races_first() {
 fn skipping_refutation_only_adds_reports() {
     let (app, _) = corpus::figures::open_sudoku_guard();
     let full = Sierra::new().analyze_app(app.clone());
-    let skipped =
-        Sierra::with_config(SierraConfig::builder().skip_refutation().build()).analyze_app(app);
+    let skipped = Sierra::with_config(SierraConfig::builder().without(Stage::Refute).build())
+        .analyze_app(app);
     let full_groups = groups(&full);
     let skipped_groups = groups(&skipped);
     for g in &full_groups {

@@ -8,7 +8,7 @@
 
 use corpus::{prefilter_idioms, twenty, GroundTruth};
 use pointer::{Access, SelectorKind};
-use sierra_core::{Sierra, SierraConfig, SierraResult, Verdict};
+use sierra_core::{Sierra, SierraConfig, SierraResult, Stage, Verdict};
 use std::collections::HashSet;
 
 fn pair_key(a: &Access, b: &Access) -> String {
@@ -31,8 +31,8 @@ fn reported_groups(result: &SierraResult) -> Vec<(String, String)> {
 
 fn check_app(name: &str, app: android_model::AndroidApp, truth: &GroundTruth) {
     let with = Sierra::new().analyze_app(app.clone());
-    let without =
-        Sierra::with_config(SierraConfig::builder().no_prefilter(true).build()).analyze_app(app);
+    let without = Sierra::with_config(SierraConfig::builder().without(Stage::Prefilter).build())
+        .analyze_app(app);
 
     // The prefilter only partitions the candidate set.
     assert_eq!(

@@ -5,7 +5,7 @@
 use sierra::corpus::twenty::synthesize;
 use sierra::eventracer::{detect, EventRacerConfig};
 use sierra::pointer::SelectorKind;
-use sierra::sierra_core::{Sierra, SierraConfig};
+use sierra::sierra_core::{Sierra, SierraConfig, Stage};
 use sierra_prng::SplitMix64;
 
 /// Any synthesized app passes IR validation and the full pipeline runs
@@ -53,8 +53,8 @@ fn shbg_is_a_strict_partial_order() {
         let (app, _) = synthesize("prop.hb", n, seed);
         let result = Sierra::with_config(
             SierraConfig::builder()
-                .compare_without_as(false)
-                .skip_refutation()
+                .without(Stage::Compare)
+                .without(Stage::Refute)
                 .build(),
         )
         .analyze_app(app);
@@ -121,8 +121,8 @@ fn context_abstraction_precision_ordering() {
         let count = |sel: SelectorKind| {
             let cfg = SierraConfig::builder()
                 .selector(sel)
-                .compare_without_as(false)
-                .skip_refutation()
+                .without(Stage::Compare)
+                .without(Stage::Refute)
                 .build();
             Sierra::with_config(cfg)
                 .analyze_app(app.clone())
@@ -150,7 +150,7 @@ fn text_round_trip_preserves_verdicts() {
         let reparsed = sierra::android_model::parse_app(&app.name, &text)
             .unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert!(reparsed.program.validate().is_ok());
-        let cfg = SierraConfig::builder().compare_without_as(false).build();
+        let cfg = SierraConfig::builder().without(Stage::Compare).build();
         let r1 = Sierra::with_config(cfg).analyze_app(app);
         let r2 = Sierra::with_config(cfg).analyze_app(reparsed);
         let key = |r: &sierra::sierra_core::SierraResult| {

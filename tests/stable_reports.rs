@@ -16,7 +16,7 @@
 
 use sierra::android_model::{parse_app, AndroidApp};
 use sierra::corpus;
-use sierra::sierra_core::{Harm, OpaquePolicy, Report, Sierra, SierraConfig};
+use sierra::sierra_core::{Harm, OpaquePolicy, Report, Sierra, SierraConfig, Stage};
 use std::path::{Path, PathBuf};
 
 /// Renders each app under `cfg`, one stable report after another.
@@ -71,13 +71,22 @@ fn reflection_resolve() -> String {
 /// prefilter, triage and reflection idiom apps, one section per config.
 fn ablations() -> String {
     let configs = [
-        ("no prefilter", SierraConfig::builder().no_prefilter(true)),
-        ("no histories", SierraConfig::builder().no_histories(true)),
-        ("no triage", SierraConfig::builder().no_triage(true)),
-        ("skip refutation", SierraConfig::builder().skip_refutation()),
+        (
+            "no prefilter",
+            SierraConfig::builder().without(Stage::Prefilter),
+        ),
+        (
+            "no histories",
+            SierraConfig::builder().without(Stage::Histories),
+        ),
+        ("no triage", SierraConfig::builder().without(Stage::Triage)),
+        (
+            "skip refutation",
+            SierraConfig::builder().without(Stage::Refute),
+        ),
         (
             "no compare",
-            SierraConfig::builder().compare_without_as(false),
+            SierraConfig::builder().without(Stage::Compare),
         ),
         (
             "min harm null-deref",
