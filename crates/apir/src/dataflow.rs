@@ -6,14 +6,12 @@
 //! of abstract states plus transfer functions, and [`solve`] iterates a
 //! deterministic block worklist to the least fixed point.
 //!
-//! Three levels of generality are provided:
+//! Two levels of generality are provided:
 //!
 //! - [`DataflowAnalysis`] — the full interface: per-statement transfer,
 //!   per-edge transfer (which may refute an edge outright, giving
-//!   SCCP-style executable-edge semantics), a widening hook for
-//!   infinite-height lattices, and either CFG direction.
-//! - [`GenKillAnalysis`] — the classic bit-vector special case (liveness,
-//!   reaching definitions); adapt with [`GenKill`].
+//!   SCCP-style executable-edge semantics) and a widening hook for
+//!   infinite-height lattices. Facts flow forward from the entry block.
 //! - [`solve_interprocedural`] — a summary-free interprocedural driver:
 //!   callee boundary states are joined over all call sites discovered
 //!   through a client-provided [`CallOracle`] (in practice the pointer
@@ -28,15 +26,6 @@ use crate::method::{Method, Terminator};
 use crate::program::Program;
 use crate::stmt::Stmt;
 use std::collections::{BTreeMap, VecDeque};
-
-/// Which way facts flow through the CFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from the entry block along CFG edges.
-    Forward,
-    /// Facts flow from the exit blocks against CFG edges.
-    Backward,
-}
 
 /// A join-semilattice of abstract states.
 ///
@@ -60,28 +49,20 @@ pub trait DataflowAnalysis {
     /// The abstract state attached to each block boundary.
     type State: JoinSemiLattice;
 
-    /// Flow direction (default forward).
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    /// The state at the flow boundary: the entry block (forward) or every
-    /// exit block (backward).
+    /// The state at the flow boundary: the entry block.
     fn boundary_state(&self, method: &Method) -> Self::State;
 
-    /// Applies one statement to the state. Statements are visited in
-    /// execution order for forward analyses and reverse order backward.
+    /// Applies one statement to the state, in execution order.
     fn transfer_stmt(&self, addr: StmtAddr, stmt: &Stmt, state: &mut Self::State);
 
-    /// Applies a block terminator to the state (e.g. liveness of a branch
-    /// condition). Runs after the statements (forward) or before them
-    /// (backward). Default: no effect.
+    /// Applies a block terminator to the state. Runs after the block's
+    /// statements. Default: no effect.
     fn transfer_terminator(&self, block: BlockId, term: &Terminator, state: &mut Self::State) {
         let _ = (block, term, state);
     }
 
-    /// Refines the state along the CFG edge `from → to` (stated in CFG
-    /// orientation for both directions). Returning `None` marks the edge
+    /// Refines the state along the CFG edge `from → to`. Returning
+    /// `None` marks the edge
     /// statically infeasible under `state` — the SCCP executable-edge
     /// semantics; such edges transmit nothing and never become
     /// executable. Default: every edge is feasible and unrefined.
@@ -117,25 +98,18 @@ pub trait DataflowAnalysis {
 /// The fixpoint of one method solve.
 #[derive(Debug, Clone)]
 pub struct DataflowResults<S> {
-    direction: Direction,
-    /// Per-block input state: at block entry (forward) or block exit
-    /// (backward). `None` = the block is unreached from the boundary.
+    /// Per-block input state at block entry. `None` = the block is
+    /// unreached from the boundary.
     inputs: Vec<Option<S>>,
-    /// Executable CFG edges `(from, to)`, sorted. In forward mode an edge
-    /// missing here while `from` is reached is statically infeasible.
+    /// Executable CFG edges `(from, to)`, sorted. An edge missing here
+    /// while `from` is reached is statically infeasible.
     exec_edges: Vec<(BlockId, BlockId)>,
     /// Worklist iterations (block visits) the solve took.
     pub iterations: usize,
 }
 
 impl<S> DataflowResults<S> {
-    /// The direction the analysis ran in.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    /// The input state of `block` (entry state forward, exit state
-    /// backward); `None` when the block is unreached.
+    /// The entry state of `block`; `None` when the block is unreached.
     pub fn block_input(&self, block: BlockId) -> Option<&S> {
         self.inputs[block.index()].as_ref()
     }
@@ -175,7 +149,6 @@ pub fn visit_forward<A: DataflowAnalysis>(
     results: &DataflowResults<A::State>,
     mut visit: impl FnMut(ProgramPoint<'_>, &A::State),
 ) {
-    debug_assert_eq!(results.direction, Direction::Forward);
     for (bid, block) in method.iter_blocks() {
         let Some(input) = results.block_input(bid) else {
             continue;
@@ -208,22 +181,8 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
     let mut joins: Vec<usize> = vec![0; n];
     let mut exec: Vec<(BlockId, BlockId)> = Vec::new();
     let mut worklist: VecDeque<BlockId> = VecDeque::new();
-    let direction = analysis.direction();
-
-    match direction {
-        Direction::Forward => {
-            inputs[method.entry().index()] = Some(boundary);
-            worklist.push_back(method.entry());
-        }
-        Direction::Backward => {
-            for (bid, _block) in method.iter_blocks() {
-                if method.succs(bid).is_empty() {
-                    inputs[bid.index()] = Some(boundary.clone());
-                    worklist.push_back(bid);
-                }
-            }
-        }
-    }
+    inputs[method.entry().index()] = Some(boundary);
+    worklist.push_back(method.entry());
 
     let mut iterations = 0usize;
     while let Some(b) = worklist.pop_front() {
@@ -233,47 +192,18 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
             None => continue,
         };
         let block = method.block(b);
-        match direction {
-            Direction::Forward => {
-                for (i, stmt) in block.stmts.iter().enumerate() {
-                    let addr = StmtAddr::new(method.id, b, i as u32);
-                    analysis.transfer_stmt(addr, stmt, &mut state);
-                }
-                analysis.transfer_terminator(b, &block.terminator, &mut state);
-                for &succ in method.succs(b) {
-                    let Some(es) =
-                        analysis.transfer_edge(method, b, &block.terminator, succ, &state)
-                    else {
-                        continue;
-                    };
-                    if propagate(
-                        analysis,
-                        &mut inputs,
-                        &mut joins,
-                        &mut exec,
-                        (b, succ),
-                        succ,
-                        es,
-                    ) {
-                        worklist.push_back(succ);
-                    }
-                }
-            }
-            Direction::Backward => {
-                analysis.transfer_terminator(b, &block.terminator, &mut state);
-                for (i, stmt) in block.stmts.iter().enumerate().rev() {
-                    let addr = StmtAddr::new(method.id, b, i as u32);
-                    analysis.transfer_stmt(addr, stmt, &mut state);
-                }
-                for &p in method.preds(b) {
-                    let term = &method.block(p).terminator;
-                    let Some(es) = analysis.transfer_edge(method, p, term, b, &state) else {
-                        continue;
-                    };
-                    if propagate(analysis, &mut inputs, &mut joins, &mut exec, (p, b), p, es) {
-                        worklist.push_back(p);
-                    }
-                }
+        for (i, stmt) in block.stmts.iter().enumerate() {
+            let addr = StmtAddr::new(method.id, b, i as u32);
+            analysis.transfer_stmt(addr, stmt, &mut state);
+        }
+        analysis.transfer_terminator(b, &block.terminator, &mut state);
+        for &succ in method.succs(b) {
+            let Some(es) = analysis.transfer_edge(method, b, &block.terminator, succ, &state)
+            else {
+                continue;
+            };
+            if propagate(analysis, &mut inputs, &mut joins, &mut exec, (b, succ), es) {
+                worklist.push_back(succ);
             }
         }
     }
@@ -281,25 +211,25 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
     exec.sort_unstable();
     exec.dedup();
     DataflowResults {
-        direction,
         inputs,
         exec_edges: exec,
         iterations,
     }
 }
 
-/// Joins `incoming` into the input of `target`, applying widening once
-/// the block has been re-joined too often. Returns whether `target` needs
-/// re-processing (first arrival over this edge, or a state change).
+/// Joins `incoming` into the input of the `edge`'s target, applying
+/// widening once the block has been re-joined too often. Returns whether
+/// the target needs re-processing (first arrival over this edge, or a
+/// state change).
 fn propagate<A: DataflowAnalysis>(
     analysis: &A,
     inputs: &mut [Option<A::State>],
     joins: &mut [usize],
     exec: &mut Vec<(BlockId, BlockId)>,
     edge: (BlockId, BlockId),
-    target: BlockId,
     incoming: A::State,
 ) -> bool {
+    let target = edge.1;
     let newly_exec = !exec.contains(&edge);
     if newly_exec {
         exec.push(edge);
@@ -322,157 +252,6 @@ fn propagate<A: DataflowAnalysis>(
         }
     };
     newly_exec || changed
-}
-
-// ---------------------------------------------------------------------------
-// Gen/kill bit-vector analyses
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity bit set; the lattice of the gen/kill analyses
-/// (union join).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty set able to hold elements `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            words: vec![0; capacity.div_ceil(64)],
-        }
-    }
-
-    /// Inserts `i`; returns whether it was new.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, 1u64 << (i % 64));
-        let fresh = self.words[w] & b == 0;
-        self.words[w] |= b;
-        fresh
-    }
-
-    /// Removes `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Whether `i` is present.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// `self -= other` (set difference).
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (d, s) in self.words.iter_mut().zip(&other.words) {
-            *d &= !s;
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates the elements in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + b)
-            })
-        })
-    }
-}
-
-impl JoinSemiLattice for BitSet {
-    fn join(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        for (d, s) in self.words.iter_mut().zip(&other.words) {
-            let nv = *d | s;
-            if nv != *d {
-                *d = nv;
-                changed = true;
-            }
-        }
-        changed
-    }
-}
-
-/// The classic bit-vector special case: each program point generates and
-/// kills set members; the transfer is `(state − kill) ∪ gen`.
-pub trait GenKillAnalysis {
-    /// Flow direction.
-    fn direction(&self) -> Direction;
-
-    /// Size of the bit domain for this method (e.g. its local count).
-    fn domain_size(&self, method: &Method) -> usize;
-
-    /// Boundary state (default: empty set).
-    fn boundary(&self, method: &Method) -> BitSet {
-        BitSet::with_capacity(self.domain_size(method))
-    }
-
-    /// Gen/kill sets of one statement.
-    fn transfer(&self, addr: StmtAddr, stmt: &Stmt, gen: &mut BitSet, kill: &mut BitSet);
-
-    /// Gen/kill sets of a terminator (default: none).
-    fn transfer_terminator(
-        &self,
-        block: BlockId,
-        term: &Terminator,
-        gen: &mut BitSet,
-        kill: &mut BitSet,
-    ) {
-        let _ = (block, term, gen, kill);
-    }
-}
-
-/// Adapter running a [`GenKillAnalysis`] on the full framework.
-pub struct GenKill<A>(pub A);
-
-impl<A: GenKillAnalysis> GenKill<A> {
-    fn apply(&self, state: &mut BitSet, mut fill: impl FnMut(&A, &mut BitSet, &mut BitSet)) {
-        let cap = state.words.len() * 64;
-        let mut gen = BitSet::with_capacity(cap);
-        let mut kill = BitSet::with_capacity(cap);
-        fill(&self.0, &mut gen, &mut kill);
-        state.subtract(&kill);
-        state.join(&gen);
-    }
-}
-
-impl<A: GenKillAnalysis> DataflowAnalysis for GenKill<A> {
-    type State = BitSet;
-
-    fn direction(&self) -> Direction {
-        self.0.direction()
-    }
-
-    fn boundary_state(&self, method: &Method) -> BitSet {
-        self.0.boundary(method)
-    }
-
-    fn transfer_stmt(&self, addr: StmtAddr, stmt: &Stmt, state: &mut BitSet) {
-        self.apply(state, |a, gen, kill| a.transfer(addr, stmt, gen, kill));
-    }
-
-    fn transfer_terminator(&self, block: BlockId, term: &Terminator, state: &mut BitSet) {
-        self.apply(state, |a, gen, kill| {
-            a.transfer_terminator(block, term, gen, kill);
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +298,6 @@ pub fn solve_interprocedural<A: InterproceduralAnalysis>(
     roots: &[MethodId],
     analysis: &A,
 ) -> InterResults<A::State> {
-    debug_assert!(matches!(analysis.direction(), Direction::Forward));
     let mut boundaries: BTreeMap<MethodId, A::State> = BTreeMap::new();
     let mut results: BTreeMap<MethodId, DataflowResults<A::State>> = BTreeMap::new();
     let mut worklist: VecDeque<MethodId> = VecDeque::new();
@@ -601,8 +379,7 @@ mod tests {
     use super::*;
     use crate::ids::Local;
     use crate::method::BasicBlock;
-    use crate::stmt::{BinOp, ConstValue, Operand};
-    use crate::ty::Type;
+    use crate::stmt::{ConstValue, Operand};
     use crate::{InvokeKind, Origin, ProgramBuilder};
 
     /// Flat constant environment used by the framework tests: locals
@@ -750,87 +527,6 @@ mod tests {
                 (BlockId(3), Some(ConstValue::Int(1))),
             ]
         );
-    }
-
-    /// Liveness as the canonical backward gen/kill instance.
-    struct Liveness;
-
-    impl GenKillAnalysis for Liveness {
-        fn direction(&self) -> Direction {
-            Direction::Backward
-        }
-
-        fn domain_size(&self, method: &Method) -> usize {
-            method.local_count as usize
-        }
-
-        fn transfer(&self, _addr: StmtAddr, stmt: &Stmt, gen: &mut BitSet, kill: &mut BitSet) {
-            // Backward order: uses are generated, the def is killed; a
-            // statement both using and defining a local keeps it live
-            // because gen is applied after kill.
-            if let Some(d) = stmt.def() {
-                kill.insert(d.index());
-            }
-            for u in stmt.uses() {
-                gen.insert(u.index());
-            }
-        }
-
-        fn transfer_terminator(
-            &self,
-            _block: BlockId,
-            term: &Terminator,
-            gen: &mut BitSet,
-            _kill: &mut BitSet,
-        ) {
-            let used = match term {
-                Terminator::If { cond, .. } => cond.as_local(),
-                Terminator::Return(Some(op)) => op.as_local(),
-                _ => None,
-            };
-            if let Some(l) = used {
-                gen.insert(l.index());
-            }
-        }
-    }
-
-    #[test]
-    fn backward_liveness_over_a_branch() {
-        // b0: l1 = l0 + 1; if l1 -> b1 else b2
-        // b1: ret l1    b2: ret l2
-        let mut b0 = BasicBlock::new();
-        b0.stmts.push(Stmt::BinOp {
-            dst: Local(1),
-            op: BinOp::Add,
-            lhs: Operand::Local(Local(0)),
-            rhs: Operand::Const(ConstValue::Int(1)),
-        });
-        b0.terminator = Terminator::If {
-            cond: Operand::Local(Local(1)),
-            then_bb: BlockId(1),
-            else_bb: BlockId(2),
-        };
-        let mut b1 = BasicBlock::new();
-        b1.terminator = Terminator::Return(Some(Operand::Local(Local(1))));
-        let mut b2 = BasicBlock::new();
-        b2.terminator = Terminator::Return(Some(Operand::Local(Local(2))));
-        let blocks = vec![b0, b1, b2];
-        let m = Method {
-            id: MethodId(0),
-            class: crate::ClassId(0),
-            name: crate::Symbol(0),
-            param_count: 1,
-            ret: Some(Type::Int),
-            is_static: true,
-            is_abstract: false,
-            local_count: 3,
-            cfg: crate::Cfg::build(&blocks),
-            blocks,
-        };
-        let r = solve(&m, &GenKill(Liveness));
-        // Exit state of b0 = live-in of its successors: l1 (b1) ∪ l2 (b2).
-        let live_out_b0: Vec<usize> = r.block_input(BlockId(0)).unwrap().iter().collect();
-        assert_eq!(live_out_b0, vec![1, 2]);
     }
 
     /// A saturating counter lattice with genuinely infinite ascent unless
@@ -1120,117 +816,5 @@ mod tests {
         assert_eq!(r.solves, 1);
         assert_eq!(r.per_method.len(), 1);
         assert!(r.per_method.contains_key(&main));
-    }
-
-    #[test]
-    fn bitset_operations() {
-        let mut s = BitSet::with_capacity(130);
-        assert!(s.is_empty());
-        assert!(s.insert(0));
-        assert!(s.insert(129));
-        assert!(!s.insert(129));
-        assert!(s.contains(129) && !s.contains(64));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
-        s.remove(0);
-        assert!(!s.contains(0));
-        let mut t = BitSet::with_capacity(130);
-        t.insert(5);
-        assert!(t.join(&s));
-        assert!(!t.join(&s), "join is idempotent");
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![5, 129]);
-        let mut u = t.clone();
-        u.subtract(&s);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![5]);
-        assert!(!s.le(&t) || t.le(&t));
-        assert!(t.le(&t), "le is reflexive");
-    }
-
-    mod lattice_laws {
-        use super::*;
-        use sierra_prng::SplitMix64;
-
-        fn random_bitset(rng: &mut SplitMix64, cap: usize) -> BitSet {
-            let mut s = BitSet::with_capacity(cap);
-            for _ in 0..rng.usize(cap) {
-                s.insert(rng.usize(cap));
-            }
-            s
-        }
-
-        /// Join must be commutative, associative, idempotent, and induce
-        /// a consistent partial order — on 256 random set triples.
-        #[test]
-        fn bitset_join_laws_hold() {
-            let mut rng = SplitMix64::new(0xDA7AF10);
-            for _ in 0..256 {
-                let cap = 1 + rng.usize(100);
-                let a = random_bitset(&mut rng, cap);
-                let b = random_bitset(&mut rng, cap);
-                let c = random_bitset(&mut rng, cap);
-
-                let mut ab = a.clone();
-                ab.join(&b);
-                let mut ba = b.clone();
-                ba.join(&a);
-                assert_eq!(ab, ba, "commutative");
-
-                let mut ab_c = ab.clone();
-                ab_c.join(&c);
-                let mut bc = b.clone();
-                bc.join(&c);
-                let mut a_bc = a.clone();
-                a_bc.join(&bc);
-                assert_eq!(ab_c, a_bc, "associative");
-
-                let mut aa = a.clone();
-                assert!(!aa.join(&a), "idempotent");
-
-                assert!(a.le(&ab) && b.le(&ab), "join is an upper bound");
-                assert!(a.le(&a), "reflexive");
-            }
-        }
-
-        /// Gen/kill transfers are monotone: s1 ≤ s2 ⇒ f(s1) ≤ f(s2),
-        /// on randomized states and random statement shapes.
-        #[test]
-        fn gen_kill_transfer_is_monotone() {
-            let mut rng = SplitMix64::new(0x90709);
-            let lv = GenKill(Liveness);
-            for _ in 0..256 {
-                let cap = 8;
-                let s1 = random_bitset(&mut rng, cap);
-                let mut s2 = s1.clone();
-                s2.join(&random_bitset(&mut rng, cap));
-                let stmt = match rng.usize(4) {
-                    0 => Stmt::Const {
-                        dst: Local(rng.usize(cap) as u32),
-                        value: ConstValue::Int(rng.range_i64(0, 9)),
-                    },
-                    1 => Stmt::Move {
-                        dst: Local(rng.usize(cap) as u32),
-                        src: Local(rng.usize(cap) as u32),
-                    },
-                    2 => Stmt::BinOp {
-                        dst: Local(rng.usize(cap) as u32),
-                        op: BinOp::Add,
-                        lhs: Operand::Local(Local(rng.usize(cap) as u32)),
-                        rhs: Operand::Local(Local(rng.usize(cap) as u32)),
-                    },
-                    _ => Stmt::Load {
-                        dst: Local(rng.usize(cap) as u32),
-                        obj: Local(rng.usize(cap) as u32),
-                        field: crate::FieldId(0),
-                    },
-                };
-                let addr = StmtAddr::new(MethodId(0), BlockId(0), 0);
-                let mut t1 = s1.clone();
-                let mut t2 = s2.clone();
-                lv.transfer_stmt(addr, &stmt, &mut t1);
-                lv.transfer_stmt(addr, &stmt, &mut t2);
-                assert!(s1.le(&s2), "precondition");
-                assert!(t1.le(&t2), "monotone transfer: {stmt:?}");
-            }
-        }
     }
 }

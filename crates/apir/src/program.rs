@@ -185,16 +185,6 @@ impl Program {
             .expect("call site addresses a statement")
     }
 
-    /// Number of allocation sites.
-    pub fn alloc_site_count(&self) -> usize {
-        self.alloc_sites.len()
-    }
-
-    /// Number of call sites.
-    pub fn call_site_count(&self) -> usize {
-        self.call_sites.len()
-    }
-
     /// The origin of the class declaring `method`.
     pub fn method_origin(&self, method: MethodId) -> Origin {
         self.class(self.method(method).class).origin

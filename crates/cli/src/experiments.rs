@@ -10,96 +10,32 @@ use apir::SymbolArena;
 use corpus::{fdroid, twenty, EvalCounts, GroundTruth, HarmEval};
 use eventracer::EventRacerConfig;
 use sierra_core::{
-    run_jobs, EngineError, Report, SessionBuilder, Sierra, SierraConfig, SierraResult,
-    StageTimings, SummaryStore,
+    run_jobs, AnalysisSession, EngineError, Report, SessionBuilder, Sierra, SierraResult,
+    StageMetrics,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Everything measured for one app (one row of Tables 3 and 4).
+/// One app's row of Tables 3–5: its analysis [`Report`] plus the
+/// columns that are not analysis output.
 #[derive(Debug, Clone, Default)]
 pub struct AppRow {
     /// App name.
     pub name: String,
-    /// Set when the app's analysis panicked; every other field is then
-    /// zero and the row is excluded from medians.
+    /// Set when the app's analysis panicked; the report is then empty
+    /// and the row is excluded from medians.
     pub error: Option<String>,
-    /// Number of generated harnesses.
-    pub harnesses: usize,
-    /// Number of actions (SHBG nodes).
-    pub actions: usize,
-    /// HB edges (ordered pairs in the closed SHBG).
-    pub hb_edges: usize,
-    /// Percentage of the theoretical maximum.
-    pub ordered_pct: f64,
-    /// Racy pairs without action sensitivity.
-    pub racy_without_as: usize,
-    /// Racy pairs with action sensitivity.
-    pub racy_with_as: usize,
-    /// Race reports after refutation.
-    pub after_refutation: usize,
+    /// The analysis report every table column except the four below
+    /// is read from.
+    pub report: Report,
     /// Ground-truth evaluation of SIERRA's reports.
     pub sierra_eval: EvalCounts,
-    /// Callback recall measured by the soundness audit, in percent
-    /// (reachable harness-known callbacks / all harness-known ones).
-    pub soundness_reach_pct: f64,
-    /// Call sites the soundness audit left unresolved (all reasons).
-    pub soundness_unres: usize,
-    /// Unresolved reflective sites (`forName`/`newInstance`/`invoke`).
-    pub soundness_refl: usize,
-    /// Unresolved intent-dispatch sites (`setClass`/`startActivity`/
-    /// `sendBroadcast`).
-    pub soundness_intent: usize,
-    /// Reports triaged crash-capable (null-deref + use-before-init).
-    pub triage_crash: usize,
-    /// Reports triaged value-inconsistency.
-    pub triage_value: usize,
-    /// Reports triaged likely-benign.
-    pub triage_benign: usize,
     /// Ground-truth scoring of the crash-capable verdicts.
     pub harm_eval: HarmEval,
-    /// Dataflow worklist iterations spent by the triage stage.
-    pub triage_iters: usize,
-    /// Pairs the message-history stage subjected to the product check.
-    pub hist_checked: usize,
-    /// Pairs the message-history stage discharged as unrealizable.
-    pub hist_discharged: usize,
-    /// Dead-callback CFG edges the history model exported to the refuter.
-    pub hist_infeasible: usize,
     /// Ground-truth evaluation of EventRacer's reports.
     pub eventracer_eval: EvalCounts,
     /// Races EventRacer reported.
     pub eventracer_races: usize,
-    /// Per-method summaries served from the configured store (zero
-    /// when the run has no store).
-    pub summaries_reused: usize,
-    /// Per-method summaries recomputed this run.
-    pub summaries_recomputed: usize,
-    /// Framework summaries served from the corpus-shared layer.
-    pub summaries_shared: usize,
-    /// Whether the whole points-to `Analysis` was reused (in-memory
-    /// hit or persisted artifact blob).
-    pub analysis_reused: bool,
-    /// Corrupt cache entries this app's session treated as misses.
-    pub cache_corrupt_misses: usize,
-    /// Pointer-analysis worklist iterations.
-    pub pa_worklist_iters: usize,
-    /// Constraint-graph SCCs collapsed online by the pointer solver.
-    pub pa_collapsed_sccs: usize,
-    /// Constraint-graph nodes folded away by cycle collapse.
-    pub pa_collapsed_nodes: usize,
-    /// Call-graph edges.
-    pub cg_edges: usize,
-    /// SHBG rule applications (all rules).
-    pub shbg_rule_apps: usize,
-    /// Refuter paths explored.
-    pub refuter_paths: usize,
-    /// Candidate pairs pruned by the prefilter (escape + guard + constprop).
-    pub pruned_pairs: usize,
-    /// Statically-infeasible branch edges found by constant propagation.
-    pub infeasible_edges: usize,
-    /// Per-stage wall-clock times.
-    pub timings: StageTimings,
 }
 
 impl AppRow {
@@ -112,50 +48,15 @@ impl AppRow {
         }
     }
 
-    /// Every field of a row the unified [`Report`] carries — the Table
-    /// 3/4 printers render these, so table numbers, `Display` output,
-    /// and the serve protocol's JSON all come from one value. The
-    /// ground-truth and EventRacer columns are not analysis output;
-    /// [`run_app`] fills them afterwards.
-    pub fn from_report(name: &str, report: &Report) -> Self {
-        let m = &report.metrics;
-        Self {
-            name: name.to_owned(),
-            error: None,
-            harnesses: report.harness_count,
-            actions: report.action_count,
-            hb_edges: report.hb_edges,
-            ordered_pct: report.hb_percent(),
-            racy_without_as: report.racy_pairs_without_as,
-            racy_with_as: report.racy_pairs_with_as,
-            after_refutation: report.race_lines.len(),
-            soundness_reach_pct: m.soundness.recall_pct(),
-            soundness_unres: m.soundness.unresolved_sites,
-            soundness_refl: m.soundness.reflective_sites,
-            soundness_intent: m.soundness.intent_sites,
-            triage_crash: m.triage.null_deref + m.triage.use_before_init,
-            triage_value: m.triage.value_inconsistency,
-            triage_benign: m.triage.likely_benign,
-            triage_iters: m.triage.dataflow_iterations,
-            hist_checked: m.histories.pairs_checked,
-            hist_discharged: m.histories.discharged_total(),
-            hist_infeasible: m.histories.infeasible_exported,
-            summaries_reused: m.link.summaries_reused,
-            summaries_recomputed: m.link.summaries_recomputed,
-            summaries_shared: m.link.summaries_shared,
-            analysis_reused: m.link.analysis_reused,
-            cache_corrupt_misses: m.link.corrupt_misses,
-            pa_worklist_iters: m.pointer.worklist_iterations,
-            pa_collapsed_sccs: m.pointer.collapsed_sccs,
-            pa_collapsed_nodes: m.pointer.collapsed_nodes,
-            cg_edges: m.pointer.cg_edges,
-            shbg_rule_apps: m.shbg.total_applications(),
-            refuter_paths: m.refuter.paths,
-            pruned_pairs: m.prefilter.pruned_total(),
-            infeasible_edges: m.prefilter.infeasible_edges,
-            timings: m.timings,
-            ..Self::default()
-        }
+    /// Race reports after refutation.
+    fn races(&self) -> usize {
+        self.report.race_lines.len()
+    }
+
+    /// Reports triaged crash-capable (null-deref + use-before-init).
+    fn crash(&self) -> usize {
+        let t = &self.report.metrics.triage;
+        t.null_deref + t.use_before_init
     }
 }
 
@@ -191,96 +92,43 @@ pub fn sierra_groups(result: &SierraResult) -> Vec<(String, String)> {
     v
 }
 
-/// The persistence layer of a corpus run: the summary/artifact store
-/// every app's session consults, plus (optionally) the corpus-wide
-/// shared layer for framework-origin summaries. The two are usually
-/// the same backing store — their key spaces are disjoint by
-/// fingerprint — but a run may also share across per-app stores.
-#[derive(Clone)]
-pub struct CorpusCache {
-    /// Per-app summary + analysis-artifact store.
-    pub store: Arc<dyn SummaryStore>,
-    /// Corpus-shared framework-summary layer, consulted before `store`
-    /// for framework-origin methods.
-    pub shared: Option<Arc<dyn SummaryStore>>,
-}
-
-impl CorpusCache {
-    /// A cache over one store; `shared` additionally promotes
-    /// framework summaries into the same store for corpus-wide reuse.
-    pub fn new(store: Arc<dyn SummaryStore>, shared: bool) -> Self {
-        let shared = shared.then(|| Arc::clone(&store));
-        Self { store, shared }
-    }
-}
-
-/// Runs the full pipeline on one app, routing the session through the
-/// cache's stores when one is configured. Panics on an internal stage
-/// failure, mirroring [`Sierra::analyze_app`].
-pub fn analyze_app_cached(
-    sierra_cfg: SierraConfig,
-    app: android_model::AndroidApp,
-    cache: Option<&CorpusCache>,
-) -> SierraResult {
-    let Some(cache) = cache else {
-        return Sierra::with_config(sierra_cfg).analyze_app(app);
-    };
-    let mut builder = SessionBuilder::new(sierra_cfg)
-        .app(app)
-        .store(Arc::clone(&cache.store));
-    if let Some(shared) = &cache.shared {
-        builder = builder.shared_store(Arc::clone(shared));
-    }
-    builder
-        .build()
-        .and_then(|session| session.finish())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs SIERRA + EventRacer + ground-truth scoring on one app.
+/// Runs SIERRA + EventRacer + ground-truth scoring on one app; the
+/// session is `template` with the app as its input, so a template with
+/// a store reuses per-method summaries and whole points-to artifacts.
+/// Reuse never changes the row's analysis columns — only the cache
+/// counters and the time spent. Panics on an internal stage failure,
+/// mirroring [`Sierra::analyze_app`].
 pub fn run_app(
     name: &str,
     app: android_model::AndroidApp,
     truth: &GroundTruth,
-    sierra_cfg: SierraConfig,
+    template: &SessionBuilder,
     er_cfg: &EventRacerConfig,
-) -> AppRow {
-    run_app_cached(name, app, truth, sierra_cfg, er_cfg, None)
-}
-
-/// [`run_app`] with an optional persistence layer: sessions then reuse
-/// per-method summaries and whole points-to artifacts from `cache`
-/// instead of recomputing them. Reuse never changes the row's analysis
-/// columns — only the cache counters and the time spent.
-pub fn run_app_cached(
-    name: &str,
-    app: android_model::AndroidApp,
-    truth: &GroundTruth,
-    sierra_cfg: SierraConfig,
-    er_cfg: &EventRacerConfig,
-    cache: Option<&CorpusCache>,
 ) -> AppRow {
     let er_report = eventracer::detect(&app, er_cfg);
-    let result = analyze_app_cached(sierra_cfg, app, cache);
+    let result = template
+        .clone()
+        .app(app)
+        .build()
+        .and_then(AnalysisSession::finish)
+        .unwrap_or_else(|e| panic!("{e}"));
 
     let s_groups = sierra_groups(&result);
-    let sierra_eval = truth.evaluate(s_groups.iter().map(|(c, f)| (c.as_str(), f.as_str())));
     let e_groups = er_report.race_groups();
-    let eventracer_eval = truth.evaluate(e_groups.iter().map(|(c, f)| (c.as_str(), f.as_str())));
-
     let harm_verdicts = sierra_harm_verdicts(&result);
-    let harm_eval = truth.evaluate_harm(
-        harm_verdicts
-            .iter()
-            .map(|(c, f, x)| (c.as_str(), f.as_str(), *x)),
-    );
-
-    let mut row = AppRow::from_report(name, &Report::from_result(&result));
-    row.sierra_eval = sierra_eval;
-    row.harm_eval = harm_eval;
-    row.eventracer_eval = eventracer_eval;
-    row.eventracer_races = er_report.races.len();
-    row
+    AppRow {
+        name: name.to_owned(),
+        error: None,
+        report: Report::from_result(&result),
+        sierra_eval: truth.evaluate(s_groups.iter().map(|(c, f)| (c.as_str(), f.as_str()))),
+        harm_eval: truth.evaluate_harm(
+            harm_verdicts
+                .iter()
+                .map(|(c, f, x)| (c.as_str(), f.as_str(), *x)),
+        ),
+        eventracer_eval: truth.evaluate(e_groups.iter().map(|(c, f)| (c.as_str(), f.as_str()))),
+        eventracer_races: er_report.races.len(),
+    }
 }
 
 fn row_or_error(outcome: Result<AppRow, EngineError>) -> AppRow {
@@ -290,29 +138,23 @@ fn row_or_error(outcome: Result<AppRow, EngineError>) -> AppRow {
     }
 }
 
-/// Runs the 20-app dataset (Tables 3 and 4) on `jobs` workers.
-pub fn run_twenty(sierra_cfg: SierraConfig, er_cfg: &EventRacerConfig, jobs: usize) -> Vec<AppRow> {
-    run_twenty_cached(sierra_cfg, er_cfg, jobs, None)
-}
-
-/// [`run_twenty`] against an optional persistence layer. Apps are built
-/// on the caller's thread over one corpus-wide symbol arena, then
-/// analyzed on `jobs` workers. Workers share the cache: a second pass
-/// over the same store reuses every unchanged summary and points-to
-/// artifact, and with a shared layer each framework-method summary is
-/// computed once corpus-wide.
-pub fn run_twenty_cached(
-    sierra_cfg: SierraConfig,
+/// Runs the 20-app dataset (Tables 3 and 4): apps are built on the
+/// caller's thread over one corpus-wide symbol arena, then analyzed
+/// from `template` on `jobs` workers. Workers share the template's
+/// store: a second pass over the same store reuses every unchanged
+/// summary and points-to artifact, and with a shared layer each
+/// framework-method summary is computed once corpus-wide.
+pub fn run_twenty(
+    template: &SessionBuilder,
     er_cfg: &EventRacerConfig,
     jobs: usize,
-    cache: Option<&CorpusCache>,
 ) -> Vec<AppRow> {
     let items: Vec<(String, _)> = twenty::build_all_with(Some(Arc::new(SymbolArena::new())))
         .into_iter()
         .map(|(spec, app, truth)| (spec.name.to_owned(), (app, truth)))
         .collect();
     run_jobs(jobs, items, |name, (app, truth)| {
-        run_app_cached(name, app, &truth, sierra_cfg, er_cfg, cache)
+        run_app(name, app, &truth, template, er_cfg)
     })
     .into_iter()
     .map(row_or_error)
@@ -320,26 +162,15 @@ pub fn run_twenty_cached(
 }
 
 /// Runs the first `count` apps of the 174-app dataset (Table 5) on
-/// `jobs` workers.
-pub fn run_fdroid(count: usize, sierra_cfg: SierraConfig, jobs: usize) -> Vec<AppRow> {
-    run_fdroid_cached(count, sierra_cfg, jobs, None)
-}
-
-/// [`run_fdroid`] against an optional persistence layer (see
-/// [`run_twenty_cached`]).
-pub fn run_fdroid_cached(
-    count: usize,
-    sierra_cfg: SierraConfig,
-    jobs: usize,
-    cache: Option<&CorpusCache>,
-) -> Vec<AppRow> {
+/// `jobs` workers (see [`run_twenty`]).
+pub fn run_fdroid(count: usize, template: &SessionBuilder, jobs: usize) -> Vec<AppRow> {
     let er_cfg = EventRacerConfig::default();
     let items: Vec<(String, _)> = fdroid::iter_apps_with(Some(Arc::new(SymbolArena::new())))
         .take(count)
         .map(|(i, app, truth)| (format!("app{i:03}"), (app, truth)))
         .collect();
     run_jobs(jobs, items, |name, (app, truth)| {
-        run_app_cached(name, app, &truth, sierra_cfg, &er_cfg, cache)
+        run_app(name, app, &truth, template, &er_cfg)
     })
     .into_iter()
     .map(row_or_error)
@@ -375,12 +206,13 @@ impl CacheStats {
     pub fn from_rows(rows: &[AppRow]) -> Self {
         let mut s = Self::default();
         for r in ok_rows(rows) {
+            let link = &r.report.metrics.link;
             s.apps += 1;
-            s.analyses_reused += usize::from(r.analysis_reused);
-            s.summaries_reused += r.summaries_reused;
-            s.summaries_recomputed += r.summaries_recomputed;
-            s.summaries_shared += r.summaries_shared;
-            s.corrupt_misses += r.cache_corrupt_misses;
+            s.analyses_reused += usize::from(link.analysis_reused);
+            s.summaries_reused += link.summaries_reused;
+            s.summaries_recomputed += link.summaries_recomputed;
+            s.summaries_shared += link.summaries_shared;
+            s.corrupt_misses += link.corrupt_misses;
         }
         s
     }
@@ -463,20 +295,20 @@ pub fn table3(rows: &[AppRow]) -> String {
         out.push_str(&format!(
             "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
             r.name,
-            r.harnesses,
-            r.actions,
-            r.hb_edges,
-            r.ordered_pct,
-            r.racy_without_as,
-            r.racy_with_as,
-            r.after_refutation,
+            r.report.harness_count,
+            r.report.action_count,
+            r.report.hb_edges,
+            r.report.hb_percent(),
+            r.report.racy_pairs_without_as,
+            r.report.racy_pairs_with_as,
+            r.races(),
             r.sierra_eval.true_races,
             r.sierra_eval.false_positives + r.sierra_eval.unplanted,
             r.sierra_eval.missed,
             r.eventracer_eval.true_races,
-            r.triage_crash,
-            r.triage_value,
-            r.triage_benign,
+            r.crash(),
+            r.report.metrics.triage.value_inconsistency,
+            r.report.metrics.triage.likely_benign,
         ));
     }
     out.push_str(&median_row(rows));
@@ -521,20 +353,20 @@ pub fn median_row(rows: &[AppRow]) -> String {
     format!(
         "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
         "MEDIAN",
-        m(&|r| r.harnesses as f64),
-        m(&|r| r.actions as f64),
-        m(&|r| r.hb_edges as f64),
-        m(&|r| r.ordered_pct),
-        m(&|r| r.racy_without_as as f64),
-        m(&|r| r.racy_with_as as f64),
-        m(&|r| r.after_refutation as f64),
+        m(&|r| r.report.harness_count as f64),
+        m(&|r| r.report.action_count as f64),
+        m(&|r| r.report.hb_edges as f64),
+        m(&|r| r.report.hb_percent()),
+        m(&|r| r.report.racy_pairs_without_as as f64),
+        m(&|r| r.report.racy_pairs_with_as as f64),
+        m(&|r| r.races() as f64),
         m(&|r| r.sierra_eval.true_races as f64),
         m(&|r| (r.sierra_eval.false_positives + r.sierra_eval.unplanted) as f64),
         m(&|r| r.sierra_eval.missed as f64),
         m(&|r| r.eventracer_eval.true_races as f64),
-        m(&|r| r.triage_crash as f64),
-        m(&|r| r.triage_value as f64),
-        m(&|r| r.triage_benign as f64),
+        m(&|r| r.crash() as f64),
+        m(&|r| r.report.metrics.triage.value_inconsistency as f64),
+        m(&|r| r.report.metrics.triage.likely_benign as f64),
     )
 }
 
@@ -571,58 +403,59 @@ pub fn table4(rows: &[AppRow]) -> String {
             out.push_str(&format!("{:<17} ERROR: {err}\n", r.name));
             continue;
         }
+        let m = &r.report.metrics;
         out.push_str(&format!(
             "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
             r.name,
-            ms(r.timings.cg_pa),
-            ms(r.timings.hbg),
-            ms(r.timings.prefilter),
-            ms(r.timings.refutation),
-            ms(r.timings.histories),
-            ms(r.timings.triage),
-            ms(r.timings.compare),
-            ms(r.timings.total),
-            r.pa_worklist_iters,
-            r.pa_collapsed_sccs,
-            r.pa_collapsed_nodes,
-            r.cg_edges,
-            r.shbg_rule_apps,
-            r.refuter_paths,
-            r.pruned_pairs,
-            r.infeasible_edges,
-            r.triage_iters,
-            r.hist_checked,
-            r.hist_discharged,
-            r.hist_infeasible,
+            ms(m.timings.cg_pa),
+            ms(m.timings.hbg),
+            ms(m.timings.prefilter),
+            ms(m.timings.refutation),
+            ms(m.timings.histories),
+            ms(m.timings.triage),
+            ms(m.timings.compare),
+            ms(m.timings.total),
+            m.pointer.worklist_iterations,
+            m.pointer.collapsed_sccs,
+            m.pointer.collapsed_nodes,
+            m.pointer.cg_edges,
+            m.shbg.total_applications(),
+            m.refuter.paths,
+            m.prefilter.pruned_total(),
+            m.prefilter.infeasible_edges,
+            m.triage.dataflow_iterations,
+            m.histories.pairs_checked,
+            m.histories.discharged_total(),
+            m.histories.infeasible_exported,
         ));
     }
     let ok = ok_rows(rows);
-    let med = |f: &dyn Fn(&AppRow) -> f64| {
-        median(&ok.iter().map(|r| f(r)).collect::<Vec<_>>()).unwrap_or(0.0)
+    let med = |f: &dyn Fn(&StageMetrics) -> f64| {
+        median(&ok.iter().map(|r| f(&r.report.metrics)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
         "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>5.0} {:>7.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
         "MEDIAN",
-        med(&|r| ms(r.timings.cg_pa)),
-        med(&|r| ms(r.timings.hbg)),
-        med(&|r| ms(r.timings.prefilter)),
-        med(&|r| ms(r.timings.refutation)),
-        med(&|r| ms(r.timings.histories)),
-        med(&|r| ms(r.timings.triage)),
-        med(&|r| ms(r.timings.compare)),
-        med(&|r| ms(r.timings.total)),
-        med(&|r| r.pa_worklist_iters as f64),
-        med(&|r| r.pa_collapsed_sccs as f64),
-        med(&|r| r.pa_collapsed_nodes as f64),
-        med(&|r| r.cg_edges as f64),
-        med(&|r| r.shbg_rule_apps as f64),
-        med(&|r| r.refuter_paths as f64),
-        med(&|r| r.pruned_pairs as f64),
-        med(&|r| r.infeasible_edges as f64),
-        med(&|r| r.triage_iters as f64),
-        med(&|r| r.hist_checked as f64),
-        med(&|r| r.hist_discharged as f64),
-        med(&|r| r.hist_infeasible as f64),
+        med(&|m| ms(m.timings.cg_pa)),
+        med(&|m| ms(m.timings.hbg)),
+        med(&|m| ms(m.timings.prefilter)),
+        med(&|m| ms(m.timings.refutation)),
+        med(&|m| ms(m.timings.histories)),
+        med(&|m| ms(m.timings.triage)),
+        med(&|m| ms(m.timings.compare)),
+        med(&|m| ms(m.timings.total)),
+        med(&|m| m.pointer.worklist_iterations as f64),
+        med(&|m| m.pointer.collapsed_sccs as f64),
+        med(&|m| m.pointer.collapsed_nodes as f64),
+        med(&|m| m.pointer.cg_edges as f64),
+        med(&|m| m.shbg.total_applications() as f64),
+        med(&|m| m.refuter.paths as f64),
+        med(&|m| m.prefilter.pruned_total() as f64),
+        med(&|m| m.prefilter.infeasible_edges as f64),
+        med(&|m| m.triage.dataflow_iterations as f64),
+        med(&|m| m.histories.pairs_checked as f64),
+        med(&|m| m.histories.discharged_total() as f64),
+        med(&|m| m.histories.infeasible_exported as f64),
     ));
     out
 }
@@ -645,33 +478,33 @@ pub fn table5(rows: &[AppRow]) -> String {
         "{:<17} {:>4} {:>7} {:>8} {:>5} {:>7} {:>6}\n",
         "", "Harn", "Actions", "HBedges", "Ord%", "RP-AS", "AfterR"
     ));
-    let m = |f: &dyn Fn(&AppRow) -> f64| {
-        median(&ok.iter().map(|r| f(r)).collect::<Vec<_>>()).unwrap_or(0.0)
+    let m = |f: &dyn Fn(&Report) -> f64| {
+        median(&ok.iter().map(|r| f(&r.report)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
         "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>6}\n",
         "MEDIAN",
-        m(&|r| r.harnesses as f64),
-        m(&|r| r.actions as f64),
+        m(&|r| r.harness_count as f64),
+        m(&|r| r.action_count as f64),
         m(&|r| r.hb_edges as f64),
-        m(&|r| r.ordered_pct),
-        m(&|r| r.racy_with_as as f64),
-        m(&|r| r.after_refutation as f64),
+        m(&|r| r.hb_percent()),
+        m(&|r| r.racy_pairs_with_as as f64),
+        m(&|r| r.race_lines.len() as f64),
     ));
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     out.push_str(&format!(
         "Efficiency medians: CG+PA {:.2} ms, HBG {:.2} ms, refutation {:.2} ms, total {:.2} ms\n",
-        m(&|r| ms(r.timings.cg_pa)),
-        m(&|r| ms(r.timings.hbg)),
-        m(&|r| ms(r.timings.refutation)),
-        m(&|r| ms(r.timings.total)),
+        m(&|r| ms(r.metrics.timings.cg_pa)),
+        m(&|r| ms(r.metrics.timings.hbg)),
+        m(&|r| ms(r.metrics.timings.refutation)),
+        m(&|r| ms(r.metrics.timings.total)),
     ));
     out.push_str(&format!(
         "Work medians: {:.0} PA worklist iterations, {:.0} CG edges, {:.0} HB rule applications, {:.0} refuter paths\n",
-        m(&|r| r.pa_worklist_iters as f64),
-        m(&|r| r.cg_edges as f64),
-        m(&|r| r.shbg_rule_apps as f64),
-        m(&|r| r.refuter_paths as f64),
+        m(&|r| r.metrics.pointer.worklist_iterations as f64),
+        m(&|r| r.metrics.pointer.cg_edges as f64),
+        m(&|r| r.metrics.shbg.total_applications() as f64),
+        m(&|r| r.metrics.refuter.paths as f64),
     ));
     out
 }
@@ -681,12 +514,11 @@ pub fn table5(rows: &[AppRow]) -> String {
 /// under the `ignore` opaque-call policy (see
 /// `corpus::reflection_idioms`).
 pub fn run_soundness_corpus(
-    sierra_cfg: SierraConfig,
+    template: &SessionBuilder,
     er_cfg: &EventRacerConfig,
     jobs: usize,
-    cache: Option<&CorpusCache>,
 ) -> Vec<AppRow> {
-    let mut rows = run_twenty_cached(sierra_cfg, er_cfg, jobs, cache);
+    let mut rows = run_twenty(template, er_cfg, jobs);
     for (name, (app, truth)) in [
         (
             "ReflectionIdioms",
@@ -697,7 +529,7 @@ pub fn run_soundness_corpus(
             corpus::reflection_idioms::intent_idioms_app(),
         ),
     ] {
-        rows.push(run_app_cached(name, app, &truth, sierra_cfg, er_cfg, cache));
+        rows.push(run_app(name, app, &truth, template, er_cfg));
     }
     rows
 }
@@ -717,14 +549,15 @@ pub fn table_soundness(policy: &str, rows: &[AppRow]) -> String {
             out.push_str(&format!("{:<17} ERROR: {err}\n", r.name));
             continue;
         }
+        let audit = &r.report.metrics.soundness;
         out.push_str(&format!(
             "{:<17} {:>6.1} {:>5} {:>5} {:>6} {:>6} {:>5} {:>5}\n",
             r.name,
-            r.soundness_reach_pct,
-            r.soundness_unres,
-            r.soundness_refl,
-            r.soundness_intent,
-            r.after_refutation,
+            audit.recall_pct(),
+            audit.unresolved_sites,
+            audit.reflective_sites,
+            audit.intent_sites,
+            r.races(),
             r.sierra_eval.true_races,
             r.sierra_eval.missed,
         ));
@@ -736,11 +569,11 @@ pub fn table_soundness(policy: &str, rows: &[AppRow]) -> String {
     out.push_str(&format!(
         "{:<17} {:>6.1} {:>5.0} {:>5.0} {:>6.0} {:>6.0} {:>5.0} {:>5.0}\n",
         "MEDIAN",
-        m(&|r| r.soundness_reach_pct),
-        m(&|r| r.soundness_unres as f64),
-        m(&|r| r.soundness_refl as f64),
-        m(&|r| r.soundness_intent as f64),
-        m(&|r| r.after_refutation as f64),
+        m(&|r| r.report.metrics.soundness.recall_pct()),
+        m(&|r| r.report.metrics.soundness.unresolved_sites as f64),
+        m(&|r| r.report.metrics.soundness.reflective_sites as f64),
+        m(&|r| r.report.metrics.soundness.intent_sites as f64),
+        m(&|r| r.races() as f64),
         m(&|r| r.sierra_eval.true_races as f64),
         m(&|r| r.sierra_eval.missed as f64),
     ));
@@ -768,8 +601,8 @@ pub fn soundness_summary(policies: &[(&str, &[AppRow])]) -> String {
         let ok = ok_rows(rows);
         let found: usize = ok.iter().map(|r| r.sierra_eval.true_races).sum();
         let missed: usize = ok.iter().map(|r| r.sierra_eval.missed).sum();
-        let reach =
-            median(&ok.iter().map(|r| r.soundness_reach_pct).collect::<Vec<_>>()).unwrap_or(0.0);
+        let reach = ok.iter().map(|r| r.report.metrics.soundness.recall_pct());
+        let reach = median(&reach.collect::<Vec<_>>()).unwrap_or(0.0);
         out.push_str(&format!(
             "soundness[{name:<7}]: race-recall {:.1}% ({found} found, {missed} missed), median callback reach {reach:.1}%\n",
             corpus_race_recall(rows),
@@ -787,7 +620,7 @@ pub fn comparison_summary(rows: &[AppRow]) -> String {
         "SIERRA:     avg {:.1} reports, {:.1} true races, {:.1} FPs, {:.1} missed\n\
          EventRacer: avg {:.1} reports, {:.1} true races, {:.1} FPs, {:.1} missed\n\
          → the dynamic detector misses {:.1} true races per app on average\n",
-        avg(&|r| r.after_refutation as f64),
+        avg(&|r| r.races() as f64),
         avg(&|r| r.sierra_eval.true_races as f64),
         avg(&|r| (r.sierra_eval.false_positives + r.sierra_eval.unplanted) as f64),
         avg(&|r| r.sierra_eval.missed as f64),
@@ -802,6 +635,11 @@ pub fn comparison_summary(rows: &[AppRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sierra_core::{SierraConfig, SummaryStore};
+
+    fn default_template() -> SessionBuilder {
+        SessionBuilder::new(SierraConfig::default())
+    }
 
     #[test]
     fn median_handles_odd_even_and_empty() {
@@ -827,17 +665,18 @@ mod tests {
             "fig1",
             app,
             &truth,
-            SierraConfig::default(),
+            &default_template(),
             &EventRacerConfig::default(),
         );
-        assert_eq!(row.harnesses, 1);
-        assert!(row.actions > 0);
-        assert!(row.racy_with_as <= row.racy_without_as);
-        assert!(row.after_refutation <= row.racy_with_as);
+        let (report, m) = (&row.report, &row.report.metrics);
+        assert_eq!(report.harness_count, 1);
+        assert!(report.action_count > 0);
+        assert!(report.racy_pairs_with_as <= report.racy_pairs_without_as);
+        assert!(row.races() <= report.racy_pairs_with_as);
         assert_eq!(row.sierra_eval.missed, 0);
-        assert!(row.pa_worklist_iters > 0);
-        assert!(row.cg_edges > 0);
-        assert!(row.shbg_rule_apps > 0);
+        assert!(m.pointer.worklist_iterations > 0);
+        assert!(m.pointer.cg_edges > 0);
+        assert!(m.shbg.total_applications() > 0);
         // Rendering includes the row and a median line.
         let t3 = table3(std::slice::from_ref(&row));
         assert!(t3.contains("fig1") && t3.contains("MEDIAN"));
@@ -863,16 +702,20 @@ mod tests {
         let row_for = |policy: sierra_core::OpaquePolicy| {
             let (app, truth) = corpus::reflection_idioms::intent_idioms_app();
             let cfg = SierraConfig::builder().opaque_policy(policy).build();
-            run_app_cached("IntentIdioms", app, &truth, cfg, &er, None)
+            run_app("IntentIdioms", app, &truth, &SessionBuilder::new(cfg), &er)
         };
         let ignore = vec![row_for(sierra_core::OpaquePolicy::Ignore)];
         let resolve = vec![row_for(sierra_core::OpaquePolicy::Resolve)];
 
         assert_eq!(ignore[0].sierra_eval.true_races, 0);
         assert_eq!(resolve[0].sierra_eval.missed, 0);
-        assert!(ignore[0].soundness_intent >= 2, "setClass + startActivity");
-        assert!(resolve[0].soundness_intent < ignore[0].soundness_intent);
-        assert!(resolve[0].soundness_reach_pct >= ignore[0].soundness_reach_pct);
+        let (ignored, resolved) = (
+            &ignore[0].report.metrics.soundness,
+            &resolve[0].report.metrics.soundness,
+        );
+        assert!(ignored.intent_sites >= 2, "setClass + startActivity");
+        assert!(resolved.intent_sites < ignored.intent_sites);
+        assert!(resolved.recall_pct() >= ignored.recall_pct());
         assert_eq!(corpus_race_recall(&ignore), 0.0);
         assert_eq!(corpus_race_recall(&resolve), 100.0);
 
@@ -899,30 +742,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store: Arc<dyn SummaryStore> =
             Arc::new(sierra_core::DiskStore::new(&dir).expect("cache dir"));
-        let cache = CorpusCache::new(store, true);
-        let cfg = SierraConfig::default();
+        let cached = default_template()
+            .store(Arc::clone(&store))
+            .shared_store(store);
         let er = EventRacerConfig::default();
-        let run = |cache: Option<&CorpusCache>| {
+        let run = |template: &SessionBuilder| {
             let (app, truth) = corpus::figures::intra_component();
-            run_app_cached("fig1", app, &truth, cfg, &er, cache)
+            run_app("fig1", app, &truth, template, &er)
         };
 
-        let cold = run(Some(&cache));
-        assert!(!cold.analysis_reused, "first pass computes everything");
-        assert!(cold.summaries_recomputed > 0);
+        let cold = run(&cached);
+        let link = cold.report.metrics.link;
+        assert!(!link.analysis_reused, "first pass computes everything");
+        assert!(link.summaries_recomputed > 0);
 
-        let warm = run(Some(&cache));
-        assert!(warm.analysis_reused, "second pass reuses the artifact");
-        assert_eq!(warm.summaries_recomputed, 0);
-        assert!(warm.summaries_reused > 0);
+        let warm = run(&cached);
+        let link = warm.report.metrics.link;
+        assert!(link.analysis_reused, "second pass reuses the artifact");
+        assert_eq!(link.summaries_recomputed, 0);
+        assert!(link.summaries_reused > 0);
 
         // Reuse never changes the analysis columns.
-        let baseline = run(None);
+        let baseline = run(&default_template());
         for row in [&cold, &warm] {
-            assert_eq!(row.actions, baseline.actions);
-            assert_eq!(row.hb_edges, baseline.hb_edges);
-            assert_eq!(row.racy_with_as, baseline.racy_with_as);
-            assert_eq!(row.after_refutation, baseline.after_refutation);
+            assert_eq!(row.report.render_stable(), baseline.report.render_stable());
         }
 
         let stats = CacheStats::from_rows(&[cold, warm]);
@@ -943,43 +786,36 @@ mod tests {
         // per-app stores: the second app's framework-origin methods are
         // all served from the layer the first app populated.
         let shared: Arc<dyn SummaryStore> = Arc::new(sierra_core::MemoryStore::new());
-        let cfg = SierraConfig::default();
+        let template = default_template().shared_store(shared);
         let er = EventRacerConfig::default();
         let run = |app, truth: &GroundTruth| {
-            let cache = CorpusCache {
-                store: Arc::new(sierra_core::MemoryStore::new()),
-                shared: Some(Arc::clone(&shared)),
-            };
-            run_app_cached("app", app, truth, cfg, &er, Some(&cache))
+            let private = Arc::new(sierra_core::MemoryStore::new());
+            run_app("app", app, truth, &template.clone().store(private), &er)
         };
         let (app1, truth1) = corpus::figures::intra_component();
-        let first = run(app1, &truth1);
+        let first = run(app1, &truth1).report.metrics.link;
         assert_eq!(first.summaries_shared, 0, "nothing to share yet");
 
         let (app2, truth2) = corpus::figures::inter_component();
-        let second = run(app2, &truth2);
+        let second = run(app2, &truth2).report.metrics.link;
         assert!(second.summaries_shared > 0, "framework summaries shared");
     }
 
     #[test]
     fn rows_derive_from_the_unified_report() {
         // The table printers and the `Display`/JSON renderers must agree
-        // because they read the same `Report` value.
-        let (app, _) = corpus::figures::intra_component();
-        let result = Sierra::new().analyze_app(app);
-        let report = Report::from_result(&result);
-        let row = AppRow::from_report("fig1", &report);
-        assert_eq!(row.harnesses, result.harness_count);
-        assert_eq!(row.actions, result.action_count);
-        assert_eq!(row.after_refutation, result.races.len());
-        assert_eq!(
-            row.pa_worklist_iters,
-            result.metrics.pointer.worklist_iterations
-        );
-        assert_eq!(row.pruned_pairs, result.metrics.prefilter.pruned_total());
-        // Evals stay zeroed until run_app fills them.
-        assert_eq!(row.sierra_eval.true_races, 0);
+        // because they read the same `Report` value: a row carries the
+        // report the direct analysis path renders.
+        let (app, truth) = corpus::figures::intra_component();
+        let result = Sierra::new().analyze_app(app.clone());
+        let er = EventRacerConfig::default();
+        let row = run_app("fig1", app, &truth, &default_template(), &er);
         assert!(row.error.is_none());
+        assert_eq!(
+            row.report.render_stable(),
+            Report::from_result(&result).render_stable()
+        );
+        assert_eq!(row.races(), result.races.len());
     }
 
     #[test]
@@ -989,7 +825,7 @@ mod tests {
             "fig1",
             app,
             &truth,
-            SierraConfig::default(),
+            &default_template(),
             &EventRacerConfig::default(),
         );
         let bad = AppRow::failed("broken.app", "index out of bounds");

@@ -21,9 +21,10 @@
 //!                       (reports then carry no harm annotation)
 //! --min-harm <LEVEL>    drop reports triaged below LEVEL: benign |
 //!                       value | use-before-init | null-deref
-//! --cache-dir <PATH>    persist per-method summaries to PATH (the
-//!                       `serve` subcommand's warm store; created if
-//!                       absent)
+//! --cache-dir <PATH>    persist per-method summaries and whole
+//!                       points-to artifacts to PATH (created if
+//!                       absent); every analyzing subcommand reuses
+//!                       them, and reuse never changes results
 //! --cache-max-mb <N>    cap the on-disk store (summary files and
 //!                       artifact blobs) at N megabytes, evicting
 //!                       oldest entries first (requires --cache-dir;
@@ -32,9 +33,6 @@
 //!                       framework-method summaries before per-app
 //!                       stores, so the framework slice is summarized
 //!                       once per corpus/serve process
-//! --no-artifact-cache   do not persist or load whole-`Analysis`
-//!                       artifact blobs (ablation; summary files and
-//!                       in-memory artifact reuse are unaffected)
 //! ```
 //!
 //! [`CommonFlags::parse`] consumes the recognized flags (and their
@@ -43,7 +41,8 @@
 //! own flags, [`reject_unknown_flags`] turns any `--flag` still left into
 //! an error, so a misspelt or removed flag never runs silently.
 
-use sierra_core::{SierraConfig, Stage};
+use sierra_core::{DiskStore, MemoryStore, SierraConfig, Stage, SummaryStore};
+use std::sync::Arc;
 
 /// Parsed values of the shared flags.
 #[derive(Debug, Clone, Default)]
@@ -64,10 +63,9 @@ pub struct CommonFlags {
 impl CommonFlags {
     /// Extracts `--context`, `--budget`, `--jobs`, `--no-prefilter`,
     /// `--no-cycle-collapse`, `--opaque-policy`, `--no-histories`,
-    /// `--no-triage`, `--min-harm`, `--cache-dir`, `--cache-max-mb`,
-    /// `--shared-store`, and `--no-artifact-cache` from `args`, removing
-    /// each recognized flag (and its value, if any). Unknown flags and
-    /// positionals are untouched.
+    /// `--no-triage`, `--min-harm`, `--cache-dir`, `--cache-max-mb` and
+    /// `--shared-store` from `args`, removing each recognized flag (and
+    /// its value, if any). Unknown flags and positionals are untouched.
     pub fn parse(args: &mut Vec<String>) -> Result<Self, String> {
         let mut builder = SierraConfig::builder();
         let mut jobs = 0usize;
@@ -80,9 +78,6 @@ impl CommonFlags {
             None => None,
         };
         let shared_store = take_switch(args, "--shared-store");
-        if take_switch(args, "--no-artifact-cache") {
-            builder = builder.no_artifact_cache(true);
-        }
         if let Some(spec) = take_flag(args, "--context")? {
             let selector = spec
                 .parse()
@@ -127,6 +122,24 @@ impl CommonFlags {
             shared_store,
             config: builder.build(),
         })
+    }
+
+    /// Opens the summary store sessions share: on-disk under
+    /// `--cache-dir` when given (created if absent; capped at
+    /// `--cache-max-mb` megabytes with oldest-first eviction when
+    /// given), in-memory otherwise.
+    pub fn open_store(&self) -> Result<Arc<dyn SummaryStore>, String> {
+        match &self.cache_dir {
+            Some(dir) => {
+                let store = match self.cache_max_mb {
+                    Some(mb) => DiskStore::with_max_bytes(dir, mb * 1024 * 1024),
+                    None => DiskStore::new(dir),
+                }
+                .map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))?;
+                Ok(Arc::new(store))
+            }
+            None => Ok(Arc::new(MemoryStore::new())),
+        }
     }
 }
 
@@ -330,18 +343,6 @@ mod tests {
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert!(!flags.shared_store);
         assert!(!CommonFlags::default().shared_store);
-    }
-
-    #[test]
-    fn no_artifact_cache_switch_is_consumed() {
-        let mut args = argv(&["analyze", "fig1", "--no-artifact-cache"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.no_artifact_cache);
-        assert_eq!(args, argv(&["analyze", "fig1"]));
-
-        let mut args = argv(&["analyze", "fig1"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.no_artifact_cache);
     }
 
     #[test]

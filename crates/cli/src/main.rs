@@ -34,27 +34,28 @@
 //!                      evicting oldest first
 //! --shared-store       serve framework-origin summaries from a corpus-wide
 //!                      shared layer (computed once per framework fingerprint)
-//! --no-artifact-cache  summaries only: never persist or load whole
-//!                      points-to artifacts (ablation)
 //! ```
 //!
 //! Any other `--flag` is an error (exit code 2) that names the flag.
 //!
-//! Corpus commands run against `--cache-dir` print an aggregate
+//! Every analysis runs from one session template built from these
+//! flags. Corpus commands run against `--cache-dir` print an aggregate
 //! `cache: …` hit-stats line after their table; a second identical run
 //! reuses every summary and points-to artifact from the first.
 
+use apir::SymbolArena;
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments;
 use sierra_cli::flags::{reject_unknown_flags, take_flag, CommonFlags};
-use sierra_core::Sierra;
+use sierra_core::{AnalysisSession, SessionBuilder, SierraConfig, SierraResult};
+use std::sync::Arc;
 
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
                      shared flags: --context <SPEC> --budget <N> --jobs <N> --no-prefilter\n\
                      \x20             --no-cycle-collapse --opaque-policy <ignore|resolve|havoc>\n\
                      \x20             --no-histories --no-triage\n\
                      \x20             --min-harm <benign|value|use-before-init|null-deref>\n\
-                     \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store --no-artifact-cache";
+                     \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store";
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,13 +94,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Any persistence flag turns the run's cache layer on: `--cache-dir`
+    // Any persistence flag turns the run's store on: `--cache-dir`
     // alone persists summaries + artifacts, `--shared-store` alone still
     // shares framework summaries (in memory) within this corpus pass,
-    // and together the sharing persists across runs.
-    let cache = if common.cache_dir.is_some() || common.shared_store {
-        match sierra_cli::serve::open_store(common.cache_dir.as_deref(), common.cache_max_mb) {
-            Ok(store) => Some(experiments::CorpusCache::new(store, common.shared_store)),
+    // and together the sharing persists across runs. Serve always keeps
+    // one store across its requests.
+    let store = if cmd == "serve" || common.cache_dir.is_some() || common.shared_store {
+        match common.open_store() {
+            Ok(store) => Some(store),
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);
@@ -108,35 +110,56 @@ fn main() {
     } else {
         None
     };
+    // The per-process session template for `config`. `--shared-store`
+    // reuses the same backing store as the framework-summary layer: the
+    // key spaces are disjoint by fingerprint.
+    let template_for = |config: SierraConfig| {
+        let mut template = SessionBuilder::new(config).arena(Arc::new(SymbolArena::new()));
+        if let Some(store) = &store {
+            template = template.store(Arc::clone(store));
+            if common.shared_store {
+                template = template.shared_store(Arc::clone(store));
+            }
+        }
+        template
+    };
+    let template = template_for(common.config);
+    let analyze = |app| -> SierraResult {
+        template
+            .clone()
+            .app(app)
+            .build()
+            .and_then(AnalysisSession::finish)
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
     // The aggregate hit-stats line, printed after a corpus table when a
-    // cache is configured (CI parses this to track reuse across runs).
+    // store is configured (CI parses this to track reuse across runs).
     let print_cache_stats = |rows: &[experiments::AppRow]| {
-        if cache.is_some() {
+        if store.is_some() {
             println!("{}", experiments::CacheStats::from_rows(rows).render());
         }
     };
-    let sierra_cfg = common.config;
     let jobs = common.jobs;
     let er_cfg = EventRacerConfig::default();
     match cmd.as_str() {
         "table2" => print!("{}", experiments::table2()),
         "table3" => {
-            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
+            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
             print!("{}", experiments::table3(&rows));
             print_cache_stats(&rows);
         }
         "table4" => {
-            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
+            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
             print!("{}", experiments::table4(&rows));
             print_cache_stats(&rows);
         }
         "table5" => {
-            let rows = experiments::run_fdroid_cached(apps, sierra_cfg, jobs, cache.as_ref());
+            let rows = experiments::run_fdroid(apps, &template, jobs);
             print!("{}", experiments::table5(&rows));
             print_cache_stats(&rows);
         }
         "compare" => {
-            let rows = experiments::run_twenty_cached(sierra_cfg, &er_cfg, jobs, cache.as_ref());
+            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
             print!("{}", experiments::comparison_summary(&rows));
             print_cache_stats(&rows);
         }
@@ -162,7 +185,7 @@ fn main() {
                 };
                 corpus::twenty::build_app(*spec)
             };
-            let result = experiments::analyze_app_cached(sierra_cfg, app, cache.as_ref());
+            let result = analyze(app);
             print!("{result}");
             let groups = experiments::sierra_groups(&result);
             let eval = truth.evaluate(groups.iter().map(|(c, f)| (c.as_str(), f.as_str())));
@@ -201,7 +224,7 @@ fn main() {
             };
             let (app, _) = corpus::twenty::build_app(*spec);
             let app_for_verify = app.clone();
-            let result = Sierra::with_config(sierra_cfg).analyze_app(app);
+            let result = analyze(app);
             let p = &result.harness.app.program;
             println!(
                 "{}: {} static race report(s); verifying dynamically…",
@@ -243,7 +266,7 @@ fn main() {
                     corpus::figures::open_sudoku_guard(),
                 ),
             ] {
-                let result = Sierra::with_config(sierra_cfg).analyze_app(app);
+                let result = analyze(app);
                 let groups = experiments::sierra_groups(&result);
                 let eval = truth.evaluate(groups.iter().map(|(c, f)| (c.as_str(), f.as_str())));
                 println!(
@@ -257,14 +280,15 @@ fn main() {
             }
         }
         "soundness" => {
-            // One corpus pass per policy; `--opaque-policy` on the
-            // command line is irrelevant here (the audit sweeps all
-            // three), but every other shared flag applies to each pass.
+            // One corpus pass per policy, each from its own template
+            // over the same store; `--opaque-policy` on the command line
+            // is irrelevant here (the audit sweeps all three), but every
+            // other shared flag applies to each pass.
             let mut sections: Vec<(&str, Vec<experiments::AppRow>)> = Vec::new();
             for policy in sierra_core::OpaquePolicy::ALL {
-                let mut cfg = sierra_cfg;
+                let mut cfg = common.config;
                 cfg.pointer_options.opaque_policy = policy;
-                let rows = experiments::run_soundness_corpus(cfg, &er_cfg, jobs, cache.as_ref());
+                let rows = experiments::run_soundness_corpus(&template_for(cfg), &er_cfg, jobs);
                 sections.push((policy.as_str(), rows));
             }
             for (policy, rows) in &sections {
@@ -278,7 +302,7 @@ fn main() {
             print!("{}", experiments::soundness_summary(&summary));
         }
         "serve" => {
-            if let Err(e) = sierra_cli::serve::run(&common, socket) {
+            if let Err(e) = sierra_cli::serve::run(&template, jobs, socket) {
                 eprintln!("{e}");
                 std::process::exit(2);
             }

@@ -3,15 +3,19 @@
 //!
 //! The server reads **line-delimited JSON** requests from stdin (or a
 //! Unix socket with `--socket PATH`) and streams events back, one JSON
-//! object per line. Requests are fanned across the same `--jobs` worker
-//! pool the corpus engine uses; every session shares one
-//! [`SummaryStore`], so repeated analyses of the same (or slightly
-//! edited) app reuse per-method summaries and — when no solver-relevant
-//! statement changed — the whole points-to analysis. With `--cache-dir`
-//! the store persists to disk and survives server restarts. Sessions
-//! also share one [`apir::SymbolArena`], so the framework's
-//! class/method/field names are interned once per server process
-//! rather than once per request.
+//! object per line. Requests run on the corpus engine's worker pool
+//! ([`sierra_core::engine::run_each`]) with `--jobs` workers: a worker
+//! reads and parses the next request line only when it is free, so no
+//! request is queued ahead of a worker. A request whose analysis panics
+//! gets an `error` event and the server keeps serving. Every session is
+//! built from one session template ([`SessionBuilder`]), so all of them
+//! share one [`sierra_core::SummaryStore`]: repeated analyses of the
+//! same (or slightly edited) app reuse per-method summaries and — when
+//! no solver-relevant statement changed — the whole points-to analysis.
+//! With `--cache-dir` the store persists to disk and survives server
+//! restarts. Sessions also share the template's [`apir::SymbolArena`],
+//! so the framework's class/method/field names are interned once per
+//! server process rather than once per request.
 //!
 //! ## Requests
 //!
@@ -20,6 +24,9 @@
 //! {"id": 2, "op": "analyze", "name": "MyApp", "source": "class ... { ... }"}
 //! {"op": "shutdown"}
 //! ```
+//!
+//! Requests read before `shutdown` are all answered; nothing after it
+//! is read.
 //!
 //! ## Events
 //!
@@ -40,22 +47,19 @@
 //! Reuse never changes results: a warm `report` payload is
 //! byte-identical to the cold one (the `timings_ms` group excepted).
 
-use crate::flags::CommonFlags;
-use apir::SymbolArena;
-use sierra_core::engine::effective_jobs;
+use sierra_core::engine::{isolate, run_each};
 use sierra_core::{
     json::{num, obj},
-    DiskStore, Json, MemoryStore, Report, SessionBuilder, SierraConfig, Stage, StageMetrics,
-    SummaryStore,
+    Json, Report, SessionBuilder, SessionError, Stage, StageMetrics,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
-/// The line-oriented response sink, shared by the worker pool. Each
-/// event is rendered to one line and written under the lock, so lines
-/// from concurrent requests interleave but never tear.
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
+/// The line-oriented response sink, shared by the workers. Each event
+/// is rendered to one line and written under the lock, so lines from
+/// concurrent requests interleave but never tear.
+type Out = Mutex<dyn Write + Send>;
 
 /// One analyze request, resolved to inline source.
 struct Request {
@@ -70,70 +74,24 @@ enum ParsedLine {
     Shutdown,
 }
 
-/// Opens the summary store the server sessions share: on-disk under
-/// `cache_dir` when given (created if absent; capped at `max_mb`
-/// megabytes with oldest-first eviction when given), in-memory
-/// otherwise.
-pub fn open_store(
-    cache_dir: Option<&str>,
-    max_mb: Option<u64>,
-) -> Result<Arc<dyn SummaryStore>, String> {
-    match cache_dir {
-        Some(dir) => {
-            let store = match max_mb {
-                Some(mb) => DiskStore::with_max_bytes(dir, mb * 1024 * 1024),
-                None => DiskStore::new(dir),
-            }
-            .map_err(|e| format!("cannot open cache dir {dir:?}: {e}"))?;
-            Ok(Arc::new(store))
-        }
-        None => Ok(Arc::new(MemoryStore::new())),
-    }
-}
-
-/// Runs the server until a `shutdown` request (or end of input).
-pub fn run(flags: &CommonFlags, socket: Option<String>) -> Result<(), String> {
-    let store = open_store(flags.cache_dir.as_deref(), flags.cache_max_mb)?;
-    // `--shared-store` reuses the same backing store as the corpus-wide
-    // framework-summary layer: the key spaces are disjoint by
-    // fingerprint, and with `--cache-dir` the sharing then also
-    // persists across server restarts.
-    let shared = flags.shared_store.then(|| Arc::clone(&store));
-    // One arena for the whole server lifetime: requests intern into it
-    // concurrently and it only grows (append-only), so a long-lived
-    // server stops allocating name strings once the vocabulary is warm.
-    let arena = Arc::new(SymbolArena::new());
+/// Runs the server until a `shutdown` request (or end of input). Each
+/// request's session is `template` with the request's source as input.
+pub fn run(template: &SessionBuilder, jobs: usize, socket: Option<String>) -> Result<(), String> {
     match socket {
-        Some(path) => serve_socket(&path, flags.config, flags.jobs, store, shared, arena),
+        Some(path) => serve_socket(&path, template, jobs),
         None => {
             let reader = BufReader::new(std::io::stdin());
-            let writer: SharedWriter = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-            serve_connection(
-                reader,
-                &writer,
-                flags.config,
-                flags.jobs,
-                store,
-                shared,
-                arena,
-            );
+            serve_connection(reader, &Mutex::new(std::io::stdout()), template, jobs);
             Ok(())
         }
     }
 }
 
-/// Accepts connections on a Unix socket, serving each with the shared
-/// store until one sends `shutdown`. The socket file is replaced on
+/// Accepts connections on a Unix socket, serving each from the one
+/// template until one sends `shutdown`. The socket file is replaced on
 /// bind and removed on exit.
 #[cfg(unix)]
-fn serve_socket(
-    path: &str,
-    config: SierraConfig,
-    jobs: usize,
-    store: Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
-    arena: Arc<SymbolArena>,
-) -> Result<(), String> {
+fn serve_socket(path: &str, template: &SessionBuilder, jobs: usize) -> Result<(), String> {
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)
         .map_err(|e| format!("cannot bind socket {path:?}: {e}"))?;
@@ -145,16 +103,7 @@ fn serve_socket(
                 .try_clone()
                 .map_err(|e| format!("cannot clone socket stream: {e}"))?,
         );
-        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(stream)));
-        if serve_connection(
-            reader,
-            &writer,
-            config,
-            jobs,
-            Arc::clone(&store),
-            shared.clone(),
-            Arc::clone(&arena),
-        ) {
+        if serve_connection(reader, &Mutex::new(stream), template, jobs) {
             break;
         }
     }
@@ -163,77 +112,53 @@ fn serve_socket(
 }
 
 #[cfg(not(unix))]
-fn serve_socket(
-    _path: &str,
-    _config: SierraConfig,
-    _jobs: usize,
-    _store: Arc<dyn SummaryStore>,
-    _shared: Option<Arc<dyn SummaryStore>>,
-    _arena: Arc<SymbolArena>,
-) -> Result<(), String> {
+fn serve_socket(_path: &str, _template: &SessionBuilder, _jobs: usize) -> Result<(), String> {
     Err("--socket requires a Unix platform; use stdin mode instead".to_owned())
 }
 
-/// Serves one connection: parses request lines, fans analyze jobs across
-/// `jobs` workers (0 = all cores), and returns whether `shutdown` was
-/// requested. Already-queued requests are drained before returning.
-fn serve_connection<R: BufRead>(
-    reader: R,
-    writer: &SharedWriter,
-    config: SierraConfig,
+/// Serves one connection on `jobs` workers (0 = all cores) and returns
+/// whether `shutdown` was requested. Every request read before it is
+/// answered before returning.
+fn serve_connection(
+    reader: impl BufRead + Send,
+    out: &Out,
+    template: &SessionBuilder,
     jobs: usize,
-    store: Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
-    arena: Arc<SymbolArena>,
 ) -> bool {
-    let workers = effective_jobs(jobs, usize::MAX);
     let mut shutdown = false;
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<Request>();
-        let rx = Arc::new(Mutex::new(rx));
-        for _ in 0..workers {
-            let rx = Arc::clone(&rx);
-            let writer = Arc::clone(writer);
-            let store = Arc::clone(&store);
-            let shared = shared.clone();
-            let arena = Arc::clone(&arena);
-            scope.spawn(move || loop {
-                // Receive under the lock, release before analyzing so the
-                // other workers can pick up queued requests.
-                let next = {
-                    let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.recv()
+    let mut lines = reader.lines();
+    // Fused: once `shutdown` (or end of input) is seen, workers asking
+    // for more read nothing further.
+    let requests = std::iter::from_fn(|| loop {
+        let line = lines.next()?.ok()?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        return match parse_request(&line) {
+            Ok(ParsedLine::Shutdown) => {
+                shutdown = true;
+                None
+            }
+            Ok(ParsedLine::Analyze(req)) => Some(Ok(req)),
+            Err(e) => Some(Err(e)),
+        };
+    })
+    .fuse();
+    run_each(jobs, requests, |request| {
+        let (id, outcome) = match request {
+            Ok(Request { id, name, text }) => {
+                let outcome = isolate(&name, || analyze(id, &name, text, template, out));
+                let outcome = match outcome {
+                    Ok(analyzed) => analyzed.map_err(|e| e.to_string()),
+                    Err(panic) => Err(panic.to_string()),
                 };
-                match next {
-                    Ok(req) => handle_request(
-                        req,
-                        config,
-                        &store,
-                        shared.clone(),
-                        Arc::clone(&arena),
-                        &writer,
-                    ),
-                    Err(_) => break, // sender dropped: input finished
-                }
-            });
-        }
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+                (id, outcome)
             }
-            match parse_request(&line) {
-                Ok(ParsedLine::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                Ok(ParsedLine::Analyze(req)) => {
-                    let _ = tx.send(req);
-                }
-                Err((id, message)) => emit_error(writer, id, &message),
-            }
+            Err((id, message)) => (id, Err(message)),
+        };
+        if let Err(message) = outcome {
+            emit_error(out, id, &message);
         }
-        drop(tx); // workers drain the queue, then exit
     });
     shutdown
 }
@@ -275,37 +200,16 @@ fn parse_request(line: &str) -> Result<ParsedLine, (Option<u64>, String)> {
     }
 }
 
-fn handle_request(
-    req: Request,
-    config: SierraConfig,
-    store: &Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
-    arena: Arc<SymbolArena>,
-    out: &SharedWriter,
-) {
-    if let Err(e) = analyze(&req, config, store, shared, arena, out) {
-        emit_error(out, req.id, &e.to_string());
-    }
-}
-
 /// Drives one session, streaming a `stage` event after each stage that
 /// runs (in driver order), then the `report` and `done` events.
 fn analyze(
-    req: &Request,
-    config: SierraConfig,
-    store: &Arc<dyn SummaryStore>,
-    shared: Option<Arc<dyn SummaryStore>>,
-    arena: Arc<SymbolArena>,
-    out: &SharedWriter,
-) -> Result<(), sierra_core::SessionError> {
-    let mut builder = SessionBuilder::new(config)
-        .source(req.name.clone(), req.text.clone())
-        .store(Arc::clone(store));
-    if let Some(shared) = shared {
-        builder = builder.shared_store(shared);
-    }
-    let session = builder.arena(arena).build()?;
-    let id = req.id;
+    id: Option<u64>,
+    name: &str,
+    text: String,
+    template: &SessionBuilder,
+    out: &Out,
+) -> Result<(), SessionError> {
+    let session = template.clone().source(name, text).build()?;
     let result = session.finish_with(|stage, m| {
         let ms = m.timings.of(stage).as_secs_f64() * 1e3;
         let counters = obj(stage_counters(stage, m));
@@ -331,7 +235,7 @@ fn analyze(
     Ok(())
 }
 
-fn emit_error(out: &SharedWriter, id: Option<u64>, message: &str) {
+fn emit_error(out: &Out, id: Option<u64>, message: &str) {
     let message = Json::Str(message.to_owned());
     emit(out, id, "error", vec![("message", message)]);
 }
@@ -368,7 +272,7 @@ fn stage_counters(stage: Stage, m: &StageMetrics) -> Vec<(&'static str, Json)> {
 /// Writes one event — the request id, the event kind, then `fields` —
 /// as a single line and flushes, so clients see the stream as it
 /// happens.
-fn emit(out: &SharedWriter, id: Option<u64>, kind: &str, fields: Vec<(&'static str, Json)>) {
+fn emit(out: &Out, id: Option<u64>, kind: &str, fields: Vec<(&'static str, Json)>) {
     let id = id.map_or(Json::Null, |n| Json::Num(n as f64));
     let head = [("id", id), ("event", Json::Str(kind.to_owned()))];
     let mut line = obj(head.into_iter().chain(fields).collect()).render();
@@ -381,22 +285,25 @@ fn emit(out: &SharedWriter, id: Option<u64>, kind: &str, fields: Vec<(&'static s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apir::SymbolArena;
+    use sierra_core::{MemoryStore, SierraConfig, SummaryStore};
     use std::io::Cursor;
+    use std::sync::Arc;
 
     const FIG1: &str = include_str!("../../../fixtures/fig1_intra_component.sierra");
 
-    /// A writer that shares its buffer with the test, since the
-    /// connection writer is type-erased.
-    #[derive(Clone)]
-    struct Shared(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for Shared {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("buffer lock").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+    /// The template `sierra serve` builds: one store and one arena, and
+    /// `shared` as the framework-summary layer when given.
+    fn template(
+        store: Arc<dyn SummaryStore>,
+        shared: Option<Arc<dyn SummaryStore>>,
+    ) -> SessionBuilder {
+        let template = SessionBuilder::new(SierraConfig::default())
+            .store(store)
+            .arena(Arc::new(SymbolArena::new()));
+        match shared {
+            Some(shared) => template.shared_store(shared),
+            None => template,
         }
     }
 
@@ -409,18 +316,10 @@ mod tests {
         store: Arc<dyn SummaryStore>,
         shared: Option<Arc<dyn SummaryStore>>,
     ) -> (bool, Vec<Json>) {
-        let buffer = Arc::new(Mutex::new(Vec::new()));
-        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(Shared(Arc::clone(&buffer)))));
-        let shutdown = serve_connection(
-            Cursor::new(input.to_owned()),
-            &writer,
-            SierraConfig::default(),
-            1,
-            store,
-            shared,
-            Arc::new(SymbolArena::new()),
-        );
-        let bytes = buffer.lock().expect("buffer lock").clone();
+        let out = Mutex::new(Vec::new());
+        let input = Cursor::new(input.to_owned());
+        let shutdown = serve_connection(input, &out, &template(store, shared), 1);
+        let bytes = out.into_inner().expect("output lock");
         let text = String::from_utf8(bytes).expect("utf-8 output");
         let events = text
             .lines()

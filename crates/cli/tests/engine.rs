@@ -4,17 +4,17 @@
 
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments::{run_fdroid, run_twenty, table3, table5};
-use sierra_core::{run_jobs, SierraConfig, Stage};
+use sierra_core::{run_jobs, SessionBuilder, SierraConfig, Stage};
 
 #[test]
 fn parallel_and_serial_sweeps_render_identical_tables() {
-    let cfg = SierraConfig::builder().without(Stage::Compare).build();
+    let template = SessionBuilder::new(SierraConfig::builder().without(Stage::Compare).build());
     let er = EventRacerConfig {
         runs: 4,
         ..Default::default()
     };
-    let serial = run_twenty(cfg, &er, 1);
-    let parallel = run_twenty(cfg, &er, 8);
+    let serial = run_twenty(&template, &er, 1);
+    let parallel = run_twenty(&template, &er, 8);
 
     // Table 3 carries only analysis results — byte-identical.
     assert_eq!(table3(&serial), table3(&parallel));
@@ -22,18 +22,21 @@ fn parallel_and_serial_sweeps_render_identical_tables() {
     // must not.
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.name, p.name, "input order is preserved");
-        assert_eq!(s.pa_worklist_iters, p.pa_worklist_iters, "{}", s.name);
-        assert_eq!(s.cg_edges, p.cg_edges, "{}", s.name);
-        assert_eq!(s.shbg_rule_apps, p.shbg_rule_apps, "{}", s.name);
-        assert_eq!(s.refuter_paths, p.refuter_paths, "{}", s.name);
+        let (sm, pm, name) = (&s.report.metrics, &p.report.metrics, &s.name);
+        let (sp, pp) = (&sm.pointer, &pm.pointer);
+        assert_eq!(sp.worklist_iterations, pp.worklist_iterations, "{name}");
+        assert_eq!(sp.cg_edges, pp.cg_edges, "{name}");
+        let (sh, ph) = (sm.shbg.total_applications(), pm.shbg.total_applications());
+        assert_eq!(sh, ph, "{name}");
+        assert_eq!(sm.refuter.paths, pm.refuter.paths, "{name}");
     }
 }
 
 #[test]
 fn fdroid_slice_is_schedule_independent() {
-    let cfg = SierraConfig::builder().without(Stage::Compare).build();
-    let serial = run_fdroid(8, cfg, 1);
-    let parallel = run_fdroid(8, cfg, 4);
+    let template = SessionBuilder::new(SierraConfig::builder().without(Stage::Compare).build());
+    let serial = run_fdroid(8, &template, 1);
+    let parallel = run_fdroid(8, &template, 4);
     let strip_timings = |rows: &[sierra_cli::experiments::AppRow]| {
         let table = table5(rows);
         table

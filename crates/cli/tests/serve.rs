@@ -11,12 +11,17 @@ const FIXTURE: &str = concat!(
     "/../../fixtures/fig2_inter_component.sierra"
 );
 
-/// Runs `sierra-cli serve` with the given extra flags, feeds it `input`,
-/// and returns every output line parsed as JSON.
+/// Runs `sierra-cli serve --jobs 1` with the given extra flags, feeds it
+/// `input`, and returns every output line parsed as JSON.
 fn run_serve(extra_flags: &[&str], input: &str) -> Vec<Json> {
+    run_serve_on("1", extra_flags, input)
+}
+
+/// [`run_serve`] on `jobs` workers.
+fn run_serve_on(jobs: &str, extra_flags: &[&str], input: &str) -> Vec<Json> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sierra-cli"))
         .arg("serve")
-        .args(["--jobs", "1"])
+        .args(["--jobs", jobs])
         .args(extra_flags)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -100,6 +105,27 @@ fn serve_answers_two_requests_with_identical_reports_and_warm_reuse() {
     assert_eq!(
         warm.get("analysis_reused").and_then(Json::as_bool),
         Some(true)
+    );
+}
+
+#[test]
+fn two_workers_answer_every_request_before_shutdown_and_none_after() {
+    let input = format!(
+        "{}\n{}\n{}\n{{\"op\":\"shutdown\"}}\n{}\n",
+        analyze_line(1),
+        analyze_line(2),
+        analyze_line(3),
+        analyze_line(4)
+    );
+    let events = run_serve_on("2", &[], &input);
+    for id in 1..=3 {
+        event(&events, id, "done");
+    }
+    assert!(
+        events
+            .iter()
+            .all(|e| e.get("id").and_then(Json::as_u64) != Some(4)),
+        "a request after shutdown must get no event: {events:?}"
     );
 }
 

@@ -1,20 +1,21 @@
-//! The parallel corpus engine.
+//! The worker pool every parallel run uses: the corpus runners and
+//! `sierra serve`.
 //!
-//! Fans a list of independent analysis jobs across a pool of scoped
-//! worker threads (`std::thread::scope`, no dependencies) with a shared
-//! atomic work queue. Guarantees:
+//! [`run_each`] runs a pool of scoped worker threads
+//! (`std::thread::scope`, no dependencies). Each worker pulls the next
+//! item from one iterator held under one lock, so an item is taken only
+//! by a free worker and nothing is read ahead into a queue. Guarantees:
 //!
-//! - **deterministic, input-ordered results**: the output vector is
-//!   indexed by input position, so scheduling never reorders results —
+//! - **deterministic, input-ordered results**: [`run_jobs`] stores each
+//!   result at its input position, so scheduling never reorders results —
 //!   combined with the analyses' own determinism, `--jobs 8` output is
 //!   byte-identical to `--jobs 1`;
-//! - **panic isolation**: a job that panics becomes an [`EngineError`]
-//!   row; the other workers and the run as a whole survive;
+//! - **panic isolation**: [`isolate`] turns an item that panics into an
+//!   [`EngineError`]; the other workers and the run as a whole survive;
 //! - a `jobs = 0` request resolves to the machine's available
 //!   parallelism.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A job that died (panicked) inside a worker.
@@ -47,57 +48,60 @@ pub fn effective_jobs(requested: usize, items: usize) -> usize {
     jobs.clamp(1, items.max(1))
 }
 
+/// Runs `f` on the item named `item`, turning a panic into an
+/// [`EngineError`].
+pub fn isolate<O>(item: &str, f: impl FnOnce() -> O) -> Result<O, EngineError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| EngineError {
+        item: item.to_owned(),
+        message: panic_message(payload.as_ref()),
+    })
+}
+
+/// Runs `f` on every item `items` yields, on a pool of `jobs` scoped
+/// worker threads (0 = all cores, clamped to the iterator's upper size
+/// bound), and returns once the iterator is exhausted and every item is
+/// done. A worker calls `items.next()` under one lock only when it is
+/// free, so a streamed iterator is never read ahead. `f` isolates its
+/// own panics with [`isolate`].
+pub fn run_each<T, It, F>(jobs: usize, items: It, f: F)
+where
+    It: Iterator<Item = T> + Send,
+    F: Fn(T) + Sync,
+{
+    let workers = effective_jobs(jobs, items.size_hint().1.unwrap_or(usize::MAX));
+    let items = Mutex::new(items);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let next = items.lock().expect("item iterator lock").next();
+                match next {
+                    Some(item) => f(item),
+                    None => break,
+                }
+            });
+        }
+    });
+}
+
 /// Runs `f` over every `(name, input)` item on a pool of `jobs` scoped
 /// worker threads and returns the results **in input order**.
 ///
-/// Workers pull items from a shared atomic queue, so large items don't
-/// serialize behind a static partition. A panicking item yields an
-/// `Err(EngineError)` in its slot; the remaining items still run.
+/// Workers pull items from the shared pool ([`run_each`]), so large
+/// items don't serialize behind a static partition. A panicking item
+/// yields an `Err(EngineError)` in its slot; the remaining items still
+/// run.
 pub fn run_jobs<I, O, F>(jobs: usize, items: Vec<(String, I)>, f: F) -> Vec<Result<O, EngineError>>
 where
     I: Send,
     O: Send,
     F: Fn(&str, I) -> O + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let jobs = effective_jobs(jobs, n);
-    // Input slots each worker `take`s exactly once, and per-item result
-    // slots indexed by input position.
-    let slots: Vec<Mutex<Option<(String, I)>>> =
-        items.into_iter().map(|it| Mutex::new(Some(it))).collect();
     let results: Vec<Mutex<Option<Result<O, EngineError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let f = &f;
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (name, input) = slots[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("each slot taken once");
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(&name, input)));
-                let row = match outcome {
-                    Ok(out) => Ok(out),
-                    Err(payload) => Err(EngineError {
-                        item: name,
-                        message: panic_message(payload.as_ref()),
-                    }),
-                };
-                *results[i].lock().expect("result lock") = Some(row);
-            });
-        }
+        items.iter().map(|_| Mutex::new(None)).collect();
+    run_each(jobs, items.into_iter().enumerate(), |(i, (name, input))| {
+        let row = isolate(&name, || f(&name, input));
+        *results[i].lock().expect("result lock") = Some(row);
     });
-
     results
         .into_iter()
         .map(|m| {
@@ -155,6 +159,28 @@ mod tests {
                 assert_eq!(*row.as_ref().expect("ok"), i);
             }
         }
+
+        // The same through a streamed iterator: the pool reads it lazily,
+        // and the items after the panicking one still run.
+        let outcomes = Mutex::new(Vec::new());
+        let streamed = (0..8).map(|i| (format!("it-{i}"), i));
+        run_each(2, streamed, |(name, i)| {
+            let outcome = isolate(&name, || {
+                if i == 3 {
+                    panic!("boom on {i}");
+                }
+                i
+            });
+            outcomes.lock().expect("outcomes lock").push(outcome);
+        });
+        let outcomes = outcomes.into_inner().expect("outcomes lock");
+        let errors: Vec<&EngineError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+        assert_eq!(errors.len(), 1, "{outcomes:?}");
+        assert_eq!(errors[0].item, "it-3");
+        assert!(errors[0].message.contains("boom"), "{}", errors[0]);
+        let mut ran: Vec<usize> = outcomes.iter().filter_map(|o| o.clone().ok()).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, [0, 1, 2, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -114,11 +114,6 @@ pub struct SierraConfig {
     /// `None` keeps everything. Ignored without the `Triage` stage,
     /// which is what classifies.
     pub min_harm: Option<triage::Harm>,
-    /// Disable persisting/loading serialized `Analysis` artifact blobs
-    /// (the `--no-artifact-cache` ablation). In-memory artifact reuse
-    /// and summary files are unaffected. Cache plumbing never enters
-    /// the config fingerprint, so flipping this cannot change keys.
-    pub no_artifact_cache: bool,
 }
 
 impl Default for SierraConfig {
@@ -129,7 +124,6 @@ impl Default for SierraConfig {
             stages: StageSet::ALL,
             pointer_options: AnalysisOptions::default(),
             min_harm: None,
-            no_artifact_cache: false,
         }
     }
 }
@@ -195,13 +189,6 @@ impl SierraConfigBuilder {
     /// Drops reports triaged below `level` (no-op without `Triage`).
     pub fn min_harm(mut self, level: triage::Harm) -> Self {
         self.cfg.min_harm = Some(level);
-        self
-    }
-
-    /// Disables (or re-enables) durable `Analysis` artifact blobs (the
-    /// `--no-artifact-cache` ablation).
-    pub fn no_artifact_cache(mut self, yes: bool) -> Self {
-        self.cfg.no_artifact_cache = yes;
         self
     }
 

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 /// A fully-resolved analysis report: every number and description the
 /// result surfaces print, independent of the analysis artifacts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// The analyzed app's name.
     pub app_name: String,

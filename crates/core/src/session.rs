@@ -77,7 +77,7 @@ const NO_INPUT: SessionError = SessionError::MissingInput {
 };
 
 /// What a session analyzes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum SessionInput {
     /// A built app (harness generation still to run). Boxed: an
     /// `AndroidApp` is hundreds of bytes and would dominate the enum.
@@ -97,6 +97,11 @@ enum SessionInput {
 
 /// Builder for [`AnalysisSession`], mirroring [`SierraConfig::builder`].
 ///
+/// A builder with no input is a per-process session template: it holds
+/// the config, the store, the shared layer and the arena, and each
+/// analysis clones it and adds its input
+/// (`template.clone().app(app).build()`).
+///
 /// ```no_run
 /// use sierra_core::{SessionBuilder, SierraConfig};
 /// # let app = android_model::AndroidAppBuilder::new("Demo").finish().unwrap();
@@ -106,7 +111,7 @@ enum SessionInput {
 ///     .expect("valid input");
 /// let races = session.refute().expect("pipeline runs");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SessionBuilder {
     config: SierraConfig,
     store: Option<Arc<dyn SummaryStore>>,

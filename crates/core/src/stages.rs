@@ -83,7 +83,7 @@ fn load_or_solve(
     // Cold-process path: rehydrate the artifact blob the durable store
     // persisted. A blob that fails the deep decode (e.g. written by a
     // different build) is a plain miss; the re-solve below rewrites it.
-    let use_blobs = !config.no_artifact_cache && store.persists_artifacts();
+    let use_blobs = store.persists_artifacts();
     let decoded = use_blobs
         .then(|| store.get_artifact(key))
         .flatten()

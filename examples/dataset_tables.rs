@@ -5,14 +5,15 @@
 //! ```
 
 use sierra::eventracer::EventRacerConfig;
-use sierra::sierra_core::SierraConfig;
+use sierra::sierra_core::{SessionBuilder, SierraConfig};
 use sierra_cli::experiments;
 
 fn main() {
     println!("== Table 2: the 20-app dataset ==");
     print!("{}", experiments::table2());
 
-    let rows = experiments::run_twenty(SierraConfig::default(), &EventRacerConfig::default(), 0);
+    let template = SessionBuilder::new(SierraConfig::default());
+    let rows = experiments::run_twenty(&template, &EventRacerConfig::default(), 0);
 
     println!("\n== Table 3: effectiveness ==");
     print!("{}", experiments::table3(&rows));
@@ -24,6 +25,6 @@ fn main() {
     print!("{}", experiments::comparison_summary(&rows));
 
     println!("\n== Table 5: the 174-app F-Droid dataset (first 40 apps) ==");
-    let rows5 = experiments::run_fdroid(40, SierraConfig::default(), 0);
+    let rows5 = experiments::run_fdroid(40, &template, 0);
     print!("{}", experiments::table5(&rows5));
 }

@@ -8,7 +8,7 @@
 use apir::SymbolArena;
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments::{run_app, run_fdroid, table3, AppRow};
-use sierra_core::SierraConfig;
+use sierra_core::{SessionBuilder, SierraConfig};
 use sierra_prng::SplitMix64;
 use std::sync::Arc;
 
@@ -16,17 +16,19 @@ const CORPUS_APPS: usize = 6;
 
 /// The corpus over one shared arena, analyzed on `jobs` workers.
 fn shared_arena_table(jobs: usize) -> String {
-    checked_table(run_fdroid(CORPUS_APPS, SierraConfig::default(), jobs))
+    let template = SessionBuilder::new(SierraConfig::default());
+    checked_table(run_fdroid(CORPUS_APPS, &template, jobs))
 }
 
 /// The same apps, each built with its own private interner.
 fn private_interner_table() -> String {
     let er_cfg = EventRacerConfig::default();
+    let template = SessionBuilder::new(SierraConfig::default());
     let rows = corpus::fdroid::iter_apps_with(None)
         .take(CORPUS_APPS)
         .map(|(i, app, truth)| {
             let name = format!("app{i:03}");
-            run_app(&name, app, &truth, SierraConfig::default(), &er_cfg)
+            run_app(&name, app, &truth, &template, &er_cfg)
         })
         .collect();
     checked_table(rows)
