@@ -9,8 +9,6 @@
 //! --jobs <N>            corpus worker threads; 0 = all cores   (default 0)
 //! --no-prefilter        disable the pre-refutation static pruning
 //!                       stage (escape/guard/constprop)
-//! --no-cycle-collapse   disable online cycle collapse in the pointer
-//!                       solver (ablation)
 //! --opaque-policy <P>   opaque call sites (reflection, intent
 //!                       dispatch): ignore | resolve | havoc
 //!                       (default ignore)
@@ -62,9 +60,8 @@ pub struct CommonFlags {
 
 impl CommonFlags {
     /// Extracts `--context`, `--budget`, `--jobs`, `--no-prefilter`,
-    /// `--no-cycle-collapse`, `--opaque-policy`, `--no-histories`,
-    /// `--no-triage`, `--min-harm`, `--cache-dir`, `--cache-max-mb` and
-    /// `--shared-store` from `args`, removing each recognized flag (and
+    /// `--opaque-policy`, `--no-histories`, `--no-triage`, `--min-harm`,
+    /// `--cache-dir`, `--cache-max-mb` and `--shared-store` from `args`, removing each recognized flag (and
     /// its value, if any). Unknown flags and positionals are untouched.
     pub fn parse(args: &mut Vec<String>) -> Result<Self, String> {
         let mut builder = SierraConfig::builder();
@@ -97,9 +94,6 @@ impl CommonFlags {
         }
         if take_switch(args, "--no-prefilter") {
             builder = builder.without(Stage::Prefilter);
-        }
-        if take_switch(args, "--no-cycle-collapse") {
-            builder = builder.no_cycle_collapse(true);
         }
         if let Some(v) = take_flag(args, "--opaque-policy")? {
             let policy: pointer::OpaquePolicy = v.parse()?;
@@ -228,18 +222,6 @@ mod tests {
         let mut args = argv(&["analyze", "fig1"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert!(flags.config.stages.contains(Stage::Prefilter));
-    }
-
-    #[test]
-    fn pointer_ablation_flags_are_consumed() {
-        let mut args = argv(&["table4", "--no-cycle-collapse"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(!flags.config.pointer_options.cycle_collapse);
-        assert_eq!(args, argv(&["table4"]));
-
-        let mut args = argv(&["table4"]);
-        let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert!(flags.config.pointer_options.cycle_collapse);
     }
 
     #[test]

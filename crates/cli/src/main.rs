@@ -21,7 +21,6 @@
 //! --budget <N>         refuter path budget
 //! --jobs <N>           corpus engine worker threads (0 = all cores)
 //! --no-prefilter       disable pre-refutation static pruning
-//! --no-cycle-collapse  disable online cycle collapse in the pointer solver
 //! --opaque-policy <P>  opaque call sites (reflection, intent dispatch):
 //!                      ignore | resolve | havoc
 //! --no-histories       disable the message-history refutation stage
@@ -52,8 +51,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
                      shared flags: --context <SPEC> --budget <N> --jobs <N> --no-prefilter\n\
-                     \x20             --no-cycle-collapse --opaque-policy <ignore|resolve|havoc>\n\
-                     \x20             --no-histories --no-triage\n\
+                     \x20             --opaque-policy <ignore|resolve|havoc> --no-histories --no-triage\n\
                      \x20             --min-harm <benign|value|use-before-init|null-deref>\n\
                      \x20             --cache-dir <PATH> --cache-max-mb <N> --shared-store";
 

@@ -50,7 +50,7 @@
 use sierra_core::engine::{isolate, run_each};
 use sierra_core::{
     json::{num, obj},
-    Json, Report, SessionBuilder, SessionError, Stage, StageMetrics,
+    Json, OpaquePolicy, Report, SessionBuilder, SessionError, Stage, StageMetrics, COUNTER_GROUPS,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -209,10 +209,11 @@ fn analyze(
     template: &SessionBuilder,
     out: &Out,
 ) -> Result<(), SessionError> {
+    let audited = template.config().pointer_options.opaque_policy != OpaquePolicy::Ignore;
     let session = template.clone().source(name, text).build()?;
     let result = session.finish_with(|stage, m| {
         let ms = m.timings.of(stage).as_secs_f64() * 1e3;
-        let counters = obj(stage_counters(stage, m));
+        let counters = stage_counters(stage, m, audited);
         let name = Json::Str(stage.to_string());
         let fields = vec![
             ("stage", name),
@@ -240,33 +241,15 @@ fn emit_error(out: &Out, id: Option<u64>, message: &str) {
     emit(out, id, "error", vec![("message", message)]);
 }
 
-/// A `stage` event's counters: the work the stage recorded.
-fn stage_counters(stage: Stage, m: &StageMetrics) -> Vec<(&'static str, Json)> {
-    match stage {
-        Stage::Harness | Stage::Candidates | Stage::Compare => Vec::new(),
-        Stage::Pointer => vec![
-            ("worklist_iterations", num(m.pointer.worklist_iterations)),
-            ("cg_edges", num(m.pointer.cg_edges)),
-            ("summaries_reused", num(m.link.summaries_reused)),
-            ("summaries_recomputed", num(m.link.summaries_recomputed)),
-            ("summaries_shared", num(m.link.summaries_shared)),
-            ("analysis_reused", Json::Bool(m.link.analysis_reused)),
-        ],
-        Stage::Shbg => vec![
-            ("rule_applications", num(m.shbg.total_applications())),
-            ("fixpoint_rounds", num(m.shbg.fixpoint_rounds)),
-        ],
-        Stage::Prefilter => vec![("pruned", num(m.prefilter.pruned_total()))],
-        Stage::Refute => vec![
-            ("paths", num(m.refuter.paths)),
-            ("refuted", num(m.refuter.refuted)),
-        ],
-        Stage::Histories => vec![
-            ("pairs_checked", num(m.histories.pairs_checked)),
-            ("discharged", num(m.histories.discharged_total())),
-        ],
-        Stage::Triage => vec![("classified", num(m.triage.classified))],
-    }
+/// A `stage` event's counters: every listed counter `stage` records,
+/// from the groups the report shows (`audited`: whether the run audits
+/// call-graph soundness).
+fn stage_counters(stage: Stage, m: &StageMetrics, audited: bool) -> Json {
+    let groups = COUNTER_GROUPS
+        .iter()
+        .filter(|g| g.stage == stage && g.shown(audited));
+    let counters = groups.flat_map(|g| g.read(m));
+    Json::Obj(counters.map(|(k, v)| (k.to_owned(), v.to_json())).collect())
 }
 
 /// Writes one event — the request id, the event kind, then `fields` —
@@ -316,9 +299,13 @@ mod tests {
         store: Arc<dyn SummaryStore>,
         shared: Option<Arc<dyn SummaryStore>>,
     ) -> (bool, Vec<Json>) {
+        drive_template(input, &template(store, shared))
+    }
+
+    fn drive_template(input: &str, template: &SessionBuilder) -> (bool, Vec<Json>) {
         let out = Mutex::new(Vec::new());
         let input = Cursor::new(input.to_owned());
-        let shutdown = serve_connection(input, &out, &template(store, shared), 1);
+        let shutdown = serve_connection(input, &out, template, 1);
         let bytes = out.into_inner().expect("output lock");
         let text = String::from_utf8(bytes).expect("utf-8 output");
         let events = text
@@ -498,6 +485,34 @@ mod tests {
             .and_then(Json::as_str)
             .expect("message");
         assert!(message.contains("invalid app"), "{message}");
+    }
+
+    #[test]
+    fn stage_events_carry_the_listed_counters_the_report_shows() {
+        for (policy, audited) in [(OpaquePolicy::Ignore, false), (OpaquePolicy::Resolve, true)] {
+            let config = SierraConfig::builder().opaque_policy(policy).build();
+            let input = format!("{}\n", analyze_request(1));
+            let (_, events) = drive_template(&input, &SessionBuilder::new(config));
+            let pointer = events_for(&events, 1, "stage")
+                .into_iter()
+                .find(|e| e.get("stage").and_then(Json::as_str) == Some("pointer"))
+                .expect("pointer event");
+            let counters = pointer.get("counters").expect("stage counters");
+            let report = events_for(&events, 1, "report")[0]
+                .get("report")
+                .expect("report payload");
+            // A counter only the listing names reaches the event, with
+            // the report's value.
+            let collapsed = counters.get("collapsed_sccs");
+            assert!(collapsed.is_some(), "{policy:?}");
+            assert_eq!(
+                collapsed,
+                report.get("pointer").and_then(|g| g.get("collapsed_sccs"))
+            );
+            // The soundness group shows in both or in neither.
+            assert_eq!(counters.get("known_callbacks").is_some(), audited);
+            assert_eq!(report.get("soundness").is_some(), audited);
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ fn removed_and_misspelt_flags_are_rejected() {
     assert_rejected(&["analyze", "Astrid", "--worklist", "fifo"], "--worklist");
     assert_rejected(&["table3", "--no-shared-intern"], "--no-shared-intern");
     assert_rejected(&["table3", "--no-artifact-cache"], "--no-artifact-cache");
+    assert_rejected(&["table4", "--no-cycle-collapse"], "--no-cycle-collapse");
     assert_rejected(&["analyze", "Astrid", "--no-prefiltr"], "--no-prefiltr");
     assert_rejected(&["analyze", "Astrid", "--bogus-flag", "3"], "--bogus-flag");
 }

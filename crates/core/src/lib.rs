@@ -37,6 +37,7 @@
 //! }
 //! ```
 
+mod counters;
 pub mod engine;
 pub mod json;
 mod link;
@@ -47,6 +48,7 @@ mod session;
 mod stages;
 mod summary;
 
+pub use counters::{Counter, CounterGroup, ReadCounter, COUNTER_GROUPS};
 pub use engine::{run_jobs, EngineError};
 pub use histories::{HistoryPattern, HistoryStats};
 pub use json::Json;

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 /// Work counters of the linking pass, reported in
 /// [`crate::StageMetrics`] and asserted by the summary-reuse tests and
-/// the `summary_reuse` bench gate. Excluded from the stable report
+/// the counters golden. Excluded from the stable report
 /// rendering: reuse changes work done, never results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {

@@ -172,13 +172,6 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Disables (or re-enables) online cycle collapse in the solver
-    /// (the `--no-cycle-collapse` ablation).
-    pub fn no_cycle_collapse(mut self, yes: bool) -> Self {
-        self.cfg.pointer_options.cycle_collapse = !yes;
-        self
-    }
-
     /// Sets the opaque-call soundness policy (reflection and intent
     /// dispatch): `ignore` (default), `resolve`, or `havoc`.
     pub fn opaque_policy(mut self, policy: OpaquePolicy) -> Self {

@@ -8,6 +8,7 @@
 //! `Analysis` — descriptions are resolved when the report is built — so
 //! it can cross threads and sockets freely.
 
+use crate::counters::COUNTER_GROUPS;
 use crate::json::{num, obj, Json};
 use crate::pipeline::{SierraResult, StageMetrics};
 use shbg::HbRule;
@@ -276,28 +277,27 @@ impl Report {
     /// Clients comparing reports for identity should drop both.
     pub fn render_json(&self) -> Json {
         let t = &self.metrics.timings;
-        let pa = &self.metrics.pointer;
-        let hb = &self.metrics.shbg;
-        let pf = &self.metrics.prefilter;
-        let rf = &self.metrics.refuter;
-        let hs = &self.metrics.histories;
-        let tg = &self.metrics.triage;
-        let link = &self.metrics.link;
         let mut fields = vec![
-            ("app", Json::Str(self.app_name.clone())),
-            ("harnesses", num(self.harness_count)),
-            ("actions", num(self.action_count)),
-            ("hb_edges", num(self.hb_edges)),
-            ("hb_max", num(self.hb_max)),
-            ("hb_percent", Json::Num(self.hb_percent())),
-            ("racy_pairs_with_as", num(self.racy_pairs_with_as)),
-            ("racy_pairs_without_as", num(self.racy_pairs_without_as)),
+            ("app".to_owned(), Json::Str(self.app_name.clone())),
+            ("harnesses".to_owned(), num(self.harness_count)),
+            ("actions".to_owned(), num(self.action_count)),
+            ("hb_edges".to_owned(), num(self.hb_edges)),
+            ("hb_max".to_owned(), num(self.hb_max)),
+            ("hb_percent".to_owned(), Json::Num(self.hb_percent())),
             (
-                "races",
+                "racy_pairs_with_as".to_owned(),
+                num(self.racy_pairs_with_as),
+            ),
+            (
+                "racy_pairs_without_as".to_owned(),
+                num(self.racy_pairs_without_as),
+            ),
+            (
+                "races".to_owned(),
                 Json::Arr(self.race_lines.iter().cloned().map(Json::Str).collect()),
             ),
             (
-                "pruned",
+                "pruned".to_owned(),
                 Json::Arr(
                     self.pruned_lines
                         .iter()
@@ -310,116 +310,34 @@ impl Report {
                         .collect(),
                 ),
             ),
-            ("triage_ran", Json::Bool(self.triage_ran)),
-            ("histories_ran", Json::Bool(self.histories_ran)),
-            (
-                "pointer",
-                obj(vec![
-                    ("worklist_iterations", num(pa.worklist_iterations)),
-                    ("propagations", num(pa.propagations)),
-                    ("cg_edges", num(pa.cg_edges)),
-                    ("contexts", num(pa.reachable_contexts)),
-                    ("objects", num(pa.abstract_objects)),
-                    ("pts_set_bytes", num(pa.pts_set_bytes)),
-                ]),
-            ),
-            (
-                "shbg",
-                obj(vec![
-                    ("rule_applications", num(hb.total_applications())),
-                    ("accepted", num(hb.total_accepted())),
-                    ("fixpoint_rounds", num(hb.fixpoint_rounds)),
-                    ("closure_sccs", num(hb.closure_sccs)),
-                ]),
-            ),
-            (
-                "prefilter",
-                obj(vec![
-                    ("pruned_escape", num(pf.pruned_escape)),
-                    ("pruned_guarded", num(pf.pruned_guarded)),
-                    ("pruned_constprop", num(pf.pruned_constprop)),
-                    ("infeasible_edges", num(pf.infeasible_edges)),
-                ]),
-            ),
-            (
-                "refuter",
-                obj(vec![
-                    ("paths", num(rf.paths)),
-                    ("queries", num(rf.queries)),
-                    ("refuted", num(rf.refuted)),
-                    ("witnessed", num(rf.witnessed)),
-                    ("budget_exhausted", num(rf.budget_exhausted)),
-                    ("cache_hits", num(rf.cache_hits)),
-                ]),
-            ),
-            (
-                "histories",
-                obj(vec![
-                    ("automaton_states", num(hs.automaton_states)),
-                    ("automaton_edges", num(hs.automaton_edges)),
-                    ("components", num(hs.components)),
-                    ("pairs_checked", num(hs.pairs_checked)),
-                    ("product_edges", num(hs.product_edges)),
-                    ("discharged_unregistered", num(hs.discharged_unregistered)),
-                    ("discharged_destroy", num(hs.discharged_destroy)),
-                    ("discharged_pause", num(hs.discharged_pause)),
-                    ("dead_callbacks", num(hs.dead_callbacks)),
-                    ("infeasible_exported", num(hs.infeasible_exported)),
-                ]),
-            ),
-            (
-                "triage",
-                obj(vec![
-                    ("classified", num(tg.classified)),
-                    ("null_deref", num(tg.null_deref)),
-                    ("use_before_init", num(tg.use_before_init)),
-                    ("value_inconsistency", num(tg.value_inconsistency)),
-                    ("likely_benign", num(tg.likely_benign)),
-                ]),
-            ),
-            (
-                "link",
-                obj(vec![
-                    ("summaries_reused", num(link.summaries_reused)),
-                    ("summaries_recomputed", num(link.summaries_recomputed)),
-                    ("analysis_reused", Json::Bool(link.analysis_reused)),
-                    ("pointer_iterations_run", num(link.pointer_iterations_run)),
-                ]),
-            ),
-            (
-                "timings_ms",
-                obj(vec![
-                    ("harness", Json::Num(ms(t.harness))),
-                    ("cg_pa", Json::Num(ms(t.cg_pa))),
-                    ("hbg", Json::Num(ms(t.hbg))),
-                    ("candidates", Json::Num(ms(t.candidates))),
-                    ("prefilter", Json::Num(ms(t.prefilter))),
-                    ("refutation", Json::Num(ms(t.refutation))),
-                    ("histories", Json::Num(ms(t.histories))),
-                    ("triage", Json::Num(ms(t.triage))),
-                    ("compare", Json::Num(ms(t.compare))),
-                    ("total", Json::Num(ms(t.total))),
-                ]),
-            ),
+            ("triage_ran".to_owned(), Json::Bool(self.triage_ran)),
+            ("histories_ran".to_owned(), Json::Bool(self.histories_ran)),
         ];
-        // Key present only under `resolve`/`havoc` — `ignore` JSON stays
-        // byte-identical to the pre-soundness-modes payload.
-        if self.soundness_audited {
-            let sn = &self.metrics.soundness;
-            fields.push((
-                "soundness",
-                obj(vec![
-                    ("known_callbacks", num(sn.known_callbacks)),
-                    ("reachable_callbacks", num(sn.reachable_callbacks)),
-                    ("recall_pct", Json::Num(sn.recall_pct())),
-                    ("unresolved_sites", num(sn.unresolved_sites)),
-                    ("reflective_sites", num(sn.reflective_sites)),
-                    ("intent_sites", num(sn.intent_sites)),
-                    ("bodyless_framework_sites", num(sn.bodyless_framework_sites)),
-                    ("no_receiver_sites", num(sn.no_receiver_sites)),
-                ]),
-            ));
+        fields.reserve_exact(COUNTER_GROUPS.len() + 1);
+        for group in COUNTER_GROUPS.iter().filter(|g| !g.audited_only) {
+            fields.push((group.name.to_owned(), group.to_json(&self.metrics)));
         }
-        obj(fields)
+        fields.push((
+            "timings_ms".to_owned(),
+            obj(vec![
+                ("harness", Json::Num(ms(t.harness))),
+                ("cg_pa", Json::Num(ms(t.cg_pa))),
+                ("hbg", Json::Num(ms(t.hbg))),
+                ("candidates", Json::Num(ms(t.candidates))),
+                ("prefilter", Json::Num(ms(t.prefilter))),
+                ("refutation", Json::Num(ms(t.refutation))),
+                ("histories", Json::Num(ms(t.histories))),
+                ("triage", Json::Num(ms(t.triage))),
+                ("compare", Json::Num(ms(t.compare))),
+                ("total", Json::Num(ms(t.total))),
+            ]),
+        ));
+        // The audit's groups appear only under `resolve`/`havoc`.
+        if self.soundness_audited {
+            for group in COUNTER_GROUPS.iter().filter(|g| g.audited_only) {
+                fields.push((group.name.to_owned(), group.to_json(&self.metrics)));
+            }
+        }
+        Json::Obj(fields)
     }
 }

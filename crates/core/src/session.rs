@@ -132,6 +132,11 @@ impl SessionBuilder {
         }
     }
 
+    /// The pipeline configuration sessions from this builder run with.
+    pub fn config(&self) -> &SierraConfig {
+        &self.config
+    }
+
     /// Analyzes a built app.
     pub fn app(mut self, app: AndroidApp) -> Self {
         self.input = Some(SessionInput::App(Box::new(app)));

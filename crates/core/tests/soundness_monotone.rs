@@ -5,8 +5,8 @@
 //! conservative fallbacks on top — and the ladder must be visible in
 //! the call graph itself: projected to `(caller, site, callee)`, the
 //! edge set may only grow as the policy climbs. Alongside the subset
-//! law the guard checks the two report-level invariants the bench gate
-//! also enforces: race reports stay in rank order under every policy,
+//! law the guard checks the two report-level invariants the counters
+//! golden also asserts: race reports stay in rank order under every policy,
 //! and climbing to `havoc` never loses a planted ground-truth race.
 //!
 //! The twenty Table-2 apps and both `reflection_idioms` fixtures are
@@ -16,19 +16,6 @@
 
 use sierra_core::{OpaquePolicy, Sierra, SierraConfig, SierraResult};
 use std::collections::BTreeSet;
-
-/// Context-insensitive projection of the call graph: `(caller, site,
-/// callee)` triples. Contexts are allocated in policy-dependent order,
-/// so the subset law is stated over this projection.
-fn edge_projection(result: &SierraResult) -> BTreeSet<(u32, u32, u32)> {
-    let mut out = BTreeSet::new();
-    for ((m, _, site), callees) in &result.analysis.cg_edges {
-        for &(callee, _) in callees {
-            out.insert((m.0, site.0, callee.0));
-        }
-    }
-    out
-}
 
 fn run(app: &android_model::AndroidApp, policy: OpaquePolicy) -> SierraResult {
     let cfg = SierraConfig::builder().opaque_policy(policy).build();
@@ -40,9 +27,11 @@ fn check_app(name: &str, app: &android_model::AndroidApp, truth: &corpus::Ground
     let resolve = run(app, OpaquePolicy::Resolve);
     let havoc = run(app, OpaquePolicy::Havoc);
 
-    let e_ignore = edge_projection(&ignore);
-    let e_resolve = edge_projection(&resolve);
-    let e_havoc = edge_projection(&havoc);
+    // Contexts are numbered in policy-dependent order, so the subset
+    // law is stated over the context-insensitive call graph.
+    let e_ignore = ignore.analysis.context_insensitive_edges();
+    let e_resolve = resolve.analysis.context_insensitive_edges();
+    let e_havoc = havoc.analysis.context_insensitive_edges();
     assert!(
         e_ignore.is_subset(&e_resolve),
         "{name}: resolve dropped {} ignore edge(s)",

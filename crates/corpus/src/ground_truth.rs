@@ -233,7 +233,8 @@ pub struct EvalCounts {
 }
 
 /// Triage-classifier score over harm-labelled sites: precision/recall of
-/// the crash-capable verdicts (the acceptance bar the bench gate holds).
+/// the crash-capable verdicts (the counters golden holds precision at
+/// 90% or above).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HarmEval {
     /// Crash-labelled sites the classifier flagged crash-capable.

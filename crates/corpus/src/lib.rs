@@ -18,6 +18,8 @@
 //! - [`reflection_idioms`] — two apps whose planted races hide behind
 //!   reflection / intent dispatch and surface only under the `resolve`
 //!   or `havoc` opaque-call policies;
+//! - [`stress`] — synthetic apps that drive the refuter and the
+//!   pointer solver's cycle collapse to their worst case;
 //! - [`twenty`] — the Table 2 dataset, scaled by each app's real bytecode
 //!   size;
 //! - [`fdroid`] — 174 seeded apps with the paper's 1.1 MB median size.
@@ -34,6 +36,7 @@ pub mod idioms;
 pub mod prefilter_idioms;
 pub mod protocol_idioms;
 pub mod reflection_idioms;
+pub mod stress;
 pub mod triage_idioms;
 pub mod twenty;
 

@@ -25,7 +25,7 @@ use apir::{
 };
 use harness_gen::{HarnessResult, HarnessSiteKind};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 
 /// Soundness policy for opaque call edges — reflection lookups and
@@ -312,6 +312,21 @@ impl Analysis {
     /// Total call-graph edges (for stats).
     pub fn cg_edge_count(&self) -> usize {
         self.cg_edges.values().map(Vec::len).sum()
+    }
+
+    /// The call graph without contexts: every `(caller, site, callee)`
+    /// triple. Contexts are numbered in run-dependent order, so the
+    /// call graphs of two runs compare over this projection.
+    pub fn context_insensitive_edges(&self) -> BTreeSet<(MethodId, CallSiteId, MethodId)> {
+        let edges = self
+            .cg_edges
+            .iter()
+            .flat_map(|(&(caller, _, site), callees)| {
+                callees
+                    .iter()
+                    .map(move |&(callee, _)| (caller, site, callee))
+            });
+        edges.collect()
     }
 
     /// The analyzed app's framework ids.

@@ -17,8 +17,8 @@
 //!    fraction did the call graph actually reach?
 //!
 //! The counters land in [`SoundnessStats`], which the pipeline carries
-//! through `StageMetrics` into the experiments tables and the
-//! `soundness_ablation` bench gate, making the `ignore`/`resolve`/
+//! through `StageMetrics` into the experiments tables and the counters
+//! golden (`tests/golden/counters.txt`), making the `ignore`/`resolve`/
 //! `havoc` opaque-policy tradeoff measurable instead of implicit.
 
 use android_model::FrameworkOp;

@@ -7,7 +7,7 @@
 //! pairs, pruned pairs, and final reports must match.
 
 use corpus::twenty;
-use pointer::Access;
+use pointer::{Access, AnalysisOptions};
 use sierra_core::{Sierra, SierraConfig, SierraResult};
 
 fn pair_key(a: &Access, b: &Access) -> String {
@@ -140,8 +140,11 @@ fn cycle_collapse_is_a_pure_optimization_across_the_corpus() {
     let mut collapsed_anywhere = false;
     for (name, app) in corpus() {
         let on = Sierra::new().analyze_app(app.clone());
-        let off = Sierra::with_config(SierraConfig::builder().no_cycle_collapse(true).build())
-            .analyze_app(app);
+        let off = SierraConfig::builder().pointer_options(AnalysisOptions {
+            cycle_collapse: false,
+            ..AnalysisOptions::default()
+        });
+        let off = Sierra::with_config(off.build()).analyze_app(app);
         assert_same_counts(&name, &on, &off);
         // Collapse preserves results exactly — down to action numbering.
         assert_eq!(race_keys(&on), race_keys(&off), "{name}");

@@ -5,9 +5,10 @@
 //! reuse changes work done, never results. These tests drive the
 //! edit-pair fixture (two app versions differing by one method body)
 //! through shared stores and assert both the identity and the reuse
-//! counters the bench gate relies on.
+//! counters that `tests/golden/counters.txt` also pins.
 
 use corpus::edit_pairs;
+use pointer::AnalysisOptions;
 use sierra_core::{
     DiskStore, MemoryStore, Report, SessionBuilder, SierraConfig, SierraResult, SummaryStore,
 };
@@ -109,7 +110,12 @@ fn one_method_edit_recomputes_only_the_changed_method() {
 fn config_change_invalidates_the_whole_store() {
     let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
     let cfg = SierraConfig::default();
-    let changed = SierraConfig::builder().no_cycle_collapse(true).build();
+    let changed = SierraConfig::builder()
+        .pointer_options(AnalysisOptions {
+            cycle_collapse: false,
+            ..AnalysisOptions::default()
+        })
+        .build();
 
     let first = run_with_store(edit_pairs::base_app(), cfg, Arc::clone(&store));
     let second = run_with_store(edit_pairs::base_app(), changed, Arc::clone(&store));
