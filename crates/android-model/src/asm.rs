@@ -42,6 +42,10 @@
 //! - `[x =] call virtual|static|special Class.method(args…)` — the first
 //!   argument of instance calls is the receiver
 //! - `x = a <op> b` with `+ - * == != < <= && ||`; `x = !y`, `x = -y`
+//! - operands: locals, integers, `true`/`false`, `null`, and string
+//!   literals `"text"`, in which `\u{hex}` stands for any character; the
+//!   disassembler escapes every character outside `[A-Za-z0-9._$-]`, so
+//!   a literal never holds a space, comma, parenthesis, `=`, `:` or `/`
 //! - terminators: `return [op]`, `goto bbN`, `if x then bbA else bbB`,
 //!   `nondet bbA bbB …`
 //!
@@ -581,7 +585,12 @@ fn assemble_body(
     Ok(())
 }
 
-fn parse_operand(env: &Env, text: &str, line: usize) -> Result<Operand, AsmError> {
+fn parse_operand(
+    mb: &mut MethodBuilder<'_>,
+    env: &Env,
+    text: &str,
+    line: usize,
+) -> Result<Operand, AsmError> {
     let t = text.trim();
     if t == "null" {
         return Ok(Operand::Const(ConstValue::Null));
@@ -595,13 +604,60 @@ fn parse_operand(env: &Env, text: &str, line: usize) -> Result<Operand, AsmError
     if let Ok(v) = t.parse::<i64>() {
         return Ok(Operand::Const(ConstValue::Int(v)));
     }
-    if t.starts_with('"') {
-        // Strings intern lazily at use; the assembler maps them to Int 0 of
-        // kind Str via the interner — but Symbol interning needs the
-        // program builder, so string constants are limited to `""` here.
-        return err(line, "string constants are not supported in the assembler");
+    if let Some(quoted) = t.strip_prefix('"') {
+        let text = quoted
+            .strip_suffix('"')
+            .and_then(unescape)
+            .ok_or(AsmError {
+                line,
+                message: format!("malformed string literal {t}"),
+            })?;
+        return Ok(Operand::Const(ConstValue::Str(mb.program().intern(&text))));
     }
     env.existing(t, line).map(Operand::Local)
+}
+
+/// Whether a string-literal character is written as itself. Every other
+/// character is escaped, so a rendered literal never holds a space, a
+/// comma, a parenthesis, `=`, `:`, `/` or a quote that the line-oriented
+/// parser would split on.
+fn plain_in_literal(c: char) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '$' | '-')
+}
+
+/// The text of a string literal's body: `\u{hex}` escapes decoded; a raw
+/// quote or backslash, or a bad escape, is malformed (`None`).
+fn unescape(body: &str) -> Option<String> {
+    let mut out = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return None,
+            '\\' => {
+                let rest = chars.as_str().strip_prefix("u{")?;
+                let (hex, tail) = rest.split_once('}')?;
+                out.push(char::from_u32(u32::from_str_radix(hex, 16).ok()?)?);
+                chars = tail.chars();
+            }
+            c => out.push(c),
+        }
+    }
+    Some(out)
+}
+
+/// Renders `text` as a string literal [`unescape`] reads back.
+fn escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push('"');
+    for c in text.chars() {
+        if plain_in_literal(c) {
+            out.push(c);
+        } else {
+            out.push_str(&format!("\\u{{{:x}}}", u32::from(c)));
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Assembles one statement; returns whether it terminated the block.
@@ -618,7 +674,7 @@ fn assemble_stmt(
         return Ok(true);
     }
     if let Some(rest) = text.strip_prefix("return ") {
-        let op = parse_operand(env, rest, line)?;
+        let op = parse_operand(mb, env, rest, line)?;
         mb.ret(Some(op));
         return Ok(true);
     }
@@ -637,7 +693,7 @@ fn assemble_stmt(
             line,
             message: "if needs `else`".into(),
         })?;
-        let cond = parse_operand(env, cond, line)?;
+        let cond = parse_operand(mb, env, cond, line)?;
         let t = block_of(env, then_l.trim(), line)?;
         let e = block_of(env, else_l.trim(), line)?;
         mb.if_(cond, t, e);
@@ -668,7 +724,7 @@ fn assemble_stmt(
     // Store forms: `y.field = op` / `Class::field = op`.
     if let Some((cname, fname)) = lhs.split_once("::") {
         let field = resolve_static_field(mb, cname.trim(), fname.trim(), line)?;
-        let op = parse_operand(env, rhs, line)?;
+        let op = parse_operand(mb, env, rhs, line)?;
         mb.static_store(field, op);
         return Ok(false);
     }
@@ -680,7 +736,7 @@ fn assemble_stmt(
         let (base, fspec) = lhs.split_once('.').expect("checked");
         let base_l = env.existing(base, line)?;
         let field = resolve_field_spec(mb, env, base_l, fspec.trim(), line)?;
-        let op = parse_operand(env, rhs, line)?;
+        let op = parse_operand(mb, env, rhs, line)?;
         mb.store(base_l, field, op);
         return Ok(false);
     }
@@ -709,13 +765,13 @@ fn assemble_stmt(
         return Ok(false);
     }
     if let Some(rest) = rhs.strip_prefix('!') {
-        let src = parse_operand(env, rest, line)?;
+        let src = parse_operand(mb, env, rest, line)?;
         let dst = env.local(mb, lhs);
         mb.un_op(dst, UnOp::Not, src);
         return Ok(false);
     }
     if let Some(rest) = rhs.strip_prefix("- ") {
-        let src = parse_operand(env, rest, line)?;
+        let src = parse_operand(mb, env, rest, line)?;
         let dst = env.local(mb, lhs);
         mb.un_op(dst, UnOp::Neg, src);
         return Ok(false);
@@ -734,8 +790,8 @@ fn assemble_stmt(
     ] {
         let pat = format!(" {sym} ");
         if let Some(idx) = rhs.find(&pat) {
-            let a = parse_operand(env, &rhs[..idx], line)?;
-            let b = parse_operand(env, &rhs[idx + pat.len()..], line)?;
+            let a = parse_operand(mb, env, &rhs[..idx], line)?;
+            let b = parse_operand(mb, env, &rhs[idx + pat.len()..], line)?;
             let dst = env.local(mb, lhs);
             mb.bin_op(dst, op, a, b);
             return Ok(false);
@@ -760,7 +816,7 @@ fn assemble_stmt(
         }
     }
     // Plain copy or constant.
-    match parse_operand(env, rhs, line)? {
+    match parse_operand(mb, env, rhs, line)? {
         Operand::Local(src) => {
             let dst = env.local(mb, lhs);
             mb.move_(dst, src);
@@ -936,7 +992,7 @@ fn assemble_call(
         .map(str::trim)
         .filter(|a| !a.is_empty())
     {
-        args.push(parse_operand(env, a, line)?);
+        args.push(parse_operand(mb, env, a, line)?);
     }
     let expected = mb.program().param_count(callee) as usize;
     let (receiver, args) = match kind {
@@ -1177,8 +1233,9 @@ layout com.ex.Act {
 /// Renders an app back to assembler text that [`parse_app`] accepts.
 ///
 /// Only app-origin classes are rendered (the framework is implicit).
-/// Locals are written as `p0…`/`v0…`; blocks as `bb0…`. String constants
-/// are not representable (the assembler rejects them) and render as `null`.
+/// Locals are written as `p0…`/`v0…`; blocks as `bb0…`; string constants
+/// as quoted literals with every character outside `[A-Za-z0-9._$-]`
+/// escaped as `\u{hex}`.
 pub fn render_app(app: &AndroidApp) -> String {
     use std::fmt::Write as _;
     let p = &app.program;
@@ -1240,7 +1297,7 @@ pub fn render_app(app: &AndroidApp) -> String {
                 for stmt in &block.stmts {
                     let _ = writeln!(out, "      {}", render_stmt(p, m, stmt));
                 }
-                let _ = writeln!(out, "      {}", render_terminator(m, &block.terminator));
+                let _ = writeln!(out, "      {}", render_terminator(p, m, &block.terminator));
             }
             let _ = writeln!(out, "  }}");
         }
@@ -1286,13 +1343,13 @@ fn render_local(m: &apir::Method, l: Local) -> String {
     }
 }
 
-fn render_operand(m: &apir::Method, op: Operand) -> String {
+fn render_operand(p: &apir::Program, m: &apir::Method, op: Operand) -> String {
     match op {
         Operand::Local(l) => render_local(m, l),
         Operand::Const(ConstValue::Int(v)) => v.to_string(),
         Operand::Const(ConstValue::Bool(b)) => b.to_string(),
         Operand::Const(ConstValue::Null) => "null".to_owned(),
-        Operand::Const(ConstValue::Str(_)) => "null".to_owned(), // not representable
+        Operand::Const(ConstValue::Str(s)) => escape(p.name(s)),
     }
 }
 
@@ -1303,7 +1360,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
             format!(
                 "{} = {}",
                 render_local(m, *dst),
-                render_operand(m, Operand::Const(*value))
+                render_operand(p, m, Operand::Const(*value))
             )
         }
         S::Move { dst, src } => {
@@ -1317,7 +1374,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
             format!(
                 "{} = {sym}{}",
                 render_local(m, *dst),
-                render_operand(m, *src)
+                render_operand(p, m, *src)
             )
         }
         S::BinOp { dst, op, lhs, rhs } => {
@@ -1335,8 +1392,8 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
             format!(
                 "{} = {} {sym} {}",
                 render_local(m, *dst),
-                render_operand(m, *lhs),
-                render_operand(m, *rhs)
+                render_operand(p, m, *lhs),
+                render_operand(p, m, *rhs)
             )
         }
         S::New { dst, class, .. } => {
@@ -1352,7 +1409,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
             "{}.{} = {}",
             render_local(m, *obj),
             render_field_spec(p, m, *obj, *field),
-            render_operand(m, *value)
+            render_operand(p, m, *value)
         ),
         S::StaticLoad { dst, field } => {
             let f = p.field(*field);
@@ -1369,7 +1426,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
                 "{}::{} = {}",
                 p.class_name(f.class),
                 p.name(f.name),
-                render_operand(m, *value)
+                render_operand(p, m, *value)
             )
         }
         S::Call {
@@ -1393,7 +1450,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
             if let Some(r) = receiver {
                 all.push(render_local(m, *r));
             }
-            all.extend(args.iter().map(|a| render_operand(m, *a)));
+            all.extend(args.iter().map(|a| render_operand(p, m, *a)));
             s.push_str(&format!(
                 "call {kw} {}({})",
                 p.method_name(*callee),
@@ -1404,7 +1461,7 @@ fn render_stmt(p: &apir::Program, m: &apir::Method, stmt: &apir::Stmt) -> String
     }
 }
 
-fn render_terminator(m: &apir::Method, t: &apir::Terminator) -> String {
+fn render_terminator(p: &apir::Program, m: &apir::Method, t: &apir::Terminator) -> String {
     use apir::Terminator as T;
     match t {
         T::Goto(b) => format!("goto bb{}", b.index()),
@@ -1415,7 +1472,7 @@ fn render_terminator(m: &apir::Method, t: &apir::Terminator) -> String {
         } => {
             format!(
                 "if {} then bb{} else bb{}",
-                render_operand(m, *cond),
+                render_operand(p, m, *cond),
                 then_bb.index(),
                 else_bb.index()
             )
@@ -1425,7 +1482,7 @@ fn render_terminator(m: &apir::Method, t: &apir::Terminator) -> String {
             format!("nondet {}", list.join(" "))
         }
         T::Return(None) => "return".to_owned(),
-        T::Return(Some(op)) => format!("return {}", render_operand(m, *op)),
+        T::Return(Some(op)) => format!("return {}", render_operand(p, m, *op)),
     }
 }
 
@@ -1488,6 +1545,52 @@ layout com.rt.Main {
             app2.manifest.activities.len()
         );
         assert_eq!(app1.layouts.len(), app2.layouts.len());
+    }
+
+    #[test]
+    fn string_literals_round_trip_through_text() {
+        let tricky = "a b,c(d)=e::f//g\"h\\i é";
+        let src = format!(
+            "class com.s.Main extends android.app.Activity {{\n\
+             field static name: str\n\
+             method onCreate(this) {{\n\
+             bb0:\n\
+             x = \"com.example.Target\"\n\
+             com.s.Main::name = {}\n\
+             return x\n\
+             }}\n\
+             }}\n",
+            escape(tricky)
+        );
+        let app = parse_app("Str", &src).expect("literals parse");
+        let strings = |app: &AndroidApp| -> Vec<String> {
+            let p = &app.program;
+            let mut out = Vec::new();
+            for (_, stmt) in p.methods().iter().flat_map(|m| m.iter_stmts()) {
+                match stmt {
+                    apir::Stmt::Const {
+                        value: ConstValue::Str(s),
+                        ..
+                    }
+                    | apir::Stmt::StaticStore {
+                        value: Operand::Const(ConstValue::Str(s)),
+                        ..
+                    } => out.push(p.name(*s).to_owned()),
+                    _ => {}
+                }
+            }
+            out
+        };
+        assert_eq!(strings(&app), ["com.example.Target", tricky]);
+        let text = render_app(&app);
+        let again = parse_app("Str", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(strings(&again), strings(&app));
+        assert_eq!(render_app(&again), text, "render∘parse is a fixpoint");
+
+        for bad in ["\"open", "\"a\"b\"", "\"\\q\"", "\"\\u{zz}\""] {
+            let src = src.replace("\"com.example.Target\"", bad);
+            assert!(parse_app("Str", &src).is_err(), "{bad} must not parse");
+        }
     }
 
     #[test]

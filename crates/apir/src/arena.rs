@@ -15,7 +15,8 @@
 //!
 //! [`Interner::with_arena`]: crate::Interner::with_arena
 
-use crate::interner::{fnv64_str, Symbol};
+use crate::digest::fnv64;
+use crate::interner::Symbol;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -64,7 +65,7 @@ impl SymbolArena {
     /// to call from any number of threads: all callers racing on the
     /// same new string agree on one symbol.
     pub fn intern(&self, text: &str) -> Symbol {
-        let hash = fnv64_str(text);
+        let hash = fnv64(text.as_bytes());
         if let Some(sym) = self.read().find(hash, text) {
             return sym;
         }
@@ -84,7 +85,7 @@ impl SymbolArena {
     /// Looks `text` up without interning it.
     #[must_use]
     pub fn get(&self, text: &str) -> Option<Symbol> {
-        self.read().find(fnv64_str(text), text)
+        self.read().find(fnv64(text.as_bytes()), text)
     }
 
     /// Resolves a symbol minted by this arena to its shared text.

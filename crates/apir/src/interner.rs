@@ -16,6 +16,7 @@
 //! arena) that minted it.
 
 use crate::arena::SymbolArena;
+use crate::digest::fnv64;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -31,17 +32,6 @@ impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sym{}", self.0)
     }
-}
-
-/// FNV-1a over a string — the shared hash for interner and arena
-/// lookups, stable across platforms and Rust versions.
-pub(crate) fn fnv64_str(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Deduplicating storage for strings.
@@ -111,7 +101,7 @@ impl Interner {
 
     /// Interns `text`, returning the symbol for it.
     pub fn intern(&mut self, text: &str) -> Symbol {
-        let hash = fnv64_str(text);
+        let hash = fnv64(text.as_bytes());
         if let Some(sym) = self.find_local(hash, text) {
             return sym;
         }
@@ -136,7 +126,7 @@ impl Interner {
     /// before. In arena mode a string another interner put in the shared
     /// arena does not count — its symbol would not resolve here.
     pub fn get(&self, text: &str) -> Option<Symbol> {
-        self.find_local(fnv64_str(text), text)
+        self.find_local(fnv64(text.as_bytes()), text)
     }
 
     /// Resolves a symbol back to its text.

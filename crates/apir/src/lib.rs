@@ -40,13 +40,13 @@ mod arena;
 mod builder;
 mod class;
 pub mod dataflow;
+mod digest;
 mod dom;
 mod edges;
 mod ids;
 mod interner;
 pub mod local_defs;
 mod method;
-mod print;
 mod program;
 #[cfg(test)]
 mod proptests;
@@ -57,12 +57,12 @@ mod validate;
 pub use arena::SymbolArena;
 pub use builder::{ClassBuilder, MethodBuilder, ProgramBuilder};
 pub use class::{Class, Field, Origin};
+pub use digest::{fnv64, Fnv64, MethodDigest, MethodEntry, ProgramDigest};
 pub use dom::Dominators;
 pub use edges::{BranchEdge, InfeasibleEdges};
 pub use ids::{AllocSiteId, BlockId, CallSiteId, ClassId, FieldId, Local, MethodId, StmtAddr};
 pub use interner::{Interner, Symbol};
 pub use method::{BasicBlock, Cfg, Method, Terminator};
-pub use print::ProgramPrinter;
 pub use program::Program;
 pub use stmt::{BinOp, CmpOp, ConstValue, InvokeKind, Operand, Stmt, UnOp};
 pub use ty::Type;

@@ -11,7 +11,9 @@
 //! Groups: per-stage means on the medium app (NPR News); each ablation
 //! on and off (prefilter on the refutation stress app, cycle collapse on
 //! the pointer cycle chain, triage and histories on NPR News); summary
-//! store and on-disk artifact reuse; and corpus throughput, where every
+//! store and on-disk artifact reuse, and the size classes with and
+//! without a shared framework layer (medians of ten rounds that
+//! alternate the order); and corpus throughput, where every
 //! Table 2 app is analyzed ten times after one warm-up pass and the
 //! 200 samples give p50, p99 and the median absolute deviation, next to
 //! the process's peak RSS. Everything goes to `BENCH_table4.json`,
@@ -239,10 +241,11 @@ fn main() {
     });
     let _ = std::fs::remove_dir_all(&artifact_dir);
 
-    // The three size classes with private stores, with and without one
-    // shared framework layer: the first app fills the layer and the
-    // later ones are served from it.
-    let shared_pass = |layer: Option<&Arc<dyn SummaryStore>>| {
+    // The three size classes with private stores, with and without a
+    // shared framework layer, over rounds that alternate which pass runs
+    // first. Every shared pass starts from a fresh layer: its first app
+    // fills the layer and the later ones are served from it.
+    let size_class_pass = |layer: Option<&Arc<dyn SummaryStore>>| {
         let apps = sierra_bench::size_classes().into_iter();
         apps.map(|(_, corpus_app, _)| {
             let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
@@ -253,11 +256,30 @@ fn main() {
         })
         .sum::<Duration>()
     };
-    let framework_layer: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-    let t_corpus_shared = shared_pass(Some(&framework_layer));
-    let t_corpus_unshared = shared_pass(None);
+    const ROUNDS: usize = 10;
+    let (mut shared, mut unshared) = (Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        let layer: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+        if round % 2 == 0 {
+            shared.push(size_class_pass(Some(&layer)));
+            unshared.push(size_class_pass(None));
+        } else {
+            unshared.push(size_class_pass(None));
+            shared.push(size_class_pass(Some(&layer)));
+        }
+    }
+    shared.sort_unstable();
+    unshared.sort_unstable();
+    let (t_corpus_shared, t_corpus_unshared) =
+        (percentile(&shared, 0.5), percentile(&unshared, 0.5));
     println!(
-        "size classes: {t_corpus_shared:.3?} over a shared layer, {t_corpus_unshared:.3?} without"
+        "size classes, {ROUNDS} alternating rounds: median {t_corpus_shared:.3?} \
+         (IQR {:.3?}..{:.3?}) over a fresh shared layer, {t_corpus_unshared:.3?} \
+         (IQR {:.3?}..{:.3?}) without",
+        percentile(&shared, 0.25),
+        percentile(&shared, 0.75),
+        percentile(&unshared, 0.25),
+        percentile(&unshared, 0.75),
     );
 
     let json = obj(vec![

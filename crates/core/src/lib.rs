@@ -64,8 +64,7 @@ pub use report::{describe_action, describe_pair, priority_of, Priority, RaceRepo
 pub use session::{AnalysisSession, PrefilterOutcome, SessionBuilder, SessionError};
 pub use soundness::SoundnessStats;
 pub use summary::{
-    config_fingerprint, framework_fingerprint, structural_fingerprint, summary_key, DiskStore,
-    MemoryStore, MethodSummary, SummaryStore,
+    config_fingerprint, summary_key, DiskStore, MemoryStore, MethodSummary, SummaryStore,
 };
 pub use triage::{Harm, TriageStats, TriageVerdict, Witness};
 

@@ -7,21 +7,18 @@
 //! 1. [`crate::summary::load_or_summarize`] produces one summary per
 //!    method, pulling unchanged methods from the store and recomputing
 //!    only methods whose content key misses (i.e. whose body changed);
-//! 2. [`LinkedSummaries`] recombines them: a dominance map for the SHBG,
-//!    const facts for the prefilter, access sites for the candidate
-//!    stage, and the **analysis key** — the hash of all pointer digests
-//!    — under which the whole points-to `Analysis` is cached;
+//! 2. [`LinkedSummaries`] recombines them: each stage looks its
+//!    per-method facts up in place ([`LinkedSummaries::summary`]) —
+//!    dominance for the SHBG, const facts for the prefilter, access
+//!    sites for the candidate stage — and the **analysis key**, the hash
+//!    of all pointer digests, keys the whole points-to `Analysis`;
 //! 3. the session replays only what the changed inputs require: an
 //!    analysis-key hit skips the solver outright (zero worklist
 //!    iterations), and the remaining stages are deterministic functions
 //!    of the reused artifacts, so cold and warm runs are byte-identical.
 
 use crate::summary::MethodSummary;
-use apir::MethodId;
-use pointer::{AccessSite, Analysis, Fnv64};
-use prefilter::constprop::ConstFacts;
-use shbg::CallDominance;
-use std::collections::{HashMap, HashSet};
+use apir::{Fnv64, MethodId, ProgramDigest};
 use std::sync::Arc;
 
 /// Work counters of the linking pass, reported in
@@ -52,13 +49,15 @@ pub struct LinkStats {
 }
 
 /// Per-method summaries linked for one program + config, with the
-/// recombination views the downstream stages consume.
+/// lookups and keys the downstream stages use.
 #[derive(Debug)]
 pub struct LinkedSummaries {
-    /// One summary per method with a body, in method-id order.
-    pub methods: Vec<(MethodId, Arc<MethodSummary>)>,
-    /// The program's structural fingerprint.
-    pub structural_fp: u64,
+    /// The program's digests: its fingerprints and, per method with a
+    /// body in id order, the body and pointer digests.
+    pub digest: ProgramDigest,
+    /// One summary per method with a body, index-aligned with
+    /// `digest.methods`.
+    pub summaries: Vec<Arc<MethodSummary>>,
     /// The config fingerprint the summaries were keyed with.
     pub config_fp: u64,
 }
@@ -78,48 +77,20 @@ impl LinkedSummaries {
     /// `Analysis` this way over the main pass's summaries.
     pub fn analysis_key_for(&self, config_fp: u64) -> u64 {
         let mut h = Fnv64::new();
-        h.write_u64(self.structural_fp).write_u64(config_fp);
-        for (id, s) in &self.methods {
-            h.write_u64(u64::from(id.0)).write_u64(s.pointer_digest);
+        h.write_u64(self.digest.structural).write_u64(config_fp);
+        for m in &self.digest.methods {
+            h.write_u32(m.id.0).write_u64(m.digest.pointer);
         }
         h.finish()
     }
 
-    /// Dominance facts keyed by method, for
-    /// [`shbg::build_with_dominance`].
-    pub fn dominance_map(&self) -> HashMap<MethodId, CallDominance> {
-        self.methods
-            .iter()
-            .map(|(id, s)| (*id, s.dominance.clone()))
-            .collect()
-    }
-
-    /// Access sites keyed by method, for
-    /// [`pointer::collect_accesses_from_sites`].
-    pub fn sites_map(&self) -> HashMap<MethodId, Vec<AccessSite>> {
-        self.methods
-            .iter()
-            .map(|(id, s)| (*id, s.sites.clone()))
-            .collect()
-    }
-
-    /// Constant-propagation facts for the methods reachable in
-    /// `analysis`, replicating [`prefilter::constprop::analyze_reachable`]
-    /// exactly (reachable methods only, empty fact sets omitted) so the
-    /// prefilter's verdicts and infeasible-edge export are identical to
-    /// the non-summary path.
-    pub fn const_facts_for(&self, analysis: &Analysis) -> HashMap<MethodId, ConstFacts> {
-        let reachable: HashSet<MethodId> = analysis.reachable.iter().map(|&(m, _)| m).collect();
-        let mut out = HashMap::new();
-        for (id, s) in &self.methods {
-            if !reachable.contains(id) {
-                continue;
-            }
-            if s.consts.infeasible.is_empty() && s.consts.dead_blocks.is_empty() {
-                continue;
-            }
-            out.insert(*id, s.consts.clone());
-        }
-        out
+    /// The summary of `method`, or `None` when it has no body.
+    pub fn summary(&self, method: MethodId) -> Option<&MethodSummary> {
+        let i = self
+            .digest
+            .methods
+            .binary_search_by_key(&method, |m| m.id)
+            .ok()?;
+        Some(&self.summaries[i])
     }
 }

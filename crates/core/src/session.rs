@@ -179,8 +179,10 @@ impl SessionBuilder {
     /// when building from inline source, so framework names are stored once
     /// per process across sessions (the serve loop passes its arena here).
     /// Only affects [`Self::source`] input — pre-built apps keep whatever
-    /// interner they were constructed with. Reports and summary keys are
-    /// identical with or without a shared arena.
+    /// interner they were constructed with. Reports, summary keys and
+    /// analysis keys are identical with or without a shared arena, and
+    /// whatever the arena held before: keys hash names and string
+    /// constants by their text, never by symbol value.
     pub fn arena(mut self, arena: Arc<apir::SymbolArena>) -> Self {
         self.arena = Some(arena);
         self
@@ -244,7 +246,7 @@ struct Outputs {
     harness: Option<Arc<HarnessResult>>,
     pointer: Option<(LinkedSummaries, Arc<Analysis>)>,
     shbg: Option<Shbg>,
-    candidates: Option<Vec<(Access, Access)>>,
+    candidates: Option<Candidates>,
     prefilter: Option<PrefilterOutcome>,
     /// Built by the `Histories` stage ahead of refutation, which
     /// consumes its dead-callback edges.
@@ -254,6 +256,16 @@ struct Outputs {
     histories: Option<(Vec<RaceReport>, Vec<PrunedPair>)>,
     triage: Option<Vec<RaceReport>>,
     compare: Option<usize>,
+}
+
+/// Output of the candidates stage.
+#[derive(Debug)]
+struct Candidates {
+    /// Every access of the reachable program outside the harness class,
+    /// one per `(action, statement)`; triage reads their writes.
+    accesses: Vec<Access>,
+    /// The candidate racy pairs drawn from them.
+    pairs: Vec<(Access, Access)>,
 }
 
 /// Cached output of the prefilter stage.
@@ -313,7 +325,9 @@ impl AnalysisSession {
     /// Stage 4: candidate racy pairs — same harness, different unordered
     /// actions, overlapping locations, at least one write (§4.1).
     pub fn candidates(&mut self) -> Result<&[(Access, Access)], SessionError> {
-        self.through(Stage::Candidates, |o| o.candidates.as_deref())
+        self.through(Stage::Candidates, |o| {
+            o.candidates.as_ref().map(|c| c.pairs.as_slice())
+        })
     }
 
     /// Stage 5: pre-refutation static pruning (escape, guard and
@@ -362,7 +376,9 @@ impl AnalysisSession {
             harness: Some(harness),
             pointer: Some((_, analysis)),
             shbg: Some(graph),
-            candidates: Some(candidates),
+            candidates: Some(Candidates {
+                pairs: candidates, ..
+            }),
             prefilter: Some(prefilter),
             histories: Some((_, history_pruned)),
             triage: Some(races),
@@ -423,26 +439,28 @@ impl AnalysisSession {
             Some(link_and_solve(&config, store, shared, harness, m))
         })?;
         let graph = d.step(Stage::Shbg, &mut out.shbg, |m| {
-            let graph = shbg::build_with_dominance(analysis, harness, &linked.dominance_map());
+            let graph = shbg::build_with_dominance(analysis, harness, |m| {
+                linked.summary(m).map(|s| &s.dominance)
+            });
             m.shbg = graph.stats;
             Some(graph)
         })?;
-        let candidates = d.step(Stage::Candidates, &mut out.candidates, |_| {
+        let Candidates {
+            accesses,
+            pairs: candidates,
+        } = d.step(Stage::Candidates, &mut out.candidates, |_| {
             let accesses = linked_accesses(harness, analysis, linked);
             let pairs = racy_pairs(&accesses, analysis, graph).into_iter();
-            Some(pairs.map(|(a, b)| (a.clone(), b.clone())).collect())
+            let pairs = pairs.map(|(a, b)| (a.clone(), b.clone())).collect();
+            Some(Candidates { accesses, pairs })
         })?;
         let prefilter = d.step_or(
             Stage::Prefilter,
             &mut out.prefilter,
             |m| {
-                let run = prefilter::run_with_const_facts(
-                    &harness.app.program,
-                    analysis,
-                    graph,
-                    candidates,
-                    &linked.const_facts_for(analysis),
-                );
+                let run = prefilter::run(&harness.app.program, analysis, graph, candidates, |m| {
+                    linked.summary(m).map(|s| &s.consts)
+                });
                 m.prefilter = run.stats;
                 Some(PrefilterOutcome {
                     kept: run.kept,
@@ -499,7 +517,8 @@ impl AnalysisSession {
             Stage::Triage,
             &mut out.triage,
             |m| {
-                let (races, stats) = triage_races(harness, analysis, graph, races, config.min_harm);
+                let (races, stats) =
+                    triage_races(program, analysis, graph, accesses, races, config.min_harm);
                 m.triage = stats;
                 Some(races)
             },

@@ -6,7 +6,7 @@ use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, StageMetrics};
 use crate::report::{priority_of, RaceReport};
 use crate::session::PrefilterOutcome;
-use crate::summary::{config_fingerprint, load_or_summarize, structural_fingerprint, SummaryStore};
+use crate::summary::{config_fingerprint, load_or_summarize, SummaryStore};
 use apir::InfeasibleEdges;
 use harness_gen::HarnessResult;
 use histories::{HistoryModel, HistoryPattern, HistoryStats};
@@ -27,26 +27,17 @@ pub(crate) fn link_and_solve(
     m: &mut StageMetrics,
 ) -> (LinkedSummaries, Arc<Analysis>) {
     let program = &harness.app.program;
-    let structural_fp = structural_fingerprint(program);
     let config_fp = config_fingerprint(config.selector, config.pointer_options);
     let (corrupt_before, evicted_before) = (store.corrupt_misses(), store.evictions());
-    let (methods, reused, recomputed, shared_hits) = load_or_summarize(
+    let (linked, link) = load_or_summarize(
         program,
         &harness.app.framework,
         config.pointer_options.index_sensitive,
-        structural_fp,
         config_fp,
         store,
         shared,
     );
-    let linked = LinkedSummaries {
-        methods,
-        structural_fp,
-        config_fp,
-    };
-    m.link.summaries_reused = reused;
-    m.link.summaries_recomputed = recomputed;
-    m.link.summaries_shared = shared_hits;
+    m.link = link;
 
     let key = linked.analysis_key();
     let (analysis, reused) = load_or_solve(config, store, harness, key, config.selector);
@@ -193,20 +184,15 @@ pub(crate) fn discharge_histories(
 /// Annotates each race with its harm verdict and drops those below
 /// `min_harm`.
 pub(crate) fn triage_races(
-    harness: &HarnessResult,
+    program: &apir::Program,
     analysis: &Analysis,
     graph: &Shbg,
+    accesses: &[Access],
     races: &[RaceReport],
     min_harm: Option<triage::Harm>,
 ) -> (Vec<RaceReport>, triage::TriageStats) {
     let pairs: Vec<(Access, Access)> = races.iter().map(|r| (r.a.clone(), r.b.clone())).collect();
-    let (verdicts, stats) = triage::classify_races(
-        &harness.app.program,
-        analysis,
-        graph,
-        Some(harness.harness_class),
-        &pairs,
-    );
+    let (verdicts, stats) = triage::classify_races(program, analysis, graph, accesses, &pairs);
     let mut races = races.to_vec();
     for (race, verdict) in races.iter_mut().zip(verdicts) {
         race.triage = Some(verdict);
@@ -233,7 +219,9 @@ pub(crate) fn compare_without_as(
     };
     let key = linked.analysis_key_for(config_fingerprint(selector, config.pointer_options));
     let (analysis, _) = load_or_solve(config, store, harness, key, selector);
-    let graph = shbg::build_with_dominance(&analysis, harness, &linked.dominance_map());
+    let graph = shbg::build_with_dominance(&analysis, harness, |m| {
+        linked.summary(m).map(|s| &s.dominance)
+    });
     let accesses = linked_accesses(harness, &analysis, linked);
     racy_pairs(&accesses, &analysis, &graph).len()
 }
@@ -249,7 +237,7 @@ pub(crate) fn linked_accesses(
         analysis,
         &harness.app.program,
         Some(harness.harness_class),
-        &linked.sites_map(),
+        |m| linked.summary(m).map(|s| s.sites.as_slice()),
     ))
 }
 

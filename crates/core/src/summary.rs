@@ -3,8 +3,6 @@
 //! The compositional layer (after RacerD's per-method summaries) splits
 //! each pipeline stage's per-method work into a [`MethodSummary`]:
 //!
-//! - the **pointer digest** — a content hash of the statements the
-//!   Andersen solver reacts to (keys whole-`Analysis` artifact reuse);
 //! - **call dominance** ([`shbg::CallDominance`]) — the dominance pairs
 //!   HB rules 2–4 query;
 //! - **constant-propagation facts** ([`prefilter::constprop::ConstFacts`])
@@ -13,28 +11,33 @@
 //! - **access sites** ([`pointer::AccessSite`]) — the field accesses the
 //!   candidate stage instantiates per context.
 //!
-//! Every fact is a pure function of one method body (plus the config),
-//! so summaries are keyed by `fnv64(structural fingerprint ‖ printed
-//! method body ‖ config fingerprint)`:
+//! Every fact is a pure function of one method body (plus the config).
+//! Keys come from one walk over the IR ([`apir::ProgramDigest`]) that
+//! prints nothing and builds no `String`; a summary is keyed by
+//! `fnv64(structural fingerprint ‖ body digest ‖ config fingerprint)`:
 //!
 //! - the **structural fingerprint** covers the class/field/method tables
 //!   *excluding bodies* — renames, signature changes, or hierarchy edits
 //!   shift ids and invalidate every summary (conservative but sound);
-//! - the printed body makes the key content-addressed: editing one
-//!   method changes only that method's key;
+//! - the **body digest** hashes every field of the body, so editing one
+//!   method changes only that method's key. It hashes class, field and
+//!   method references as ids, which the structural fingerprint maps to
+//!   names;
 //! - the **config fingerprint** (selector + pointer options) makes
 //!   stores safely shareable across configurations — a flag flip misses
 //!   the whole store rather than mixing incompatible facts.
 //!
 //! Whole-`Analysis` artifacts are additionally cached under
-//! `fnv64(structural fp ‖ config fp ‖ every method's pointer digest)`:
-//! if no solver-relevant statement changed anywhere, the previous
-//! points-to result is reused outright and the warm run performs zero
-//! worklist iterations. The on-disk backend persists artifacts too, as
-//! versioned binary blobs ([`pointer::artifact`]) next to the summary
-//! files, so the reuse survives process boundaries: a cold `sierra
-//! analyze`, a restarted `serve`, or a fresh CI job warm-starts from
-//! `--cache-dir` exactly like an in-memory warm hit.
+//! `fnv64(structural fp ‖ config fp ‖ every method's pointer digest)`,
+//! where a method's **pointer digest** covers only what the Andersen
+//! solver reads of its body: if no solver-relevant statement changed
+//! anywhere, the previous points-to result is reused outright and the
+//! warm run performs zero worklist iterations. The on-disk backend
+//! persists artifacts too, as versioned binary blobs
+//! ([`pointer::artifact`]) next to the summary files, so the reuse
+//! survives process boundaries: a cold `sierra analyze`, a restarted
+//! `serve`, or a fresh CI job warm-starts from `--cache-dir` exactly
+//! like an in-memory warm hit.
 //!
 //! ## Corpus-shared framework summaries
 //!
@@ -43,34 +46,33 @@
 //! standard key covers the whole program's structural fingerprint, so
 //! per-app stores recompute identical framework summaries once per app.
 //! [`load_or_summarize`] therefore accepts an optional **shared store**:
-//! methods of [`apir::Origin::Framework`] classes are additionally
-//! keyed by [`framework_fingerprint`] (the structural fingerprint
-//! restricted to framework entities, identical across apps built from
-//! one framework model) and looked up shared-first. A miss promotes the
-//! freshly computed summary into the shared store, so the framework
-//! slice of an entire corpus is summarized exactly once. The two key
-//! spaces cannot collide semantically — a framework-keyed entry is only
-//! ever looked up by sessions whose framework slice hashes identically
-//! — so one backing store may safely serve as both the per-app and the
-//! shared layer (how the `--shared-store` flag wires it).
+//! methods of [`apir::Origin::Framework`] classes whose bodies name only
+//! framework entities are additionally keyed by the **framework
+//! fingerprint** (the structural fingerprint restricted to framework
+//! entities, identical across apps built from one framework model) and
+//! looked up shared-first. A miss promotes the freshly computed summary
+//! into the shared store, so the framework slice of an entire corpus is
+//! summarized exactly once. The two key spaces cannot collide
+//! semantically — a framework-keyed entry is only ever looked up by
+//! sessions whose framework slice hashes identically — so one backing
+//! store may safely serve as both the per-app and the shared layer (how
+//! the `--shared-store` flag wires it).
 //!
 //! ## Arena-stable keys
 //!
 //! Sessions are built through [`crate::SessionBuilder`], which may
 //! intern an app's names into a process-wide shared
 //! [`apir::SymbolArena`] (`sierra serve`, corpus runs) instead of a
-//! private per-program interner. Summary keys are **independent of that
-//! choice**: every fingerprint hashes resolved name *text* (via
-//! [`Program::name`] and the printed body), never raw symbol values, so
-//! a store primed without a shared arena hits from sessions built over
-//! one — and hits across processes whose arenas interned names in
-//! different orders.
+//! private per-program interner. Summary and analysis keys are
+//! **independent of that choice**: the fingerprints hash name *text*,
+//! and the body and pointer digests hash string constants by their text
+//! too, never a raw symbol value. So a store primed without a shared
+//! arena hits from sessions built over one — and hits across processes
+//! whose arenas interned names in different orders.
 
-use apir::{BlockId, FieldId, Local, MethodId, Origin, Program, ProgramPrinter, StmtAddr};
-use pointer::{
-    extract_pointer_facts, fnv64, method_access_sites, pointer_digest, AccessSite, Analysis,
-    AnalysisOptions, Fnv64, SelectorKind,
-};
+use crate::link::{LinkStats, LinkedSummaries};
+use apir::{fnv64, BlockId, FieldId, Fnv64, Local, MethodId, Program, ProgramDigest, StmtAddr};
+use pointer::{method_access_sites, AccessSite, Analysis, AnalysisOptions, SelectorKind};
 use prefilter::constprop::{self, ConstFacts};
 use shbg::CallDominance;
 use std::collections::{HashMap, HashSet};
@@ -82,9 +84,6 @@ use std::sync::{Arc, Mutex};
 /// hash of the method body plus the config fingerprint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodSummary {
-    /// Hash over the solver-relevant statements (see
-    /// [`pointer::pointer_digest`]).
-    pub pointer_digest: u64,
     /// Call-statement dominance pairs for HB rules 2–4.
     pub dominance: CallDominance,
     /// Constant-propagation facts for the prefilter and refuter.
@@ -102,127 +101,10 @@ pub fn summarize_method(
 ) -> MethodSummary {
     let m = program.method(method);
     MethodSummary {
-        pointer_digest: pointer_digest(&extract_pointer_facts(m)),
         dominance: CallDominance::compute(m),
         consts: constprop::analyze_method(m),
         sites: method_access_sites(program, fw, method, index_sensitive),
     }
-}
-
-/// Fingerprint of the program structure *excluding method bodies*:
-/// class names, hierarchy, interfaces, field names/types/staticness, and
-/// method signatures. Summaries are only valid while ids are stable, and
-/// ids are assigned by table position, so any structural change
-/// conservatively invalidates every summary of the program.
-pub fn structural_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    for c in program.classes() {
-        h.write(
-            format!(
-                "c{}:{};super={:?};if={:?};int={};origin={:?};",
-                c.id.0,
-                program.name(c.name),
-                c.super_class,
-                c.interfaces,
-                c.is_interface,
-                c.origin
-            )
-            .as_bytes(),
-        );
-    }
-    for f in program.fields() {
-        h.write(
-            format!(
-                "f{}:{}.{};ty={:?};st={};",
-                f.id.0,
-                f.class.0,
-                program.name(f.name),
-                f.ty,
-                f.is_static
-            )
-            .as_bytes(),
-        );
-    }
-    for m in program.methods() {
-        h.write(
-            format!(
-                "m{}:{}.{};p={};ret={:?};st={};abs={};",
-                m.id.0,
-                m.class.0,
-                program.name(m.name),
-                m.param_count,
-                m.ret,
-                m.is_static,
-                m.is_abstract
-            )
-            .as_bytes(),
-        );
-    }
-    h.finish()
-}
-
-/// [`structural_fingerprint`] restricted to framework entities: classes
-/// of [`Origin::Framework`] plus the fields and methods they declare,
-/// rendered in the same per-entity format. Apps built from the same
-/// framework model produce the same value regardless of their app/
-/// library code (the framework installs first, so its ids are stable
-/// across apps), which makes it the key prefix for the corpus-shared
-/// summary layer: a framework method's summary keyed by this
-/// fingerprint is valid for *every* app sharing the framework slice.
-pub fn framework_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    for c in program.classes() {
-        if c.origin != Origin::Framework {
-            continue;
-        }
-        h.write(
-            format!(
-                "c{}:{};super={:?};if={:?};int={};origin={:?};",
-                c.id.0,
-                program.name(c.name),
-                c.super_class,
-                c.interfaces,
-                c.is_interface,
-                c.origin
-            )
-            .as_bytes(),
-        );
-    }
-    for f in program.fields() {
-        if program.class(f.class).origin != Origin::Framework {
-            continue;
-        }
-        h.write(
-            format!(
-                "f{}:{}.{};ty={:?};st={};",
-                f.id.0,
-                f.class.0,
-                program.name(f.name),
-                f.ty,
-                f.is_static
-            )
-            .as_bytes(),
-        );
-    }
-    for m in program.methods() {
-        if program.class(m.class).origin != Origin::Framework {
-            continue;
-        }
-        h.write(
-            format!(
-                "m{}:{}.{};p={};ret={:?};st={};abs={};",
-                m.id.0,
-                m.class.0,
-                program.name(m.name),
-                m.param_count,
-                m.ret,
-                m.is_static,
-                m.is_abstract
-            )
-            .as_bytes(),
-        );
-    }
-    h.finish()
 }
 
 /// Fingerprint of the configuration axes that change per-method facts:
@@ -232,11 +114,12 @@ pub fn config_fingerprint(selector: SelectorKind, options: AnalysisOptions) -> u
     fnv64(format!("{selector:?};{options:?}").as_bytes())
 }
 
-/// The content-addressed summary key of one method.
-pub fn summary_key(structural_fp: u64, printed_body: &str, config_fp: u64) -> u64 {
+/// The content-addressed summary key of one method: its body digest
+/// under a fingerprint that maps the body's ids to names.
+pub fn summary_key(fingerprint: u64, body_digest: u64, config_fp: u64) -> u64 {
     Fnv64::new()
-        .write_u64(structural_fp)
-        .write(printed_body.as_bytes())
+        .write_u64(fingerprint)
+        .write_u64(body_digest)
         .write_u64(config_fp)
         .finish()
 }
@@ -245,10 +128,10 @@ pub fn summary_key(structural_fp: u64, printed_body: &str, config_fp: u64) -> u6
 /// whole-`Analysis` artifacts. Keys are content hashes, so a store never
 /// needs invalidation logic: stale entries are simply never looked up
 /// again. Implementations must be shareable across the serve worker pool
-/// and the corpus engine's workers (`Send + Sync`). Keys hash name
-/// text rather than symbol values, so one store serves sessions built
-/// over a shared [`apir::SymbolArena`] and private-interner sessions
-/// interchangeably.
+/// and the corpus engine's workers (`Send + Sync`). Keys hash names and
+/// string constants by their text rather than by symbol value, so one
+/// store serves sessions built over a shared [`apir::SymbolArena`] and
+/// private-interner sessions interchangeably.
 pub trait SummaryStore: Send + Sync + std::fmt::Debug {
     /// Looks up a method summary by key.
     fn get(&self, key: u64) -> Option<Arc<MethodSummary>>;
@@ -364,7 +247,7 @@ pub struct DiskStore {
 
 /// Version header of the on-disk summary format; bump on layout change
 /// so stale caches miss instead of misparse.
-const DISK_FORMAT: &str = "sierra-summary v1";
+const DISK_FORMAT: &str = "sierra-summary v2";
 
 impl DiskStore {
     /// Opens (creating if needed) an unbounded store rooted at `dir`.
@@ -522,7 +405,6 @@ fn render_summary(s: &MethodSummary) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "{DISK_FORMAT}");
-    let _ = writeln!(out, "digest {}", s.pointer_digest);
     for &(a_bb, a_st, b_bb, b_st) in &s.dominance.pairs {
         let _ = writeln!(out, "dom {a_bb} {a_st} {b_bb} {b_st}");
     }
@@ -554,8 +436,6 @@ fn parse_summary(text: &str) -> Option<MethodSummary> {
     if lines.next()? != DISK_FORMAT {
         return None;
     }
-    let digest_line = lines.next()?;
-    let pointer_digest = digest_line.strip_prefix("digest ")?.parse().ok()?;
     let mut dominance = CallDominance::default();
     let mut consts = ConstFacts::default();
     let mut sites = Vec::new();
@@ -597,75 +477,68 @@ fn parse_summary(text: &str) -> Option<MethodSummary> {
         }
     }
     Some(MethodSummary {
-        pointer_digest,
         dominance,
         consts,
         sites,
     })
 }
 
-/// Computes (or retrieves) summaries for every method with a body, in
-/// method-id order, consulting `store` by content key — and, for
-/// framework-origin methods, `shared` first under the framework-scoped
-/// key (see [`framework_fingerprint`]). A shared miss that resolves
-/// elsewhere promotes the summary into the shared store, so across a
-/// corpus each framework method is summarized exactly once. Returns the
-/// summary list plus `(reused, recomputed, shared_hits)` counts;
-/// shared-layer hits count toward `shared_hits` only, keeping `reused`
-/// comparable with and without a shared store.
-#[allow(clippy::type_complexity)]
+/// Digests `program` and computes (or retrieves) the summary of every
+/// method with a body, in method-id order, consulting `store` by content
+/// key — and, for framework methods whose bodies name only framework
+/// entities, `shared` first under the framework-scoped key. A shared
+/// miss that resolves elsewhere promotes the summary into the shared
+/// store, so across a corpus each framework method is summarized exactly
+/// once. The returned stats count `summaries_reused`,
+/// `summaries_recomputed` and `summaries_shared`; shared-layer hits count
+/// toward `summaries_shared` only, keeping `summaries_reused` comparable
+/// with and without a shared store.
 pub fn load_or_summarize(
     program: &Program,
     fw: &android_model::FrameworkClasses,
     index_sensitive: bool,
-    structural_fp: u64,
     config_fp: u64,
     store: &dyn SummaryStore,
     shared: Option<&dyn SummaryStore>,
-) -> (Vec<(MethodId, Arc<MethodSummary>)>, usize, usize, usize) {
-    let printer = ProgramPrinter::new(program);
-    let framework_fp = shared.map(|_| framework_fingerprint(program));
-    let mut methods = Vec::new();
-    let (mut reused, mut recomputed, mut shared_hits) = (0, 0, 0);
-    for m in program.methods() {
-        if !m.has_body() {
-            continue;
-        }
-        let body = printer.print_method(m.id);
-        let key = summary_key(structural_fp, &body, config_fp);
+) -> (LinkedSummaries, LinkStats) {
+    let digest = ProgramDigest::of(program);
+    let mut stats = LinkStats::default();
+    let mut summaries = Vec::with_capacity(digest.methods.len());
+    for m in &digest.methods {
+        let key = summary_key(digest.structural, m.digest.body, config_fp);
         // Framework methods additionally live in the shared layer under
         // a key independent of this app's app/library code.
-        let shared_key = match (shared, framework_fp) {
-            (Some(_), Some(fp)) if program.class(m.class).origin == Origin::Framework => {
-                Some(summary_key(fp, &body, config_fp))
-            }
-            _ => None,
-        };
-        if let (Some(sh), Some(sk)) = (shared, shared_key) {
-            if let Some(s) = sh.get(sk) {
-                shared_hits += 1;
-                methods.push((m.id, s));
-                continue;
-            }
+        let shared_key = shared
+            .filter(|_| m.framework_only)
+            .map(|sh| (sh, summary_key(digest.framework, m.digest.body, config_fp)));
+        if let Some(s) = shared_key.and_then(|(sh, sk)| sh.get(sk)) {
+            stats.summaries_shared += 1;
+            summaries.push(s);
+            continue;
         }
         let summary = match store.get(key) {
             Some(s) => {
-                reused += 1;
+                stats.summaries_reused += 1;
                 s
             }
             None => {
-                recomputed += 1;
+                stats.summaries_recomputed += 1;
                 let s = Arc::new(summarize_method(program, fw, m.id, index_sensitive));
                 store.put(key, Arc::clone(&s));
                 s
             }
         };
-        if let (Some(sh), Some(sk)) = (shared, shared_key) {
+        if let Some((sh, sk)) = shared_key {
             sh.put(sk, Arc::clone(&summary));
         }
-        methods.push((m.id, summary));
+        summaries.push(summary);
     }
-    (methods, reused, recomputed, shared_hits)
+    let linked = LinkedSummaries {
+        digest,
+        summaries,
+        config_fp,
+    };
+    (linked, stats)
 }
 
 #[cfg(test)]
@@ -674,7 +547,6 @@ mod tests {
 
     fn sample_summary() -> MethodSummary {
         MethodSummary {
-            pointer_digest: 0xdead_beef_0123,
             dominance: CallDominance {
                 pairs: vec![(0, 1, 2, 0), (1, 0, 3, 2)],
             },
@@ -711,7 +583,7 @@ mod tests {
     #[test]
     fn parse_rejects_corrupt_and_versioned_input() {
         assert!(parse_summary("").is_none());
-        assert!(parse_summary("sierra-summary v0\ndigest 1\n").is_none());
+        assert!(parse_summary("sierra-summary v1\ndigest 1\n").is_none());
         let mut text = render_summary(&sample_summary());
         text.push_str("junk line\n");
         assert!(parse_summary(&text).is_none());
@@ -743,7 +615,7 @@ mod tests {
         // moves, and a re-put repairs the entry.
         std::fs::write(
             dir.join(format!("{:016x}.sum", 7u64)),
-            "sierra-summary v1\ndig",
+            "sierra-summary v2\ndom 0 1",
         )
         .expect("truncate");
         assert!(store.get(7).is_none());

@@ -440,7 +440,7 @@ fn soundness_section_renders_only_under_non_ignore_policies() {
 /// config fingerprints, and then its count equals a hybrid session's.
 #[test]
 fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
-    use crate::summary::{config_fingerprint, load_or_summarize, structural_fingerprint};
+    use crate::summary::{config_fingerprint, load_or_summarize};
     use crate::{MemoryStore, OpaquePolicy, SessionBuilder};
     use pointer::SelectorKind;
 
@@ -482,12 +482,12 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
                     program,
                     &harness.app.framework,
                     cfg.pointer_options.index_sensitive,
-                    structural_fingerprint(program),
                     config_fingerprint(selector, cfg.pointer_options),
                     &MemoryStore::new(),
                     None,
                 )
                 .0
+                .summaries
             };
             let context = format!("{name} ({SEED:#x}) under {policy}");
             assert!(summaries(cfg.selector) == summaries(hybrid), "{context}");

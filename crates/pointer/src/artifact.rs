@@ -71,7 +71,7 @@ pub fn envelope_is_valid(bytes: &[u8]) -> bool {
     let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
     let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
     let payload = &bytes[HEADER_LEN..];
-    payload.len() == len && crate::fnv64(payload) == checksum
+    payload.len() == len && apir::fnv64(payload) == checksum
 }
 
 /// Serializes an analysis into a self-validating artifact blob.
@@ -179,7 +179,7 @@ pub fn encode(analysis: &Analysis) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crate::fnv64(&payload).to_le_bytes());
+    out.extend_from_slice(&apir::fnv64(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }

@@ -34,10 +34,7 @@ pub use solver::{
     analyze, analyze_opts, scratch_pool_stats, Analysis, AnalysisOptions, OpaquePolicy, PostRecord,
     SolverStats,
 };
-pub use summary::{
-    extract_pointer_facts, fnv64, method_access_sites, pointer_digest, reachable_access_sites,
-    AccessSite, Fnv64, MethodPointerFacts,
-};
+pub use summary::{method_access_sites, AccessSite};
 
 #[cfg(test)]
 mod tests;

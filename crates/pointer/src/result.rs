@@ -5,7 +5,6 @@ use crate::solver::Analysis;
 use crate::summary::{reachable_access_sites, AccessSite};
 use android_model::ActionId;
 use apir::{ClassId, FieldId, MethodId, Program, StmtAddr};
-use std::collections::HashMap;
 
 /// An abstract memory location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,22 +86,25 @@ pub fn collect_accesses(
     exclude_class: Option<ClassId>,
 ) -> Vec<Access> {
     let sites = reachable_access_sites(analysis, program);
-    collect_accesses_from_sites(analysis, program, exclude_class, &sites)
+    collect_accesses_from_sites(analysis, program, exclude_class, |m| {
+        sites.get(&m).map(Vec::as_slice)
+    })
 }
 
 /// Instantiates per-method [`AccessSite`]s against the points-to result:
 /// one [`Access`] per reachable `(method, ctx)` per site, with the base
 /// local resolved to its abstract objects. This is the linking half of
-/// [`collect_accesses`]; the summary layer feeds it cached sites.
-pub fn collect_accesses_from_sites(
+/// [`collect_accesses`]; the summary layer feeds it cached sites,
+/// looked up by method (`None` for a method without a body).
+pub fn collect_accesses_from_sites<'s>(
     analysis: &Analysis,
     program: &Program,
     exclude_class: Option<ClassId>,
-    sites: &HashMap<MethodId, Vec<AccessSite>>,
+    sites: impl Fn(MethodId) -> Option<&'s [AccessSite]>,
 ) -> Vec<Access> {
     let mut out = Vec::new();
     for &(method, ctx) in &analysis.reachable {
-        let Some(method_sites) = sites.get(&method) else {
+        let Some(method_sites) = sites(method) else {
             continue; // bodyless
         };
         if Some(program.method(method).class) == exclude_class {

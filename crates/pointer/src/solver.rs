@@ -15,18 +15,16 @@
 
 use crate::ctx::{CtxData, CtxId, CtxTable, ObjData, ObjId, ObjTable, SelectorKind};
 use crate::ptsset::PtsSet;
-use crate::summary::{extract_pointer_facts, MethodPointerFacts};
 use android_model::{
     ActionId, ActionKind, ActionRegistry, FrameworkClasses, FrameworkOp, ThreadKind,
 };
 use apir::{
     local_defs, CallSiteId, ClassId, ConstValue, FieldId, InvokeKind, Local, MethodId, Operand,
-    Program, Stmt, StmtAddr,
+    Program, Stmt, StmtAddr, Terminator,
 };
 use harness_gen::{HarnessResult, HarnessSiteKind};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
-use std::rc::Rc;
 
 /// Soundness policy for opaque call edges — reflection lookups and
 /// inter-component intent dispatch ([`FrameworkOp::is_policy_gated`]).
@@ -534,9 +532,6 @@ struct Solver<'a> {
     root_actions: Vec<(ClassId, ActionId)>,
     resolved_sites: HashSet<CallSiteId>,
     havoc_escaped: HashSet<ObjId>,
-    /// Per-method body facts, extracted once and shared across contexts
-    /// (the statement list is context-independent).
-    facts: HashMap<MethodId, Rc<MethodPointerFacts>>,
     stats: SolverStats,
 }
 
@@ -622,7 +617,6 @@ impl<'a> Solver<'a> {
             root_actions: Vec::new(),
             resolved_sites: HashSet::new(),
             havoc_escaped: HashSet::new(),
-            facts: HashMap::new(),
             stats: SolverStats::default(),
         }
     }
@@ -995,23 +989,18 @@ impl<'a> Solver<'a> {
     }
 
     fn process_body(&mut self, method: MethodId, ctx: CtxId) {
-        // Body facts are context-independent: extract once per method,
-        // share the `Rc` across every context that reaches it.
-        let facts = match self.facts.get(&method) {
-            Some(f) => Rc::clone(f),
-            None => {
-                let f = Rc::new(extract_pointer_facts(self.program.method(method)));
-                self.facts.insert(method, Rc::clone(&f));
-                f
-            }
-        };
-        for &r in &facts.rets {
-            if let Some(src) = self.operand_node(method, ctx, r) {
-                let ret = self.node(NodeKey::Ret { method, ctx });
-                self.add_edge(src, ret);
+        // The body is read in place: `program` outlives the solver, so
+        // no per-method copy is needed across contexts.
+        let body = self.program.method(method);
+        for (_, block) in body.iter_blocks() {
+            if let Terminator::Return(Some(r)) = block.terminator {
+                if let Some(src) = self.operand_node(method, ctx, r) {
+                    let ret = self.node(NodeKey::Ret { method, ctx });
+                    self.add_edge(src, ret);
+                }
             }
         }
-        for &(addr, ref stmt) in &facts.stmts {
+        for (addr, stmt) in body.iter_stmts() {
             match *stmt {
                 Stmt::Move { dst, src } => {
                     let s = self.var(method, ctx, src);

@@ -1,15 +1,4 @@
-//! Per-method facts for the compositional summary layer.
-//!
-//! The solver walks every method body once per reachable `(method, ctx)`
-//! pair. All the body-derived inputs it consumes — the return operands
-//! and the statement list — are context-independent, so they are
-//! extracted once per method as [`MethodPointerFacts`] and shared across
-//! contexts. The same extraction feeds the **pointer digest**: a content
-//! hash over exactly the statements the solver reacts to, which the
-//! summary store uses to key whole-`Analysis` artifact reuse. Two method
-//! bodies with equal digests produce identical constraint graphs, so a
-//! program whose every digest is unchanged re-solves to the identical
-//! `Analysis`.
+//! Per-method access sites.
 //!
 //! [`AccessSite`] is the per-method half of access collection
 //! (`collect_accesses`): the field-access statements of one body with
@@ -21,111 +10,7 @@ use crate::solver::Analysis;
 use android_model::{FrameworkClasses, FrameworkOp};
 use apir::{
     local_defs, ConstValue, FieldId, Local, Method, MethodId, Operand, Program, Stmt, StmtAddr,
-    Terminator,
 };
-
-/// 64-bit FNV-1a, the repo-wide content-hash primitive for summary keys.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    /// Absorbs a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// The accumulated hash.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a over a byte string.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    Fnv64::new().write(bytes).finish()
-}
-
-/// The context-independent inputs the solver reads from one method body:
-/// return operands (in block order) and the statement list (in
-/// [`Method::iter_stmts`] order) — exactly what `process_body` consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MethodPointerFacts {
-    /// Operands of every `Return(Some(op))` terminator, in block order.
-    pub rets: Vec<Operand>,
-    /// Every statement with its address, in iteration order.
-    pub stmts: Vec<(StmtAddr, Stmt)>,
-}
-
-/// Extracts the solver-consumed facts of one method body, in the exact
-/// order the solver processes them.
-pub fn extract_pointer_facts(method: &Method) -> MethodPointerFacts {
-    let rets: Vec<Operand> = method
-        .iter_blocks()
-        .filter_map(|(_, b)| match &b.terminator {
-            Terminator::Return(Some(op)) => Some(*op),
-            _ => None,
-        })
-        .collect();
-    let stmts: Vec<(StmtAddr, Stmt)> = method.iter_stmts().map(|(a, s)| (a, s.clone())).collect();
-    MethodPointerFacts { rets, stmts }
-}
-
-/// Whether the solver ignores `stmt` entirely. A `StaticStore` of a
-/// constant creates no node and no edge (`operand_node` of a constant is
-/// `None`), so it cannot perturb the constraint graph — it is the one
-/// statement class excluded from the pointer digest. `Const`/`UnOp`/
-/// `BinOp` statements *are* digested: the solver's container-index and
-/// `findViewById`/`sendMessage` resolution reads them through
-/// [`local_defs::resolve_const_operand`].
-fn solver_noop(stmt: &Stmt) -> bool {
-    matches!(
-        stmt,
-        Stmt::StaticStore {
-            value: Operand::Const(_),
-            ..
-        }
-    )
-}
-
-/// Content hash over the solver-relevant part of a method body.
-///
-/// Equal digests guarantee the solver builds the same constraints for
-/// the method; the summary linker keys whole-`Analysis` reuse on the
-/// concatenation of all digests (plus the structural and config
-/// fingerprints).
-pub fn pointer_digest(facts: &MethodPointerFacts) -> u64 {
-    let mut h = Fnv64::new();
-    for r in &facts.rets {
-        h.write(format!("r{r:?};").as_bytes());
-    }
-    for (addr, stmt) in &facts.stmts {
-        if solver_noop(stmt) {
-            continue;
-        }
-        h.write(format!("{addr:?}={stmt:?};").as_bytes());
-    }
-    h.finish()
-}
 
 /// One field-access statement of a method body, before context
 /// instantiation: the per-method half of `collect_accesses`.
@@ -212,7 +97,7 @@ pub(crate) fn resolve_index_field(
 
 /// Per-method access sites for every method with a body that is
 /// reachable in `analysis`, keyed by method id.
-pub fn reachable_access_sites(
+pub(crate) fn reachable_access_sites(
     analysis: &Analysis,
     program: &Program,
 ) -> std::collections::HashMap<MethodId, Vec<AccessSite>> {
@@ -226,19 +111,4 @@ pub fn reachable_access_sites(
         }
     }
     sites
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_deterministic_and_input_sensitive() {
-        assert_eq!(fnv64(b"abc"), fnv64(b"abc"));
-        assert_ne!(fnv64(b"abc"), fnv64(b"abd"));
-        assert_ne!(
-            Fnv64::new().write_u64(1).finish(),
-            Fnv64::new().write_u64(2).finish()
-        );
-    }
 }

@@ -16,11 +16,9 @@
 
 use apir::dataflow::{self, DataflowAnalysis, JoinSemiLattice};
 use apir::{
-    BinOp, BlockId, CmpOp, ConstValue, Local, Method, MethodId, Operand, Program, Stmt, StmtAddr,
-    Terminator, UnOp,
+    BinOp, BlockId, CmpOp, ConstValue, Local, Method, Operand, Stmt, StmtAddr, Terminator, UnOp,
 };
-use pointer::Analysis;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-method constant-propagation facts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -91,31 +89,6 @@ impl DataflowAnalysis for Sccp {
         }
         Some(state.clone())
     }
-}
-
-/// Runs the analysis over every reachable method body of `analysis`, in
-/// deterministic (method-id) order.
-pub fn analyze_reachable(program: &Program, analysis: &Analysis) -> HashMap<MethodId, ConstFacts> {
-    let mut methods: Vec<MethodId> = analysis
-        .reachable
-        .iter()
-        .map(|&(m, _)| m)
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    methods.sort_unstable();
-    let mut out = HashMap::new();
-    for m in methods {
-        let method = program.method(m);
-        if !method.has_body() {
-            continue;
-        }
-        let facts = analyze_method(method);
-        if !facts.infeasible.is_empty() || !facts.dead_blocks.is_empty() {
-            out.insert(m, facts);
-        }
-    }
-    out
 }
 
 /// Analyzes one method body.

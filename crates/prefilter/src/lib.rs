@@ -35,7 +35,7 @@ use android_model::ActionId;
 use apir::{FieldId, InfeasibleEdges, MethodId, Program, StmtAddr};
 use pointer::{Access, Analysis, ObjId};
 use shbg::Shbg;
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Why a candidate pair was pruned before refutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,39 +165,29 @@ pub struct PrefilterResult {
     pub stats: PrefilterStats,
 }
 
-/// Runs the three pruning analyses over `candidates`.
+/// Runs the three pruning analyses over `candidates`, with each
+/// method's constant-propagation facts supplied by the summary layer
+/// (`None` for a method without a body).
 ///
 /// The result partitions the input: `kept ∪ pruned == candidates`, order
 /// preserved within each part. Analyses are tried per pair in a fixed
 /// order (escape, then guard, then constprop) so verdict counts are
-/// deterministic.
-pub fn run(
+/// deterministic. Infeasible edges are exported for every method
+/// reachable in `analysis`.
+pub fn run<'f>(
     program: &Program,
     analysis: &Analysis,
     graph: &Shbg,
     candidates: &[(Access, Access)],
-) -> PrefilterResult {
-    let const_facts = constprop::analyze_reachable(program, analysis);
-    run_with_const_facts(program, analysis, graph, candidates, &const_facts)
-}
-
-/// [`run`] with per-method constant-propagation facts supplied by the
-/// summary layer instead of recomputed. The map must match what
-/// [`constprop::analyze_reachable`] would produce (reachable methods
-/// with bodies, empty fact sets omitted) for results to be identical.
-pub fn run_with_const_facts(
-    program: &Program,
-    analysis: &Analysis,
-    graph: &Shbg,
-    candidates: &[(Access, Access)],
-    const_facts: &HashMap<MethodId, constprop::ConstFacts>,
+    const_facts: impl Fn(MethodId) -> Option<&'f constprop::ConstFacts>,
 ) -> PrefilterResult {
     let confined = escape::non_escaping_objects(program, analysis);
     let mut guards = guard::GuardAnalysis::new(program, analysis, graph);
 
     let mut infeasible = InfeasibleEdges::new();
-    for (&m, facts) in const_facts {
-        for &(from, to) in &facts.infeasible {
+    let reachable: HashSet<MethodId> = analysis.reachable.iter().map(|&(m, _)| m).collect();
+    for m in reachable {
+        for &(from, to) in const_facts(m).map_or(&[][..], |f| &f.infeasible) {
             infeasible.insert(m, from, to);
         }
     }
@@ -211,7 +201,7 @@ pub fn run_with_const_facts(
     for (a, b) in candidates {
         let verdict = escape_verdict(&confined, a, b)
             .or_else(|| guards.pair_verdict(a, b))
-            .or_else(|| constprop_verdict(const_facts, a, b));
+            .or_else(|| constprop_verdict(&const_facts, a, b));
         match verdict {
             Some(verdict) => {
                 match verdict {
@@ -264,13 +254,13 @@ fn escape_verdict(
 
 /// Constant-propagation check: an access inside a dead block never
 /// executes, so any pair containing it is vacuous.
-fn constprop_verdict(
-    facts: &HashMap<MethodId, constprop::ConstFacts>,
+fn constprop_verdict<'f>(
+    facts: &impl Fn(MethodId) -> Option<&'f constprop::ConstFacts>,
     a: &Access,
     b: &Access,
 ) -> Option<Verdict> {
     for x in [a, b] {
-        if let Some(f) = facts.get(&x.method) {
+        if let Some(f) = facts(x.method) {
             if f.is_dead(x.addr.block) {
                 return Some(Verdict::ConstProp { dead: x.addr });
             }

@@ -228,20 +228,19 @@ impl Shbg {
 
 /// Builds the SHBG from a points-to analysis over a harnessed app.
 pub fn build(analysis: &Analysis, harness: &HarnessResult) -> Shbg {
-    build_with_dominance(analysis, harness, &HashMap::new())
+    build_with_dominance(analysis, harness, |_| None)
 }
 
-/// Looks up a method's [`CallDominance`] in the summary-provided map,
+/// Looks up a method's [`CallDominance`] from the summary layer,
 /// falling back to a locally-computed (and cached) fact for methods the
-/// caller did not supply — e.g. the generated harness method when the
-/// summary layer only covers app methods.
-fn dom_of<'a>(
-    provided: &'a HashMap<MethodId, CallDominance>,
-    cache: &'a mut HashMap<MethodId, CallDominance>,
+/// caller did not supply — e.g. every method under plain [`build`].
+fn dom_of<'c, 'd: 'c>(
+    provided: &impl Fn(MethodId) -> Option<&'d CallDominance>,
+    cache: &'c mut HashMap<MethodId, CallDominance>,
     program: &apir::Program,
     m: MethodId,
-) -> &'a CallDominance {
-    if let Some(d) = provided.get(&m) {
+) -> &'c CallDominance {
+    if let Some(d) = provided(m) {
         return d;
     }
     cache
@@ -250,13 +249,13 @@ fn dom_of<'a>(
 }
 
 /// [`build`] with per-method dominance facts supplied by the summary
-/// layer. Methods absent from `dominance` get their fact computed
-/// locally, so any partial map is sound; results are identical to
-/// [`build`] by construction.
-pub fn build_with_dominance(
+/// layer, looked up by method. Methods the lookup does not supply get
+/// their fact computed locally, so any partial lookup is sound; results
+/// are identical to [`build`] by construction.
+pub fn build_with_dominance<'d>(
     analysis: &Analysis,
     harness: &HarnessResult,
-    dominance: &HashMap<MethodId, CallDominance>,
+    dominance: impl Fn(MethodId) -> Option<&'d CallDominance>,
 ) -> Shbg {
     let n = analysis.actions.len();
     let mut closure = BitMatrix::new(n);
@@ -335,7 +334,7 @@ pub fn build_with_dominance(
     // --- Rules 2 & 3: harness-CFG dominance orders lifecycle/GUI actions. ---
     let mut dom_cache: HashMap<MethodId, CallDominance> = HashMap::new();
     for h in &harness.activities {
-        let dom = dom_of(dominance, &mut dom_cache, program, h.method);
+        let dom = dom_of(&dominance, &mut dom_cache, program, h.method);
         let site_actions: Vec<(CallSiteId, ActionId, bool)> = h
             .sites
             .iter()
@@ -395,7 +394,7 @@ pub fn build_with_dominance(
                 let addr2 = program.call_site_addr(s2);
                 if addr1.method == addr2.method {
                     // Rule 4: plain intra-procedural dominance.
-                    let dom = dom_of(dominance, &mut dom_cache, program, addr1.method);
+                    let dom = dom_of(&dominance, &mut dom_cache, program, addr1.method);
                     if dom.dominates(addr1, addr2) {
                         add(
                             &mut edges,

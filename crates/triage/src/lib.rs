@@ -40,7 +40,7 @@ pub mod nullness;
 
 use apir::dataflow::{self, CallOracle, InterResults, ProgramPoint};
 use apir::{
-    local_defs, CallSiteId, ClassId, MethodId, Operand, Origin, Program, Stmt, StmtAddr, Terminator,
+    local_defs, CallSiteId, MethodId, Operand, Origin, Program, Stmt, StmtAddr, Terminator,
 };
 use nullness::NullnessAnalysis;
 use pointer::{Access, Analysis};
@@ -242,13 +242,14 @@ struct Flows {
 
 /// Classifies every surviving race. `pairs` are the (a, b) access pairs of
 /// the surviving reports, in report order; the returned verdicts are
-/// index-aligned with them. `exclude_class` is the synthetic harness class
-/// (its accesses never participate).
+/// index-aligned with them. `accesses` are every access of the reachable
+/// program outside the synthetic harness class — the ones the candidate
+/// stage paired.
 pub fn classify_races(
     program: &Program,
     analysis: &Analysis,
     graph: &Shbg,
-    exclude_class: Option<ClassId>,
+    accesses: &[Access],
     pairs: &[(Access, Access)],
 ) -> (Vec<TriageVerdict>, TriageStats) {
     let mut stats = TriageStats::default();
@@ -260,9 +261,8 @@ pub fn classify_races(
 
     // Every write in the program, per field: the happens-before evidence
     // for `may_default` (can the reader observe the type default?).
-    let all_accesses = pointer::collect_accesses(analysis, program, exclude_class);
     let mut writes_by_field: HashMap<FieldId, Vec<&Access>> = HashMap::new();
-    for a in &all_accesses {
+    for a in accesses {
         if a.is_write {
             writes_by_field.entry(a.field).or_default().push(a);
         }

@@ -19,7 +19,7 @@
 //! seeds its `HashMap`s afresh, so a report that depends on hash
 //! iteration order fails here instead of flaking elsewhere.
 
-use sierra::android_model::{parse_app, AndroidApp};
+use sierra::android_model::{asm::render_app, parse_app, AndroidApp};
 use sierra::apir::SymbolArena;
 use sierra::corpus::{self, stress, GroundTruth, HarmEval};
 use sierra::pointer::{self, AnalysisOptions};
@@ -78,6 +78,29 @@ fn reflection_resolve() -> String {
         corpus::reflection_idioms::intent_idioms_app().0,
     ];
     render_all(cfg, apps)
+}
+
+/// The reflection and intent fixtures resolve their opaque edges from
+/// string constants, which `.sierra` text carries as quoted literals:
+/// analyzed from [`render_app`] text, both report exactly what they
+/// report when built in code.
+#[test]
+fn reflection_fixtures_report_the_same_from_rendered_text() {
+    let cfg = SierraConfig::builder()
+        .opaque_policy(OpaquePolicy::Resolve)
+        .build();
+    for (app, _) in [
+        corpus::reflection_idioms::reflection_idioms_app(),
+        corpus::reflection_idioms::intent_idioms_app(),
+    ] {
+        let text = render_app(&app);
+        let reparsed = parse_app(&app.name, &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(
+            render_all(cfg, vec![reparsed]),
+            render_all(cfg, vec![app]),
+            "{text}"
+        );
+    }
 }
 
 /// Every stage ablation (and `min_harm`) over the fixtures and the

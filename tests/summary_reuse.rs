@@ -350,3 +350,82 @@ fn figure_apps_are_warm_stable_too() {
         assert_eq!(warm.metrics.link.pointer_iterations_run, 0, "{name}");
     }
 }
+
+/// An app whose `onCreate` stores a string constant, built over `app`'s
+/// interner.
+fn app_with_a_string(mut app: android_model::AndroidAppBuilder) -> android_model::AndroidApp {
+    let mut cb = app.activity("com.strings.Main");
+    let name = cb.static_field("name", apir::Type::Str);
+    let main = cb.build();
+    let target = app.program_builder().intern("com.strings.Target");
+    let mut mb = app.method(main, "onCreate");
+    mb.set_param_count(1);
+    let v = mb.fresh_local();
+    mb.const_(v, apir::ConstValue::Str(target));
+    mb.static_store(name, apir::Operand::Local(v));
+    mb.ret(None);
+    mb.finish();
+    app.finish().expect("valid app")
+}
+
+/// Summary and analysis keys do not depend on symbol values: a program
+/// with string constants, built once over a private interner and once
+/// over an arena that already holds an unrelated name (so every symbol
+/// differs), hits the first session's store in full. Checked for an app
+/// built in code and for the reflection fixture analyzed from its
+/// `.sierra` text through [`SessionBuilder::arena`].
+#[test]
+fn keys_are_the_same_over_a_private_interner_and_a_seeded_arena() {
+    let seeded = || {
+        let arena = Arc::new(apir::SymbolArena::new());
+        arena.intern("an.unrelated.Name");
+        arena
+    };
+    let (reflection, _) = corpus::reflection_idioms::reflection_idioms_app();
+    let text = android_model::asm::render_app(&reflection);
+    let name = reflection.name.clone();
+    let cfg = SierraConfig::builder()
+        .opaque_policy(sierra_core::OpaquePolicy::Resolve)
+        .build();
+    let template = SessionBuilder::new(cfg);
+    let pairs = [
+        (
+            "built in code",
+            template
+                .clone()
+                .app(app_with_a_string(android_model::AndroidAppBuilder::new(
+                    "Strings",
+                ))),
+            template.clone().app(app_with_a_string(
+                android_model::AndroidAppBuilder::with_arena("Strings", seeded()),
+            )),
+        ),
+        (
+            "reflection fixture from text",
+            template.clone().source(&name, &text),
+            template.clone().source(&name, &text).arena(seeded()),
+        ),
+    ];
+    for (label, private, arena) in pairs {
+        let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+        let run = |builder: SessionBuilder| {
+            builder
+                .store(Arc::clone(&store))
+                .build()
+                .expect("valid app")
+                .finish()
+                .expect("pipeline runs")
+        };
+        let first = run(private);
+        let second = run(arena);
+        let link = second.metrics.link;
+        assert!(
+            first.metrics.link.summaries_recomputed > 0,
+            "{label}: cold run computes"
+        );
+        assert_eq!(link.summaries_recomputed, 0, "{label}: no summary misses");
+        assert!(link.analysis_reused, "{label}: the analysis is reused");
+        assert_eq!(stable(&first), stable(&second), "{label}");
+    }
+    assert!(text.contains("\"com.reflect.Task\""), "{text}");
+}
