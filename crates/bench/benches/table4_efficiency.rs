@@ -9,15 +9,14 @@
 //! and memory.
 //!
 //! Groups: per-stage means on the medium app (NPR News); each ablation
-//! on and off (prefilter on the refutation stress app, cycle collapse on
-//! the pointer cycle chain, triage and histories on NPR News); summary
-//! store and on-disk artifact reuse, and the size classes with and
-//! without a shared framework layer (medians of ten rounds that
-//! alternate the order); and corpus throughput, where every
-//! Table 2 app is analyzed ten times after one warm-up pass and the
-//! 200 samples give p50, p99 and the median absolute deviation, next to
-//! the process's peak RSS. Everything goes to `BENCH_table4.json`,
-//! which CI uploads and `bench_gate` checks.
+//! on and off (prefilter on the refutation stress app, triage and
+//! histories on NPR News); summary store and on-disk artifact reuse,
+//! and the size classes with and without a shared framework layer
+//! (medians of ten rounds that alternate the order); and corpus
+//! throughput, where every Table 2 app is analyzed ten times after one
+//! warm-up pass and the 200 samples give p50, p99 and the median
+//! absolute deviation, next to the process's peak RSS. Everything goes
+//! to `BENCH_table4.json`, which CI uploads and `bench_gate` checks.
 //!
 //! ```sh
 //! cargo bench --bench table4_efficiency
@@ -126,19 +125,6 @@ fn main() {
     let t_refute_pf = mean("refutation_with_prefilter", &runs, |t| t.refutation);
     let runs = sessions(3, || analyze(no_prefilter, &stress_app));
     let t_refute_nopf = mean("refutation_without_prefilter", &runs, |t| t.refutation);
-
-    group("pointer_ablation");
-    let cycle_app = stress::pointer_cycle_stress_app(48, 8);
-    let no_collapse = SierraConfig::builder()
-        .pointer_options(pointer::AnalysisOptions {
-            cycle_collapse: false,
-            ..pointer::AnalysisOptions::default()
-        })
-        .build();
-    let runs = sessions(20, || analyze(all, &cycle_app));
-    let t_collapse_on = mean("cg_pa_cycle_collapse_on", &runs, |t| t.cg_pa);
-    let runs = sessions(20, || analyze(no_collapse, &cycle_app));
-    let t_collapse_off = mean("cg_pa_cycle_collapse_off", &runs, |t| t.cg_pa);
 
     group("triage_ablation");
     let no_triage = SierraConfig::builder().without(Stage::Triage).build();
@@ -291,13 +277,6 @@ fn main() {
             obj(vec![
                 ("refute_with_prefilter_us", us(t_refute_pf)),
                 ("refute_without_prefilter_us", us(t_refute_nopf)),
-            ]),
-        ),
-        (
-            "pointer_ablation",
-            obj(vec![
-                ("cg_pa_collapse_on_us", us(t_collapse_on)),
-                ("cg_pa_collapse_off_us", us(t_collapse_off)),
             ]),
         ),
         (

@@ -375,7 +375,7 @@ pub fn table4(rows: &[AppRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<17} {:>10} {:>8} {:>11} {:>12} {:>8} {:>10} {:>11} {:>10} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+        "{:<17} {:>10} {:>8} {:>11} {:>12} {:>8} {:>10} {:>11} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
         "App",
         "CG+PA(ms)",
         "HBG(ms)",
@@ -386,8 +386,6 @@ pub fn table4(rows: &[AppRow]) -> String {
         "Compare(ms)",
         "Total(ms)",
         "PAiters",
-        "SCCs",
-        "CollNod",
         "CGedges",
         "HBapps",
         "Paths",
@@ -405,7 +403,7 @@ pub fn table4(rows: &[AppRow]) -> String {
         }
         let m = &r.report.metrics;
         out.push_str(&format!(
-            "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>5} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+            "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
             r.name,
             ms(m.timings.cg_pa),
             ms(m.timings.hbg),
@@ -416,8 +414,6 @@ pub fn table4(rows: &[AppRow]) -> String {
             ms(m.timings.compare),
             ms(m.timings.total),
             m.pointer.worklist_iterations,
-            m.pointer.collapsed_sccs,
-            m.pointer.collapsed_nodes,
             m.pointer.cg_edges,
             m.shbg.total_applications(),
             m.refuter.paths,
@@ -434,7 +430,7 @@ pub fn table4(rows: &[AppRow]) -> String {
         median(&ok.iter().map(|r| f(&r.report.metrics)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
-        "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>5.0} {:>7.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
+        "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
         "MEDIAN",
         med(&|m| ms(m.timings.cg_pa)),
         med(&|m| ms(m.timings.hbg)),
@@ -445,8 +441,6 @@ pub fn table4(rows: &[AppRow]) -> String {
         med(&|m| ms(m.timings.compare)),
         med(&|m| ms(m.timings.total)),
         med(&|m| m.pointer.worklist_iterations as f64),
-        med(&|m| m.pointer.collapsed_sccs as f64),
-        med(&|m| m.pointer.collapsed_nodes as f64),
         med(&|m| m.pointer.cg_edges as f64),
         med(&|m| m.shbg.total_applications() as f64),
         med(&|m| m.refuter.paths as f64),
@@ -684,7 +678,6 @@ mod tests {
         assert!(t4.contains("CG+PA") && t4.contains("PAiters"));
         assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned") && t4.contains("Infeas"));
         assert!(t4.contains("Compare(ms)"));
-        assert!(t4.contains("SCCs") && t4.contains("CollNod"));
         assert!(t4.contains("Hist(ms)") && t4.contains("HistChk"));
         assert!(t4.contains("HistDis") && t4.contains("HistInf"));
         let t5 = table5(std::slice::from_ref(&row));

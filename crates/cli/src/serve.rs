@@ -26,7 +26,9 @@
 //! ```
 //!
 //! Requests read before `shutdown` are all answered; nothing after it
-//! is read.
+//! is read. A line that is not UTF-8 or is longer than 8 MiB gets an
+//! `error` event without an id, and the server reads on from the next
+//! line.
 //!
 //! ## Events
 //!
@@ -52,9 +54,14 @@ use sierra_core::{
     json::{num, obj},
     Json, OpaquePolicy, Report, SessionBuilder, SessionError, Stage, StageMetrics, COUNTER_GROUPS,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
+
+/// Longest request line read, in bytes (newline excluded): far above
+/// any real request, which is one app's source text. A longer line is
+/// answered with an `error` event and skipped.
+const MAX_REQUEST_BYTES: usize = 8 << 20;
 
 /// The line-oriented response sink, shared by the workers. Each event
 /// is rendered to one line and written under the lock, so lines from
@@ -120,17 +127,19 @@ fn serve_socket(_path: &str, _template: &SessionBuilder, _jobs: usize) -> Result
 /// whether `shutdown` was requested. Every request read before it is
 /// answered before returning.
 fn serve_connection(
-    reader: impl BufRead + Send,
+    mut reader: impl BufRead + Send,
     out: &Out,
     template: &SessionBuilder,
     jobs: usize,
 ) -> bool {
     let mut shutdown = false;
-    let mut lines = reader.lines();
-    // Fused: once `shutdown` (or end of input) is seen, workers asking
-    // for more read nothing further.
+    // Fused: once `shutdown`, end of input or an I/O error is seen,
+    // workers asking for more read nothing further.
     let requests = std::iter::from_fn(|| loop {
-        let line = lines.next()?.ok()?;
+        let line = match read_request_line(&mut reader).ok()?? {
+            Ok(line) => line,
+            Err(message) => return Some(Err((None, message))),
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -161,6 +170,36 @@ fn serve_connection(
         }
     });
     shutdown
+}
+
+/// Reads the next request line without its line ending: `None` at end
+/// of input, `Err` on an I/O error. A line that is not UTF-8 or is longer
+/// than [`MAX_REQUEST_BYTES`] reads as `Some(Err(message))`, and the
+/// reader is left at the start of the next line.
+fn read_request_line(reader: &mut impl BufRead) -> std::io::Result<Option<Result<String, String>>> {
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    let mut line = Vec::new();
+    if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_BYTES {
+        // Discard the rest of the line, one capped chunk at a time.
+        while line.last() != Some(&b'\n') {
+            line.clear();
+            if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
+                break;
+            }
+        }
+        let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+        return Ok(Some(Err(message)));
+    }
+    let text = String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_owned());
+    Ok(Some(text))
 }
 
 /// Parses one request line. Errors carry the request id when one was
@@ -290,21 +329,21 @@ mod tests {
         }
     }
 
-    fn drive(input: &str, store: Arc<dyn SummaryStore>) -> (bool, Vec<Json>) {
+    fn drive(input: &[u8], store: Arc<dyn SummaryStore>) -> (bool, Vec<Json>) {
         drive_shared(input, store, None)
     }
 
     fn drive_shared(
-        input: &str,
+        input: &[u8],
         store: Arc<dyn SummaryStore>,
         shared: Option<Arc<dyn SummaryStore>>,
     ) -> (bool, Vec<Json>) {
         drive_template(input, &template(store, shared))
     }
 
-    fn drive_template(input: &str, template: &SessionBuilder) -> (bool, Vec<Json>) {
+    fn drive_template(input: &[u8], template: &SessionBuilder) -> (bool, Vec<Json>) {
         let out = Mutex::new(Vec::new());
-        let input = Cursor::new(input.to_owned());
+        let input = Cursor::new(input);
         let shutdown = serve_connection(input, &out, template, 1);
         let bytes = out.into_inner().expect("output lock");
         let text = String::from_utf8(bytes).expect("utf-8 output");
@@ -343,7 +382,7 @@ mod tests {
             analyze_request(2),
             r#"{"op":"shutdown"}"#
         );
-        let (shutdown, events) = drive(&input, Arc::new(MemoryStore::new()));
+        let (shutdown, events) = drive(input.as_bytes(), Arc::new(MemoryStore::new()));
         assert!(shutdown, "shutdown request ends the connection");
 
         // Both requests stream the full stage sequence.
@@ -432,7 +471,11 @@ mod tests {
         // wires it. The apps are different, so per-app summary keys are
         // disjoint — only the framework layer can carry hits across them.
         let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-        let (_, events) = drive_shared(&input, Arc::clone(&store), Some(Arc::clone(&store)));
+        let (_, events) = drive_shared(
+            input.as_bytes(),
+            Arc::clone(&store),
+            Some(Arc::clone(&store)),
+        );
         let done2 = events_for(&events, 2, "done")[0];
         let shared_hits = done2
             .get("summaries_shared")
@@ -444,7 +487,7 @@ mod tests {
         // without any sharing reports identically (modulo run-dependent
         // groups).
         let (_, baseline) = drive(
-            &format!("{fig2_request}\n"),
+            format!("{fig2_request}\n").as_bytes(),
             Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>,
         );
         let strip = |e: &Json| {
@@ -462,29 +505,43 @@ mod tests {
 
     #[test]
     fn bad_requests_become_error_events() {
-        let input = concat!(
+        let mut input = concat!(
             "this is not json\n",
             "{\"id\":7,\"op\":\"frobnicate\"}\n",
             "{\"id\":8,\"op\":\"analyze\"}\n",
             "{\"id\":9,\"op\":\"analyze\",\"path\":\"/nonexistent/x.sierra\"}\n",
             "{\"id\":10,\"op\":\"analyze\",\"name\":\"Bad\",\"source\":\"class {\"}\n",
-        );
-        let (shutdown, events) = drive(input, Arc::new(MemoryStore::new()));
+        )
+        .as_bytes()
+        .to_vec();
+        // A line that is not UTF-8, then one a byte over the cap.
+        input.extend_from_slice(b"\xff\xfe bad\n");
+        input.resize(input.len() + MAX_REQUEST_BYTES + 1, b' ');
+        input.push(b'\n');
+        // The server reads on past both.
+        input.extend_from_slice(format!("{}\n", analyze_request(11)).as_bytes());
+        let (shutdown, events) = drive(&input, Arc::new(MemoryStore::new()));
         assert!(!shutdown, "input ended without a shutdown request");
-        assert_eq!(events.len(), 5, "{events:?}");
-        assert!(events
+        let errors: Vec<&Json> = events
             .iter()
-            .all(|e| e.get("event").and_then(Json::as_str) == Some("error")));
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some("error"))
+            .collect();
+        assert_eq!(errors.len(), 7, "{events:?}");
         // Errors past parsing echo the request id.
         for id in [7u64, 8, 9, 10] {
             assert_eq!(events_for(&events, id, "error").len(), 1, "id {id}");
         }
-        let invalid = events_for(&events, 10, "error")[0];
-        let message = invalid
-            .get("message")
-            .and_then(Json::as_str)
-            .expect("message");
-        assert!(message.contains("invalid app"), "{message}");
+        let message = |e: &Json| e.get("message").and_then(Json::as_str).map(str::to_owned);
+        let invalid = message(events_for(&events, 10, "error")[0]).expect("message");
+        assert!(invalid.contains("invalid app"), "{invalid}");
+        // The unreadable lines, in input order, carry no id.
+        let (utf8, oversized) = (errors[5], errors[6]);
+        assert!(message(utf8).expect("message").contains("not valid UTF-8"));
+        assert!(message(oversized).expect("message").contains("exceeds"));
+        assert!([utf8, oversized]
+            .iter()
+            .all(|e| e.get("id") == Some(&Json::Null)));
+        assert_eq!(events_for(&events, 11, "done").len(), 1, "{events:?}");
     }
 
     #[test]
@@ -492,7 +549,7 @@ mod tests {
         for (policy, audited) in [(OpaquePolicy::Ignore, false), (OpaquePolicy::Resolve, true)] {
             let config = SierraConfig::builder().opaque_policy(policy).build();
             let input = format!("{}\n", analyze_request(1));
-            let (_, events) = drive_template(&input, &SessionBuilder::new(config));
+            let (_, events) = drive_template(input.as_bytes(), &SessionBuilder::new(config));
             let pointer = events_for(&events, 1, "stage")
                 .into_iter()
                 .find(|e| e.get("stage").and_then(Json::as_str) == Some("pointer"))
@@ -503,11 +560,11 @@ mod tests {
                 .expect("report payload");
             // A counter only the listing names reaches the event, with
             // the report's value.
-            let collapsed = counters.get("collapsed_sccs");
-            assert!(collapsed.is_some(), "{policy:?}");
+            let bytes = counters.get("pts_set_bytes");
+            assert!(bytes.is_some(), "{policy:?}");
             assert_eq!(
-                collapsed,
-                report.get("pointer").and_then(|g| g.get("collapsed_sccs"))
+                bytes,
+                report.get("pointer").and_then(|g| g.get("pts_set_bytes"))
             );
             // The soundness group shows in both or in neither.
             assert_eq!(counters.get("known_callbacks").is_some(), audited);
@@ -530,7 +587,7 @@ mod tests {
             ])
             .render()
         );
-        let (_, events) = drive(&input, Arc::new(MemoryStore::new()));
+        let (_, events) = drive(input.as_bytes(), Arc::new(MemoryStore::new()));
         let report = events_for(&events, 1, "report")[0]
             .get("report")
             .expect("report payload")

@@ -97,8 +97,6 @@ pub static COUNTER_GROUPS: [CounterGroup; 8] = [
             ("contexts", |m| Count(m.pointer.reachable_contexts)),
             ("objects", |m| Count(m.pointer.abstract_objects)),
             ("pts_set_bytes", |m| Count(m.pointer.pts_set_bytes)),
-            ("collapsed_sccs", |m| Count(m.pointer.collapsed_sccs)),
-            ("collapsed_nodes", |m| Count(m.pointer.collapsed_nodes)),
         ],
         audited_only: false,
     },

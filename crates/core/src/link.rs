@@ -33,7 +33,13 @@ pub struct LinkStats {
     pub summaries_recomputed: usize,
     /// Summaries served from the corpus-shared framework layer (see
     /// [`crate::summary::load_or_summarize`]); disjoint from
-    /// `summaries_reused`, which counts only per-app store hits.
+    /// `summaries_reused`, which counts only per-app store hits. The
+    /// layer's lookup and promotion are not one atomic step, so when
+    /// parallel workers share a cold layer, two of them can both miss a
+    /// framework key and both recompute it: the split between this and
+    /// `summaries_recomputed` then depends on scheduling, while their
+    /// sum with `summaries_reused` is always the number of methods with
+    /// a body. Results never depend on it.
     pub summaries_shared: usize,
     /// Whether the whole points-to `Analysis` artifact was reused.
     pub analysis_reused: bool,

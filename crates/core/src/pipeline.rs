@@ -106,9 +106,9 @@ pub struct SierraConfig {
     /// The stages that run (default: all). A removed stage's output is
     /// byte-identical to a pipeline that never had it.
     pub stages: StageSet,
-    /// Pointer-analysis options for the main pass (cycle collapse,
-    /// opaque-call policy, index sensitivity). The comparison pass inherits
-    /// them, so an ablation flips both runs together.
+    /// Pointer-analysis options for the main pass (opaque-call policy,
+    /// index sensitivity). The comparison pass inherits them, so an
+    /// ablation flips both runs together.
     pub pointer_options: AnalysisOptions,
     /// Drop reports classified below this harm level (`--min-harm`).
     /// `None` keeps everything. Ignored without the `Triage` stage,

@@ -147,15 +147,13 @@ impl Report {
         let pa = &self.metrics.pointer;
         let _ = writeln!(
             out,
-            "pointer: {} worklist iterations, {} propagations, {} CG edges, {} contexts, {} objects, {} pts-set bytes, {} SCC(s) collapsed ({} node(s))",
+            "pointer: {} worklist iterations, {} propagations, {} CG edges, {} contexts, {} objects, {} pts-set bytes",
             pa.worklist_iterations,
             pa.propagations,
             pa.cg_edges,
             pa.reachable_contexts,
             pa.abstract_objects,
-            pa.pts_set_bytes,
-            pa.collapsed_sccs,
-            pa.collapsed_nodes
+            pa.pts_set_bytes
         );
         let hb = &self.metrics.shbg;
         let _ = write!(out, "shbg: {} rule applications (", hb.total_applications());

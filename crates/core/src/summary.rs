@@ -634,7 +634,7 @@ mod tests {
     fn artifact_blob(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"SIERRART");
-        out.extend_from_slice(&3u32.to_le_bytes());
+        out.extend_from_slice(&4u32.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&fnv64(payload).to_le_bytes());
         out.extend_from_slice(payload);

@@ -19,7 +19,7 @@
 //!   reflection / intent dispatch and surface only under the `resolve`
 //!   or `havoc` opaque-call policies;
 //! - [`stress`] — synthetic apps that drive the refuter and the
-//!   pointer solver's cycle collapse to their worst case;
+//!   pointer solver's worklist to their worst case;
 //! - [`twenty`] — the Table 2 dataset, scaled by each app's real bytecode
 //!   size;
 //! - [`fdroid`] — 174 seeded apps with the paper's 1.1 MB median size.

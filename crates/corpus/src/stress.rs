@@ -2,11 +2,11 @@
 //!
 //! - [`refutation_stress_app`] — candidate pairs that exhaust the
 //!   refuter's path budget, next to pairs only the prefilter discharges;
-//! - [`pointer_cycle_stress_app`] — a chain of copy cycles for the
-//!   solver's online cycle collapse.
+//! - [`pointer_cycle_stress_app`] — a chain of copy cycles that every
+//!   delta must circulate through.
 //!
-//! The Table 4 bench times them, and the counters golden pins their
-//! work counters.
+//! The Table 4 bench times the refutation stress app, and the counters
+//! golden pins the work counters of both.
 
 use android_model::AndroidApp;
 use apir::{ConstValue, InvokeKind, Local, Operand, Type};
@@ -214,19 +214,15 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
 ///
 /// Each cycle's entry local also receives the previous cycle's value, so
 /// points-to sets grow along the chain: cycle `i` holds `i + 1` objects.
-/// Without online cycle collapse every delta arriving at a cycle must
-/// circulate through all `cycle_len` members (the worklist fires each
-/// member once per incoming object); with collapse each cycle folds onto
-/// a single representative after its first round. The fixture therefore
-/// separates the two configurations by a wide, stable margin in
-/// `worklist_iterations` and `propagations`, which is what the
-/// `pointer_ablation` benchmark group times and the counters golden pins.
+/// Every delta arriving at a cycle circulates through all `cycle_len`
+/// members (the worklist fires each member once per incoming object),
+/// so `worklist_iterations` and `propagations` grow with the chain; the
+/// counters golden pins them.
 ///
 /// All copy statements are emitted before any allocation: `add_edge`
 /// eagerly unions the source's current points-to set into the target, so
 /// alloc-then-move program order would saturate the whole chain during
-/// constraint construction and leave nothing for the worklist (or the
-/// collapse) to do. Building every edge over still-empty sets forces all
+/// constraint construction and leave nothing for the worklist to do. Building every edge over still-empty sets forces all
 /// flow through worklist propagation, which is the code path under test.
 pub fn pointer_cycle_stress_app(cycles: usize, cycle_len: usize) -> AndroidApp {
     assert!(cycle_len >= 2, "a cycle needs at least two locals");

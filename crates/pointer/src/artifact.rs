@@ -50,7 +50,7 @@ use std::collections::{HashMap, HashSet};
 const MAGIC: &[u8; 8] = b"SIERRART";
 
 /// Artifact layout version; bump on any payload format change.
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Envelope header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
@@ -394,7 +394,6 @@ impl Writer {
 
     fn options(&mut self, o: AnalysisOptions) {
         self.u8(o.index_sensitive as u8);
-        self.u8(o.cycle_collapse as u8);
         self.u8(match o.opaque_policy {
             OpaquePolicy::Ignore => 0,
             OpaquePolicy::Resolve => 1,
@@ -530,8 +529,6 @@ impl Writer {
         self.u64(s.reachable_contexts as u64);
         self.u64(s.abstract_objects as u64);
         self.u64(s.pts_set_bytes as u64);
-        self.u64(s.collapsed_sccs as u64);
-        self.u64(s.collapsed_nodes as u64);
     }
 
     fn node_key(&mut self, key: &NodeKey) {
@@ -626,7 +623,6 @@ impl Reader<'_> {
     fn options(&mut self) -> Option<AnalysisOptions> {
         Some(AnalysisOptions {
             index_sensitive: self.bool()?,
-            cycle_collapse: self.bool()?,
             opaque_policy: self.opaque_policy()?,
         })
     }
@@ -772,8 +768,6 @@ impl Reader<'_> {
             reachable_contexts: self.u64()? as usize,
             abstract_objects: self.u64()? as usize,
             pts_set_bytes: self.u64()? as usize,
-            collapsed_sccs: self.u64()? as usize,
-            collapsed_nodes: self.u64()? as usize,
         })
     }
 

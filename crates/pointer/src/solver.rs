@@ -95,14 +95,6 @@ pub struct AnalysisOptions {
     /// (the §6.5 future-work extension after Dillig et al.). When off,
     /// every indexed access folds onto the summarized `contents` field.
     pub index_sensitive: bool,
-    /// Online cycle detection and collapse (lazy cycle detection after
-    /// Hardekopf–Lin): when propagation along an edge leaves source and
-    /// target with equal points-to sets, the solver runs an SCC pass
-    /// from the source and collapses every multi-node SCC onto its
-    /// smallest `NodeId` via union-find, so cyclic sets propagate once.
-    /// Off restores the PR 3 solver for the `--no-cycle-collapse`
-    /// ablation; results are identical either way.
-    pub cycle_collapse: bool,
     /// Soundness policy for reflection and intent-dispatch edges.
     pub opaque_policy: OpaquePolicy,
 }
@@ -111,7 +103,6 @@ impl Default for AnalysisOptions {
     fn default() -> Self {
         Self {
             index_sensitive: true,
-            cycle_collapse: true,
             opaque_policy: OpaquePolicy::default(),
         }
     }
@@ -171,12 +162,6 @@ pub struct SolverStats {
     /// Heap bytes held by all points-to sets at the fixpoint (the
     /// footprint of the hybrid [`PtsSet`] representation).
     pub pts_set_bytes: usize,
-    /// Multi-node SCCs collapsed by online cycle detection (0 when the
-    /// `cycle_collapse` option is off or the graph is acyclic).
-    pub collapsed_sccs: usize,
-    /// Constraint-graph nodes retired into a representative by collapse
-    /// (members minus representatives, summed over all collapsed SCCs).
-    pub collapsed_nodes: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -385,8 +370,7 @@ pub fn analyze_opts(
 
 /// The propagation worklist: a min-heap on `(last_fired_stamp, node)`.
 /// A node that has not fired yet (or fired longest ago) pops first, so
-/// deltas flow downstream through the current condensation before
-/// upstream nodes re-fire; node ids break ties, so the order is
+/// deltas flow downstream before upstream nodes re-fire; node ids break ties, so the order is
 /// deterministic. The solver's `queued` flags keep at most one live
 /// entry per node.
 type Worklist = BinaryHeap<Reverse<(u64, NodeId)>>;
@@ -410,22 +394,8 @@ struct SolverScratch {
     succ: Vec<Vec<NodeId>>,
     pending: Vec<Vec<Pending>>,
     queued: Vec<bool>,
-    parent: Vec<u32>,
     last_fired: Vec<u64>,
-    lcd_seen: HashSet<(u32, u32)>,
-    lcd_queue: Vec<NodeId>,
     worklist: Worklist,
-}
-
-impl SolverScratch {
-    /// Prepares a (possibly recycled) scratch for a new solve. Per-node
-    /// slots are left as-is — `Solver::node` clears each one as it is
-    /// handed out — so only the global structures are reset here.
-    fn reset(&mut self) {
-        self.lcd_seen.clear();
-        self.lcd_queue.clear();
-        self.worklist.clear();
-    }
 }
 
 /// Upper bound on idle scratches kept alive — about one per worker
@@ -498,27 +468,16 @@ struct Solver<'a> {
     pts: Vec<PtsSet>,
     delta: Vec<Vec<ObjId>>,
     /// Successor lists, kept sorted so the worklist loop needs no
-    /// per-pop collect-and-sort. Entries may be stale after a collapse;
-    /// readers canonicalize through `find`.
+    /// per-pop collect-and-sort.
     succ: Vec<Vec<NodeId>>,
     pending: Vec<Vec<Pending>>,
     worklist: Worklist,
     queued: Vec<bool>,
-    /// Union-find forest over constraint-graph nodes: `parent[i] == i`
-    /// for a live representative; collapsed members point (possibly
-    /// transitively) at their SCC's smallest `NodeId`.
-    parent: Vec<u32>,
     /// Monotone stamp of each node's last worklist firing (feeds the
     /// least-recently-fired priority).
     last_fired: Vec<u64>,
     /// Firing clock behind `last_fired`.
     clock: u64,
-    /// Edges that already triggered lazy cycle detection — each edge
-    /// pays for at most one SCC pass.
-    lcd_seen: HashSet<(u32, u32)>,
-    /// Deferred LCD triggers, drained between worklist iterations so
-    /// collapse never mutates the graph mid-propagation.
-    lcd_queue: Vec<NodeId>,
     reachable: HashSet<(MethodId, CtxId)>,
     cg_edges: HashMap<(MethodId, CtxId, CallSiteId), Vec<(MethodId, CtxId)>>,
     cg_edge_set: HashSet<(MethodId, CtxId, CallSiteId, MethodId, CtxId)>,
@@ -537,16 +496,6 @@ struct Solver<'a> {
 
 /// Sentinel "no object" id for op dedup pairs.
 const NO_OBJ: ObjId = ObjId(u32::MAX);
-
-/// Non-mutating union-find lookup (for contexts where the solver's
-/// path-halving [`Solver::find`] can't borrow mutably).
-fn resolve(parent: &[u32], n: NodeId) -> NodeId {
-    let mut i = n.0;
-    while parent[i as usize] != i {
-        i = parent[i as usize];
-    }
-    NodeId(i)
-}
 
 /// Splits one set out of `v` immutably and another mutably; `a != b`.
 fn pair_mut(v: &mut [PtsSet], a: usize, b: usize) -> (&PtsSet, &mut PtsSet) {
@@ -568,20 +517,16 @@ impl<'a> Solver<'a> {
                 harness_site_kinds.insert(*site, kind.clone());
             }
         }
-        let mut scratch = scratch_pool().take();
-        scratch.reset();
         let SolverScratch {
             keys,
             delta,
             succ,
             pending,
             queued,
-            parent,
             last_fired,
-            lcd_seen,
-            lcd_queue,
-            worklist,
-        } = scratch;
+            mut worklist,
+        } = scratch_pool().take();
+        worklist.clear();
         Self {
             program: &harness.app.program,
             fw: &harness.app.framework,
@@ -599,11 +544,8 @@ impl<'a> Solver<'a> {
             pending,
             worklist,
             queued,
-            parent,
             last_fired,
             clock: 0,
-            lcd_seen,
-            lcd_queue,
             reachable: HashSet::new(),
             cg_edges: HashMap::new(),
             cg_edge_set: HashSet::new(),
@@ -644,9 +586,7 @@ impl<'a> Solver<'a> {
             self.queued[n_idx] = false;
             let delta = std::mem::take(&mut self.delta[n_idx]);
             if delta.is_empty() {
-                // Spurious entry: a node re-queued with nothing left to
-                // do, or one retired into a representative by collapse
-                // (which clears its delta and re-queues the rep).
+                // Spurious entry: a node re-queued with nothing left to do.
                 continue;
             }
             self.stats.worklist_iterations += 1;
@@ -655,28 +595,14 @@ impl<'a> Solver<'a> {
             // Successor lists are kept sorted, so id-order traversal —
             // required for thread-independent counters and tie-breaks —
             // is an index walk over the stored list. `add_obj` never
-            // mutates successor lists and collapse is deferred to the
-            // drain below, so the length is stable across the loop.
+            // mutates successor lists, so the length is stable across the
+            // loop.
             let mut i = 0;
             while i < self.succ[n_idx].len() {
-                let s = self.find(self.succ[n_idx][i]);
+                let s = self.succ[n_idx][i];
                 i += 1;
-                if s == n {
-                    continue;
-                }
                 for &o in &delta {
                     self.add_obj(s, o);
-                }
-                // Lazy cycle detection: equal endpoint sets along an
-                // edge suggest a cycle. Each edge triggers at most one
-                // (deferred) SCC pass.
-                if self.options.cycle_collapse
-                    && self.pts[s.0 as usize].len() == self.pts[n_idx].len()
-                    && !self.lcd_seen.contains(&(n.0, s.0))
-                    && self.pts[s.0 as usize] == self.pts[n_idx]
-                {
-                    self.lcd_seen.insert((n.0, s.0));
-                    self.lcd_queue.push(n);
                 }
             }
             // Drain the pending list instead of cloning it: entries
@@ -690,19 +616,6 @@ impl<'a> Solver<'a> {
             }
             let added = std::mem::replace(&mut self.pending[n_idx], taken);
             self.pending[n_idx].extend(added);
-            // Safe point: no propagation is in flight, so collapsing the
-            // SCCs behind the queued triggers cannot invalidate a loop.
-            while let Some(start) = self.lcd_queue.pop() {
-                self.detect_and_collapse(start);
-            }
-        }
-        // Remap every key to its SCC representative so post-solve
-        // lookups (`pts_var`, `pts_field`, `heap_published`) land on the
-        // canonical sets. A no-op when nothing collapsed.
-        if self.stats.collapsed_nodes > 0 {
-            for id in self.nodes.values_mut() {
-                *id = resolve(&self.parent, *id);
-            }
         }
         self.stats.cg_edges = self.cg_edges.values().map(Vec::len).sum();
         self.stats.reachable_contexts = self.reachable.len();
@@ -724,10 +637,7 @@ impl<'a> Solver<'a> {
             succ: std::mem::take(&mut self.succ),
             pending: std::mem::take(&mut self.pending),
             queued: std::mem::take(&mut self.queued),
-            parent: std::mem::take(&mut self.parent),
             last_fired: std::mem::take(&mut self.last_fired),
-            lcd_seen: std::mem::take(&mut self.lcd_seen),
-            lcd_queue: std::mem::take(&mut self.lcd_queue),
             worklist: std::mem::take(&mut self.worklist),
         });
         Analysis {
@@ -753,20 +663,9 @@ impl<'a> Solver<'a> {
 
     // ---- node & graph plumbing ----
 
-    /// Canonical representative of `n` (path-halving union-find).
-    fn find(&mut self, n: NodeId) -> NodeId {
-        let mut i = n.0 as usize;
-        while self.parent[i] as usize != i {
-            let gp = self.parent[self.parent[i] as usize];
-            self.parent[i] = gp;
-            i = gp as usize;
-        }
-        NodeId(i as u32)
-    }
-
     fn node(&mut self, key: NodeKey) -> NodeId {
         if let Some(&n) = self.nodes.get(&key) {
-            return self.find(n);
+            return n;
         }
         // `pts` is the node-count authority: it starts empty every solve,
         // while the scratch-backed side tables may be longer (recycled
@@ -781,7 +680,6 @@ impl<'a> Solver<'a> {
             self.succ[idx].clear();
             self.pending[idx].clear();
             self.queued[idx] = false;
-            self.parent[idx] = n.0;
             self.last_fired[idx] = 0;
         } else {
             self.keys.push(key);
@@ -789,7 +687,6 @@ impl<'a> Solver<'a> {
             self.succ.push(Vec::new());
             self.pending.push(Vec::new());
             self.queued.push(false);
-            self.parent.push(n.0);
             self.last_fired.push(0);
         }
         n
@@ -800,7 +697,6 @@ impl<'a> Solver<'a> {
     }
 
     fn add_obj(&mut self, n: NodeId, o: ObjId) {
-        let n = self.find(n);
         if self.pts[n.0 as usize].insert(o) {
             self.stats.propagations += 1;
             self.delta[n.0 as usize].push(o);
@@ -813,8 +709,6 @@ impl<'a> Solver<'a> {
     }
 
     fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        let from = self.find(from);
-        let to = self.find(to);
         if from == to {
             return;
         }
@@ -855,121 +749,12 @@ impl<'a> Solver<'a> {
     }
 
     fn add_pending(&mut self, n: NodeId, p: Pending) {
-        let n = self.find(n);
         // PtsSet iterates ascending, so no sort is needed.
         let objs: Vec<ObjId> = self.pts[n.0 as usize].iter().collect();
         self.pending[n.0 as usize].push(p.clone());
         if !objs.is_empty() {
             self.process_pending(&p, &objs);
         }
-    }
-
-    // ---- online cycle detection & collapse ----
-
-    /// Runs an iterative Tarjan SCC pass over the canonicalized
-    /// constraint graph reachable from `start` and collapses every
-    /// multi-node SCC found. Called only from the run loop's safe point
-    /// (no propagation in flight). Traversal order is the stored
-    /// successor order, so the discovered SCCs — and therefore the
-    /// collapse — are deterministic.
-    fn detect_and_collapse(&mut self, start: NodeId) {
-        let start = self.find(start).0;
-        let mut index: HashMap<u32, u32> = HashMap::new();
-        let mut low: HashMap<u32, u32> = HashMap::new();
-        let mut on_stack: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
-        let mut counter = 0u32;
-        let mut frames: Vec<(u32, usize)> = vec![(start, 0)];
-        index.insert(start, counter);
-        low.insert(start, counter);
-        counter += 1;
-        stack.push(start);
-        on_stack.insert(start);
-        while let Some(&(v, i)) = frames.last() {
-            if i < self.succ[v as usize].len() {
-                frames.last_mut().expect("nonempty").1 = i + 1;
-                let w = self.find(self.succ[v as usize][i]).0;
-                if w == v {
-                    continue;
-                }
-                if let Some(&wi) = index.get(&w) {
-                    if on_stack.contains(&w) && wi < low[&v] {
-                        low.insert(v, wi);
-                    }
-                } else {
-                    index.insert(w, counter);
-                    low.insert(w, counter);
-                    counter += 1;
-                    stack.push(w);
-                    on_stack.insert(w);
-                    frames.push((w, 0));
-                }
-            } else {
-                frames.pop();
-                let lv = low[&v];
-                if let Some(&(p, _)) = frames.last() {
-                    if lv < low[&p] {
-                        low.insert(p, lv);
-                    }
-                }
-                if lv == index[&v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack.remove(&w);
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    if scc.len() > 1 {
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-        for scc in sccs {
-            self.collapse_scc(scc);
-        }
-    }
-
-    /// Collapses one SCC onto its smallest member: points-to sets,
-    /// successor lists, and pending work all merge into the
-    /// representative, whose full set is re-queued as a delta (every
-    /// downstream insertion is idempotent, so over-propagation is safe
-    /// and the member's un-flushed deltas are subsumed).
-    fn collapse_scc(&mut self, mut scc: Vec<u32>) {
-        scc.sort_unstable();
-        let rep = scc[0] as usize;
-        for &m in &scc[1..] {
-            let m = m as usize;
-            self.parent[m] = rep as u32;
-            let member_pts = std::mem::take(&mut self.pts[m]);
-            self.pts[rep].union_in_place(&member_pts);
-            let member_succ = std::mem::take(&mut self.succ[m]);
-            self.succ[rep].extend(member_succ);
-            let member_pending = std::mem::take(&mut self.pending[m]);
-            self.pending[rep].extend(member_pending);
-            self.delta[m].clear();
-            self.queued[m] = false;
-        }
-        let rep_id = NodeId(rep as u32);
-        let mut succs = std::mem::take(&mut self.succ[rep]);
-        for s in &mut succs {
-            *s = self.find(*s);
-        }
-        succs.sort_unstable();
-        succs.dedup();
-        succs.retain(|&s| s != rep_id);
-        self.succ[rep] = succs;
-        self.delta[rep] = self.pts[rep].iter().collect();
-        if !self.delta[rep].is_empty() && !self.queued[rep] {
-            self.queued[rep] = true;
-            self.worklist.push(Reverse((self.last_fired[rep], rep_id)));
-        }
-        self.stats.collapsed_sccs += 1;
-        self.stats.collapsed_nodes += scc.len() - 1;
     }
 
     fn operand_node(&mut self, method: MethodId, ctx: CtxId, op: Operand) -> Option<NodeId> {
@@ -1876,12 +1661,8 @@ impl<'a> Solver<'a> {
     fn resolve_op(&mut self, info: &OpInfo) {
         use FrameworkOp::*;
         // Both object lists come out of PtsSet iteration already sorted.
-        // Stored node ids may predate a collapse; canonicalize first.
         let recv_objs: Vec<ObjId> = match info.recv_node {
-            Some(n) => {
-                let n = self.find(n);
-                self.pts[n.0 as usize].iter().collect()
-            }
+            Some(n) => self.pts[n.0 as usize].iter().collect(),
             None => vec![NO_OBJ],
         };
         let arg_objs: Vec<ObjId> = match info.op {

@@ -822,9 +822,9 @@ fn corpus_plant(
     }
 }
 
-// ---- cycle-collapse equivalence (perf overhaul regression suite) ----
+// ---- solver determinism over seeded random constraint graphs ----
 
-mod cycle_collapse {
+mod solver_determinism {
     use super::*;
     use crate::solver::{analyze_opts, Analysis, AnalysisOptions};
     use apir::{Local, MethodId};
@@ -867,70 +867,10 @@ mod cycle_collapse {
             .collect()
     }
 
-    /// An activity whose `onCreate` contains a pure copy cycle
-    /// `a → b → c → a` seeded from one allocation: the smallest graph on
-    /// which lazy cycle detection must fire and fold a multi-node SCC.
-    fn copy_cycle_harness() -> (harness_gen::HarnessResult, MethodId, Vec<Local>) {
-        let mut app = AndroidAppBuilder::new("Cycle");
-        let fw = app.framework().clone();
-        let activity = app.activity("Main").build();
-        let mut mb = app.method(activity, "onCreate");
-        mb.set_param_count(1);
-        let x = mb.fresh_local();
-        let a = mb.fresh_local();
-        let b = mb.fresh_local();
-        let c = mb.fresh_local();
-        mb.new_(x, fw.object);
-        mb.move_(a, x);
-        mb.move_(b, a);
-        mb.move_(c, b);
-        mb.move_(a, c); // closes the a → b → c → a inclusion cycle
-        mb.ret(None);
-        let m = mb.finish();
-        (generate(app.finish().unwrap()), m, vec![x, a, b, c])
-    }
-
-    #[test]
-    fn copy_cycle_fixture_collapses_one_multi_node_scc() {
-        let (h, m, locals) = copy_cycle_harness();
-        let on = analyze_opts(
-            &h,
-            SelectorKind::ActionSensitive(1),
-            AnalysisOptions::default(),
-        );
-        let off = analyze_opts(
-            &h,
-            SelectorKind::ActionSensitive(1),
-            AnalysisOptions {
-                cycle_collapse: false,
-                ..AnalysisOptions::default()
-            },
-        );
-        assert!(
-            on.stats.collapsed_sccs >= 1,
-            "the a→b→c→a cycle must collapse: {:?}",
-            on.stats
-        );
-        assert!(on.stats.collapsed_nodes >= 2, "{:?}", on.stats);
-        assert_eq!(off.stats.collapsed_sccs, 0);
-        assert_eq!(off.stats.collapsed_nodes, 0);
-        // Identical points-to results, fewer (or equal) propagations.
-        for &l in &locals {
-            assert_eq!(canon_pts(&on, m, l), canon_pts(&off, m, l));
-            assert!(!canon_pts(&on, m, l).is_empty());
-        }
-        assert!(
-            on.stats.propagations <= off.stats.propagations,
-            "collapse must not add work: {} > {}",
-            on.stats.propagations,
-            off.stats.propagations
-        );
-    }
-
     /// Emits a random, cycle-rich constraint program: ≤512 locals with
     /// seeded allocations, random copies, guaranteed 3-cycles, and
     /// random field stores/loads (which exercise the pending complex
-    /// constraints through collapse).
+    /// constraints).
     fn random_harness(seed: u64) -> (harness_gen::HarnessResult, MethodId, Vec<Local>) {
         let mut rng = SplitMix64::new(seed);
         let mut app = AndroidAppBuilder::new("Rand");
@@ -984,41 +924,6 @@ mod cycle_collapse {
         mb.ret(None);
         let m = mb.finish();
         (generate(app.finish().unwrap()), m, locals)
-    }
-
-    #[test]
-    fn randomized_graphs_solve_identically_with_and_without_collapse() {
-        let mut total_collapsed = 0usize;
-        for seed in 0..6u64 {
-            let (h, m, locals) = random_harness(seed);
-            let on = analyze_opts(&h, SelectorKind::Insensitive, AnalysisOptions::default());
-            let off = analyze_opts(
-                &h,
-                SelectorKind::Insensitive,
-                AnalysisOptions {
-                    cycle_collapse: false,
-                    ..AnalysisOptions::default()
-                },
-            );
-            for &l in &locals {
-                assert_eq!(
-                    canon_pts(&on, m, l),
-                    canon_pts(&off, m, l),
-                    "seed {seed}: pts diverged for {l:?}"
-                );
-            }
-            assert_eq!(
-                canon_accesses(&on, &h),
-                canon_accesses(&off, &h),
-                "seed {seed}"
-            );
-            assert_eq!(on.cg_edge_count(), off.cg_edge_count(), "seed {seed}");
-            total_collapsed += on.stats.collapsed_sccs;
-        }
-        assert!(
-            total_collapsed > 0,
-            "the randomized suite must actually exercise cycle collapse"
-        );
     }
 
     /// The second solve takes its scratch from the pool the first one

@@ -22,7 +22,7 @@
 use sierra::android_model::{asm::render_app, parse_app, AndroidApp};
 use sierra::apir::SymbolArena;
 use sierra::corpus::{self, stress, GroundTruth, HarmEval};
-use sierra::pointer::{self, AnalysisOptions};
+use sierra::pointer;
 use sierra::sierra_core::{
     Counter, CounterGroup, DiskStore, Harm, MemoryStore, OpaquePolicy, Report, SessionBuilder,
     Sierra, SierraConfig, SierraResult, Stage, StageMetrics, SummaryStore, COUNTER_GROUPS,
@@ -223,7 +223,7 @@ fn run_with_store(
 
 /// The stress apps: the prefilter's prune tallies on the refutation
 /// stress app (every listed counter, so a new one shows up here), and
-/// cycle collapse on and off on the pointer cycle chain.
+/// the pointer solver's work on the copy-cycle chain.
 fn stress_counters(out: &mut String) {
     let result = Sierra::new().analyze_app(stress::refutation_stress_app(13, 8));
     let _ = writeln!(out, "== refutation stress app: 13 diamonds, 8 fields");
@@ -232,31 +232,12 @@ fn stress_counters(out: &mut String) {
     let _ = writeln!(out, "races {}", result.races.len());
     write_counters(out, &result.metrics, &COUNTER_GROUPS);
 
-    let cycles = |cycle_collapse| {
-        let options = AnalysisOptions {
-            cycle_collapse,
-            ..AnalysisOptions::default()
-        };
-        let cfg = SierraConfig::builder().pointer_options(options).build();
-        let app = stress::pointer_cycle_stress_app(48, 8);
-        Sierra::with_config(cfg).analyze_app(app).metrics
-    };
-    let (on, off) = (cycles(true), cycles(false));
-    assert!(on.pointer.collapsed_sccs >= 1, "the cycle chain collapses");
-    assert!(
-        on.pointer.worklist_iterations < off.pointer.worklist_iterations
-            && on.pointer.propagations < off.pointer.propagations,
-        "collapse must cut worklist iterations and propagations: {:?} vs {:?}",
-        on.pointer,
-        off.pointer
+    let cycles = Sierra::new().analyze_app(stress::pointer_cycle_stress_app(48, 8));
+    let _ = writeln!(
+        out,
+        "== pointer cycle stress app: 48 cycles of 8, collapse off"
     );
-    for (label, m) in [("on", on), ("off", off)] {
-        let _ = writeln!(
-            out,
-            "== pointer cycle stress app: 48 cycles of 8, collapse {label}"
-        );
-        write_counters(out, &m, [group("pointer")]);
-    }
+    write_counters(out, &cycles.metrics, [group("pointer")]);
 }
 
 /// Corpus aggregates: triage over the 20 apps plus the triage fixture

@@ -8,9 +8,9 @@
 //! counters that `tests/golden/counters.txt` also pins.
 
 use corpus::edit_pairs;
-use pointer::AnalysisOptions;
 use sierra_core::{
-    DiskStore, MemoryStore, Report, SessionBuilder, SierraConfig, SierraResult, SummaryStore,
+    run_jobs, DiskStore, MemoryStore, OpaquePolicy, Report, SessionBuilder, SierraConfig,
+    SierraResult, SummaryStore,
 };
 use std::sync::Arc;
 
@@ -111,10 +111,7 @@ fn config_change_invalidates_the_whole_store() {
     let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
     let cfg = SierraConfig::default();
     let changed = SierraConfig::builder()
-        .pointer_options(AnalysisOptions {
-            cycle_collapse: false,
-            ..AnalysisOptions::default()
-        })
+        .opaque_policy(OpaquePolicy::Havoc)
         .build();
 
     let first = run_with_store(edit_pairs::base_app(), cfg, Arc::clone(&store));
@@ -327,6 +324,53 @@ fn shared_store_computes_framework_summaries_once_corpus_wide() {
     assert_eq!(stable(&second), stable(&unshared));
 }
 
+/// The shared layer's lookup and promotion are not atomic, so two
+/// workers can miss the same framework key at once and both compute it:
+/// under parallel workers the split between shared hits and
+/// recomputations depends on scheduling. Each app still accounts for
+/// every method with a body exactly once and reports as a serial pass
+/// does.
+#[test]
+fn parallel_pass_over_a_shared_layer_accounts_for_every_method() {
+    let cfg = SierraConfig::default();
+    let apps = || {
+        corpus::twenty::build_all()
+            .into_iter()
+            .map(|(spec, app, _)| (spec.name.to_owned(), app))
+            .collect::<Vec<_>>()
+    };
+    let serial: Vec<String> = apps()
+        .into_iter()
+        .map(|(_, app)| stable(&run_with_store(app, cfg, Arc::new(MemoryStore::new()))))
+        .collect();
+    let shared: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+    let rows = run_jobs(2, apps(), |_, app| {
+        let result = SessionBuilder::new(cfg)
+            .app(app)
+            .store(Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>)
+            .shared_store(Arc::clone(&shared))
+            .build()
+            .expect("valid app")
+            .finish()
+            .expect("pipeline runs");
+        // The harnessed program: the session's generated harness
+        // methods are summarized too.
+        let methods = result.harness.app.program.methods();
+        let bodies = methods.iter().filter(|m| m.has_body()).count();
+        (bodies, result.metrics.link, stable(&result))
+    });
+    assert_eq!(rows.len(), serial.len());
+    for (row, serial) in rows.into_iter().zip(serial) {
+        let (bodies, link, report) = row.expect("no panic");
+        assert_eq!(
+            link.summaries_shared + link.summaries_reused + link.summaries_recomputed,
+            bodies,
+            "{link:?}"
+        );
+        assert_eq!(report, serial);
+    }
+}
+
 #[test]
 fn figure_apps_are_warm_stable_too() {
     // The invariant holds beyond the purpose-built fixture.
@@ -385,7 +429,7 @@ fn keys_are_the_same_over_a_private_interner_and_a_seeded_arena() {
     let text = android_model::asm::render_app(&reflection);
     let name = reflection.name.clone();
     let cfg = SierraConfig::builder()
-        .opaque_policy(sierra_core::OpaquePolicy::Resolve)
+        .opaque_policy(OpaquePolicy::Resolve)
         .build();
     let template = SessionBuilder::new(cfg);
     let pairs = [
