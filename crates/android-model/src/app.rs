@@ -152,14 +152,6 @@ impl AndroidAppBuilder {
         cb
     }
 
-    /// Begins a library class extending `super_class` (for prioritization
-    /// experiments).
-    pub fn library_class(&mut self, name: &str, super_class: ClassId) -> ClassBuilder<'_> {
-        let mut cb = self.pb.class(name, apir::Origin::Library);
-        cb.set_super(super_class);
-        cb
-    }
-
     /// Begins a method body on `class`.
     pub fn method(&mut self, class: ClassId, name: &str) -> MethodBuilder<'_> {
         self.pb.method(class, name)

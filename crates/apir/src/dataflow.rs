@@ -10,8 +10,9 @@
 //!
 //! - [`DataflowAnalysis`] — the full interface: per-statement transfer,
 //!   per-edge transfer (which may refute an edge outright, giving
-//!   SCCP-style executable-edge semantics) and a widening hook for
-//!   infinite-height lattices. Facts flow forward from the entry block.
+//!   SCCP-style executable-edge semantics). Every lattice it is used
+//!   with has finite height, so the ascent always terminates. Facts flow
+//!   forward from the entry block.
 //! - [`solve_interprocedural`] — a summary-free interprocedural driver:
 //!   callee boundary states are joined over all call sites discovered
 //!   through a client-provided [`CallOracle`] (in practice the pointer
@@ -76,22 +77,6 @@ pub trait DataflowAnalysis {
     ) -> Option<Self::State> {
         let _ = (method, from, term, to);
         Some(state.clone())
-    }
-
-    /// Widening hook: once a block's input has been re-joined more than
-    /// [`DataflowAnalysis::widen_after`] times, the freshly joined state
-    /// is passed here together with the previous one so the analysis can
-    /// force ascent to a fixpoint (infinite-height lattices). Default:
-    /// identity.
-    fn widen(&self, block: BlockId, previous: &Self::State, joined: &mut Self::State) {
-        let _ = (block, previous, joined);
-    }
-
-    /// Number of input re-joins a block tolerates before [`widen`]
-    /// (Self::widen) kicks in. The default never widens, which is correct
-    /// for all finite-height lattices used in this codebase.
-    fn widen_after(&self) -> usize {
-        usize::MAX
     }
 }
 
@@ -178,7 +163,6 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
 ) -> DataflowResults<A::State> {
     let n = method.blocks.len();
     let mut inputs: Vec<Option<A::State>> = vec![None; n];
-    let mut joins: Vec<usize> = vec![0; n];
     let mut exec: Vec<(BlockId, BlockId)> = Vec::new();
     let mut worklist: VecDeque<BlockId> = VecDeque::new();
     inputs[method.entry().index()] = Some(boundary);
@@ -202,7 +186,7 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
             else {
                 continue;
             };
-            if propagate(analysis, &mut inputs, &mut joins, &mut exec, (b, succ), es) {
+            if propagate(&mut inputs, &mut exec, (b, succ), es) {
                 worklist.push_back(succ);
             }
         }
@@ -217,17 +201,14 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
     }
 }
 
-/// Joins `incoming` into the input of the `edge`'s target, applying
-/// widening once the block has been re-joined too often. Returns whether
-/// the target needs re-processing (first arrival over this edge, or a
-/// state change).
-fn propagate<A: DataflowAnalysis>(
-    analysis: &A,
-    inputs: &mut [Option<A::State>],
-    joins: &mut [usize],
+/// Joins `incoming` into the input of the `edge`'s target. Returns
+/// whether the target needs re-processing (first arrival over this
+/// edge, or a state change).
+fn propagate<S: JoinSemiLattice>(
+    inputs: &mut [Option<S>],
     exec: &mut Vec<(BlockId, BlockId)>,
     edge: (BlockId, BlockId),
-    incoming: A::State,
+    incoming: S,
 ) -> bool {
     let target = edge.1;
     let newly_exec = !exec.contains(&edge);
@@ -240,16 +221,7 @@ fn propagate<A: DataflowAnalysis>(
             *slot = Some(incoming);
             true
         }
-        Some(cur) => {
-            joins[target.index()] += 1;
-            let previous = cur.clone();
-            let mut changed = cur.join(&incoming);
-            if changed && joins[target.index()] > analysis.widen_after() {
-                analysis.widen(target, &previous, cur);
-                changed = !cur.le(&previous);
-            }
-            changed
-        }
+        Some(cur) => cur.join(&incoming),
     };
     newly_exec || changed
 }
@@ -527,83 +499,6 @@ mod tests {
                 (BlockId(3), Some(ConstValue::Int(1))),
             ]
         );
-    }
-
-    /// A saturating counter lattice with genuinely infinite ascent unless
-    /// widened: the widening hook jumps straight to ⊤.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum Counter {
-        Exactly(i64),
-        Top,
-    }
-
-    impl JoinSemiLattice for Counter {
-        fn join(&mut self, other: &Self) -> bool {
-            match (&*self, other) {
-                (Counter::Top, _) => false,
-                (Counter::Exactly(a), Counter::Exactly(b)) if a == b => false,
-                _ => {
-                    *self = Counter::Top;
-                    true
-                }
-            }
-        }
-    }
-
-    struct CountLoop;
-
-    impl DataflowAnalysis for CountLoop {
-        type State = Counter;
-
-        fn boundary_state(&self, _method: &Method) -> Counter {
-            Counter::Exactly(0)
-        }
-
-        fn transfer_stmt(&self, _addr: StmtAddr, _stmt: &Stmt, state: &mut Counter) {
-            if let Counter::Exactly(v) = state {
-                *v += 1;
-            }
-        }
-
-        fn widen(&self, _block: BlockId, _previous: &Counter, joined: &mut Counter) {
-            *joined = Counter::Top;
-        }
-
-        fn widen_after(&self) -> usize {
-            0
-        }
-    }
-
-    #[test]
-    fn widening_forces_a_fixpoint() {
-        // b0: (one stmt); NonDet -> {b0, b1}; b1: ret. Without the Top
-        // jump the Exactly counter would never stabilize — joining 0 and
-        // 1 already goes to Top under this lattice, but widen_after = 0
-        // exercises the hook path.
-        let mut b0 = BasicBlock::new();
-        b0.stmts.push(Stmt::Const {
-            dst: Local(0),
-            value: ConstValue::Int(0),
-        });
-        b0.terminator = Terminator::NonDet(vec![BlockId(0), BlockId(1)]);
-        let b1 = BasicBlock::new();
-        let blocks = vec![b0, b1];
-        let m = Method {
-            id: MethodId(0),
-            class: crate::ClassId(0),
-            name: crate::Symbol(0),
-            param_count: 0,
-            ret: None,
-            is_static: true,
-            is_abstract: false,
-            local_count: 1,
-            cfg: crate::Cfg::build(&blocks),
-            blocks,
-        };
-        let r = solve(&m, &CountLoop);
-        assert_eq!(r.block_input(BlockId(0)), Some(&Counter::Top));
-        assert_eq!(r.block_input(BlockId(1)), Some(&Counter::Top));
-        assert!(r.iterations < 20, "widening must terminate the ascent");
     }
 
     /// Interprocedural constant flow: `main` passes a constant to

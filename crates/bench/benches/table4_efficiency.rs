@@ -10,9 +10,10 @@
 //!
 //! Groups: per-stage means on the medium app (NPR News); each ablation
 //! on and off (prefilter on the refutation stress app, triage and
-//! histories on NPR News); summary store and on-disk artifact reuse,
-//! and the size classes with and without a shared framework layer
-//! (medians of ten rounds that alternate the order); and corpus
+//! histories on NPR News); in-memory summary reuse; and, as medians of
+//! ten rounds that alternate the order, a cold against a warm process
+//! over an on-disk artifact cache and the size classes with and without
+//! a shared framework layer; and corpus
 //! throughput, where every Table 2 app is analyzed ten times after one
 //! warm-up pass and the 200 samples give p50, p99 and the median
 //! absolute deviation, next to the process's peak RSS. Everything goes
@@ -24,14 +25,14 @@
 
 use android_model::AndroidApp;
 use corpus::stress;
-use sierra_bench::{group, time};
+use sierra_bench::group;
 use sierra_core::json::{num, obj};
 use sierra_core::{
     DiskStore, Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SierraResult, Stage,
     StageTimings, SummaryStore,
 };
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs `run` once to warm up, then `iters` times, and returns each
 /// timed run's stage timings.
@@ -81,6 +82,47 @@ fn mad(sorted: &[Duration]) -> Duration {
     let mut deviations: Vec<Duration> = sorted.iter().map(|&d| d.abs_diff(median)).collect();
     deviations.sort_unstable();
     percentile(&deviations, 0.5)
+}
+
+/// Rounds of an [`alternating`] comparison.
+const ROUNDS: usize = 10;
+
+/// Times two runs over [`ROUNDS`] rounds that alternate which one goes
+/// first, after one untimed warm-up of each, prints their medians and
+/// interquartile ranges, and returns each run's ascending samples.
+fn alternating(
+    label: &str,
+    (a_label, mut a): (&str, impl FnMut() -> Duration),
+    (b_label, mut b): (&str, impl FnMut() -> Duration),
+) -> (Vec<Duration>, Vec<Duration>) {
+    a();
+    b();
+    let (mut xs, mut ys) = (Vec::with_capacity(ROUNDS), Vec::with_capacity(ROUNDS));
+    for round in 0..ROUNDS {
+        if round % 2 == 0 {
+            xs.push(a());
+            ys.push(b());
+        } else {
+            ys.push(b());
+            xs.push(a());
+        }
+    }
+    xs.sort_unstable();
+    ys.sort_unstable();
+    let summary = |sorted: &[Duration]| {
+        format!(
+            "median {:.3?} (IQR {:.3?}..{:.3?})",
+            percentile(sorted, 0.5),
+            percentile(sorted, 0.25),
+            percentile(sorted, 0.75)
+        )
+    };
+    println!(
+        "{label}, {ROUNDS} alternating rounds: {} {a_label}, {} {b_label}",
+        summary(&xs),
+        summary(&ys)
+    );
+    (xs, ys)
 }
 
 fn main() {
@@ -209,28 +251,31 @@ fn main() {
     }
 
     // The medium app analyzed by a cold process (empty on-disk store)
-    // and by warm ones. Each warm iteration opens a fresh `DiskStore`
-    // over the populated directory, so the analysis must come back
-    // through the artifact blob, as a new OS process would see it.
+    // and by a warm one. Every run opens a fresh `DiskStore`, so the
+    // warm analysis must come back through the artifact blob, as a new
+    // OS process would see it. Round 0 runs cold first, so the warm run
+    // always finds a populated directory.
     group("artifact_reuse");
     let artifact_dir =
         std::env::temp_dir().join(format!("sierra-bench-artifacts-{}", std::process::id()));
-    let on_disk = || -> Arc<dyn SummaryStore> {
-        Arc::new(DiskStore::new(&artifact_dir).expect("bench cache dir"))
+    let on_disk = || {
+        let start = Instant::now();
+        let store = Arc::new(DiskStore::new(&artifact_dir).expect("bench cache dir"));
+        std::hint::black_box(run_with_store(app.clone(), store, None));
+        start.elapsed()
     };
-    let t_artifact_cold = time("artifact_cold_process", 10, || {
+    let cold_process = || {
         let _ = std::fs::remove_dir_all(&artifact_dir);
-        run_with_store(app.clone(), on_disk(), None).races.len()
-    });
-    let t_artifact_warm = time("artifact_warm_process", 10, || {
-        run_with_store(app.clone(), on_disk(), None).races.len()
-    });
+        on_disk()
+    };
+    let (cold, warm) = alternating("artifact", ("cold", cold_process), ("warm", on_disk));
     let _ = std::fs::remove_dir_all(&artifact_dir);
+    let (t_artifact_cold, t_artifact_warm) = (percentile(&cold, 0.5), percentile(&warm, 0.5));
 
     // The three size classes with private stores, with and without a
-    // shared framework layer, over rounds that alternate which pass runs
-    // first. Every shared pass starts from a fresh layer: its first app
-    // fills the layer and the later ones are served from it.
+    // shared framework layer. Every shared pass starts from a fresh
+    // layer: its first app fills the layer and the later ones are served
+    // from it.
     let size_class_pass = |layer: Option<&Arc<dyn SummaryStore>>| {
         let apps = sierra_bench::size_classes().into_iter();
         apps.map(|(_, corpus_app, _)| {
@@ -242,31 +287,16 @@ fn main() {
         })
         .sum::<Duration>()
     };
-    const ROUNDS: usize = 10;
-    let (mut shared, mut unshared) = (Vec::new(), Vec::new());
-    for round in 0..ROUNDS {
-        let layer: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-        if round % 2 == 0 {
-            shared.push(size_class_pass(Some(&layer)));
-            unshared.push(size_class_pass(None));
-        } else {
-            unshared.push(size_class_pass(None));
-            shared.push(size_class_pass(Some(&layer)));
-        }
-    }
-    shared.sort_unstable();
-    unshared.sort_unstable();
+    let (shared, unshared) = alternating(
+        "size classes",
+        ("over a fresh shared layer", || {
+            let layer: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+            size_class_pass(Some(&layer))
+        }),
+        ("without", || size_class_pass(None)),
+    );
     let (t_corpus_shared, t_corpus_unshared) =
         (percentile(&shared, 0.5), percentile(&unshared, 0.5));
-    println!(
-        "size classes, {ROUNDS} alternating rounds: median {t_corpus_shared:.3?} \
-         (IQR {:.3?}..{:.3?}) over a fresh shared layer, {t_corpus_unshared:.3?} \
-         (IQR {:.3?}..{:.3?}) without",
-        percentile(&shared, 0.25),
-        percentile(&shared, 0.75),
-        percentile(&unshared, 0.25),
-        percentile(&unshared, 0.75),
-    );
 
     let json = obj(vec![
         ("bench", Json::Str("table4_efficiency".to_owned())),

@@ -8,9 +8,10 @@
 //!   check is one-sided), and a key the baseline does not record is not
 //!   checked. A key the baseline records but the current run lacks is a
 //!   violation, so an unreadable `/proc` cannot pass as zero RSS.
-//! - the **artifact-reuse payoff**: a warm process over a populated
-//!   cache directory must finish in under half the cold wall-time of the
-//!   same run (no baseline involved).
+//! - the **artifact-reuse payoff**: the median wall time of a warm
+//!   process over a populated cache directory must be below the cold
+//!   median of the same run (both from alternating rounds; no baseline
+//!   involved).
 //!
 //! `BENCH_GATE_SLO=0` disables both on noisy or throttled hosts. The
 //! work counters are not gated here: `tests/golden/counters.txt` pins
@@ -54,9 +55,9 @@ fn run(current: &str, baseline: &str, slo_enabled: bool) -> Result<(), Vec<Strin
         number(current, "artifact_cold_us"),
         number(current, "artifact_warm_process_us"),
     ) {
-        if warm >= 0.5 * cold {
+        if warm >= cold {
             violations.push(format!(
-                "artifact_warm_process_us ({warm}) must be below half of artifact_cold_us \
+                "artifact_warm_process_us ({warm}) must be below artifact_cold_us \
                  ({cold}): the artifact cache stopped paying for itself"
             ));
         }
@@ -108,7 +109,7 @@ fn main() -> ExitCode {
         }
         Ok(()) => {
             println!(
-                "bench_gate: corpus SLO within {:.0}% of baseline, warm artifact run under half of cold",
+                "bench_gate: corpus SLO within {:.0}% of baseline, warm artifact run below cold",
                 TOLERANCE * 100.0
             );
             ExitCode::SUCCESS
@@ -229,18 +230,25 @@ mod tests {
     }
 
     #[test]
-    fn artifact_warm_halving_is_enforced() {
+    fn artifact_warm_below_cold_is_enforced() {
         let slow_warm = BASE.replace(
             "\"artifact_warm_process_us\": 900.0",
-            "\"artifact_warm_process_us\": 2600.0",
+            "\"artifact_warm_process_us\": 5200.0",
         );
         let err = run(&slow_warm, &slow_warm, true).unwrap_err();
         assert!(
             err.iter()
-                .any(|v| v.contains("below half of artifact_cold_us")),
+                .any(|v| v.contains("must be below artifact_cold_us")),
             "{err:?}"
         );
-        // …and is waved through with BENCH_GATE_SLO=0 (noisy hosts).
+        // A warm run that saves little still passes…
+        let close = BASE.replace(
+            "\"artifact_warm_process_us\": 900.0",
+            "\"artifact_warm_process_us\": 4900.0",
+        );
+        assert!(run(&close, &close, true).is_ok());
+        // …and a slow one is waved through with BENCH_GATE_SLO=0 (noisy
+        // hosts).
         assert!(run(&slow_warm, &slow_warm, false).is_ok());
     }
 }

@@ -19,13 +19,12 @@
 //!                       (reports then carry no harm annotation)
 //! --min-harm <LEVEL>    drop reports triaged below LEVEL: benign |
 //!                       value | use-before-init | null-deref
-//! --cache-dir <PATH>    persist per-method summaries and whole
-//!                       points-to artifacts to PATH (created if
-//!                       absent); every analyzing subcommand reuses
-//!                       them, and reuse never changes results
-//! --cache-max-mb <N>    cap the on-disk store (summary files and
-//!                       artifact blobs) at N megabytes, evicting
-//!                       oldest entries first (requires --cache-dir;
+//! --cache-dir <PATH>    persist whole points-to analyses as blobs
+//!                       in PATH (created if absent); every analyzing
+//!                       subcommand reuses them, and reuse never
+//!                       changes results
+//! --cache-max-mb <N>    cap the analysis blobs at N megabytes,
+//!                       evicting oldest first (requires --cache-dir;
 //!                       0 or absent = unbounded)
 //! --shared-store        consult a corpus-shared layer for
 //!                       framework-method summaries before per-app
@@ -47,9 +46,9 @@ use std::sync::Arc;
 pub struct CommonFlags {
     /// `--jobs N`: engine worker threads (0 = available parallelism).
     pub jobs: usize,
-    /// `--cache-dir PATH`: on-disk summary store directory, if any.
+    /// `--cache-dir PATH`: directory of persisted analysis blobs, if any.
     pub cache_dir: Option<String>,
-    /// `--cache-max-mb N`: on-disk store size cap in megabytes.
+    /// `--cache-max-mb N`: size cap of the analysis blobs in megabytes.
     pub cache_max_mb: Option<u64>,
     /// `--shared-store`: share framework-method summaries across all
     /// apps/requests through a corpus-shared layer.

@@ -27,10 +27,8 @@
 //! --no-triage          disable post-refutation harm triage
 //! --min-harm <LEVEL>   drop reports below LEVEL: benign | value |
 //!                      use-before-init | null-deref
-//! --cache-dir <PATH>   persist per-method summaries and whole points-to
-//!                      artifacts across runs
-//! --cache-max-mb <N>   cap the on-disk store (summaries + artifact blobs),
-//!                      evicting oldest first
+//! --cache-dir <PATH>   persist whole points-to analyses across runs
+//! --cache-max-mb <N>   cap the analysis blobs, evicting oldest first
 //! --shared-store       serve framework-origin summaries from a corpus-wide
 //!                      shared layer (computed once per framework fingerprint)
 //! ```
@@ -40,7 +38,7 @@
 //! Every analysis runs from one session template built from these
 //! flags. Corpus commands run against `--cache-dir` print an aggregate
 //! `cache: …` hit-stats line after their table; a second identical run
-//! reuses every summary and points-to artifact from the first.
+//! reuses every points-to analysis from the first.
 
 use apir::SymbolArena;
 use eventracer::EventRacerConfig;
@@ -93,9 +91,8 @@ fn main() {
         }
     };
     // Any persistence flag turns the run's store on: `--cache-dir`
-    // alone persists summaries + artifacts, `--shared-store` alone still
-    // shares framework summaries (in memory) within this corpus pass,
-    // and together the sharing persists across runs. Serve always keeps
+    // persists points-to analyses, `--shared-store` shares framework
+    // summaries (in memory) within this corpus pass. Serve always keeps
     // one store across its requests.
     let store = if cmd == "serve" || common.cache_dir.is_some() || common.shared_store {
         match common.open_store() {

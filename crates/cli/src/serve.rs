@@ -12,8 +12,8 @@
 //! share one [`sierra_core::SummaryStore`]: repeated analyses of the
 //! same (or slightly edited) app reuse per-method summaries and — when
 //! no solver-relevant statement changed — the whole points-to analysis.
-//! With `--cache-dir` the store persists to disk and survives server
-//! restarts. Sessions also share the template's [`apir::SymbolArena`],
+//! With `--cache-dir` the store's points-to analyses persist to disk,
+//! so a restarted server skips the solve; summaries stay in memory. Sessions also share the template's [`apir::SymbolArena`],
 //! so the framework's class/method/field names are interned once per
 //! server process rather than once per request.
 //!

@@ -130,7 +130,7 @@ fn two_workers_answer_every_request_before_shutdown_and_none_after() {
 }
 
 #[test]
-fn cache_dir_persists_summaries_across_server_restarts() {
+fn cache_dir_persists_analyses_across_server_restarts() {
     let dir = std::env::temp_dir().join(format!("sierra-serve-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let flags = ["--cache-dir", dir.to_str().expect("utf-8 temp path")];
@@ -139,22 +139,25 @@ fn cache_dir_persists_summaries_across_server_restarts() {
     let first = run_serve(&flags, &input);
     let second = run_serve(&flags, &input);
 
-    let cold = event(&first, 1, "done");
-    let warm = event(&second, 1, "done");
-    let recomputed = cold
-        .get("summaries_recomputed")
-        .and_then(Json::as_u64)
-        .expect("cold run fills the disk store");
-    assert!(recomputed > 0);
     assert_eq!(
-        warm.get("summaries_reused").and_then(Json::as_u64),
-        Some(recomputed),
-        "a fresh server process must reload the disk store"
+        event(&first, 1, "done")
+            .get("analysis_reused")
+            .and_then(Json::as_bool),
+        Some(false)
     );
     assert_eq!(
-        warm.get("summaries_recomputed").and_then(Json::as_u64),
-        Some(0)
+        event(&second, 1, "done")
+            .get("analysis_reused")
+            .and_then(Json::as_bool),
+        Some(true),
+        "a fresh server process must reload the analysis blob"
     );
+    let iterations = event(&second, 1, "report")
+        .get("report")
+        .and_then(|r| r.get("link"))
+        .and_then(|l| l.get("pointer_iterations_run"))
+        .and_then(Json::as_u64);
+    assert_eq!(iterations, Some(0), "no solver work after a restart");
     // Reuse must not change the result.
     assert_eq!(
         stable_report(event(&first, 1, "report")),

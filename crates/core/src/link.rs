@@ -46,11 +46,11 @@ pub struct LinkStats {
     /// Solver worklist iterations actually run this session (zero on an
     /// analysis-artifact hit).
     pub pointer_iterations_run: usize,
-    /// Store lookups this session that found an entry but could not
-    /// parse it (torn/truncated/version-mismatched cache files); each
-    /// corrupt entry costs one recomputation, never correctness.
+    /// Store lookups this session that found an analysis blob but could
+    /// not decode it (torn, truncated, version-mismatched or with a bad
+    /// payload); each costs one re-solve, never correctness.
     pub corrupt_misses: usize,
-    /// Store entries evicted this session to enforce `--cache-max-mb`.
+    /// Analysis blobs evicted this session to enforce `--cache-max-mb`.
     pub evictions: usize,
 }
 

@@ -41,7 +41,7 @@ pub(crate) fn link_and_solve(
 
     let key = linked.analysis_key();
     let (analysis, reused) = load_or_solve(config, store, harness, key, config.selector);
-    // A reused artifact keeps its producing run's stats (reports stay
+    // A reused analysis keeps its producing run's stats (reports stay
     // byte-identical); this session's work is in `link`.
     m.link.analysis_reused = reused;
     m.link.pointer_iterations_run = if reused {
@@ -58,9 +58,9 @@ pub(crate) fn link_and_solve(
     (linked, analysis)
 }
 
-/// Gets the points-to `Analysis` cached under `key` — in memory, else
-/// from a durable artifact blob — or solves it with `selector` and
-/// caches it. Returns the analysis and whether it was reused.
+/// Gets the points-to `Analysis` cached under `key`, or solves it with
+/// `selector` and caches it. Returns the analysis and whether it was
+/// reused.
 fn load_or_solve(
     config: &SierraConfig,
     store: &dyn SummaryStore,
@@ -68,21 +68,8 @@ fn load_or_solve(
     key: u64,
     selector: SelectorKind,
 ) -> (Arc<Analysis>, bool) {
-    if let Some(cached) = store.get_analysis(key) {
+    if let Some(cached) = store.get_analysis(key, &harness.app.framework) {
         return (cached, true);
-    }
-    // Cold-process path: rehydrate the artifact blob the durable store
-    // persisted. A blob that fails the deep decode (e.g. written by a
-    // different build) is a plain miss; the re-solve below rewrites it.
-    let use_blobs = store.persists_artifacts();
-    let decoded = use_blobs
-        .then(|| store.get_artifact(key))
-        .flatten()
-        .and_then(|blob| pointer::artifact::decode(&blob, harness.app.framework.clone()));
-    if let Some(decoded) = decoded {
-        let decoded = Arc::new(decoded);
-        store.put_analysis(key, Arc::clone(&decoded));
-        return (decoded, true);
     }
     let analysis = Arc::new(pointer::analyze_opts(
         harness,
@@ -90,9 +77,6 @@ fn load_or_solve(
         config.pointer_options,
     ));
     store.put_analysis(key, Arc::clone(&analysis));
-    if use_blobs {
-        store.put_artifact(key, &pointer::artifact::encode(&analysis));
-    }
     (analysis, false)
 }
 

@@ -33,11 +33,13 @@
 //! solver reads of its body: if no solver-relevant statement changed
 //! anywhere, the previous points-to result is reused outright and the
 //! warm run performs zero worklist iterations. The on-disk backend
-//! persists artifacts too, as versioned binary blobs
-//! ([`pointer::artifact`]) next to the summary files, so the reuse
-//! survives process boundaries: a cold `sierra analyze`, a restarted
-//! `serve`, or a fresh CI job warm-starts from `--cache-dir` exactly
-//! like an in-memory warm hit.
+//! ([`DiskStore`], `--cache-dir`) persists these analyses, and only
+//! these, as versioned binary blobs ([`pointer::artifact`]), so the
+//! solve is skipped across process boundaries: a cold `sierra
+//! analyze`, a restarted `serve`, or a fresh CI job warm-starts from
+//! `--cache-dir` like an in-memory warm hit. Per-method summaries stay
+//! in memory: reading one file per method cost more than recomputing
+//! the summary.
 //!
 //! ## Corpus-shared framework summaries
 //!
@@ -71,7 +73,8 @@
 //! whose arenas interned names in different orders.
 
 use crate::link::{LinkStats, LinkedSummaries};
-use apir::{fnv64, BlockId, FieldId, Fnv64, Local, MethodId, Program, ProgramDigest, StmtAddr};
+use android_model::FrameworkClasses;
+use apir::{fnv64, Fnv64, MethodId, Program, ProgramDigest};
 use pointer::{method_access_sites, AccessSite, Analysis, AnalysisOptions, SelectorKind};
 use prefilter::constprop::{self, ConstFacts};
 use shbg::CallDominance;
@@ -95,7 +98,7 @@ pub struct MethodSummary {
 /// Computes the full summary of one method body.
 pub fn summarize_method(
     program: &Program,
-    fw: &android_model::FrameworkClasses,
+    fw: &FrameworkClasses,
     method: MethodId,
     index_sensitive: bool,
 ) -> MethodSummary {
@@ -124,11 +127,11 @@ pub fn summary_key(fingerprint: u64, body_digest: u64, config_fp: u64) -> u64 {
         .finish()
 }
 
-/// A content-addressed store of per-method summaries and (in-memory)
-/// whole-`Analysis` artifacts. Keys are content hashes, so a store never
-/// needs invalidation logic: stale entries are simply never looked up
-/// again. Implementations must be shareable across the serve worker pool
-/// and the corpus engine's workers (`Send + Sync`). Keys hash names and
+/// A content-addressed store of per-method summaries and whole-`Analysis`
+/// artifacts. Keys are content hashes, so a store never needs
+/// invalidation logic: stale entries are simply never looked up again.
+/// Implementations must be shareable across the serve worker pool and
+/// the corpus engine's workers (`Send + Sync`). Keys hash names and
 /// string constants by their text rather than by symbol value, so one
 /// store serves sessions built over a shared [`apir::SymbolArena`] and
 /// private-interner sessions interchangeably.
@@ -139,36 +142,16 @@ pub trait SummaryStore: Send + Sync + std::fmt::Debug {
     /// Stores a method summary under its key.
     fn put(&self, key: u64, summary: Arc<MethodSummary>);
 
-    /// Looks up a cached points-to `Analysis` artifact (memory-only;
-    /// backends without artifact caching return `None`).
-    fn get_analysis(&self, _key: u64) -> Option<Arc<Analysis>> {
-        None
-    }
+    /// Looks up a points-to `Analysis` by key. `framework` is the id
+    /// table of the app the key was computed for; a backend that
+    /// rebuilds analyses from stored bytes needs it to decode them.
+    fn get_analysis(&self, key: u64, framework: &FrameworkClasses) -> Option<Arc<Analysis>>;
 
-    /// Caches a points-to `Analysis` artifact.
-    fn put_analysis(&self, _key: u64, _analysis: Arc<Analysis>) {}
-
-    /// Looks up a serialized `Analysis` artifact blob (the durable,
-    /// cross-process counterpart of [`Self::get_analysis`]). Backends
-    /// without durable storage return `None`. Returned bytes carry a
-    /// validated envelope ([`pointer::artifact::envelope_is_valid`]);
-    /// deeper decode failures are the caller's (plain) miss.
-    fn get_artifact(&self, _key: u64) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Persists a serialized `Analysis` artifact blob.
-    fn put_artifact(&self, _key: u64, _blob: &[u8]) {}
-
-    /// Whether [`Self::put_artifact`] durably stores blobs. Sessions
-    /// skip serialization entirely for stores that don't, so the
-    /// in-memory path never pays encode cost.
-    fn persists_artifacts(&self) -> bool {
-        false
-    }
+    /// Caches a points-to `Analysis` under its key.
+    fn put_analysis(&self, key: u64, analysis: Arc<Analysis>);
 
     /// Lifetime count of lookups that found an entry but could not use
-    /// it (torn, truncated, or version-mismatched on-disk files).
+    /// it (torn, truncated, or version-mismatched on-disk blobs).
     /// Backends without durable storage cannot corrupt and return 0.
     fn corrupt_misses(&self) -> usize {
         0
@@ -211,7 +194,7 @@ impl SummaryStore for MemoryStore {
             .insert(key, summary);
     }
 
-    fn get_analysis(&self, key: u64) -> Option<Arc<Analysis>> {
+    fn get_analysis(&self, key: u64, _framework: &FrameworkClasses) -> Option<Arc<Analysis>> {
         self.analyses.lock().expect("store lock").get(&key).cloned()
     }
 
@@ -223,40 +206,43 @@ impl SummaryStore for MemoryStore {
     }
 }
 
-/// An on-disk [`SummaryStore`]: each summary is one plain-text file
-/// `<key>.sum` and each `Analysis` artifact one binary blob `<key>.art`
-/// under the cache directory, so both persist across processes (the
-/// `--cache-dir` backend). Artifacts additionally warm an in-memory map
-/// so repeat hits within one process skip deserialization. Unreadable,
-/// truncated, or version-mismatched files of either kind are treated as
-/// misses — a corrupt cache can cost recomputation, never correctness —
-/// but each corrupt file is counted (surfacing in [`crate::LinkStats`])
-/// and its path logged once; the next put overwrites (repairs) it.
-/// With a size cap ([`Self::with_max_bytes`], the `--cache-max-mb`
-/// flag), every write may evict the oldest entries — summary files and
-/// artifact blobs alike, both counted toward the cap — until it holds.
+/// An on-disk [`SummaryStore`] (the `--cache-dir` backend): each
+/// points-to `Analysis` is one binary blob `<key>.art` under the cache
+/// directory ([`pointer::artifact`]), so the solve is skipped across
+/// processes. Summaries, and analyses already put or decoded, are kept
+/// in a [`MemoryStore`] the disk store owns; summaries never touch the
+/// disk. Opening a store deletes the `*.sum` summary files earlier
+/// builds wrote. A blob that cannot be read back (torn, truncated,
+/// version-mismatched, or with a payload that does not decode) is a
+/// miss — a corrupt cache can cost a re-solve, never correctness — but
+/// each one is counted (surfacing in [`crate::LinkStats`]) and its path
+/// logged once; the next put overwrites (repairs) it. Blobs keyed under
+/// an earlier config or build are never looked up again and stay until
+/// a size cap ([`Self::with_max_bytes`], the `--cache-max-mb` flag)
+/// evicts them: every write evicts the oldest blobs until it holds.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
-    analyses: Mutex<HashMap<u64, Arc<Analysis>>>,
+    memory: MemoryStore,
     max_bytes: Option<u64>,
     corrupt: AtomicUsize,
     evicted: AtomicUsize,
     logged: Mutex<HashSet<PathBuf>>,
 }
 
-/// Version header of the on-disk summary format; bump on layout change
-/// so stale caches miss instead of misparse.
-const DISK_FORMAT: &str = "sierra-summary v2";
-
 impl DiskStore {
     /// Opens (creating if needed) an unbounded store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        for entry in std::fs::read_dir(&dir)?.flatten() {
+            if entry.path().extension().is_some_and(|x| x == "sum") {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
         Ok(Self {
             dir,
-            analyses: Mutex::new(HashMap::new()),
+            memory: MemoryStore::new(),
             max_bytes: None,
             corrupt: AtomicUsize::new(0),
             evicted: AtomicUsize::new(0),
@@ -264,10 +250,10 @@ impl DiskStore {
         })
     }
 
-    /// Opens a store capped at `max_bytes` of summary files; each write
+    /// Opens a store capped at `max_bytes` of artifact blobs; each write
     /// evicts oldest-first (modification time, then file name as the
     /// tiebreak) until the total size fits. `0` caps the store to
-    /// nothing but stays correct: entries are written, then immediately
+    /// nothing but stays correct: blobs are written, then immediately
     /// reclaimed.
     pub fn with_max_bytes(dir: impl Into<PathBuf>, max_bytes: u64) -> std::io::Result<Self> {
         let mut store = Self::new(dir)?;
@@ -275,15 +261,11 @@ impl DiskStore {
         Ok(store)
     }
 
-    fn path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.sum"))
-    }
-
     fn artifact_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.art"))
     }
 
-    /// Records a corrupt file and logs its path the first time.
+    /// Records a corrupt blob and logs its path the first time.
     fn note_corrupt(&self, path: &std::path::Path) {
         self.corrupt.fetch_add(1, Ordering::Relaxed);
         let mut logged = self.logged.lock().expect("store lock");
@@ -295,8 +277,7 @@ impl DiskStore {
         }
     }
 
-    /// Deletes oldest cache entries (summary files and artifact blobs)
-    /// until the store fits its cap.
+    /// Deletes the oldest artifact blobs until the store fits its cap.
     fn enforce_cap(&self) {
         let Some(max) = self.max_bytes else { return };
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -304,11 +285,7 @@ impl DiskStore {
         };
         let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = entries
             .flatten()
-            .filter(|e| {
-                e.path()
-                    .extension()
-                    .is_some_and(|x| x == "sum" || x == "art")
-            })
+            .filter(|e| e.path().extension().is_some_and(|x| x == "art"))
             .filter_map(|e| {
                 let md = e.metadata().ok()?;
                 let mtime = md.modified().ok()?;
@@ -334,61 +311,37 @@ impl DiskStore {
 
 impl SummaryStore for DiskStore {
     fn get(&self, key: u64) -> Option<Arc<MethodSummary>> {
-        let path = self.path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match parse_summary(&text) {
-            Some(s) => Some(Arc::new(s)),
-            None => {
-                self.note_corrupt(&path);
-                None
-            }
-        }
+        self.memory.get(key)
     }
 
     fn put(&self, key: u64, summary: Arc<MethodSummary>) {
-        let path = self.path(key);
-        let tmp = self.dir.join(format!("{key:016x}.tmp"));
-        // Write-then-rename so concurrent readers never see a torn file.
-        if std::fs::write(&tmp, render_summary(&summary)).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
-        self.enforce_cap();
+        self.memory.put(key, summary);
     }
 
-    fn get_analysis(&self, key: u64) -> Option<Arc<Analysis>> {
-        self.analyses.lock().expect("store lock").get(&key).cloned()
+    fn get_analysis(&self, key: u64, framework: &FrameworkClasses) -> Option<Arc<Analysis>> {
+        if let Some(hit) = self.memory.get_analysis(key, framework) {
+            return Some(hit);
+        }
+        let path = self.artifact_path(key);
+        let bytes = std::fs::read(&path).ok()?;
+        let Some(decoded) = pointer::artifact::decode(&bytes, framework.clone()) else {
+            self.note_corrupt(&path);
+            return None;
+        };
+        let decoded = Arc::new(decoded);
+        self.memory.put_analysis(key, Arc::clone(&decoded));
+        Some(decoded)
     }
 
     fn put_analysis(&self, key: u64, analysis: Arc<Analysis>) {
-        self.analyses
-            .lock()
-            .expect("store lock")
-            .insert(key, analysis);
-    }
-
-    fn get_artifact(&self, key: u64) -> Option<Vec<u8>> {
-        let path = self.artifact_path(key);
-        let bytes = std::fs::read(&path).ok()?;
-        if pointer::artifact::envelope_is_valid(&bytes) {
-            Some(bytes)
-        } else {
-            self.note_corrupt(&path);
-            None
-        }
-    }
-
-    fn put_artifact(&self, key: u64, blob: &[u8]) {
         let path = self.artifact_path(key);
         let tmp = self.dir.join(format!("{key:016x}.art.tmp"));
         // Write-then-rename so concurrent readers never see a torn blob.
-        if std::fs::write(&tmp, blob).is_ok() {
+        if std::fs::write(&tmp, pointer::artifact::encode(&analysis)).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
+        self.memory.put_analysis(key, analysis);
         self.enforce_cap();
-    }
-
-    fn persists_artifacts(&self) -> bool {
-        true
     }
 
     fn corrupt_misses(&self) -> usize {
@@ -398,89 +351,6 @@ impl SummaryStore for DiskStore {
     fn evictions(&self) -> usize {
         self.evicted.load(Ordering::Relaxed)
     }
-}
-
-/// Renders a summary in the line-oriented on-disk format.
-fn render_summary(s: &MethodSummary) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{DISK_FORMAT}");
-    for &(a_bb, a_st, b_bb, b_st) in &s.dominance.pairs {
-        let _ = writeln!(out, "dom {a_bb} {a_st} {b_bb} {b_st}");
-    }
-    for &(from, to) in &s.consts.infeasible {
-        let _ = writeln!(out, "inf {} {}", from.0, to.0);
-    }
-    for &bb in &s.consts.dead_blocks {
-        let _ = writeln!(out, "dead {}", bb.0);
-    }
-    for site in &s.sites {
-        let _ = writeln!(
-            out,
-            "site {} {} {} {} {} {} {}",
-            site.addr.method.0,
-            site.addr.block.0,
-            site.addr.stmt,
-            site.field.0,
-            site.base.map_or(-1, |l| l.0 as i64),
-            if site.is_write { 'w' } else { 'r' },
-            if site.is_static { 's' } else { 'i' },
-        );
-    }
-    out
-}
-
-/// Parses the on-disk format; any deviation is a miss (`None`).
-fn parse_summary(text: &str) -> Option<MethodSummary> {
-    let mut lines = text.lines();
-    if lines.next()? != DISK_FORMAT {
-        return None;
-    }
-    let mut dominance = CallDominance::default();
-    let mut consts = ConstFacts::default();
-    let mut sites = Vec::new();
-    for line in lines {
-        let mut parts = line.split(' ');
-        let tag = parts.next()?;
-        let mut next_u32 = || -> Option<u32> { parts.next()?.parse().ok() };
-        match tag {
-            "dom" => dominance
-                .pairs
-                .push((next_u32()?, next_u32()?, next_u32()?, next_u32()?)),
-            "inf" => consts
-                .infeasible
-                .push((BlockId(next_u32()?), BlockId(next_u32()?))),
-            "dead" => consts.dead_blocks.push(BlockId(next_u32()?)),
-            "site" => {
-                let addr = StmtAddr::new(MethodId(next_u32()?), BlockId(next_u32()?), next_u32()?);
-                let field = FieldId(next_u32()?);
-                let base: i64 = parts.next()?.parse().ok()?;
-                let is_write = match parts.next()? {
-                    "w" => true,
-                    "r" => false,
-                    _ => return None,
-                };
-                let is_static = match parts.next()? {
-                    "s" => true,
-                    "i" => false,
-                    _ => return None,
-                };
-                sites.push(AccessSite {
-                    addr,
-                    field,
-                    base: (base >= 0).then_some(Local(base as u32)),
-                    is_write,
-                    is_static,
-                });
-            }
-            _ => return None,
-        }
-    }
-    Some(MethodSummary {
-        dominance,
-        consts,
-        sites,
-    })
 }
 
 /// Digests `program` and computes (or retrieves) the summary of every
@@ -495,7 +365,7 @@ fn parse_summary(text: &str) -> Option<MethodSummary> {
 /// with and without a shared store.
 pub fn load_or_summarize(
     program: &Program,
-    fw: &android_model::FrameworkClasses,
+    fw: &FrameworkClasses,
     index_sensitive: bool,
     config_fp: u64,
     store: &dyn SummaryStore,
@@ -545,214 +415,133 @@ pub fn load_or_summarize(
 mod tests {
     use super::*;
 
-    fn sample_summary() -> MethodSummary {
-        MethodSummary {
-            dominance: CallDominance {
-                pairs: vec![(0, 1, 2, 0), (1, 0, 3, 2)],
-            },
-            consts: ConstFacts {
-                infeasible: vec![(BlockId(0), BlockId(2))],
-                dead_blocks: vec![BlockId(2)],
-            },
-            sites: vec![
-                AccessSite {
-                    addr: StmtAddr::new(MethodId(7), BlockId(1), 3),
-                    field: FieldId(4),
-                    base: Some(Local(2)),
-                    is_write: true,
-                    is_static: false,
-                },
-                AccessSite {
-                    addr: StmtAddr::new(MethodId(7), BlockId(0), 0),
-                    field: FieldId(9),
-                    base: None,
-                    is_write: false,
-                    is_static: true,
-                },
-            ],
-        }
+    /// A small fixture app's harness and its solved analysis.
+    fn solved() -> (FrameworkClasses, Arc<Analysis>) {
+        let (app, _) = corpus::figures::intra_component();
+        let harness = harness_gen::generate(app);
+        let analysis = pointer::analyze(&harness, SelectorKind::ActionSensitive(1));
+        (harness.app.framework.clone(), Arc::new(analysis))
+    }
+
+    /// A fresh, empty cache directory for one test.
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sierra-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn blob_path(dir: &std::path::Path, key: u64) -> PathBuf {
+        dir.join(format!("{key:016x}.art"))
+    }
+
+    /// Looks `key` up through a fresh store over `dir`, so the analysis
+    /// can only come from its blob, and returns it re-encoded with the
+    /// fresh store's corrupt count.
+    fn reopened(
+        dir: &std::path::Path,
+        key: u64,
+        fw: &FrameworkClasses,
+    ) -> (Option<Vec<u8>>, usize) {
+        let store = DiskStore::new(dir).expect("store dir");
+        let found = store.get_analysis(key, fw);
+        let blob = found.map(|a| pointer::artifact::encode(&a));
+        (blob, store.corrupt_misses())
     }
 
     #[test]
-    fn disk_format_round_trips() {
-        let s = sample_summary();
-        let parsed = parse_summary(&render_summary(&s)).expect("parses");
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn parse_rejects_corrupt_and_versioned_input() {
-        assert!(parse_summary("").is_none());
-        assert!(parse_summary("sierra-summary v1\ndigest 1\n").is_none());
-        let mut text = render_summary(&sample_summary());
-        text.push_str("junk line\n");
-        assert!(parse_summary(&text).is_none());
-    }
-
-    #[test]
-    fn disk_store_round_trips_and_misses_unknown_keys() {
-        let dir = std::env::temp_dir().join(format!("sierra-store-test-{}", std::process::id()));
+    fn disk_store_round_trips_analyses_and_misses_unknown_keys() {
+        let dir = fresh_dir("store-test");
+        let (fw, analysis) = solved();
+        let blob = pointer::artifact::encode(&analysis);
         let store = DiskStore::new(&dir).expect("store dir");
-        let s = Arc::new(sample_summary());
-        store.put(42, Arc::clone(&s));
-        assert_eq!(store.get(42).as_deref(), Some(&*s));
-        assert!(store.get(43).is_none());
+        assert!(store.get_analysis(5, &fw).is_none(), "cold store misses");
+        store.put_analysis(5, Arc::clone(&analysis));
+        assert_eq!(reopened(&dir, 5, &fw), (Some(blob), 0));
+        assert_eq!(reopened(&dir, 6, &fw), (None, 0), "absent is not corrupt");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn disk_store_counts_corrupt_entries_as_misses() {
-        let dir = std::env::temp_dir().join(format!("sierra-corrupt-test-{}", std::process::id()));
+    fn disk_store_counts_corrupt_blobs_and_repairs_on_put() {
+        let dir = fresh_dir("corrupt-test");
+        let (fw, analysis) = solved();
+        let blob = pointer::artifact::encode(&analysis);
         let store = DiskStore::new(&dir).expect("store dir");
-        let s = Arc::new(sample_summary());
-        store.put(7, Arc::clone(&s));
+        store.put_analysis(9, Arc::clone(&analysis));
 
-        // Absent keys are plain misses, not corruption.
-        assert!(store.get(99).is_none());
-        assert_eq!(store.corrupt_misses(), 0);
-
-        // Truncate the entry mid-file: the lookup misses, the counter
-        // moves, and a re-put repairs the entry.
-        std::fs::write(
-            dir.join(format!("{:016x}.sum", 7u64)),
-            "sierra-summary v2\ndom 0 1",
-        )
-        .expect("truncate");
-        assert!(store.get(7).is_none());
-        assert_eq!(store.corrupt_misses(), 1);
-        assert!(store.get(7).is_none(), "still corrupt until rewritten");
-        assert_eq!(store.corrupt_misses(), 2, "every corrupt hit counts");
-        store.put(7, Arc::clone(&s));
-        assert_eq!(store.get(7).as_deref(), Some(&*s));
-        assert_eq!(store.corrupt_misses(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Wraps `payload` in the artifact envelope format
-    /// ([`pointer::artifact`]); the literal magic/version here pin the
-    /// on-disk layout.
-    fn artifact_blob(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"SIERRART");
-        out.extend_from_slice(&4u32.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
-    #[test]
-    fn disk_store_round_trips_artifact_blobs() {
-        let dir = std::env::temp_dir().join(format!("sierra-art-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskStore::new(&dir).expect("store dir");
-        assert!(store.get_artifact(5).is_none(), "cold store misses");
-        let blob = artifact_blob(b"solver state bytes");
-        store.put_artifact(5, &blob);
-        assert_eq!(store.get_artifact(5).as_deref(), Some(&blob[..]));
-        assert!(store.get_artifact(6).is_none());
-        assert_eq!(store.corrupt_misses(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_store_counts_corrupt_artifact_blobs_and_repairs_on_put() {
-        let dir =
-            std::env::temp_dir().join(format!("sierra-art-corrupt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskStore::new(&dir).expect("store dir");
-        let blob = artifact_blob(b"points-to artifact");
-        store.put_artifact(9, &blob);
-
-        // Truncation breaks the envelope: counted miss, not an error.
-        std::fs::write(
-            dir.join(format!("{:016x}.art", 9u64)),
-            &blob[..blob.len() - 3],
-        )
-        .expect("truncate");
-        assert!(store.get_artifact(9).is_none());
-        assert_eq!(store.corrupt_misses(), 1);
-
-        // A version bump from a future layout is equally a miss.
+        // A valid envelope around a payload that does not decode.
+        let garbage = [0xffu8; 64];
+        let mut bad_payload = blob[..8].to_vec();
+        bad_payload.extend_from_slice(&blob[8..12]);
+        bad_payload.extend_from_slice(&(garbage.len() as u64).to_le_bytes());
+        bad_payload.extend_from_slice(&fnv64(&garbage).to_le_bytes());
+        bad_payload.extend_from_slice(&garbage);
+        assert!(pointer::artifact::decode(&bad_payload, fw.clone()).is_none());
+        // Truncation breaks the envelope; so does a version from another
+        // layout.
         let mut skewed = blob.clone();
         skewed[8] = skewed[8].wrapping_add(1);
-        std::fs::write(dir.join(format!("{:016x}.art", 9u64)), &skewed).expect("skew");
-        assert!(store.get_artifact(9).is_none());
-        assert_eq!(store.corrupt_misses(), 2);
+        for bad in [&blob[..blob.len() - 3], &skewed[..], &bad_payload[..]] {
+            std::fs::write(blob_path(&dir, 9), bad).expect("corrupt the blob");
+            assert_eq!(reopened(&dir, 9, &fw), (None, 1));
+        }
 
-        // The next put repairs the entry in place.
-        store.put_artifact(9, &blob);
-        assert_eq!(store.get_artifact(9).as_deref(), Some(&blob[..]));
-        assert_eq!(store.corrupt_misses(), 2);
+        // Every corrupt lookup counts; the next put repairs the entry.
+        let store = DiskStore::new(&dir).expect("store dir");
+        assert!(store.get_analysis(9, &fw).is_none());
+        assert!(store.get_analysis(9, &fw).is_none(), "still corrupt");
+        assert_eq!(store.corrupt_misses(), 2, "every corrupt hit counts");
+        store.put_analysis(9, analysis);
+        assert_eq!(reopened(&dir, 9, &fw), (Some(blob), 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn size_cap_counts_and_evicts_artifact_blobs_too() {
-        let dir =
-            std::env::temp_dir().join(format!("sierra-art-evict-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let blob = artifact_blob(&[0xabu8; 256]);
-        // Cap fits two blobs plus one summary, nothing more.
-        let one_entry = render_summary(&sample_summary()).len() as u64;
-        let store =
-            DiskStore::with_max_bytes(&dir, 2 * blob.len() as u64 + one_entry).expect("store dir");
-        let age = |name: String, secs: u64| {
-            let old = std::time::SystemTime::now() - std::time::Duration::from_secs(secs);
-            let f = std::fs::File::options()
-                .write(true)
-                .open(dir.join(name))
-                .expect("open entry");
-            f.set_modified(old).expect("set mtime");
-        };
-        store.put_artifact(1, &blob);
-        age(format!("{:016x}.art", 1u64), 300);
-        store.put(2, Arc::new(sample_summary()));
-        age(format!("{:016x}.sum", 2u64), 200);
-        store.put_artifact(3, &blob);
-        age(format!("{:016x}.art", 3u64), 100);
-        assert_eq!(store.evictions(), 0, "exactly at the cap");
-
-        // A new blob exceeds the cap; the oldest entry — an artifact
-        // blob — is reclaimed, proving blobs are both counted and
-        // evictable.
-        store.put_artifact(4, &blob);
-        assert!(store.evictions() >= 1);
-        assert!(store.get_artifact(1).is_none(), "oldest blob reclaimed");
-        assert_eq!(store.get_artifact(4).as_deref(), Some(&blob[..]));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_store_evicts_oldest_first_under_a_size_cap() {
-        let dir = std::env::temp_dir().join(format!("sierra-evict-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let one_entry = render_summary(&sample_summary()).len() as u64;
-        // Room for two entries, not three.
-        let store = DiskStore::with_max_bytes(&dir, 2 * one_entry).expect("store dir");
-        let s = Arc::new(sample_summary());
-        store.put(1, Arc::clone(&s));
+    fn disk_store_evicts_oldest_blobs_first_under_a_size_cap() {
+        let dir = fresh_dir("evict-test");
+        let (fw, analysis) = solved();
+        let one_blob = pointer::artifact::encode(&analysis).len() as u64;
+        // Room for two blobs, not three.
+        let store = DiskStore::with_max_bytes(&dir, 2 * one_blob).expect("store dir");
         // Distinct mtimes so "oldest" is well-defined on coarse clocks.
         let age = |key: u64, secs: u64| {
-            let path = dir.join(format!("{key:016x}.sum"));
             let old = std::time::SystemTime::now() - std::time::Duration::from_secs(secs);
             let f = std::fs::File::options()
                 .write(true)
-                .open(&path)
+                .open(blob_path(&dir, key))
                 .expect("open entry");
             f.set_modified(old).expect("set mtime");
         };
+        store.put_analysis(1, Arc::clone(&analysis));
         age(1, 200);
-        store.put(2, Arc::clone(&s));
+        store.put_analysis(2, Arc::clone(&analysis));
         age(2, 100);
-        assert_eq!(store.evictions(), 0, "under the cap, nothing to do");
+        assert_eq!(store.evictions(), 0, "exactly at the cap");
 
-        store.put(3, Arc::clone(&s));
-        assert_eq!(store.evictions(), 1, "third entry exceeds the cap");
-        assert!(store.get(1).is_none(), "the oldest entry was reclaimed");
-        assert_eq!(store.get(2).as_deref(), Some(&*s));
-        assert_eq!(store.get(3).as_deref(), Some(&*s));
-        assert_eq!(store.corrupt_misses(), 0, "eviction is not corruption");
+        store.put_analysis(3, analysis);
+        assert_eq!(store.evictions(), 1, "third blob exceeds the cap");
+        assert_eq!(reopened(&dir, 1, &fw), (None, 0), "oldest blob reclaimed");
+        assert!(reopened(&dir, 2, &fw).0.is_some());
+        assert!(reopened(&dir, 3, &fw).0.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_a_store_deletes_stale_summary_files() {
+        let dir = fresh_dir("stale-test");
+        let (fw, analysis) = solved();
+        DiskStore::new(&dir)
+            .expect("store dir")
+            .put_analysis(4, analysis);
+        let stale = dir.join(format!("{:016x}.sum", 4u64));
+        std::fs::write(&stale, "sierra-summary v2\n").expect("seed a summary file");
+
+        assert!(reopened(&dir, 4, &fw).0.is_some());
+        let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        assert_eq!(left, vec![blob_path(&dir, 4)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -69,11 +69,6 @@ pub struct HarnessResult {
 }
 
 impl HarnessResult {
-    /// Looks up the harness for an activity.
-    pub fn harness_for(&self, activity: ClassId) -> Option<&ActivityHarness> {
-        self.activities.iter().find(|h| h.activity == activity)
-    }
-
     /// Total number of harnesses (Table 3, column 2).
     pub fn harness_count(&self) -> usize {
         self.activities.len()

@@ -1,5 +1,7 @@
 //! Versioned binary serialization of a finished [`Analysis`] — the
-//! persistent half of the whole-artifact cache.
+//! on-disk form of the whole-analysis cache, the one thing
+//! `--cache-dir` persists. Only the core crate's `DiskStore` reads and
+//! writes these blobs.
 //!
 //! [`encode`] flattens everything the linking pass reuses on an
 //! analysis-key hit (points-to solution, call graph, context/object
@@ -16,11 +18,11 @@
 //!   in id order. (Decode does not depend on this, but deterministic
 //!   blobs make caches diffable and tests exact.)
 //! - **Versioned envelope.** The payload is wrapped in a header of
-//!   magic, version, length, and FNV-1a checksum
-//!   ([`envelope_is_valid`]); a store can reject truncated or
-//!   version-mismatched blobs *without* decoding, mirroring the
-//!   summary-file version header. Bump [`VERSION`] on any layout
-//!   change so stale caches miss instead of misparse.
+//!   magic, version, length, and FNV-1a checksum, which [`decode`]
+//!   checks before reading the payload, so truncated or
+//!   version-mismatched blobs are rejected without decoding. Bump
+//!   `VERSION` on any layout change so stale caches miss instead of
+//!   misparse.
 //! - **No interned names.** Ids (`MethodId`, `FieldId`, `CtxId`, …) are
 //!   table positions, stable for a fixed program structure; the cache
 //!   key (the analysis key) pins the structural fingerprint, so a blob
@@ -31,9 +33,9 @@
 //!   a decoded artifact reports the counters of the run that produced
 //!   it, which is what keeps warm reports byte-identical to cold ones.
 //!
-//! Any structural deviation during decode — short buffer, unknown tag,
-//! out-of-range index — returns `None`; the caller treats it as a cache
-//! miss and re-solves.
+//! Any deviation during decode — bad envelope, short buffer, unknown
+//! tag, out-of-range index — returns `None`; the store counts it as a
+//! corrupt miss and the session re-solves.
 
 use crate::ctx::{CtxData, CtxElem, CtxTable, ObjData, ObjTable, SelectorKind};
 use crate::ptsset::PtsSet;
@@ -57,10 +59,9 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// Whether `bytes` carries a well-formed artifact envelope: correct
 /// magic, current version, exact payload length, and matching payload
-/// checksum. Cheap enough for a store to run on every lookup; a `false`
-/// means the blob is truncated, torn, or from another format version
-/// and must be treated as a (counted) corrupt miss.
-pub fn envelope_is_valid(bytes: &[u8]) -> bool {
+/// checksum. A `false` means the blob is truncated, torn, or from
+/// another format version.
+pub(crate) fn envelope_is_valid(bytes: &[u8]) -> bool {
     if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
         return false;
     }

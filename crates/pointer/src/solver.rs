@@ -271,14 +271,6 @@ impl Analysis {
         }
     }
 
-    /// Points-to set of an object field.
-    pub fn pts_field(&self, obj: ObjId, field: FieldId) -> &PtsSet {
-        match self.nodes.get(&NodeKey::Field { obj, field }) {
-            Some(n) => &self.pts[n.0 as usize],
-            None => &EMPTY_PTS,
-        }
-    }
-
     /// The action a context belongs to.
     pub fn action_of(&self, ctx: CtxId) -> ActionId {
         self.ctxs.get(ctx).action

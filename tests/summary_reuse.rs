@@ -174,17 +174,20 @@ fn disk_store_round_trips_across_processes() {
         run_with_store(edit_pairs::base_app(), cfg, store)
     };
     // Second "process": fresh DiskStore instance over the same directory
-    // (empty in-memory artifact map). Summaries reload from their files
-    // and the whole analysis rehydrates from its persisted blob, so the
-    // solver never runs.
+    // (empty memory). The whole analysis rehydrates from its persisted
+    // blob, so the solver never runs; summaries live in memory only and
+    // are recomputed.
     let warm = {
         let store: Arc<dyn SummaryStore> = Arc::new(DiskStore::new(&dir).expect("cache dir"));
         run_with_store(edit_pairs::base_app(), cfg, store)
     };
     assert_eq!(stable(&cold), stable(&warm));
     let w = warm.metrics.link;
-    assert_eq!(w.summaries_recomputed, 0, "summaries persisted to disk");
-    assert_eq!(w.summaries_reused, cold.metrics.link.summaries_recomputed);
+    assert_eq!(w.summaries_reused, 0, "summaries are not persisted");
+    assert_eq!(
+        w.summaries_recomputed,
+        cold.metrics.link.summaries_recomputed
+    );
     assert!(w.analysis_reused, "analysis blob persisted to disk");
     assert_eq!(w.pointer_iterations_run, 0, "no solver work cross-process");
     assert_eq!(w.corrupt_misses, 0);
@@ -242,8 +245,9 @@ fn true_child_processes_reuse_the_artifact_cache() {
         assert!(status.success(), "{role} child process failed");
     }
 
-    let metrics = std::fs::read_to_string(dir.join("warm.metrics")).expect("warm metrics");
-    let field = |name: &str| -> String {
+    let field = |role: &str, name: &str| -> String {
+        let metrics = std::fs::read_to_string(dir.join(format!("{role}.metrics")))
+            .unwrap_or_else(|e| panic!("{role} metrics: {e}"));
         metrics
             .lines()
             .find_map(|l| l.strip_prefix(&format!("{name}=")))
@@ -251,13 +255,17 @@ fn true_child_processes_reuse_the_artifact_cache() {
             .to_string()
     };
     assert_eq!(
-        field("analysis_reused"),
+        field("warm", "analysis_reused"),
         "true",
         "warm process hit the blob"
     );
-    assert_eq!(field("pointer_iterations_run"), "0");
-    assert!(field("summaries_reused").parse::<usize>().expect("count") >= 1);
-    assert_eq!(field("summaries_recomputed"), "1", "only the edited body");
+    assert_eq!(field("warm", "pointer_iterations_run"), "0");
+    // Summaries stay in memory: the new process recomputes every one.
+    assert_eq!(field("warm", "summaries_reused"), "0");
+    assert_eq!(
+        field("warm", "summaries_recomputed"),
+        field("cold", "summaries_recomputed")
+    );
 
     // The cross-process warm report is byte-identical to a plain
     // in-memory run of the same app version.
