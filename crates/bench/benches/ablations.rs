@@ -88,26 +88,6 @@ fn cache_ablation() {
     }
 }
 
-fn index_sensitivity() {
-    // The §6.5 future-work container model: compare indexed-container
-    // analysis with per-slot fields vs the summarized field.
-    let mut app = android_model::AndroidAppBuilder::new("IndexFixture");
-    let mut truth = corpus::GroundTruth::new();
-    corpus::Idiom::IndexedBuffer.plant(&mut app, "com.fix.Buffer", &mut truth);
-    let app = app.finish().expect("fixture builds");
-    let harness = harness_gen::generate(app);
-    group("ablation_index_sensitivity");
-    for (label, on) in [("index_sensitive", true), ("summarized", false)] {
-        let opts = pointer::AnalysisOptions {
-            index_sensitive: on,
-            ..pointer::AnalysisOptions::default()
-        };
-        time(&format!("analysis/{label}"), 20, || {
-            pointer::analyze_opts(&harness, SelectorKind::ActionSensitive(1), opts).cg_edge_count()
-        });
-    }
-}
-
 fn schedule_exploration() {
     // Random vs systematic schedule exploration (the §6.4 "efficient ways
     // to explore schedules" discussion) under comparable budgets.
@@ -143,6 +123,5 @@ fn main() {
     context_ablation();
     refutation_budget();
     cache_ablation();
-    index_sensitivity();
     schedule_exploration();
 }

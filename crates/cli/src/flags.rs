@@ -227,25 +227,16 @@ mod tests {
     fn opaque_policy_flag_is_consumed() {
         let mut args = argv(&["table3", "--opaque-policy", "resolve"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert_eq!(
-            flags.config.pointer_options.opaque_policy,
-            pointer::OpaquePolicy::Resolve
-        );
+        assert_eq!(flags.config.opaque_policy, pointer::OpaquePolicy::Resolve);
         assert_eq!(args, argv(&["table3"]));
 
         let mut args = argv(&["table3", "--opaque-policy", "havoc"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert_eq!(
-            flags.config.pointer_options.opaque_policy,
-            pointer::OpaquePolicy::Havoc
-        );
+        assert_eq!(flags.config.opaque_policy, pointer::OpaquePolicy::Havoc);
 
         let mut args = argv(&["table3"]);
         let flags = CommonFlags::parse(&mut args).expect("parse");
-        assert_eq!(
-            flags.config.pointer_options.opaque_policy,
-            pointer::OpaquePolicy::Ignore
-        );
+        assert_eq!(flags.config.opaque_policy, pointer::OpaquePolicy::Ignore);
 
         assert!(CommonFlags::parse(&mut argv(&["x", "--opaque-policy", "guess"])).is_err());
         assert!(CommonFlags::parse(&mut argv(&["x", "--opaque-policy"])).is_err());

@@ -282,7 +282,7 @@ fn main() {
             let mut sections: Vec<(&str, Vec<experiments::AppRow>)> = Vec::new();
             for policy in sierra_core::OpaquePolicy::ALL {
                 let mut cfg = common.config;
-                cfg.pointer_options.opaque_policy = policy;
+                cfg.opaque_policy = policy;
                 let rows = experiments::run_soundness_corpus(&template_for(cfg), &er_cfg, jobs);
                 sections.push((policy.as_str(), rows));
             }

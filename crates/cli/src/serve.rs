@@ -248,7 +248,7 @@ fn analyze(
     template: &SessionBuilder,
     out: &Out,
 ) -> Result<(), SessionError> {
-    let audited = template.config().pointer_options.opaque_policy != OpaquePolicy::Ignore;
+    let audited = template.config().opaque_policy != OpaquePolicy::Ignore;
     let session = template.clone().source(name, text).build()?;
     let result = session.finish_with(|stage, m| {
         let ms = m.timings.of(stage).as_secs_f64() * 1e3;

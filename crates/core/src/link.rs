@@ -6,12 +6,14 @@
 //!
 //! 1. [`crate::summary::load_or_summarize`] produces one summary per
 //!    method, pulling unchanged methods from the store and recomputing
-//!    only methods whose content key misses (i.e. whose body changed);
+//!    only methods whose content key misses (i.e. whose body changed).
+//!    Keys carry no config fingerprint: a summary reads only its body;
 //! 2. [`LinkedSummaries`] recombines them: each stage looks its
 //!    per-method facts up in place ([`LinkedSummaries::summary`]) —
 //!    dominance for the SHBG, const facts for the prefilter, access
 //!    sites for the candidate stage — and the **analysis key**, the hash
-//!    of all pointer digests, keys the whole points-to `Analysis`;
+//!    of a config fingerprint and all pointer digests, keys the whole
+//!    points-to `Analysis`;
 //! 3. the session replays only what the changed inputs require: an
 //!    analysis-key hit skips the solver outright (zero worklist
 //!    iterations), and the remaining stages are deterministic functions
@@ -54,8 +56,9 @@ pub struct LinkStats {
     pub evictions: usize,
 }
 
-/// Per-method summaries linked for one program + config, with the
-/// lookups and keys the downstream stages use.
+/// Per-method summaries linked for one program, with the lookups and
+/// keys the downstream stages use. Summaries read no config, so one
+/// linking serves every selector and opaque policy.
 #[derive(Debug)]
 pub struct LinkedSummaries {
     /// The program's digests: its fingerprints and, per method with a
@@ -64,24 +67,17 @@ pub struct LinkedSummaries {
     /// One summary per method with a body, index-aligned with
     /// `digest.methods`.
     pub summaries: Vec<Arc<MethodSummary>>,
-    /// The config fingerprint the summaries were keyed with.
-    pub config_fp: u64,
 }
 
 impl LinkedSummaries {
-    /// The cache key of the whole points-to `Analysis`: structural and
-    /// config fingerprints plus every method's pointer digest in id
-    /// order. Methods whose digests all match a previous run build the
-    /// identical constraint graph, so the artifact is interchangeable.
-    pub fn analysis_key(&self) -> u64 {
-        self.analysis_key_for(self.config_fp)
-    }
-
-    /// [`Self::analysis_key`] under another config fingerprint. Valid for
-    /// any config that differs only in axes summaries do not read (the
-    /// context selector): the comparison pass keys its hybrid-selector
-    /// `Analysis` this way over the main pass's summaries.
-    pub fn analysis_key_for(&self, config_fp: u64) -> u64 {
+    /// The cache key of the whole points-to `Analysis` under config
+    /// fingerprint `config_fp` ([`crate::summary::config_fingerprint`]):
+    /// the structural and config fingerprints plus every method's
+    /// pointer digest in id order. Methods whose digests all match a
+    /// previous run build the identical constraint graph, so the
+    /// artifact is interchangeable. The main and comparison passes both
+    /// key their analyses here, over the same summaries.
+    pub fn analysis_key(&self, config_fp: u64) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.digest.structural).write_u64(config_fp);
         for m in &self.digest.methods {

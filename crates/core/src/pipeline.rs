@@ -19,7 +19,7 @@ use crate::session::AnalysisSession;
 use android_model::AndroidApp;
 use harness_gen::HarnessResult;
 use histories::HistoryStats;
-use pointer::{Analysis, AnalysisOptions, OpaquePolicy, SelectorKind, SolverStats};
+use pointer::{Analysis, OpaquePolicy, SelectorKind, SolverStats};
 use prefilter::{PrefilterStats, PrunedPair};
 use shbg::{Shbg, ShbgStats};
 use soundness::SoundnessStats;
@@ -106,10 +106,9 @@ pub struct SierraConfig {
     /// The stages that run (default: all). A removed stage's output is
     /// byte-identical to a pipeline that never had it.
     pub stages: StageSet,
-    /// Pointer-analysis options for the main pass (opaque-call policy,
-    /// index sensitivity). The comparison pass inherits them, so an
-    /// ablation flips both runs together.
-    pub pointer_options: AnalysisOptions,
+    /// Soundness policy for opaque calls (reflection and intent
+    /// dispatch). The comparison pass inherits it.
+    pub opaque_policy: OpaquePolicy,
     /// Drop reports classified below this harm level (`--min-harm`).
     /// `None` keeps everything. Ignored without the `Triage` stage,
     /// which is what classifies.
@@ -122,7 +121,7 @@ impl Default for SierraConfig {
             selector: SelectorKind::ActionSensitive(1),
             refuter: RefuterConfig::default(),
             stages: StageSet::ALL,
-            pointer_options: AnalysisOptions::default(),
+            opaque_policy: OpaquePolicy::default(),
             min_harm: None,
         }
     }
@@ -166,16 +165,10 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Replaces the pointer-analysis options wholesale.
-    pub fn pointer_options(mut self, options: AnalysisOptions) -> Self {
-        self.cfg.pointer_options = options;
-        self
-    }
-
     /// Sets the opaque-call soundness policy (reflection and intent
     /// dispatch): `ignore` (default), `resolve`, or `havoc`.
     pub fn opaque_policy(mut self, policy: OpaquePolicy) -> Self {
-        self.cfg.pointer_options.opaque_policy = policy;
+        self.cfg.opaque_policy = policy;
         self
     }
 

@@ -83,8 +83,7 @@ impl Report {
                 .collect(),
             triage_ran: result.triage_ran,
             histories_ran: result.histories_ran,
-            soundness_audited: result.analysis.options.opaque_policy
-                != pointer::OpaquePolicy::Ignore,
+            soundness_audited: result.analysis.opaque_policy != pointer::OpaquePolicy::Ignore,
             metrics: result.metrics,
         }
     }

@@ -27,20 +27,11 @@ pub(crate) fn link_and_solve(
     m: &mut StageMetrics,
 ) -> (LinkedSummaries, Arc<Analysis>) {
     let program = &harness.app.program;
-    let config_fp = config_fingerprint(config.selector, config.pointer_options);
     let (corrupt_before, evicted_before) = (store.corrupt_misses(), store.evictions());
-    let (linked, link) = load_or_summarize(
-        program,
-        &harness.app.framework,
-        config.pointer_options.index_sensitive,
-        config_fp,
-        store,
-        shared,
-    );
+    let (linked, link) = load_or_summarize(program, &harness.app.framework, store, shared);
     m.link = link;
 
-    let key = linked.analysis_key();
-    let (analysis, reused) = load_or_solve(config, store, harness, key, config.selector);
+    let (analysis, reused) = load_or_solve(config, store, harness, &linked, config.selector);
     // A reused analysis keeps its producing run's stats (reports stay
     // byte-identical); this session's work is in `link`.
     m.link.analysis_reused = reused;
@@ -58,23 +49,24 @@ pub(crate) fn link_and_solve(
     (linked, analysis)
 }
 
-/// Gets the points-to `Analysis` cached under `key`, or solves it with
-/// `selector` and caches it. Returns the analysis and whether it was
-/// reused.
+/// Gets the points-to `Analysis` of `selector` and the config's opaque
+/// policy cached under its analysis key, or solves and caches it.
+/// Returns the analysis and whether it was reused.
 fn load_or_solve(
     config: &SierraConfig,
     store: &dyn SummaryStore,
     harness: &HarnessResult,
-    key: u64,
+    linked: &LinkedSummaries,
     selector: SelectorKind,
 ) -> (Arc<Analysis>, bool) {
+    let key = linked.analysis_key(config_fingerprint(selector, config.opaque_policy));
     if let Some(cached) = store.get_analysis(key, &harness.app.framework) {
         return (cached, true);
     }
     let analysis = Arc::new(pointer::analyze_opts(
         harness,
         selector,
-        config.pointer_options,
+        config.opaque_policy,
     ));
     store.put_analysis(key, Arc::clone(&analysis));
     (analysis, false)
@@ -188,9 +180,9 @@ pub(crate) fn triage_races(
 }
 
 /// The comparison pass (Table 3 col 6): the candidate-pair count under
-/// the hybrid selector of the same k. The linked summaries read no
-/// selector, so it reuses them and re-keys only the `Analysis`, under
-/// the hybrid config fingerprint, cached like the main one.
+/// the hybrid selector of the same k. Summaries read no config, so it
+/// reuses the main pass's and keys only its `Analysis` under the hybrid
+/// config fingerprint, cached like the main one.
 pub(crate) fn compare_without_as(
     config: &SierraConfig,
     store: &dyn SummaryStore,
@@ -201,8 +193,7 @@ pub(crate) fn compare_without_as(
         SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
         other => other,
     };
-    let key = linked.analysis_key_for(config_fingerprint(selector, config.pointer_options));
-    let (analysis, _) = load_or_solve(config, store, harness, key, selector);
+    let (analysis, _) = load_or_solve(config, store, harness, linked, selector);
     let graph = shbg::build_with_dominance(&analysis, harness, |m| {
         linked.summary(m).map(|s| &s.dominance)
     });

@@ -11,10 +11,10 @@
 //! - **access sites** ([`pointer::AccessSite`]) — the field accesses the
 //!   candidate stage instantiates per context.
 //!
-//! Every fact is a pure function of one method body (plus the config).
-//! Keys come from one walk over the IR ([`apir::ProgramDigest`]) that
-//! prints nothing and builds no `String`; a summary is keyed by
-//! `fnv64(structural fingerprint ‖ body digest ‖ config fingerprint)`:
+//! Every fact is a pure function of one method body and reads no
+//! configuration. Keys come from one walk over the IR
+//! ([`apir::ProgramDigest`]) that prints nothing and builds no `String`;
+//! a summary is keyed by `fnv64(structural fingerprint ‖ body digest)`:
 //!
 //! - the **structural fingerprint** covers the class/field/method tables
 //!   *excluding bodies* — renames, signature changes, or hierarchy edits
@@ -22,22 +22,22 @@
 //! - the **body digest** hashes every field of the body, so editing one
 //!   method changes only that method's key. It hashes class, field and
 //!   method references as ids, which the structural fingerprint maps to
-//!   names;
-//! - the **config fingerprint** (selector + pointer options) makes
-//!   stores safely shareable across configurations — a flag flip misses
-//!   the whole store rather than mixing incompatible facts.
+//!   names.
 //!
-//! Whole-`Analysis` artifacts are additionally cached under
-//! `fnv64(structural fp ‖ config fp ‖ every method's pointer digest)`,
-//! where a method's **pointer digest** covers only what the Andersen
-//! solver reads of its body: if no solver-relevant statement changed
-//! anywhere, the previous points-to result is reused outright and the
-//! warm run performs zero worklist iterations. The on-disk backend
-//! ([`DiskStore`], `--cache-dir`) persists these analyses, and only
-//! these, as versioned binary blobs ([`pointer::artifact`]), so the
-//! solve is skipped across process boundaries: a cold `sierra
-//! analyze`, a restarted `serve`, or a fresh CI job warm-starts from
-//! `--cache-dir` like an in-memory warm hit. Per-method summaries stay
+//! So one store serves every configuration: sessions that differ in
+//! context selector or opaque policy share all their summaries.
+//! Whole-`Analysis` artifacts do depend on the config; they are cached
+//! under `fnv64(structural fp ‖ config fp ‖ every method's pointer
+//! digest)`, where the **config fingerprint** covers the selector and
+//! the opaque policy, and a method's **pointer digest** covers only
+//! what the Andersen solver reads of its body: if no solver-relevant
+//! statement changed anywhere, the previous points-to result is reused
+//! outright and the warm run performs zero worklist iterations. The
+//! on-disk backend ([`DiskStore`], `--cache-dir`) persists these
+//! analyses, and only these, as versioned binary blobs
+//! ([`pointer::artifact`]), so the solve is skipped across process
+//! boundaries: a cold `sierra analyze`, a restarted `serve`, or a fresh
+//! CI job warm-starts from `--cache-dir` like an in-memory warm hit. Per-method summaries stay
 //! in memory: reading one file per method cost more than recomputing
 //! the summary.
 //!
@@ -74,8 +74,8 @@
 
 use crate::link::{LinkStats, LinkedSummaries};
 use android_model::FrameworkClasses;
-use apir::{fnv64, Fnv64, MethodId, Program, ProgramDigest};
-use pointer::{method_access_sites, AccessSite, Analysis, AnalysisOptions, SelectorKind};
+use apir::{Fnv64, MethodId, Program, ProgramDigest};
+use pointer::{method_access_sites, AccessSite, Analysis, OpaquePolicy, SelectorKind};
 use prefilter::constprop::{self, ConstFacts};
 use shbg::CallDominance;
 use std::collections::{HashMap, HashSet};
@@ -84,7 +84,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Every per-method fact the pipeline's stages need, cached by content
-/// hash of the method body plus the config fingerprint.
+/// hash of the method body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodSummary {
     /// Call-statement dominance pairs for HB rules 2–4.
@@ -100,30 +100,33 @@ pub fn summarize_method(
     program: &Program,
     fw: &FrameworkClasses,
     method: MethodId,
-    index_sensitive: bool,
 ) -> MethodSummary {
     let m = program.method(method);
     MethodSummary {
         dominance: CallDominance::compute(m),
         consts: constprop::analyze_method(m),
-        sites: method_access_sites(program, fw, method, index_sensitive),
+        sites: method_access_sites(program, fw, method),
     }
 }
 
-/// Fingerprint of the configuration axes that change per-method facts:
-/// the context selector and the pointer-analysis options. Any change
-/// misses the whole store.
-pub fn config_fingerprint(selector: SelectorKind, options: AnalysisOptions) -> u64 {
-    fnv64(format!("{selector:?};{options:?}").as_bytes())
+/// Fingerprint of the configuration axes a points-to `Analysis` depends
+/// on: the context selector and the opaque-call policy. Keys analyses
+/// only; summaries read no configuration.
+pub fn config_fingerprint(selector: SelectorKind, policy: OpaquePolicy) -> u64 {
+    let (tag, k) = selector.code();
+    Fnv64::new()
+        .write_u32(u32::from(tag))
+        .write_u32(k)
+        .write_u32(policy as u32)
+        .finish()
 }
 
 /// The content-addressed summary key of one method: its body digest
 /// under a fingerprint that maps the body's ids to names.
-pub fn summary_key(fingerprint: u64, body_digest: u64, config_fp: u64) -> u64 {
+pub fn summary_key(fingerprint: u64, body_digest: u64) -> u64 {
     Fnv64::new()
         .write_u64(fingerprint)
         .write_u64(body_digest)
-        .write_u64(config_fp)
         .finish()
 }
 
@@ -212,12 +215,15 @@ impl SummaryStore for MemoryStore {
 /// processes. Summaries, and analyses already put or decoded, are kept
 /// in a [`MemoryStore`] the disk store owns; summaries never touch the
 /// disk. Opening a store deletes the `*.sum` summary files earlier
-/// builds wrote. A blob that cannot be read back (torn, truncated,
+/// builds wrote and every `*.art` blob stamped with another artifact
+/// layout version, reading only its 12-byte stamp. So two builds of
+/// different artifact versions sharing one cache directory delete each
+/// other's blobs. A blob that cannot be read back (torn, truncated,
 /// version-mismatched, or with a payload that does not decode) is a
 /// miss — a corrupt cache can cost a re-solve, never correctness — but
 /// each one is counted (surfacing in [`crate::LinkStats`]) and its path
 /// logged once; the next put overwrites (repairs) it. Blobs keyed under
-/// an earlier config or build are never looked up again and stay until
+/// another config or program are never looked up again and stay until
 /// a size cap ([`Self::with_max_bytes`], the `--cache-max-mb` flag)
 /// evicts them: every write evicts the oldest blobs until it holds.
 #[derive(Debug)]
@@ -236,8 +242,14 @@ impl DiskStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         for entry in std::fs::read_dir(&dir)?.flatten() {
-            if entry.path().extension().is_some_and(|x| x == "sum") {
-                let _ = std::fs::remove_file(entry.path());
+            let path = entry.path();
+            let stale = match path.extension().and_then(|x| x.to_str()) {
+                Some("sum") => true,
+                Some("art") => is_other_version_blob(&path),
+                _ => false,
+            };
+            if stale {
+                let _ = std::fs::remove_file(&path);
             }
         }
         Ok(Self {
@@ -309,6 +321,15 @@ impl DiskStore {
     }
 }
 
+/// Whether the blob at `path` is stamped with another artifact version.
+fn is_other_version_blob(path: &std::path::Path) -> bool {
+    use std::io::Read;
+    let mut stamp = [0u8; pointer::artifact::STAMP_LEN];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut stamp))
+        .is_ok_and(|()| pointer::artifact::is_other_version(&stamp))
+}
+
 impl SummaryStore for DiskStore {
     fn get(&self, key: u64) -> Option<Arc<MethodSummary>> {
         self.memory.get(key)
@@ -366,8 +387,6 @@ impl SummaryStore for DiskStore {
 pub fn load_or_summarize(
     program: &Program,
     fw: &FrameworkClasses,
-    index_sensitive: bool,
-    config_fp: u64,
     store: &dyn SummaryStore,
     shared: Option<&dyn SummaryStore>,
 ) -> (LinkedSummaries, LinkStats) {
@@ -375,12 +394,12 @@ pub fn load_or_summarize(
     let mut stats = LinkStats::default();
     let mut summaries = Vec::with_capacity(digest.methods.len());
     for m in &digest.methods {
-        let key = summary_key(digest.structural, m.digest.body, config_fp);
+        let key = summary_key(digest.structural, m.digest.body);
         // Framework methods additionally live in the shared layer under
         // a key independent of this app's app/library code.
         let shared_key = shared
             .filter(|_| m.framework_only)
-            .map(|sh| (sh, summary_key(digest.framework, m.digest.body, config_fp)));
+            .map(|sh| (sh, summary_key(digest.framework, m.digest.body)));
         if let Some(s) = shared_key.and_then(|(sh, sk)| sh.get(sk)) {
             stats.summaries_shared += 1;
             summaries.push(s);
@@ -393,7 +412,7 @@ pub fn load_or_summarize(
             }
             None => {
                 stats.summaries_recomputed += 1;
-                let s = Arc::new(summarize_method(program, fw, m.id, index_sensitive));
+                let s = Arc::new(summarize_method(program, fw, m.id));
                 store.put(key, Arc::clone(&s));
                 s
             }
@@ -403,12 +422,7 @@ pub fn load_or_summarize(
         }
         summaries.push(summary);
     }
-    let linked = LinkedSummaries {
-        digest,
-        summaries,
-        config_fp,
-    };
-    (linked, stats)
+    (LinkedSummaries { digest, summaries }, stats)
 }
 
 #[cfg(test)]
@@ -474,14 +488,12 @@ mod tests {
         let mut bad_payload = blob[..8].to_vec();
         bad_payload.extend_from_slice(&blob[8..12]);
         bad_payload.extend_from_slice(&(garbage.len() as u64).to_le_bytes());
-        bad_payload.extend_from_slice(&fnv64(&garbage).to_le_bytes());
+        bad_payload.extend_from_slice(&apir::fnv64(&garbage).to_le_bytes());
         bad_payload.extend_from_slice(&garbage);
         assert!(pointer::artifact::decode(&bad_payload, fw.clone()).is_none());
-        // Truncation breaks the envelope; so does a version from another
-        // layout.
-        let mut skewed = blob.clone();
-        skewed[8] = skewed[8].wrapping_add(1);
-        for bad in [&blob[..blob.len() - 3], &skewed[..], &bad_payload[..]] {
+        // Truncation breaks the envelope. (A blob of another layout
+        // version is deleted on open; see the next test.)
+        for bad in [&blob[..blob.len() - 3], &bad_payload[..]] {
             std::fs::write(blob_path(&dir, 9), bad).expect("corrupt the blob");
             assert_eq!(reopened(&dir, 9, &fw), (None, 1));
         }
@@ -493,6 +505,34 @@ mod tests {
         assert_eq!(store.corrupt_misses(), 2, "every corrupt hit counts");
         store.put_analysis(9, analysis);
         assert_eq!(reopened(&dir, 9, &fw), (Some(blob), 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_a_store_deletes_blobs_of_other_versions_only() {
+        let dir = fresh_dir("version-test");
+        let (fw, analysis) = solved();
+        let blob = pointer::artifact::encode(&analysis);
+        let store = DiskStore::new(&dir).expect("store dir");
+        store.put_analysis(1, Arc::clone(&analysis));
+        store.put_analysis(2, Arc::clone(&analysis));
+        store.put_analysis(3, analysis);
+        // Key 2: an earlier layout version. Key 3: the current version
+        // with a bad checksum.
+        let mut old = blob.clone();
+        old[8..12].copy_from_slice(&4u32.to_le_bytes());
+        std::fs::write(blob_path(&dir, 2), &old).expect("plant an old blob");
+        let mut torn = blob.clone();
+        *torn.last_mut().expect("payload") ^= 1;
+        std::fs::write(blob_path(&dir, 3), &torn).expect("corrupt a blob");
+
+        let store = DiskStore::new(&dir).expect("store dir");
+        assert!(!blob_path(&dir, 2).exists(), "old-version blob deleted");
+        assert!(blob_path(&dir, 3).exists(), "corrupt blob kept on open");
+        assert!(store.get_analysis(1, &fw).is_some());
+        assert!(store.get_analysis(2, &fw).is_none());
+        assert!(store.get_analysis(3, &fw).is_none());
+        assert_eq!(store.corrupt_misses(), 1, "only the corrupt blob counts");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -435,13 +435,12 @@ fn soundness_section_renders_only_under_non_ignore_policies() {
     );
 }
 
-/// The comparison pass reuses the main pass's linked summaries. Sound
-/// because summaries are equal under the action-sensitive and hybrid
-/// config fingerprints, and then its count equals a hybrid session's.
+/// The comparison pass reuses the main pass's linked summaries (sound
+/// because summaries read no config), so its count must equal a
+/// standalone hybrid session's.
 #[test]
 fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
-    use crate::summary::{config_fingerprint, load_or_summarize};
-    use crate::{MemoryStore, OpaquePolicy, SessionBuilder};
+    use crate::{OpaquePolicy, SessionBuilder};
     use pointer::SelectorKind;
 
     const SEED: u64 = 0x00c0_4a2e_5eed; // vary to sweep other F-Droid apps
@@ -476,22 +475,7 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
             };
             let result = Sierra::with_config(cfg).analyze_app(app.clone());
             let harness = std::sync::Arc::clone(&result.harness);
-            let program = &harness.app.program;
-            let summaries = |selector| {
-                load_or_summarize(
-                    program,
-                    &harness.app.framework,
-                    cfg.pointer_options.index_sensitive,
-                    config_fingerprint(selector, cfg.pointer_options),
-                    &MemoryStore::new(),
-                    None,
-                )
-                .0
-                .summaries
-            };
             let context = format!("{name} ({SEED:#x}) under {policy}");
-            assert!(summaries(cfg.selector) == summaries(hybrid), "{context}");
-
             let hybrid_cfg = SierraConfig {
                 selector: hybrid,
                 ..cfg

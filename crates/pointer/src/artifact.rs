@@ -39,7 +39,7 @@
 
 use crate::ctx::{CtxData, CtxElem, CtxTable, ObjData, ObjTable, SelectorKind};
 use crate::ptsset::PtsSet;
-use crate::solver::{Analysis, AnalysisOptions, NodeId, NodeKey, PostRecord, SolverStats};
+use crate::solver::{Analysis, NodeId, NodeKey, PostRecord, SolverStats};
 use crate::OpaquePolicy;
 use android_model::{
     Action, ActionId, ActionKind, ActionRegistry, FrameworkClasses, GuiEventKind, LifecycleEvent,
@@ -52,10 +52,20 @@ use std::collections::{HashMap, HashSet};
 const MAGIC: &[u8; 8] = b"SIERRART";
 
 /// Artifact layout version; bump on any payload format change.
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// Envelope header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+
+/// Length of the blob prefix [`is_other_version`] reads: magic + version.
+pub const STAMP_LEN: usize = 8 + 4;
+
+/// Whether `stamp` (a blob's first [`STAMP_LEN`] bytes) marks an artifact
+/// written under another layout `VERSION`: such a blob can never decode
+/// again. Foreign files and current-version blobs are not flagged.
+pub fn is_other_version(stamp: &[u8; STAMP_LEN]) -> bool {
+    &stamp[..8] == MAGIC && stamp[8..] != VERSION.to_le_bytes()
+}
 
 /// Whether `bytes` carries a well-formed artifact envelope: correct
 /// magic, current version, exact payload length, and matching payload
@@ -79,7 +89,7 @@ pub(crate) fn envelope_is_valid(bytes: &[u8]) -> bool {
 pub fn encode(analysis: &Analysis) -> Vec<u8> {
     let mut w = Writer::default();
     w.selector(analysis.selector);
-    w.options(analysis.options);
+    w.opaque_policy(analysis.opaque_policy);
 
     let actions = analysis.actions.actions();
     w.len(actions.len());
@@ -199,7 +209,7 @@ pub fn decode(bytes: &[u8], framework: FrameworkClasses) -> Option<Analysis> {
         pos: 0,
     };
     let selector = r.selector()?;
-    let options = r.options()?;
+    let opaque_policy = r.opaque_policy()?;
 
     let n_actions = r.len()?;
     let mut actions = Vec::with_capacity(n_actions);
@@ -318,7 +328,7 @@ pub fn decode(bytes: &[u8], framework: FrameworkClasses) -> Option<Analysis> {
 
     Some(Analysis {
         selector,
-        options,
+        opaque_policy,
         framework,
         actions,
         ctxs,
@@ -382,20 +392,13 @@ impl Writer {
     }
 
     fn selector(&mut self, s: SelectorKind) {
-        let (tag, k) = match s {
-            SelectorKind::Insensitive => (0, 0),
-            SelectorKind::KCfa(k) => (1, k),
-            SelectorKind::KObj(k) => (2, k),
-            SelectorKind::Hybrid(k) => (3, k),
-            SelectorKind::ActionSensitive(k) => (4, k),
-        };
+        let (tag, k) = s.code();
         self.u8(tag);
         self.u32(k);
     }
 
-    fn options(&mut self, o: AnalysisOptions) {
-        self.u8(o.index_sensitive as u8);
-        self.u8(match o.opaque_policy {
+    fn opaque_policy(&mut self, p: OpaquePolicy) {
+        self.u8(match p {
             OpaquePolicy::Ignore => 0,
             OpaquePolicy::Resolve => 1,
             OpaquePolicy::Havoc => 2,
@@ -621,26 +624,11 @@ impl Reader<'_> {
         })
     }
 
-    fn options(&mut self) -> Option<AnalysisOptions> {
-        Some(AnalysisOptions {
-            index_sensitive: self.bool()?,
-            opaque_policy: self.opaque_policy()?,
-        })
-    }
-
     fn opaque_policy(&mut self) -> Option<OpaquePolicy> {
         match self.u8()? {
             0 => Some(OpaquePolicy::Ignore),
             1 => Some(OpaquePolicy::Resolve),
             2 => Some(OpaquePolicy::Havoc),
-            _ => None,
-        }
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
             _ => None,
         }
     }

@@ -300,14 +300,20 @@ impl SelectorKind {
         }
     }
 
-    fn k(self) -> usize {
+    /// Stable `(tag, k)` code of the selector: the artifact encoding and
+    /// the config fingerprint's input.
+    pub fn code(self) -> (u8, u32) {
         match self {
-            SelectorKind::Insensitive => 0,
-            SelectorKind::KCfa(k)
-            | SelectorKind::KObj(k)
-            | SelectorKind::Hybrid(k)
-            | SelectorKind::ActionSensitive(k) => k as usize,
+            SelectorKind::Insensitive => (0, 0),
+            SelectorKind::KCfa(k) => (1, k),
+            SelectorKind::KObj(k) => (2, k),
+            SelectorKind::Hybrid(k) => (3, k),
+            SelectorKind::ActionSensitive(k) => (4, k),
         }
+    }
+
+    fn k(self) -> usize {
+        self.code().1 as usize
     }
 
     /// Whether heap objects carry the allocating action.

@@ -31,8 +31,7 @@ pub use ctx::{
 pub use ptsset::PtsSet;
 pub use result::{collect_accesses, collect_accesses_from_sites, Access, AccessLoc};
 pub use solver::{
-    analyze, analyze_opts, scratch_pool_stats, Analysis, AnalysisOptions, OpaquePolicy, PostRecord,
-    SolverStats,
+    analyze, analyze_opts, scratch_pool_stats, Analysis, OpaquePolicy, PostRecord, SolverStats,
 };
 pub use summary::{method_access_sites, AccessSite};
 

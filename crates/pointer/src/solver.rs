@@ -15,6 +15,7 @@
 
 use crate::ctx::{CtxData, CtxId, CtxTable, ObjData, ObjId, ObjTable, SelectorKind};
 use crate::ptsset::PtsSet;
+use crate::summary::resolve_index_field;
 use android_model::{
     ActionId, ActionKind, ActionRegistry, FrameworkClasses, FrameworkOp, ThreadKind,
 };
@@ -85,26 +86,6 @@ impl std::str::FromStr for OpaquePolicy {
 impl std::fmt::Display for OpaquePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Analysis options beyond the context selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnalysisOptions {
-    /// Model `ArrayList.setAt`/`getAt` with per-constant-index slot fields
-    /// (the §6.5 future-work extension after Dillig et al.). When off,
-    /// every indexed access folds onto the summarized `contents` field.
-    pub index_sensitive: bool,
-    /// Soundness policy for reflection and intent-dispatch edges.
-    pub opaque_policy: OpaquePolicy,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        Self {
-            index_sensitive: true,
-            opaque_policy: OpaquePolicy::default(),
-        }
     }
 }
 
@@ -222,8 +203,8 @@ struct OpInfo {
 pub struct Analysis {
     /// The selector the analysis ran with.
     pub selector: SelectorKind,
-    /// The options the analysis ran with.
-    pub options: AnalysisOptions,
+    /// The opaque-call policy the analysis ran with.
+    pub opaque_policy: OpaquePolicy,
     /// The framework ids of the analyzed app (needed to re-recognize
     /// container ops when extracting accesses).
     pub(crate) framework: FrameworkClasses,
@@ -346,18 +327,18 @@ impl Analysis {
     }
 }
 
-/// Runs the analysis over a harnessed app with default options.
+/// Runs the analysis over a harnessed app with the default opaque policy.
 pub fn analyze(harness: &HarnessResult, selector: SelectorKind) -> Analysis {
-    analyze_opts(harness, selector, AnalysisOptions::default())
+    analyze_opts(harness, selector, OpaquePolicy::default())
 }
 
-/// Runs the analysis with explicit options (ablation entry point).
+/// Runs the analysis under an explicit opaque-call policy.
 pub fn analyze_opts(
     harness: &HarnessResult,
     selector: SelectorKind,
-    options: AnalysisOptions,
+    opaque_policy: OpaquePolicy,
 ) -> Analysis {
-    Solver::new(harness, selector, options).run()
+    Solver::new(harness, selector, opaque_policy).run()
 }
 
 /// The propagation worklist: a min-heap on `(last_fired_stamp, node)`.
@@ -381,7 +362,6 @@ type Worklist = BinaryHeap<Reverse<(u64, NodeId)>>;
 /// a warm pool.
 #[derive(Debug, Default)]
 struct SolverScratch {
-    keys: Vec<NodeKey>,
     delta: Vec<Vec<ObjId>>,
     succ: Vec<Vec<NodeId>>,
     pending: Vec<Vec<Pending>>,
@@ -451,12 +431,11 @@ struct Solver<'a> {
     fw: &'a FrameworkClasses,
     harness: &'a HarnessResult,
     selector: SelectorKind,
-    options: AnalysisOptions,
+    opaque_policy: OpaquePolicy,
     ctxs: CtxTable,
     objs: ObjTable,
     actions: ActionRegistry,
     nodes: HashMap<NodeKey, NodeId>,
-    keys: Vec<NodeKey>,
     pts: Vec<PtsSet>,
     delta: Vec<Vec<ObjId>>,
     /// Successor lists, kept sorted so the worklist loop needs no
@@ -502,7 +481,11 @@ fn pair_mut(v: &mut [PtsSet], a: usize, b: usize) -> (&PtsSet, &mut PtsSet) {
 }
 
 impl<'a> Solver<'a> {
-    fn new(harness: &'a HarnessResult, selector: SelectorKind, options: AnalysisOptions) -> Self {
+    fn new(
+        harness: &'a HarnessResult,
+        selector: SelectorKind,
+        opaque_policy: OpaquePolicy,
+    ) -> Self {
         let mut harness_site_kinds = HashMap::new();
         for h in &harness.activities {
             for (site, kind) in &h.sites {
@@ -510,7 +493,6 @@ impl<'a> Solver<'a> {
             }
         }
         let SolverScratch {
-            keys,
             delta,
             succ,
             pending,
@@ -524,12 +506,11 @@ impl<'a> Solver<'a> {
             fw: &harness.app.framework,
             harness,
             selector,
-            options,
+            opaque_policy,
             ctxs: CtxTable::new(),
             objs: ObjTable::new(),
             actions: ActionRegistry::new(),
             nodes: HashMap::new(),
-            keys,
             pts: Vec::new(),
             delta,
             succ,
@@ -624,7 +605,6 @@ impl<'a> Solver<'a> {
         // survive the round trip (slots are reset as nodes are minted),
         // only capacities do.
         scratch_pool().give(SolverScratch {
-            keys: std::mem::take(&mut self.keys),
             delta: std::mem::take(&mut self.delta),
             succ: std::mem::take(&mut self.succ),
             pending: std::mem::take(&mut self.pending),
@@ -634,7 +614,7 @@ impl<'a> Solver<'a> {
         });
         Analysis {
             selector: self.selector,
-            options: self.options,
+            opaque_policy: self.opaque_policy,
             framework: self.fw.clone(),
             actions: self.actions,
             ctxs: self.ctxs,
@@ -664,17 +644,15 @@ impl<'a> Solver<'a> {
         // from a bigger previous solve) and are reset slot by slot here.
         let idx = self.pts.len();
         let n = NodeId(u32::try_from(idx).expect("node overflow"));
-        self.nodes.insert(key.clone(), n);
+        self.nodes.insert(key, n);
         self.pts.push(PtsSet::new());
-        if idx < self.keys.len() {
-            self.keys[idx] = key;
+        if idx < self.delta.len() {
             self.delta[idx].clear();
             self.succ[idx].clear();
             self.pending[idx].clear();
             self.queued[idx] = false;
             self.last_fired[idx] = 0;
         } else {
-            self.keys.push(key);
             self.delta.push(Vec::new());
             self.succ.push(Vec::new());
             self.pending.push(Vec::new());
@@ -1150,10 +1128,10 @@ impl<'a> Solver<'a> {
         args: Vec<Operand>,
     ) {
         use FrameworkOp::*;
-        if self.options.opaque_policy == OpaquePolicy::Ignore {
+        if self.opaque_policy == OpaquePolicy::Ignore {
             return;
         }
-        let havoc = self.options.opaque_policy == OpaquePolicy::Havoc;
+        let havoc = self.opaque_policy == OpaquePolicy::Havoc;
         match op {
             ClassForName => {
                 let Some(d) = dst else { return };
@@ -1449,18 +1427,10 @@ impl<'a> Solver<'a> {
         None
     }
 
-    /// Resolves a container index operand to its slot field: `idx0..idx7`
-    /// for small constants under the index-sensitive model, otherwise the
-    /// summarized `contents` field.
+    /// Resolves a container index operand to its slot field (see
+    /// [`resolve_index_field`]).
     fn index_field(&self, method: MethodId, addr: StmtAddr, idx: Option<Operand>) -> FieldId {
-        if !self.options.index_sensitive {
-            return self.fw.array_list_contents;
-        }
-        let m = self.program.method(method);
-        match idx.and_then(|op| local_defs::resolve_const_operand(m, addr, op)) {
-            Some(ConstValue::Int(k)) if (0..8).contains(&k) => self.fw.index_slots[k as usize],
-            _ => self.fw.array_list_contents,
-        }
+        resolve_index_field(self.fw, self.program.method(method), addr, idx)
     }
 
     /// On-demand constant propagation for message codes (§5).
@@ -1868,14 +1838,14 @@ impl<'a> Solver<'a> {
                 let Some(name) = info.name_const else {
                     // Unknown method name: under havoc the target object
                     // escapes into the unknown callee.
-                    if self.options.opaque_policy == OpaquePolicy::Havoc {
+                    if self.opaque_policy == OpaquePolicy::Havoc {
                         self.havoc_escaped.insert(arg);
                     }
                     return;
                 };
                 let recv_class = self.objs.get(arg).class();
                 let Some(target) = self.reflect_lookup(recv_class, name) else {
-                    if self.options.opaque_policy == OpaquePolicy::Havoc {
+                    if self.opaque_policy == OpaquePolicy::Havoc {
                         self.havoc_escaped.insert(arg);
                     }
                     return;

@@ -3,8 +3,8 @@
 //! [`AccessSite`] is the per-method half of access collection
 //! (`collect_accesses`): the field-access statements of one body with
 //! their base locals, before any context/points-to instantiation. Access
-//! sites are pure functions of the body (given the framework table and
-//! the `index_sensitive` option), so they are cacheable per method hash.
+//! sites are pure functions of the body (given the framework table), so
+//! they are cacheable per method hash.
 
 use crate::solver::Analysis;
 use android_model::{FrameworkClasses, FrameworkOp};
@@ -29,13 +29,12 @@ pub struct AccessSite {
 }
 
 /// Extracts the field-access sites of one method body, in statement
-/// order. Pure in the body given the framework table and the
-/// `index_sensitive` option, so cacheable by body hash.
+/// order. Pure in the body given the framework table, so cacheable by
+/// body hash.
 pub fn method_access_sites(
     program: &Program,
     fw: &FrameworkClasses,
     method: MethodId,
-    index_sensitive: bool,
 ) -> Vec<AccessSite> {
     let m = program.method(method);
     if !m.has_body() {
@@ -61,7 +60,7 @@ pub fn method_access_sites(
                     _ => continue,
                 };
                 let Some(base) = receiver else { continue };
-                let field = resolve_index_field(fw, index_sensitive, m, addr, idx_op);
+                let field = resolve_index_field(fw, m, addr, idx_op);
                 (w, field, Some(*base), false)
             }
             _ => continue,
@@ -77,18 +76,16 @@ pub fn method_access_sites(
     out
 }
 
-/// The slot field an indexed container access touches, mirroring the
-/// solver's resolution exactly.
+/// The slot field an indexed container access touches: `idx0..idx7` for
+/// small constant indices (the §6.5 index-sensitive container model),
+/// otherwise the summarized `contents` field. The solver and access-site
+/// extraction both resolve through here.
 pub(crate) fn resolve_index_field(
     fw: &FrameworkClasses,
-    index_sensitive: bool,
     method: &Method,
     addr: StmtAddr,
     idx: Option<Operand>,
 ) -> FieldId {
-    if !index_sensitive {
-        return fw.array_list_contents;
-    }
     match idx.and_then(|op| local_defs::resolve_const_operand(method, addr, op)) {
         Some(ConstValue::Int(k)) if (0..8).contains(&k) => fw.index_slots[k as usize],
         _ => fw.array_list_contents,
@@ -105,9 +102,9 @@ pub(crate) fn reachable_access_sites(
     let mut sites = std::collections::HashMap::new();
     for &(m, _) in &analysis.reachable {
         if program.method(m).has_body() {
-            sites.entry(m).or_insert_with(|| {
-                method_access_sites(program, fw, m, analysis.options.index_sensitive)
-            });
+            sites
+                .entry(m)
+                .or_insert_with(|| method_access_sites(program, fw, m));
         }
     }
     sites

@@ -515,7 +515,6 @@ fn lifecycle_actions_cover_both_instances() {
 
 #[test]
 fn index_sensitive_containers_separate_slots() {
-    use crate::solver::AnalysisOptions;
     // onCreate writes buf.setAt(0, ...); onPause reads buf.getAt(1).
     let mut app = AndroidAppBuilder::new("Indexed");
     let fw = app.framework().clone();
@@ -554,16 +553,9 @@ fn index_sensitive_containers_separate_slots() {
     mb.finish();
     let h = generate(app.finish().unwrap());
 
-    // Index-sensitive: the slot-0 write and slot-1 read touch different
-    // fields and cannot overlap.
-    let a = crate::solver::analyze_opts(
-        &h,
-        SelectorKind::ActionSensitive(1),
-        AnalysisOptions {
-            index_sensitive: true,
-            ..AnalysisOptions::default()
-        },
-    );
+    // The slot-0 write and slot-1 read touch different fields and cannot
+    // overlap.
+    let a = analyze(&h, SelectorKind::ActionSensitive(1));
     let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
     let slot_accs: Vec<_> = accesses
         .iter()
@@ -576,26 +568,6 @@ fn index_sensitive_containers_separate_slots() {
     assert!(
         !slot_accs[0].overlaps(slot_accs[1]),
         "different slots must not overlap"
-    );
-
-    // Index-insensitive: both fold onto `contents` and overlap.
-    let a = crate::solver::analyze_opts(
-        &h,
-        SelectorKind::ActionSensitive(1),
-        AnalysisOptions {
-            index_sensitive: false,
-            ..AnalysisOptions::default()
-        },
-    );
-    let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
-    let slot_accs: Vec<_> = accesses
-        .iter()
-        .filter(|x| h.app.program.field_name(x.field) == "contents")
-        .collect();
-    assert_eq!(slot_accs.len(), 2);
-    assert!(
-        slot_accs[0].overlaps(slot_accs[1]),
-        "summary model conflates slots"
     );
 }
 
@@ -826,7 +798,7 @@ fn corpus_plant(
 
 mod solver_determinism {
     use super::*;
-    use crate::solver::{analyze_opts, Analysis, AnalysisOptions};
+    use crate::solver::Analysis;
     use apir::{Local, MethodId};
     use sierra_prng::SplitMix64;
 
@@ -933,8 +905,8 @@ mod solver_determinism {
     fn randomized_graphs_solve_identically_when_repeated() {
         for seed in 0..4u64 {
             let (h, m, locals) = random_harness(seed);
-            let first = analyze_opts(&h, SelectorKind::Insensitive, AnalysisOptions::default());
-            let second = analyze_opts(&h, SelectorKind::Insensitive, AnalysisOptions::default());
+            let first = analyze(&h, SelectorKind::Insensitive);
+            let second = analyze(&h, SelectorKind::Insensitive);
             for &l in &locals {
                 assert_eq!(
                     canon_pts(&first, m, l),

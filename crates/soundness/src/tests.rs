@@ -1,17 +1,10 @@
 use super::*;
 use corpus::reflection_idioms::{intent_idioms_app, reflection_idioms_app};
-use pointer::{analyze_opts, AnalysisOptions, OpaquePolicy, SelectorKind};
+use pointer::{analyze_opts, OpaquePolicy, SelectorKind};
 
 fn solve(app: android_model::AndroidApp, policy: OpaquePolicy) -> (apir::Program, Analysis) {
     let harness = harness_gen::generate(app);
-    let analysis = analyze_opts(
-        &harness,
-        SelectorKind::ActionSensitive(1),
-        AnalysisOptions {
-            opaque_policy: policy,
-            ..AnalysisOptions::default()
-        },
-    );
+    let analysis = analyze_opts(&harness, SelectorKind::ActionSensitive(1), policy);
     (harness.app.program, analysis)
 }
 

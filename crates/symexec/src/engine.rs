@@ -27,6 +27,10 @@ use std::sync::Arc;
 /// grows only between batches.
 const REFUTE_BATCH: usize = 16;
 
+/// Per-path bound on re-visiting one basic block (backward loop
+/// unrolling).
+const BLOCK_VISIT_LIMIT: u32 = 2;
+
 /// Refutation tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RefuterConfig {
@@ -34,9 +38,6 @@ pub struct RefuterConfig {
     pub max_paths: usize,
     /// Maximum backward steps per query direction.
     pub max_steps: usize,
-    /// Per-path bound on re-visiting one basic block (backward loop
-    /// unrolling).
-    pub block_visit_limit: u32,
     /// Enable the refuted-node memoization cache (§5 "Caching").
     pub use_cache: bool,
 }
@@ -46,7 +47,6 @@ impl Default for RefuterConfig {
         Self {
             max_paths: 5_000,
             max_steps: 200_000,
-            block_visit_limit: 2,
             use_cache: true,
         }
     }
@@ -389,7 +389,7 @@ impl<'a> Refuter<'a> {
             if !pred_list.is_empty() {
                 for &p in pred_list {
                     let count = st.visits.get(&(st.m, p)).copied().unwrap_or(0);
-                    if count >= self.config.block_visit_limit {
+                    if count >= BLOCK_VISIT_LIMIT {
                         continue;
                     }
                     if self.infeasible.contains(st.m, p, st.block) {

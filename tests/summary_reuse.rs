@@ -107,27 +107,29 @@ fn one_method_edit_recomputes_only_the_changed_method() {
 }
 
 #[test]
-fn config_change_invalidates_the_whole_store() {
+fn policy_change_reuses_every_summary_and_re_solves_the_analysis() {
+    // Summaries read no config, so a `havoc` session over a store warmed
+    // by a default (`ignore`) session reuses all of them; the analysis
+    // does depend on the policy and is solved afresh.
     let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
-    let cfg = SierraConfig::default();
-    let changed = SierraConfig::builder()
+    let havoc = SierraConfig::builder()
         .opaque_policy(OpaquePolicy::Havoc)
         .build();
 
-    let first = run_with_store(edit_pairs::base_app(), cfg, Arc::clone(&store));
-    let second = run_with_store(edit_pairs::base_app(), changed, Arc::clone(&store));
+    let first = run_with_store(
+        edit_pairs::base_app(),
+        SierraConfig::default(),
+        Arc::clone(&store),
+    );
+    let warm = run_with_store(edit_pairs::base_app(), havoc, Arc::clone(&store));
+    let cold = run_with_store(edit_pairs::base_app(), havoc, Arc::new(MemoryStore::new()));
 
-    let s = second.metrics.link;
-    assert_eq!(
-        s.summaries_reused, 0,
-        "config fingerprint keys every summary"
-    );
-    assert_eq!(
-        s.summaries_recomputed,
-        first.metrics.link.summaries_recomputed
-    );
-    assert!(!s.analysis_reused);
+    let s = warm.metrics.link;
+    assert_eq!(s.summaries_recomputed, 0, "summaries carry no config");
+    assert_eq!(s.summaries_reused, first.metrics.link.summaries_recomputed);
+    assert!(!s.analysis_reused, "the analysis is keyed by the policy");
     assert!(s.pointer_iterations_run > 0);
+    assert_eq!(stable(&warm), stable(&cold));
 }
 
 #[test]
