@@ -34,7 +34,6 @@ fn context_ablation() {
     for sel in selectors {
         let cfg = SierraConfig::builder()
             .selector(sel)
-            .without(Stage::Compare)
             .without(Stage::Refute)
             .build();
         time(&format!("analysis/{sel}"), 15, || {
@@ -57,7 +56,6 @@ fn refutation_budget() {
                 max_paths: budget,
                 ..Default::default()
             })
-            .without(Stage::Compare)
             .build();
         time(&format!("max_paths/{budget}"), 10, || {
             Sierra::with_config(cfg)
@@ -77,7 +75,6 @@ fn cache_ablation() {
                 use_cache,
                 ..Default::default()
             })
-            .without(Stage::Compare)
             .build();
         time(&format!("refutation/{label}"), 8, || {
             Sierra::with_config(cfg)

@@ -128,10 +128,11 @@ fn alternating(
 fn main() {
     let (_, app, _) = sierra_bench::size_classes().remove(1); // NPR News
     let us = |d: Duration| Json::Num(d.as_secs_f64() * 1e6);
-    let all = SierraConfig::default();
+    // The default pipeline, as `analyze` runs it (no comparison pass).
+    let detector = SierraConfig::default();
 
     group("table4_efficiency");
-    let runs = sessions(30, || analyze(all, &app));
+    let runs = sessions(30, || analyze(detector, &app));
     let stage_means = obj(vec![
         ("harness", us(mean("stage_harness", &runs, |t| t.harness))),
         ("cg_pa", us(mean("stage_cg_pa", &runs, |t| t.cg_pa))),
@@ -153,7 +154,6 @@ fn main() {
             us(mean("stage_histories", &runs, |t| t.histories)),
         ),
         ("triage", us(mean("stage_triage", &runs, |t| t.triage))),
-        ("compare", us(mean("stage_compare", &runs, |t| t.compare))),
         ("total", us(mean("total", &runs, |t| t.total))),
     ]);
 
@@ -163,21 +163,21 @@ fn main() {
     group("prefilter_ablation");
     let stress_app = stress::refutation_stress_app(13, 8);
     let no_prefilter = SierraConfig::builder().without(Stage::Prefilter).build();
-    let runs = sessions(3, || analyze(all, &stress_app));
+    let runs = sessions(3, || analyze(detector, &stress_app));
     let t_refute_pf = mean("refutation_with_prefilter", &runs, |t| t.refutation);
     let runs = sessions(3, || analyze(no_prefilter, &stress_app));
     let t_refute_nopf = mean("refutation_without_prefilter", &runs, |t| t.refutation);
 
     group("triage_ablation");
     let no_triage = SierraConfig::builder().without(Stage::Triage).build();
-    let runs = sessions(10, || analyze(all, &app));
+    let runs = sessions(10, || analyze(detector, &app));
     let t_triage_on = mean("pipeline_triage_on", &runs, |t| t.total);
     let runs = sessions(10, || analyze(no_triage, &app));
     let t_triage_off = mean("pipeline_triage_off", &runs, |t| t.total);
 
     group("histories_ablation");
     let no_histories = SierraConfig::builder().without(Stage::Histories).build();
-    let runs = sessions(10, || analyze(all, &app));
+    let runs = sessions(10, || analyze(detector, &app));
     let t_histories_on = mean("pipeline_histories_on", &runs, |t| t.total);
     let runs = sessions(10, || analyze(no_histories, &app));
     let t_histories_off = mean("pipeline_histories_off", &runs, |t| t.total);
@@ -219,7 +219,7 @@ fn main() {
     let mut latencies = Vec::with_capacity(passes * corpus_apps.len());
     for pass in 0..=passes {
         for corpus_app in &corpus_apps {
-            let total = analyze(all, corpus_app).metrics.timings.total;
+            let total = analyze(detector, corpus_app).metrics.timings.total;
             if pass > 0 {
                 latencies.push(total);
             }

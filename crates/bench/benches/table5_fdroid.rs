@@ -10,7 +10,7 @@
 //! ```
 
 use sierra_bench::{group, time};
-use sierra_core::{run_jobs, Sierra, SierraConfig, Stage};
+use sierra_core::{run_jobs, Sierra};
 
 fn main() {
     group("table5_fdroid");
@@ -23,15 +23,9 @@ fn main() {
     });
 
     let apps: Vec<_> = corpus::fdroid::iter_apps().take(10).collect();
-    let cfg = SierraConfig::builder().without(Stage::Compare).build();
     time("analyze_10_apps_serial", 5, || {
         apps.iter()
-            .map(|(_, app, _)| {
-                Sierra::with_config(cfg)
-                    .analyze_app(app.clone())
-                    .races
-                    .len()
-            })
+            .map(|(_, app, _)| Sierra::new().analyze_app(app.clone()).races.len())
             .sum::<usize>()
     });
 
@@ -49,7 +43,7 @@ fn main() {
                 .map(|(idx, app, _)| (format!("fdroid-{idx}"), app.clone()))
                 .collect();
             run_jobs(jobs, items, |_, app| {
-                Sierra::with_config(cfg).analyze_app(app).races.len()
+                Sierra::new().analyze_app(app).races.len()
             })
             .into_iter()
             .map(|r| r.expect("no panics in the sweep"))

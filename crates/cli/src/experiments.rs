@@ -264,9 +264,15 @@ pub fn table2() -> String {
     out
 }
 
+/// A table cell for a value only some runs compute: `-` for none.
+fn cell<T: std::fmt::Display>(value: Option<T>) -> String {
+    value.map_or_else(|| "-".to_owned(), |v| v.to_string())
+}
+
 /// Renders Table 3 (effectiveness on the 20-app dataset), extended with
 /// the triage verdict histogram (Crash / ValI / Benign columns) and a
-/// corpus-wide crash-precision/recall summary line.
+/// corpus-wide crash-precision/recall summary line. The RP-noAS column
+/// reads `-` for rows analyzed without the opt-in comparison pass.
 pub fn table3(rows: &[AppRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -299,7 +305,7 @@ pub fn table3(rows: &[AppRow]) -> String {
             r.report.action_count,
             r.report.hb_edges,
             r.report.hb_percent(),
-            r.report.racy_pairs_without_as,
+            cell(r.report.racy_pairs_without_as),
             r.report.racy_pairs_with_as,
             r.races(),
             r.sierra_eval.true_races,
@@ -350,6 +356,12 @@ pub fn median_row(rows: &[AppRow]) -> String {
     let m = |f: &dyn Fn(&AppRow) -> f64| {
         median(&ok.iter().map(|r| f(r)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
+    // Over the rows the comparison pass ran on.
+    let without_as: Vec<f64> = ok
+        .iter()
+        .filter_map(|r| r.report.racy_pairs_without_as)
+        .map(|n| n as f64)
+        .collect();
     format!(
         "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
         "MEDIAN",
@@ -357,7 +369,7 @@ pub fn median_row(rows: &[AppRow]) -> String {
         m(&|r| r.report.action_count as f64),
         m(&|r| r.report.hb_edges as f64),
         m(&|r| r.report.hb_percent()),
-        m(&|r| r.report.racy_pairs_without_as as f64),
+        cell(median(&without_as)),
         m(&|r| r.report.racy_pairs_with_as as f64),
         m(&|r| r.races() as f64),
         m(&|r| r.sierra_eval.true_races as f64),
@@ -371,19 +383,22 @@ pub fn median_row(rows: &[AppRow]) -> String {
 }
 
 /// Renders Table 4 (per-stage efficiency: timings plus work counters).
+/// One time column per stage of the default pipeline, so the stage
+/// columns account for `Total(ms)`.
 pub fn table4(rows: &[AppRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<17} {:>10} {:>8} {:>11} {:>12} {:>8} {:>10} {:>11} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+        "{:<17} {:>11} {:>10} {:>8} {:>8} {:>11} {:>12} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
         "App",
+        "Harness(ms)",
         "CG+PA(ms)",
         "HBG(ms)",
+        "Cand(ms)",
         "Prefilt(ms)",
         "Refute(ms)",
         "Hist(ms)",
         "Triage(ms)",
-        "Compare(ms)",
         "Total(ms)",
         "PAiters",
         "CGedges",
@@ -403,15 +418,16 @@ pub fn table4(rows: &[AppRow]) -> String {
         }
         let m = &r.report.metrics;
         out.push_str(&format!(
-            "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+            "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
             r.name,
+            ms(m.timings.harness),
             ms(m.timings.cg_pa),
             ms(m.timings.hbg),
+            ms(m.timings.candidates),
             ms(m.timings.prefilter),
             ms(m.timings.refutation),
             ms(m.timings.histories),
             ms(m.timings.triage),
-            ms(m.timings.compare),
             ms(m.timings.total),
             m.pointer.worklist_iterations,
             m.pointer.cg_edges,
@@ -430,15 +446,16 @@ pub fn table4(rows: &[AppRow]) -> String {
         median(&ok.iter().map(|r| f(&r.report.metrics)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
-        "{:<17} {:>10.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>11.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
+        "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
         "MEDIAN",
+        med(&|m| ms(m.timings.harness)),
         med(&|m| ms(m.timings.cg_pa)),
         med(&|m| ms(m.timings.hbg)),
+        med(&|m| ms(m.timings.candidates)),
         med(&|m| ms(m.timings.prefilter)),
         med(&|m| ms(m.timings.refutation)),
         med(&|m| ms(m.timings.histories)),
         med(&|m| ms(m.timings.triage)),
-        med(&|m| ms(m.timings.compare)),
         med(&|m| ms(m.timings.total)),
         med(&|m| m.pointer.worklist_iterations as f64),
         med(&|m| m.pointer.cg_edges as f64),
@@ -629,10 +646,16 @@ pub fn comparison_summary(rows: &[AppRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sierra_core::{SierraConfig, SummaryStore};
+    use sierra_core::{SierraConfig, Stage, SummaryStore};
 
     fn default_template() -> SessionBuilder {
         SessionBuilder::new(SierraConfig::default())
+    }
+
+    /// The template `sierra-cli table3` analyzes with: the default plus
+    /// the opt-in comparison pass.
+    fn compare_template() -> SessionBuilder {
+        SessionBuilder::new(SierraConfig::builder().with(Stage::Compare).build())
     }
 
     #[test]
@@ -659,13 +682,14 @@ mod tests {
             "fig1",
             app,
             &truth,
-            &default_template(),
+            &compare_template(),
             &EventRacerConfig::default(),
         );
         let (report, m) = (&row.report, &row.report.metrics);
         assert_eq!(report.harness_count, 1);
         assert!(report.action_count > 0);
-        assert!(report.racy_pairs_with_as <= report.racy_pairs_without_as);
+        let without_as = report.racy_pairs_without_as.expect("the pass ran");
+        assert!(report.racy_pairs_with_as <= without_as);
         assert!(row.races() <= report.racy_pairs_with_as);
         assert_eq!(row.sierra_eval.missed, 0);
         assert!(m.pointer.worklist_iterations > 0);
@@ -677,7 +701,8 @@ mod tests {
         let t4 = table4(std::slice::from_ref(&row));
         assert!(t4.contains("CG+PA") && t4.contains("PAiters"));
         assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned") && t4.contains("Infeas"));
-        assert!(t4.contains("Compare(ms)"));
+        assert!(t4.contains("Harness(ms)") && t4.contains("Cand(ms)"));
+        assert!(!t4.contains("Compare(ms)"));
         assert!(t4.contains("Hist(ms)") && t4.contains("HistChk"));
         assert!(t4.contains("HistDis") && t4.contains("HistInf"));
         let t5 = table5(std::slice::from_ref(&row));
@@ -809,6 +834,22 @@ mod tests {
             Report::from_result(&result).render_stable()
         );
         assert_eq!(row.races(), result.races.len());
+    }
+
+    #[test]
+    fn rows_without_the_comparison_pass_show_no_without_as_count() {
+        let (app, truth) = corpus::figures::intra_component();
+        let er = EventRacerConfig::default();
+        let row = run_app("fig1", app, &truth, &default_template(), &er);
+        assert_eq!(row.report.racy_pairs_without_as, None);
+        let t3 = table3(std::slice::from_ref(&row));
+        for line in t3
+            .lines()
+            .filter(|l| l.starts_with("fig1") || l.starts_with("MEDIAN"))
+        {
+            let rp_no_as = line[17..].split_whitespace().nth(4);
+            assert_eq!(rp_no_as, Some("-"), "{t3}");
+        }
     }
 
     #[test]

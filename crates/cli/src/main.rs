@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! sierra-cli table2                 # Table 2: the 20-app dataset
-//! sierra-cli table3                 # Table 3: effectiveness (runs everything)
+//! sierra-cli table3                 # Table 3: effectiveness (adds the
+//!                                   # opt-in comparison pass)
 //! sierra-cli table4                 # Table 4: per-stage efficiency + counters
 //! sierra-cli table5 [--apps N]      # Table 5: the 174-app dataset (medians)
 //! sierra-cli compare                # §6.4 SIERRA vs EventRacer summary
@@ -44,7 +45,7 @@ use apir::SymbolArena;
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments;
 use sierra_cli::flags::{reject_unknown_flags, take_flag, CommonFlags};
-use sierra_core::{AnalysisSession, SessionBuilder, SierraConfig, SierraResult};
+use sierra_core::{AnalysisSession, SessionBuilder, SierraConfig, SierraResult, Stage};
 use std::sync::Arc;
 
 const USAGE: &str = "usage: sierra-cli <table2|table3|table4|table5 [--apps N]|compare|analyze <App>|figures|verify <App>|soundness|serve [--socket PATH]>\n\
@@ -139,7 +140,11 @@ fn main() {
     match cmd.as_str() {
         "table2" => print!("{}", experiments::table2()),
         "table3" => {
-            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
+            // The one command that reads the without-AS column, so the
+            // one that runs the comparison pass.
+            let mut cfg = common.config;
+            cfg.stages = cfg.stages.with(Stage::Compare);
+            let rows = experiments::run_twenty(&template_for(cfg), &er_cfg, jobs);
             print!("{}", experiments::table3(&rows));
             print_cache_stats(&rows);
         }

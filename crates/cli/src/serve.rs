@@ -385,7 +385,8 @@ mod tests {
         let (shutdown, events) = drive(input.as_bytes(), Arc::new(MemoryStore::new()));
         assert!(shutdown, "shutdown request ends the connection");
 
-        // Both requests stream the full stage sequence.
+        // Both requests stream the default stage sequence: every stage
+        // but the opt-in comparison pass.
         for id in [1, 2] {
             let stages: Vec<&str> = events_for(&events, id, "stage")
                 .iter()
@@ -401,8 +402,7 @@ mod tests {
                     "prefilter",
                     "refute",
                     "histories",
-                    "triage",
-                    "compare"
+                    "triage"
                 ],
                 "request {id}"
             );

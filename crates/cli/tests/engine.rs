@@ -4,11 +4,11 @@
 
 use eventracer::EventRacerConfig;
 use sierra_cli::experiments::{run_fdroid, run_twenty, table3, table5};
-use sierra_core::{run_jobs, SessionBuilder, SierraConfig, Stage};
+use sierra_core::{run_jobs, SessionBuilder, SierraConfig};
 
 #[test]
 fn parallel_and_serial_sweeps_render_identical_tables() {
-    let template = SessionBuilder::new(SierraConfig::builder().without(Stage::Compare).build());
+    let template = SessionBuilder::new(SierraConfig::default());
     let er = EventRacerConfig {
         runs: 4,
         ..Default::default()
@@ -34,7 +34,7 @@ fn parallel_and_serial_sweeps_render_identical_tables() {
 
 #[test]
 fn fdroid_slice_is_schedule_independent() {
-    let template = SessionBuilder::new(SierraConfig::builder().without(Stage::Compare).build());
+    let template = SessionBuilder::new(SierraConfig::default());
     let serial = run_fdroid(8, &template, 1);
     let parallel = run_fdroid(8, &template, 4);
     let strip_timings = |rows: &[sierra_cli::experiments::AppRow]| {

@@ -22,7 +22,9 @@
 //! 7. **Message histories** (`histories`) prune pairs whose callbacks no
 //!    realizable lifecycle event history reaches together; **harm
 //!    triage** (`triage`) gives each race a harm verdict.
-//! 8. **Comparison pass**: candidate pairs without action sensitivity.
+//! 8. **Comparison pass** (opt-in, for Table 3 only): candidate pairs
+//!    without action sensitivity. `SierraConfig::default()` leaves it
+//!    out; add it with `SierraConfigBuilder::with(Stage::Compare)`.
 //!
 //! [`AnalysisSession`] runs these [`Stage`]s through one driver.
 //!

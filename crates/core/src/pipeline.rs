@@ -2,8 +2,10 @@
 //!
 //! `app → harness generation → pointer analysis (action-sensitive) →
 //! SHBG → racy pairs → prefilter → symbolic refutation → message
-//! histories → harm triage → prioritized race reports`, plus the
-//! comparison pass without action sensitivity (Table 3, column 6).
+//! histories → harm triage → prioritized race reports`. The comparison
+//! pass without action sensitivity (Table 3, column 6) is an evaluation
+//! ablation: it runs only when the config asks for it with
+//! [`SierraConfigBuilder::with`]`(Stage::Compare)`.
 //!
 //! The pipeline is staged: [`crate::AnalysisSession`] runs the stages
 //! (`harness → pointer → shbg → candidates → prefilter → refute →
@@ -47,7 +49,8 @@ pub enum Stage {
     Histories,
     /// Harm triage.
     Triage,
-    /// The comparison pass without action sensitivity.
+    /// The comparison pass without action sensitivity (opt-in: not in
+    /// [`StageSet::DEFAULT`]).
     Compare,
 }
 
@@ -64,15 +67,21 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// The stages a session runs (default: all of them). An ablation is a
-/// stage removed with [`StageSet::without`]; the driver then stores
-/// that stage's identity output instead of running it.
+/// The stages a session runs (default: [`StageSet::DEFAULT`], every
+/// stage but `Compare`). An ablation is a stage removed with
+/// [`StageSet::without`]; the driver then stores that stage's identity
+/// output instead of running it. The comparison pass is added with
+/// [`StageSet::with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSet(u16);
 
 impl StageSet {
     /// Every stage.
     pub const ALL: StageSet = StageSet((Stage::Compare.bit() << 1) - 1);
+
+    /// The detector: every stage but the comparison pass, which only
+    /// fills Table 3's without-AS column.
+    pub const DEFAULT: StageSet = StageSet(Self::ALL.0 & !Stage::Compare.bit());
 
     /// The stages every later stage consumes; they cannot be removed.
     const CORE: u16 =
@@ -94,6 +103,13 @@ impl StageSet {
         }
         StageSet((self.0 & !dropped) | Self::CORE)
     }
+
+    /// The set with `stage`, the inverse of [`Self::without`] for a
+    /// stage it removes alone. This is how a caller opts in to the
+    /// comparison pass.
+    pub fn with(self, stage: Stage) -> StageSet {
+        StageSet(self.0 | stage.bit())
+    }
 }
 
 /// Pipeline configuration. Construct with [`SierraConfig::builder`].
@@ -103,8 +119,9 @@ pub struct SierraConfig {
     pub selector: SelectorKind,
     /// Refutation knobs.
     pub refuter: RefuterConfig,
-    /// The stages that run (default: all). A removed stage's output is
-    /// byte-identical to a pipeline that never had it.
+    /// The stages that run (default: [`StageSet::DEFAULT`], every stage
+    /// but `Compare`). A removed stage's output is byte-identical to a
+    /// pipeline that never had it.
     pub stages: StageSet,
     /// Soundness policy for opaque calls (reflection and intent
     /// dispatch). The comparison pass inherits it.
@@ -120,7 +137,7 @@ impl Default for SierraConfig {
         Self {
             selector: SelectorKind::ActionSensitive(1),
             refuter: RefuterConfig::default(),
-            stages: StageSet::ALL,
+            stages: StageSet::DEFAULT,
             opaque_policy: OpaquePolicy::default(),
             min_harm: None,
         }
@@ -165,6 +182,13 @@ impl SierraConfigBuilder {
         self
     }
 
+    /// Adds `stage` to the run (see [`StageSet::with`]); the comparison
+    /// pass runs only when added this way.
+    pub fn with(mut self, stage: Stage) -> Self {
+        self.cfg.stages = self.cfg.stages.with(stage);
+        self
+    }
+
     /// Sets the opaque-call soundness policy (reflection and intent
     /// dispatch): `ignore` (default), `resolve`, or `havoc`.
     pub fn opaque_policy(mut self, policy: OpaquePolicy) -> Self {
@@ -205,7 +229,7 @@ pub struct StageTimings {
     pub histories: Duration,
     /// Post-refutation harm triage.
     pub triage: Duration,
-    /// The comparison pass (`racy pairs w/o AS`).
+    /// The comparison pass (`racy pairs w/o AS`; zero unless opted in).
     pub compare: Duration,
     /// End-to-end, from session start. At least the sum of the stages.
     pub total: Duration,
@@ -280,8 +304,8 @@ pub struct SierraResult {
     /// Theoretical maximum ordered pairs: `n·(n−1)/2` over all `n` of the
     /// app's actions, cross-harness pairs included.
     pub hb_max: usize,
-    /// Candidate racy pairs without action sensitivity (0 without the
-    /// `Compare` stage).
+    /// Candidate racy pairs without action sensitivity. Only meaningful
+    /// when `compare_ran`; 0 otherwise.
     pub racy_pairs_without_as: usize,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
@@ -293,6 +317,8 @@ pub struct SierraResult {
     pub triage_ran: bool,
     /// Whether the message-history stage ran.
     pub histories_ran: bool,
+    /// Whether the comparison pass ran (it is opt-in).
+    pub compare_ran: bool,
     /// Candidate pairs the prefilter and the histories stage removed,
     /// each with its machine-checkable reason (prefilter pairs first,
     /// each stage's in candidate order).

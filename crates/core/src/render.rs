@@ -28,8 +28,9 @@ pub struct Report {
     pub hb_edges: usize,
     /// Theoretical maximum ordered pairs.
     pub hb_max: usize,
-    /// Candidate racy pairs without action sensitivity.
-    pub racy_pairs_without_as: usize,
+    /// Candidate racy pairs without action sensitivity; `None` when the
+    /// opt-in comparison pass did not run.
+    pub racy_pairs_without_as: Option<usize>,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
     /// Ranked race descriptions (one line per surviving race).
@@ -64,7 +65,7 @@ impl Report {
             action_count: result.action_count,
             hb_edges: result.hb_edges,
             hb_max: result.hb_max,
-            racy_pairs_without_as: result.racy_pairs_without_as,
+            racy_pairs_without_as: result.compare_ran.then_some(result.racy_pairs_without_as),
             racy_pairs_with_as: result.racy_pairs_with_as,
             race_lines: result
                 .races
@@ -122,26 +123,28 @@ impl Report {
             self.hb_edges,
             self.hb_percent()
         );
-        let _ = writeln!(
-            out,
-            "racy pairs: {} (without action-sensitivity: {}); {} race(s) after refutation",
-            self.racy_pairs_with_as,
-            self.racy_pairs_without_as,
-            self.race_lines.len()
-        );
+        // The without-AS count and the comparison pass's time appear
+        // only when the opt-in pass ran.
+        let _ = write!(out, "racy pairs: {}", self.racy_pairs_with_as);
+        if let Some(without_as) = self.racy_pairs_without_as {
+            let _ = write!(out, " (without action-sensitivity: {without_as})");
+        }
+        let _ = writeln!(out, "; {} race(s) after refutation", self.race_lines.len());
         let t = &self.metrics.timings;
         if with_timings {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "stages: harness {:.2} ms, CG+PA {:.2} ms, HBG {:.2} ms, prefilter {:.2} ms, refutation {:.2} ms, compare {:.2} ms, total {:.2} ms",
+                "stages: harness {:.2} ms, CG+PA {:.2} ms, HBG {:.2} ms, prefilter {:.2} ms, refutation {:.2} ms, ",
                 ms(t.harness),
                 ms(t.cg_pa),
                 ms(t.hbg),
                 ms(t.prefilter),
                 ms(t.refutation),
-                ms(t.compare),
-                ms(t.total)
             );
+            if self.racy_pairs_without_as.is_some() {
+                let _ = write!(out, "compare {:.2} ms, ", ms(t.compare));
+            }
+            let _ = writeln!(out, "total {:.2} ms", ms(t.total));
         }
         let pa = &self.metrics.pointer;
         let _ = writeln!(
@@ -285,10 +288,11 @@ impl Report {
                 "racy_pairs_with_as".to_owned(),
                 num(self.racy_pairs_with_as),
             ),
-            (
-                "racy_pairs_without_as".to_owned(),
-                num(self.racy_pairs_without_as),
-            ),
+        ];
+        if let Some(without_as) = self.racy_pairs_without_as {
+            fields.push(("racy_pairs_without_as".to_owned(), num(without_as)));
+        }
+        fields.extend([
             (
                 "races".to_owned(),
                 Json::Arr(self.race_lines.iter().cloned().map(Json::Str).collect()),
@@ -309,26 +313,26 @@ impl Report {
             ),
             ("triage_ran".to_owned(), Json::Bool(self.triage_ran)),
             ("histories_ran".to_owned(), Json::Bool(self.histories_ran)),
-        ];
+        ]);
         fields.reserve_exact(COUNTER_GROUPS.len() + 1);
         for group in COUNTER_GROUPS.iter().filter(|g| !g.audited_only) {
             fields.push((group.name.to_owned(), group.to_json(&self.metrics)));
         }
-        fields.push((
-            "timings_ms".to_owned(),
-            obj(vec![
-                ("harness", Json::Num(ms(t.harness))),
-                ("cg_pa", Json::Num(ms(t.cg_pa))),
-                ("hbg", Json::Num(ms(t.hbg))),
-                ("candidates", Json::Num(ms(t.candidates))),
-                ("prefilter", Json::Num(ms(t.prefilter))),
-                ("refutation", Json::Num(ms(t.refutation))),
-                ("histories", Json::Num(ms(t.histories))),
-                ("triage", Json::Num(ms(t.triage))),
-                ("compare", Json::Num(ms(t.compare))),
-                ("total", Json::Num(ms(t.total))),
-            ]),
-        ));
+        let mut timings = vec![
+            ("harness", Json::Num(ms(t.harness))),
+            ("cg_pa", Json::Num(ms(t.cg_pa))),
+            ("hbg", Json::Num(ms(t.hbg))),
+            ("candidates", Json::Num(ms(t.candidates))),
+            ("prefilter", Json::Num(ms(t.prefilter))),
+            ("refutation", Json::Num(ms(t.refutation))),
+            ("histories", Json::Num(ms(t.histories))),
+            ("triage", Json::Num(ms(t.triage))),
+        ];
+        if self.racy_pairs_without_as.is_some() {
+            timings.push(("compare", Json::Num(ms(t.compare))));
+        }
+        timings.push(("total", Json::Num(ms(t.total))));
+        fields.push(("timings_ms".to_owned(), obj(timings)));
         // The audit's groups appear only under `resolve`/`havoc`.
         if self.soundness_audited {
             for group in COUNTER_GROUPS.iter().filter(|g| g.audited_only) {

@@ -8,7 +8,9 @@
 //! once for the later stages. A stage outside [`SierraConfig::stages`]
 //! stores its identity output instead, untimed: no prefilter keeps every
 //! candidate, no refute reports every kept pair as [`Outcome::Budget`],
-//! no histories or triage passes the races through, no compare counts 0.
+//! no histories or triage passes the races through, no compare counts 0
+//! and the result says `compare_ran: false`. The comparison pass is
+//! outside the default set; only Table 3 asks for it.
 //!
 //! The getters (`harness()` … `triage()`) drive through their stage and
 //! return its output, so `finish()` alone reproduces
@@ -410,6 +412,7 @@ impl AnalysisSession {
             races,
             triage_ran: self.config.stages.contains(Stage::Triage),
             histories_ran: self.config.stages.contains(Stage::Histories),
+            compare_ran: self.config.stages.contains(Stage::Compare),
             pruned,
             metrics,
             analysis,

@@ -103,7 +103,9 @@ fn implicit_dependency_is_reported_as_designed() {
 #[test]
 fn action_sensitivity_does_not_increase_racy_pairs() {
     let (app, _) = figures::intra_component();
-    let result = Sierra::new().analyze_app(app);
+    let config = SierraConfig::builder().with(Stage::Compare).build();
+    let result = Sierra::with_config(config).analyze_app(app);
+    assert!(result.compare_ran);
     assert!(
         result.racy_pairs_with_as <= result.racy_pairs_without_as,
         "AS must only remove pairs ({} vs {})",
@@ -150,8 +152,9 @@ fn metrics_are_populated() {
 #[test]
 fn staged_session_matches_one_shot_run() {
     let (app, _) = figures::inter_component();
-    let one_shot = Sierra::new().analyze_app(app.clone());
-    let mut session = Sierra::new().session(app);
+    let sierra = Sierra::with_config(SierraConfig::builder().with(Stage::Compare).build());
+    let one_shot = sierra.analyze_app(app.clone());
+    let mut session = sierra.session(app);
     session.harness().expect("harness stage runs");
     session.pointer().expect("pointer stage runs");
     session.shbg().expect("shbg stage runs");
@@ -173,6 +176,7 @@ fn staged_session_matches_one_shot_run() {
     assert_eq!(staged.pruned.len(), n_pruned);
     assert_eq!(staged.races.len(), n_races);
     assert_eq!(staged.racy_pairs_with_as, one_shot.racy_pairs_with_as);
+    assert!(staged.compare_ran && one_shot.compare_ran);
     assert_eq!(staged.racy_pairs_without_as, one_shot.racy_pairs_without_as);
     assert_eq!(staged.races.len(), one_shot.races.len());
     assert_eq!(staged.hb_edges, one_shot.hb_edges);
@@ -468,7 +472,10 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
             OpaquePolicy::Resolve,
             OpaquePolicy::Havoc,
         ] {
-            let cfg = SierraConfig::builder().opaque_policy(policy).build();
+            let cfg = SierraConfig::builder()
+                .opaque_policy(policy)
+                .with(Stage::Compare)
+                .build();
             let hybrid = match cfg.selector {
                 SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
                 other => panic!("default selector {other:?} is not action-sensitive"),
@@ -517,6 +524,54 @@ fn removing_refute_also_removes_prefilter_and_histories() {
 }
 
 #[test]
+fn the_comparison_pass_is_opt_in_and_with_undoes_without() {
+    use crate::StageSet;
+    assert_eq!(SierraConfig::default().stages, StageSet::DEFAULT);
+    assert!(!StageSet::DEFAULT.contains(Stage::Compare));
+    assert_eq!(StageSet::DEFAULT.with(Stage::Compare), StageSet::ALL);
+    assert_eq!(StageSet::ALL.without(Stage::Compare), StageSet::DEFAULT);
+    for stage in [
+        Stage::Prefilter,
+        Stage::Histories,
+        Stage::Triage,
+        Stage::Compare,
+    ] {
+        assert_eq!(
+            StageSet::ALL.without(stage).with(stage),
+            StageSet::ALL,
+            "{stage}"
+        );
+    }
+}
+
+#[test]
+fn a_run_without_the_comparison_pass_renders_no_without_as_count() {
+    use crate::Report;
+    let (app, _) = figures::intra_component();
+    let plain = Sierra::new().analyze_app(app.clone());
+    let config = SierraConfig::builder().with(Stage::Compare).build();
+    let compared = Sierra::with_config(config).analyze_app(app);
+    assert!(!plain.compare_ran && compared.compare_ran);
+    assert_eq!(plain.metrics.timings.compare, std::time::Duration::ZERO);
+
+    let (plain, compared) = (Report::from_result(&plain), Report::from_result(&compared));
+    assert_eq!(plain.racy_pairs_without_as, None);
+    let text = plain.render_text();
+    assert!(!text.contains("without action-sensitivity"), "{text}");
+    assert!(!text.contains("compare"), "{text}");
+    let json = plain.render_json().render();
+    assert!(!json.contains("without_as"), "{json}");
+    assert!(!json.contains("\"compare\""), "{json}");
+
+    let text = compared.render_text();
+    assert!(text.contains("(without action-sensitivity: "), "{text}");
+    assert!(text.contains(" ms, compare "), "{text}");
+    let json = compared.render_json().render();
+    assert!(json.contains("\"racy_pairs_without_as\":"), "{json}");
+    assert!(json.contains("\"compare\":"), "{json}");
+}
+
+#[test]
 fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
     use std::time::Duration;
     let stages = [
@@ -530,11 +585,13 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
         Stage::Triage,
         Stage::Compare,
     ];
+    // Every stage, the opt-in comparison pass included.
+    let all = SierraConfig::builder().with(Stage::Compare);
     for (app, _) in [
         corpus::prefilter_idioms::prefilter_idioms_app(),
         corpus::protocol_idioms::pause_unregister(),
     ] {
-        let full = Sierra::new().analyze_app(app.clone());
+        let full = Sierra::with_config(all.build()).analyze_app(app.clone());
         let t = full.metrics.timings;
         let sum: Duration = stages.iter().map(|&s| t.of(s)).sum();
         assert!(sum <= t.total, "{sum:?} of stages > {:?} total", t.total);
@@ -546,7 +603,7 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
             Stage::Triage,
             Stage::Compare,
         ] {
-            let cfg = SierraConfig::builder().without(removed).build();
+            let cfg = all.without(removed).build();
             let r = Sierra::with_config(cfg).analyze_app(app.clone());
             let m = &r.metrics;
             for stage in stages.iter().filter(|&&s| !cfg.stages.contains(s)) {
@@ -561,7 +618,7 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
                 Stage::Refute => m.refuter == Default::default(),
                 Stage::Histories => m.histories == Default::default(),
                 Stage::Triage => m.triage == Default::default(),
-                _ => r.racy_pairs_without_as == 0,
+                _ => !r.compare_ran && r.racy_pairs_without_as == 0,
             };
             assert!(zero, "{removed} recorded counters while removed");
         }

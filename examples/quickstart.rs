@@ -7,7 +7,7 @@
 
 use sierra::android_model::AndroidAppBuilder;
 use sierra::apir::{ConstValue, InvokeKind, Operand, Type};
-use sierra::sierra_core::Sierra;
+use sierra::sierra_core::{Sierra, SierraConfig, Stage};
 
 fn main() {
     // An activity whose onClick starts a background thread writing a field
@@ -105,8 +105,10 @@ fn main() {
 
     let app = app.finish().expect("well-formed app");
 
-    // Run the full SIERRA pipeline.
-    let result = Sierra::new().analyze_app(app);
+    // Run the full SIERRA pipeline, plus the opt-in comparison pass
+    // that counts racy pairs without action sensitivity.
+    let config = SierraConfig::builder().with(Stage::Compare).build();
+    let result = Sierra::with_config(config).analyze_app(app);
     println!(
         "{}: {} harnesses, {} actions, {} HB edges ({:.1}% of max)",
         result.app_name,

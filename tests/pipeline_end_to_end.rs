@@ -46,8 +46,10 @@ fn every_figure_app_matches_its_ground_truth() {
 
 #[test]
 fn twenty_app_dataset_invariants() {
+    // The without-AS count comes from the opt-in comparison pass.
+    let cfg = SierraConfig::builder().with(Stage::Compare).build();
     for (spec, app, truth) in twenty::build_all() {
-        let result = Sierra::new().analyze_app(app);
+        let result = Sierra::with_config(cfg).analyze_app(app);
         // Structural invariants of Table 3.
         assert_eq!(
             result.harness_count,

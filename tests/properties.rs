@@ -18,7 +18,9 @@ fn pipeline_invariants_hold_on_random_apps() {
         let n = 1 + rng.usize(5);
         let (app, truth) = synthesize("prop.app", n, seed);
         assert!(app.program.validate().is_ok());
-        let result = Sierra::new().analyze_app(app);
+        // The without-AS count comes from the opt-in comparison pass.
+        let cfg = SierraConfig::builder().with(Stage::Compare).build();
+        let result = Sierra::with_config(cfg).analyze_app(app);
         assert_eq!(result.harness_count, n);
         assert!(result.hb_edges <= result.hb_max);
         assert!(result.racy_pairs_with_as <= result.racy_pairs_without_as);
@@ -51,13 +53,8 @@ fn shbg_is_a_strict_partial_order() {
         let seed = rng.next_u64() % 1_000_000;
         let n = 1 + rng.usize(3);
         let (app, _) = synthesize("prop.hb", n, seed);
-        let result = Sierra::with_config(
-            SierraConfig::builder()
-                .without(Stage::Compare)
-                .without(Stage::Refute)
-                .build(),
-        )
-        .analyze_app(app);
+        let result = Sierra::with_config(SierraConfig::builder().without(Stage::Refute).build())
+            .analyze_app(app);
         let actions: Vec<_> = result.analysis.actions.ids().collect();
         for &a in &actions {
             assert!(!result.shbg.ordered(a, a), "irreflexive (seed {seed})");
@@ -121,7 +118,6 @@ fn context_abstraction_precision_ordering() {
         let count = |sel: SelectorKind| {
             let cfg = SierraConfig::builder()
                 .selector(sel)
-                .without(Stage::Compare)
                 .without(Stage::Refute)
                 .build();
             Sierra::with_config(cfg)
@@ -150,9 +146,8 @@ fn text_round_trip_preserves_verdicts() {
         let reparsed = sierra::android_model::parse_app(&app.name, &text)
             .unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert!(reparsed.program.validate().is_ok());
-        let cfg = SierraConfig::builder().without(Stage::Compare).build();
-        let r1 = Sierra::with_config(cfg).analyze_app(app);
-        let r2 = Sierra::with_config(cfg).analyze_app(reparsed);
+        let r1 = Sierra::new().analyze_app(app);
+        let r2 = Sierra::new().analyze_app(reparsed);
         let key = |r: &sierra::sierra_core::SierraResult| {
             let p = &r.harness.app.program;
             let mut v: Vec<(String, String)> = r

@@ -103,8 +103,9 @@ fn reflection_fixtures_report_the_same_from_rendered_text() {
     }
 }
 
-/// Every stage ablation (and `min_harm`) over the fixtures and the
-/// prefilter, triage and reflection idiom apps, one section per config.
+/// Every stage ablation, the opt-in comparison pass and `min_harm`
+/// over the fixtures and the prefilter, triage and reflection idiom
+/// apps, one section per config.
 fn ablations() -> String {
     let configs = [
         (
@@ -120,10 +121,7 @@ fn ablations() -> String {
             "skip refutation",
             SierraConfig::builder().without(Stage::Refute),
         ),
-        (
-            "no compare",
-            SierraConfig::builder().without(Stage::Compare),
-        ),
+        ("with compare", SierraConfig::builder().with(Stage::Compare)),
         (
             "min harm null-deref",
             SierraConfig::builder().min_harm(Harm::NullDeref),
