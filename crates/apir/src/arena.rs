@@ -44,7 +44,8 @@ impl Table {
 
 /// A process-wide, append-only string interner safe for concurrent use.
 ///
-/// See the [module docs](self) for the locking scheme.
+/// One `RwLock` guards the table: lookups take the read lock, and only
+/// a string the arena has never seen takes the write lock.
 #[derive(Default)]
 pub struct SymbolArena {
     table: RwLock<Table>,

@@ -86,9 +86,6 @@ pub struct DataflowResults<S> {
     /// Per-block input state at block entry. `None` = the block is
     /// unreached from the boundary.
     inputs: Vec<Option<S>>,
-    /// Executable CFG edges `(from, to)`, sorted. An edge missing here
-    /// while `from` is reached is statically infeasible.
-    exec_edges: Vec<(BlockId, BlockId)>,
     /// Worklist iterations (block visits) the solve took.
     pub iterations: usize,
 }
@@ -102,16 +99,6 @@ impl<S> DataflowResults<S> {
     /// Whether `block` is reached from the flow boundary.
     pub fn reached(&self, block: BlockId) -> bool {
         self.inputs[block.index()].is_some()
-    }
-
-    /// Whether the CFG edge `(from, to)` became executable.
-    pub fn edge_executable(&self, from: BlockId, to: BlockId) -> bool {
-        self.exec_edges.binary_search(&(from, to)).is_ok()
-    }
-
-    /// All executable edges, sorted by `(from, to)`.
-    pub fn executable_edges(&self) -> &[(BlockId, BlockId)] {
-        &self.exec_edges
     }
 }
 
@@ -192,13 +179,7 @@ pub fn solve_with_boundary<A: DataflowAnalysis>(
         }
     }
 
-    exec.sort_unstable();
-    exec.dedup();
-    DataflowResults {
-        inputs,
-        exec_edges: exec,
-        iterations,
-    }
+    DataflowResults { inputs, iterations }
 }
 
 /// Joins `incoming` into the input of the `edge`'s target. Returns
@@ -463,7 +444,6 @@ mod tests {
         // Join point: x is 1 on one edge, 2 on the other → unknown.
         assert!(r.block_input(BlockId(3)).unwrap().0.is_empty());
         assert!(r.reached(BlockId(1)) && r.reached(BlockId(2)));
-        assert_eq!(r.executable_edges().len(), 4);
     }
 
     #[test]
@@ -471,8 +451,6 @@ mod tests {
         let m = diamond(Operand::Const(ConstValue::Bool(false)));
         let r = solve(&m, &ConstAnalysis);
         assert!(!r.reached(BlockId(1)), "then-branch is dead");
-        assert!(!r.edge_executable(BlockId(0), BlockId(1)));
-        assert!(r.edge_executable(BlockId(0), BlockId(2)));
         // Only the else path reaches the join: x = 2 survives.
         assert_eq!(
             r.block_input(BlockId(3)).unwrap().0.get(&Local(0)),

@@ -1,15 +1,10 @@
-//! Branch-edge identification and the shared infeasible-edge set.
-//!
-//! The prefilter's constant/branch pruning decides, per method, which
-//! outgoing edges of `If` terminators can never be taken. Those facts are
-//! exchanged as plain CFG edges so that both the prefilter (dead-block
-//! access pruning) and the symbolic refuter (backward path pruning) can
-//! consume them without depending on each other.
+//! Branch-edge identification: the outgoing edges of `If` terminators,
+//! with the condition each one assumes (the prefilter's guard analysis
+//! reads them).
 
-use crate::ids::{BlockId, MethodId};
+use crate::ids::BlockId;
 use crate::method::{Method, Terminator};
 use crate::stmt::Operand;
-use std::collections::HashSet;
 
 /// One outgoing edge of a conditional branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,55 +54,8 @@ impl Method {
     }
 }
 
-/// A set of statically-infeasible CFG edges, keyed by
-/// `(method, from-block, to-block)`.
-///
-/// Produced by the prefilter's constant propagation and consumed by the
-/// backward refuter: crossing an infeasible edge (in either direction)
-/// can never contribute a feasible witness path.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InfeasibleEdges {
-    edges: HashSet<(MethodId, BlockId, BlockId)>,
-}
-
-impl InfeasibleEdges {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the edge `from → to` in `method` infeasible. Returns `true`
-    /// if the edge was newly inserted.
-    pub fn insert(&mut self, method: MethodId, from: BlockId, to: BlockId) -> bool {
-        self.edges.insert((method, from, to))
-    }
-
-    /// Whether the edge `from → to` in `method` is infeasible.
-    pub fn contains(&self, method: MethodId, from: BlockId, to: BlockId) -> bool {
-        self.edges.contains(&(method, from, to))
-    }
-
-    /// Number of infeasible edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether no edge is marked.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// The edges in deterministic (sorted) order.
-    pub fn iter_sorted(&self) -> Vec<(MethodId, BlockId, BlockId)> {
-        let mut v: Vec<_> = self.edges.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::ProgramBuilder;
     use crate::class::Origin;
     use crate::stmt::ConstValue;
@@ -151,24 +99,5 @@ mod tests {
         let m = mb.finish();
         let p = pb.finish();
         assert!(p.method(m).branch_edges().is_empty());
-    }
-
-    #[test]
-    fn infeasible_edge_set_round_trips() {
-        let mut set = InfeasibleEdges::new();
-        assert!(set.is_empty());
-        assert!(set.insert(MethodId(1), BlockId(0), BlockId(2)));
-        assert!(!set.insert(MethodId(1), BlockId(0), BlockId(2)));
-        set.insert(MethodId(0), BlockId(3), BlockId(1));
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(MethodId(1), BlockId(0), BlockId(2)));
-        assert!(!set.contains(MethodId(1), BlockId(0), BlockId(1)));
-        assert_eq!(
-            set.iter_sorted(),
-            vec![
-                (MethodId(0), BlockId(3), BlockId(1)),
-                (MethodId(1), BlockId(0), BlockId(2)),
-            ]
-        );
     }
 }

@@ -59,7 +59,7 @@ pub use builder::{ClassBuilder, MethodBuilder, ProgramBuilder};
 pub use class::{Class, Field, Origin};
 pub use digest::{fnv64, Fnv64, MethodDigest, MethodEntry, ProgramDigest};
 pub use dom::Dominators;
-pub use edges::{BranchEdge, InfeasibleEdges};
+pub use edges::BranchEdge;
 pub use ids::{AllocSiteId, BlockId, CallSiteId, ClassId, FieldId, Local, MethodId, StmtAddr};
 pub use interner::{Interner, Symbol};
 pub use method::{BasicBlock, Cfg, Method, Terminator};

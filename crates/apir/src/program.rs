@@ -82,16 +82,6 @@ impl Program {
         self.class_by_name.get(&sym).copied()
     }
 
-    /// Finds a method declared *directly* on `class` by simple name.
-    pub fn declared_method(&self, class: ClassId, name: &str) -> Option<MethodId> {
-        let sym = self.interner.get(name)?;
-        self.class(class)
-            .methods
-            .iter()
-            .copied()
-            .find(|&m| self.method(m).name == sym)
-    }
-
     /// Finds a field declared directly on `class` by simple name.
     pub fn declared_field(&self, class: ClassId, name: &str) -> Option<FieldId> {
         let sym = self.interner.get(name)?;
@@ -248,7 +238,6 @@ mod tests {
         let m = mb.finish();
         let p = pb.finish();
         assert_eq!(p.class_by_name("A"), Some(a));
-        assert_eq!(p.declared_method(a, "m"), Some(m));
         assert_eq!(p.declared_field(a, "x"), Some(f));
         assert_eq!(p.method_name(m), "A.m");
         assert_eq!(p.field_name(f), "x");

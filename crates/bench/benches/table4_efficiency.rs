@@ -8,12 +8,13 @@
 //! exactly by `tests/golden/counters.txt`; this bench records only time
 //! and memory.
 //!
-//! Groups: per-stage means on the medium app (NPR News); each ablation
-//! on and off (prefilter on the refutation stress app, triage and
-//! histories on NPR News); in-memory summary reuse; and, as medians of
-//! ten rounds that alternate the order, a cold against a warm process
-//! over an on-disk artifact cache and the size classes with and without
-//! a shared framework layer; and corpus
+//! Every timing is a median, so one descheduled session cannot skew
+//! it. Groups: per-stage medians of 30 sessions on the medium app (NPR
+//! News); each ablation on and off (prefilter on the refutation stress
+//! app, triage and histories on NPR News); in-memory summary reuse;
+//! and, as medians of ten rounds that alternate the order, a cold
+//! against a warm process over an on-disk artifact cache and the size
+//! classes with and without a shared framework layer; and corpus
 //! throughput, where every Table 2 app is analyzed ten times after one
 //! warm-up pass and the 200 samples give p50, p99 and the median
 //! absolute deviation, next to the process's peak RSS. Everything goes
@@ -41,11 +42,16 @@ fn sessions(iters: usize, mut run: impl FnMut() -> SierraResult) -> Vec<StageTim
     (0..iters).map(|_| run().metrics.timings).collect()
 }
 
-/// The mean of one timing over `runs`, printed under `label`.
-fn mean(label: &str, runs: &[StageTimings], pick: fn(&StageTimings) -> Duration) -> Duration {
-    let mean = runs.iter().map(pick).sum::<Duration>() / runs.len() as u32;
-    println!("{label:<46} mean {mean:>12.3?}  ({} sessions)", runs.len());
-    mean
+/// The median of one timing over `runs`, printed under `label`.
+fn median(label: &str, runs: &[StageTimings], pick: fn(&StageTimings) -> Duration) -> Duration {
+    let mut sorted: Vec<Duration> = runs.iter().map(pick).collect();
+    sorted.sort_unstable();
+    let median = percentile(&sorted, 0.5);
+    println!(
+        "{label:<46} median {median:>12.3?}  ({} sessions)",
+        runs.len()
+    );
+    median
 }
 
 /// One session of `app` under `cfg`.
@@ -133,28 +139,28 @@ fn main() {
 
     group("table4_efficiency");
     let runs = sessions(30, || analyze(detector, &app));
-    let stage_means = obj(vec![
-        ("harness", us(mean("stage_harness", &runs, |t| t.harness))),
-        ("cg_pa", us(mean("stage_cg_pa", &runs, |t| t.cg_pa))),
-        ("hbg", us(mean("stage_hbg", &runs, |t| t.hbg))),
+    let stage_medians = obj(vec![
+        ("harness", us(median("stage_harness", &runs, |t| t.harness))),
+        ("cg_pa", us(median("stage_cg_pa", &runs, |t| t.cg_pa))),
+        ("hbg", us(median("stage_hbg", &runs, |t| t.hbg))),
         (
             "candidates",
-            us(mean("stage_candidates", &runs, |t| t.candidates)),
+            us(median("stage_candidates", &runs, |t| t.candidates)),
         ),
         (
             "prefilter",
-            us(mean("stage_prefilter", &runs, |t| t.prefilter)),
+            us(median("stage_prefilter", &runs, |t| t.prefilter)),
         ),
         (
             "refutation",
-            us(mean("stage_refutation", &runs, |t| t.refutation)),
+            us(median("stage_refutation", &runs, |t| t.refutation)),
         ),
         (
             "histories",
-            us(mean("stage_histories", &runs, |t| t.histories)),
+            us(median("stage_histories", &runs, |t| t.histories)),
         ),
-        ("triage", us(mean("stage_triage", &runs, |t| t.triage))),
-        ("total", us(mean("total", &runs, |t| t.total))),
+        ("triage", us(median("stage_triage", &runs, |t| t.triage))),
+        ("total", us(median("total", &runs, |t| t.total))),
     ]);
 
     // The stress app's GUI handlers carry pairs the refuter can only
@@ -164,23 +170,23 @@ fn main() {
     let stress_app = stress::refutation_stress_app(13, 8);
     let no_prefilter = SierraConfig::builder().without(Stage::Prefilter).build();
     let runs = sessions(3, || analyze(detector, &stress_app));
-    let t_refute_pf = mean("refutation_with_prefilter", &runs, |t| t.refutation);
+    let t_refute_pf = median("refutation_with_prefilter", &runs, |t| t.refutation);
     let runs = sessions(3, || analyze(no_prefilter, &stress_app));
-    let t_refute_nopf = mean("refutation_without_prefilter", &runs, |t| t.refutation);
+    let t_refute_nopf = median("refutation_without_prefilter", &runs, |t| t.refutation);
 
     group("triage_ablation");
     let no_triage = SierraConfig::builder().without(Stage::Triage).build();
     let runs = sessions(10, || analyze(detector, &app));
-    let t_triage_on = mean("pipeline_triage_on", &runs, |t| t.total);
+    let t_triage_on = median("pipeline_triage_on", &runs, |t| t.total);
     let runs = sessions(10, || analyze(no_triage, &app));
-    let t_triage_off = mean("pipeline_triage_off", &runs, |t| t.total);
+    let t_triage_off = median("pipeline_triage_off", &runs, |t| t.total);
 
     group("histories_ablation");
     let no_histories = SierraConfig::builder().without(Stage::Histories).build();
     let runs = sessions(10, || analyze(detector, &app));
-    let t_histories_on = mean("pipeline_histories_on", &runs, |t| t.total);
+    let t_histories_on = median("pipeline_histories_on", &runs, |t| t.total);
     let runs = sessions(10, || analyze(no_histories, &app));
-    let t_histories_off = mean("pipeline_histories_off", &runs, |t| t.total);
+    let t_histories_off = median("pipeline_histories_off", &runs, |t| t.total);
 
     // The edit pair's versions differ by one method body whose edit is a
     // points-to no-op: a warm run over a store primed with the base
@@ -190,7 +196,7 @@ fn main() {
         let fresh: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
         run_with_store(corpus::edit_pairs::base_app(), fresh, None)
     });
-    let t_reuse_cold = mean("analysis_cold_store", &runs, |t| t.total);
+    let t_reuse_cold = median("analysis_cold_store", &runs, |t| t.total);
     let edit_store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
     run_with_store(
         corpus::edit_pairs::base_app(),
@@ -204,7 +210,7 @@ fn main() {
             None,
         )
     });
-    let t_reuse_warm = mean("analysis_warm_store", &runs, |t| t.total);
+    let t_reuse_warm = median("analysis_warm_store", &runs, |t| t.total);
 
     // Every Table 2 app built over one shared symbol arena, analyzed ten
     // times after one warm-up pass: 200 per-app latencies. p99 and peak
@@ -301,7 +307,7 @@ fn main() {
     let json = obj(vec![
         ("bench", Json::Str("table4_efficiency".to_owned())),
         ("app", Json::Str("NPR News".to_owned())),
-        ("stage_mean_us", stage_means),
+        ("stage_median_us", stage_medians),
         (
             "prefilter",
             obj(vec![

@@ -389,7 +389,7 @@ pub fn table4(rows: &[AppRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<17} {:>11} {:>10} {:>8} {:>8} {:>11} {:>12} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+        "{:<17} {:>11} {:>10} {:>8} {:>8} {:>11} {:>12} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>7} {:>7}\n",
         "App",
         "Harness(ms)",
         "CG+PA(ms)",
@@ -405,11 +405,9 @@ pub fn table4(rows: &[AppRow]) -> String {
         "HBapps",
         "Paths",
         "Pruned",
-        "Infeas",
         "DFiters",
         "HistChk",
-        "HistDis",
-        "HistInf"
+        "HistDis"
     ));
     for r in rows {
         if let Some(err) = &r.error {
@@ -418,7 +416,7 @@ pub fn table4(rows: &[AppRow]) -> String {
         }
         let m = &r.report.metrics;
         out.push_str(&format!(
-            "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>8}\n",
+            "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>7} {:>7}\n",
             r.name,
             ms(m.timings.harness),
             ms(m.timings.cg_pa),
@@ -434,11 +432,9 @@ pub fn table4(rows: &[AppRow]) -> String {
             m.shbg.total_applications(),
             m.refuter.paths,
             m.prefilter.pruned_total(),
-            m.prefilter.infeasible_edges,
             m.triage.dataflow_iterations,
             m.histories.pairs_checked,
             m.histories.discharged_total(),
-            m.histories.infeasible_exported,
         ));
     }
     let ok = ok_rows(rows);
@@ -446,7 +442,7 @@ pub fn table4(rows: &[AppRow]) -> String {
         median(&ok.iter().map(|r| f(&r.report.metrics)).collect::<Vec<_>>()).unwrap_or(0.0)
     };
     out.push_str(&format!(
-        "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0} {:>8.0}\n",
+        "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0}\n",
         "MEDIAN",
         med(&|m| ms(m.timings.harness)),
         med(&|m| ms(m.timings.cg_pa)),
@@ -462,11 +458,9 @@ pub fn table4(rows: &[AppRow]) -> String {
         med(&|m| m.shbg.total_applications() as f64),
         med(&|m| m.refuter.paths as f64),
         med(&|m| m.prefilter.pruned_total() as f64),
-        med(&|m| m.prefilter.infeasible_edges as f64),
         med(&|m| m.triage.dataflow_iterations as f64),
         med(&|m| m.histories.pairs_checked as f64),
         med(&|m| m.histories.discharged_total() as f64),
-        med(&|m| m.histories.infeasible_exported as f64),
     ));
     out
 }
@@ -700,11 +694,11 @@ mod tests {
         assert!(t3.contains("fig1") && t3.contains("MEDIAN"));
         let t4 = table4(std::slice::from_ref(&row));
         assert!(t4.contains("CG+PA") && t4.contains("PAiters"));
-        assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned") && t4.contains("Infeas"));
+        assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned"));
         assert!(t4.contains("Harness(ms)") && t4.contains("Cand(ms)"));
         assert!(!t4.contains("Compare(ms)"));
         assert!(t4.contains("Hist(ms)") && t4.contains("HistChk"));
-        assert!(t4.contains("HistDis") && t4.contains("HistInf"));
+        assert!(t4.contains("HistDis"));
         let t5 = table5(std::slice::from_ref(&row));
         assert!(t5.contains("medians"));
         let cmp = comparison_summary(std::slice::from_ref(&row));

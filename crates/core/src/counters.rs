@@ -118,7 +118,6 @@ pub static COUNTER_GROUPS: [CounterGroup; 8] = [
             ("pruned_escape", |m| Count(m.prefilter.pruned_escape)),
             ("pruned_guarded", |m| Count(m.prefilter.pruned_guarded)),
             ("pruned_constprop", |m| Count(m.prefilter.pruned_constprop)),
-            ("infeasible_edges", |m| Count(m.prefilter.infeasible_edges)),
             ("pruned", |m| Count(m.prefilter.pruned_total())),
         ],
         audited_only: false,
@@ -153,9 +152,6 @@ pub static COUNTER_GROUPS: [CounterGroup; 8] = [
             }),
             ("discharged_pause", |m| Count(m.histories.discharged_pause)),
             ("dead_callbacks", |m| Count(m.histories.dead_callbacks)),
-            ("infeasible_exported", |m| {
-                Count(m.histories.infeasible_exported)
-            }),
             ("discharged", |m| Count(m.histories.discharged_total())),
         ],
         audited_only: false,

@@ -33,8 +33,8 @@ pub struct LinkStats {
     pub summaries_reused: usize,
     /// Summaries recomputed (changed or first-seen methods).
     pub summaries_recomputed: usize,
-    /// Summaries served from the corpus-shared framework layer (see
-    /// [`crate::summary::load_or_summarize`]); disjoint from
+    /// Summaries served from the corpus-shared framework layer (see the
+    /// linking pass of [`crate::AnalysisSession::pointer`]); disjoint from
     /// `summaries_reused`, which counts only per-app store hits. The
     /// layer's lookup and promotion are not one atomic step, so when
     /// parallel workers share a cold layer, two of them can both miss a

@@ -178,13 +178,12 @@ impl Report {
         let pf = &self.metrics.prefilter;
         let _ = writeln!(
             out,
-            "prefilter: {} of {} candidate pairs pruned (escape {}, guarded {}, constprop {}), {} infeasible branch edges",
+            "prefilter: {} of {} candidate pairs pruned (escape {}, guarded {}, constprop {})",
             pf.pruned_total(),
             self.racy_pairs_with_as,
             pf.pruned_escape,
             pf.pruned_guarded,
             pf.pruned_constprop,
-            pf.infeasible_edges
         );
         let rf = &self.metrics.refuter;
         let _ = writeln!(
@@ -203,7 +202,7 @@ impl Report {
             let hs = &self.metrics.histories;
             let _ = write!(
                 out,
-                "histories: {} of {} pair(s) discharged (unregistered {}, destroy {}, pause {}), {} automaton states / {} edges over {} component(s), {} product edges, {} dead callback(s), {} infeasible edges exported",
+                "histories: {} of {} pair(s) discharged (unregistered {}, destroy {}, pause {}), {} automaton states / {} edges over {} component(s), {} product edges, {} dead callback(s)",
                 hs.discharged_total(),
                 hs.pairs_checked,
                 hs.discharged_unregistered,
@@ -214,7 +213,6 @@ impl Report {
                 hs.components,
                 hs.product_edges,
                 hs.dead_callbacks,
-                hs.infeasible_exported,
             );
             if with_timings {
                 let _ = write!(out, ", {:.2} ms", ms(self.metrics.timings.histories));

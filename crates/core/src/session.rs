@@ -31,11 +31,10 @@ use crate::pipeline::{SierraConfig, SierraResult, Stage, StageMetrics, StageSet}
 use crate::report::RaceReport;
 use crate::stages::{
     compare_without_as, discharge_histories, link_and_solve, linked_accesses, race_reports,
-    racy_pairs, triage_races, with_dead_edges,
+    racy_pairs, triage_races,
 };
 use crate::summary::{MemoryStore, SummaryStore};
 use android_model::AndroidApp;
-use apir::InfeasibleEdges;
 use harness_gen::HarnessResult;
 use histories::HistoryModel;
 use pointer::{Access, Analysis};
@@ -168,8 +167,8 @@ impl SessionBuilder {
     }
 
     /// Consults (and feeds) a corpus-shared store for framework-origin
-    /// method summaries, ahead of the per-app store (see
-    /// [`crate::summary::load_or_summarize`]). The shared store may be
+    /// method summaries, ahead of the per-app store (see the linking
+    /// pass of [`AnalysisSession::pointer`]). The shared store may be
     /// the same object as the per-app store: the key spaces are
     /// disjoint by fingerprint.
     pub fn shared_store(mut self, shared: Arc<dyn SummaryStore>) -> Self {
@@ -250,9 +249,6 @@ struct Outputs {
     shbg: Option<Shbg>,
     candidates: Option<Candidates>,
     prefilter: Option<PrefilterOutcome>,
-    /// Built by the `Histories` stage ahead of refutation, which
-    /// consumes its dead-callback edges.
-    history_model: Option<HistoryModel>,
     refute: Option<Vec<RaceReport>>,
     /// The races left, and the pairs no event history realizes.
     histories: Option<(Vec<RaceReport>, Vec<PrunedPair>)>,
@@ -277,8 +273,6 @@ pub struct PrefilterOutcome {
     pub kept: Vec<(Access, Access)>,
     /// Pruned pairs with their verdicts, in candidate order.
     pub pruned: Vec<PrunedPair>,
-    /// Statically-infeasible branch edges, shared with the refuter.
-    pub infeasible: Arc<InfeasibleEdges>,
 }
 
 impl AnalysisSession {
@@ -468,36 +462,21 @@ impl AnalysisSession {
                 Some(PrefilterOutcome {
                     kept: run.kept,
                     pruned: run.pruned,
-                    infeasible: Arc::new(run.infeasible),
                 })
             },
             || PrefilterOutcome {
                 kept: candidates.clone(),
                 pruned: Vec::new(),
-                infeasible: Arc::new(InfeasibleEdges::new()),
             },
         )?;
 
         let program = &harness.app.program;
-        if d.stages.contains(Stage::Histories) && out.refute.is_none() && last >= Stage::Refute {
-            d.timed(Stage::Histories, |m| {
-                let model = HistoryModel::build(program, &harness.app.framework, analysis);
-                m.histories = model.stats();
-                out.history_model = Some(model);
-            });
-        }
         let races = d.step_or(
             Stage::Refute,
             &mut out.refute,
             |m| {
-                let infeasible = with_dead_edges(
-                    prefilter,
-                    out.history_model.as_ref(),
-                    &mut m.histories.infeasible_exported,
-                );
                 let mut refuter = Refuter::new(analysis, program, config.refuter)
-                    .with_message_model(harness.app.framework.message_what)
-                    .with_infeasible_edges(infeasible);
+                    .with_message_model(harness.app.framework.message_what);
                 let outcomes = refuter.refute_all(&prefilter.kept);
                 m.refuter = refuter.stats;
                 Some(race_reports(program, &prefilter.kept, outcomes))
@@ -511,8 +490,9 @@ impl AnalysisSession {
             Stage::Histories,
             &mut out.histories,
             |m| {
-                let model = out.history_model.as_ref()?;
-                Some(discharge_histories(model, races, &mut m.histories))
+                let model = HistoryModel::build(program, &harness.app.framework, analysis);
+                m.histories = model.stats();
+                Some(discharge_histories(&model, races, &mut m.histories))
             },
             || (races.clone(), Vec::new()),
         )?;
@@ -546,19 +526,11 @@ struct Driver<'a> {
 }
 
 impl Driver<'_> {
-    /// Runs `body` and adds its wall-clock time to `stage`: the one
-    /// place the pipeline's stages are timed.
-    fn timed<T>(&mut self, stage: Stage, body: impl FnOnce(&mut StageMetrics) -> T) -> T {
-        let t = Instant::now();
-        let out = body(self.metrics);
-        *self.metrics.timings.of_mut(stage) += t.elapsed();
-        out
-    }
-
     /// `stage`'s stored output. On first reach (at or before `last`)
-    /// runs `body` timed and, when it yields an output, reports the
-    /// stage and stores the output. `None` when there is no output:
-    /// `stage` lies past `last`, or `body` had no input.
+    /// runs `body`, adds its wall-clock time to `stage` (the one place
+    /// the pipeline's stages are timed) and, when it yields an output,
+    /// reports the stage and stores the output. `None` when there is no
+    /// output: `stage` lies past `last`, or `body` had no input.
     fn step<'s, T>(
         &mut self,
         stage: Stage,
@@ -566,7 +538,9 @@ impl Driver<'_> {
         body: impl FnOnce(&mut StageMetrics) -> Option<T>,
     ) -> Option<&'s mut T> {
         if slot.is_none() && stage <= self.last {
-            *slot = self.timed(stage, body);
+            let t = Instant::now();
+            *slot = body(self.metrics);
+            *self.metrics.timings.of_mut(stage) += t.elapsed();
             if slot.is_some() {
                 (self.on_stage)(stage, self.metrics);
             }

@@ -5,15 +5,13 @@
 use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, StageMetrics};
 use crate::report::{priority_of, RaceReport};
-use crate::session::PrefilterOutcome;
 use crate::summary::{config_fingerprint, load_or_summarize, SummaryStore};
-use apir::InfeasibleEdges;
 use harness_gen::HarnessResult;
 use histories::{HistoryModel, HistoryPattern, HistoryStats};
 use pointer::{collect_accesses_from_sites, Access, Analysis, SelectorKind};
 use prefilter::{PrunedPair, Verdict};
 use shbg::Shbg;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use symexec::Outcome;
 
@@ -70,32 +68,6 @@ fn load_or_solve(
     ));
     store.put_analysis(key, Arc::clone(&analysis));
     (analysis, false)
-}
-
-/// The refuter's infeasible edges: the prefilter's plus the history
-/// model's dead-callback edges, except in methods holding a kept pair's
-/// accesses — the histories stage judges those itself, since a
-/// machine-checkable History verdict beats a silent refutation.
-pub(crate) fn with_dead_edges(
-    prefilter: &PrefilterOutcome,
-    model: Option<&HistoryModel>,
-    exported: &mut usize,
-) -> Arc<InfeasibleEdges> {
-    let Some(model) = model.filter(|m| !m.dead_edges().is_empty()) else {
-        return Arc::clone(&prefilter.infeasible);
-    };
-    let kept_methods: HashSet<apir::MethodId> = prefilter
-        .kept
-        .iter()
-        .flat_map(|(a, b)| [a.method, b.method])
-        .collect();
-    let mut merged = (*prefilter.infeasible).clone();
-    for (m, from, to) in model.dead_edges().iter_sorted() {
-        if !kept_methods.contains(&m) && merged.insert(m, from, to) {
-            *exported += 1;
-        }
-    }
-    Arc::new(merged)
 }
 
 /// Ranked race reports for the kept pairs that `outcomes` did not

@@ -6,8 +6,7 @@
 //! - **call dominance** ([`shbg::CallDominance`]) — the dominance pairs
 //!   HB rules 2–4 query;
 //! - **constant-propagation facts** ([`prefilter::constprop::ConstFacts`])
-//!   — infeasible branch edges and dead blocks for the prefilter and
-//!   refuter;
+//!   — the dead blocks the prefilter's constprop rule reads;
 //! - **access sites** ([`pointer::AccessSite`]) — the field accesses the
 //!   candidate stage instantiates per context.
 //!

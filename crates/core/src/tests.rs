@@ -624,3 +624,20 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
         }
     }
 }
+
+#[test]
+fn refute_does_no_histories_work() {
+    use crate::AnalysisSession;
+    use std::time::Duration;
+    let (app, _) = corpus::protocol_idioms::task_cancel();
+    let mut session = AnalysisSession::new(SierraConfig::default(), app);
+    session.refute().expect("refute runs");
+    let m = session.metrics();
+    assert_eq!(m.histories, histories::HistoryStats::default());
+    assert_eq!(m.timings.histories, Duration::ZERO);
+
+    session.histories().expect("histories runs");
+    let h = session.metrics().histories;
+    assert!(h.automaton_states > 0 && h.automaton_edges > 0 && h.components > 0);
+    assert!(h.dead_callbacks >= 1, "the cancelled post is dead: {h:?}");
+}

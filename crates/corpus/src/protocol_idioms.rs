@@ -15,8 +15,7 @@
 //!   quiesced before `onDestroy` can run: **pause-quiesced**.
 //! - [`task_cancel`] — an `AsyncTask` is executed and cancelled inside
 //!   the same `onCreate`; its `onPostExecute` is dead:
-//!   **unregistered-before-posted** (and the dead callback's helper
-//!   feeds infeasible edges to the refuter).
+//!   **unregistered-before-posted**.
 //! - [`pause_unregister`] — a receiver registered in `onCreate` is
 //!   unregistered in `onPause`, so `onReceive` cannot reach the
 //!   destroy region: **pause-quiesced**.
@@ -336,9 +335,9 @@ pub fn fragment_detach() -> (AndroidApp, GroundTruth) {
 /// Async-task cancellation: `onCreate` executes a task and immediately
 /// cancels it, so the posted `onPostExecute` has an empty occurrence
 /// window — the **unregistered-before-posted** discharge. Its private
-/// `render` helper is a provably-dead callback body whose CFG edges are
-/// exported to the refuter. The true race is a background monitor
-/// bumping `status` while `onResume` reads it.
+/// `render` helper is reachable only from that dead callback. The true
+/// race is a background monitor bumping `status` while `onResume` reads
+/// it.
 pub fn task_cancel() -> (AndroidApp, GroundTruth) {
     let mut app = AndroidAppBuilder::new("TaskCancel");
     let mut truth = GroundTruth::new();
@@ -368,8 +367,8 @@ pub fn task_cancel() -> (AndroidApp, GroundTruth) {
     mb.finish();
 
     // render(): dead alongside onPostExecute — it is reachable only from
-    // the cancelled post action, so its CFG edges become infeasible-edge
-    // exports for the refuter. The extra block gives it an edge to export.
+    // the cancelled post action. Its two blocks and its `banner` load are
+    // part of the fixture's pinned counters, so they stay.
     let mut mb = app.method(task, "render");
     mb.set_param_count(1);
     let this = mb.param(0);

@@ -22,17 +22,17 @@
 //! *occurrence set* ([`StateSet`]) — the automaton states in which that
 //! action can be dispatched, derived from the harness's
 //! registration/post edges and the window-closing calls
-//! ([`discover`]). A pair is refutable when the product of the two
+//! ([`discover()`]). A pair is refutable when the product of the two
 //! occurrence sets admits no path realizing one of the two orders: the
 //! pair is then protocol-*ordered*, not racy. The check is a bounded
 //! history abstraction — occurrence sets only ever over-approximate
 //! deliverability, so a refutation is a proof under the automaton
 //! model, never a heuristic.
 //!
-//! The stage also exports the CFG edges of *dead* callbacks (empty
-//! occurrence set: provably never dispatched) in the same
-//! [`apir::InfeasibleEdges`] form the prefilter shares with `symexec`,
-//! so the symbolic refuter's remaining path searches shrink too.
+//! The stage runs after the symbolic refuter, on the races it left,
+//! and shares nothing with it. It also counts *dead* callbacks (empty
+//! occurrence set: provably never dispatched); a pair with a dead side
+//! is discharged as unregistered-before-posted.
 
 pub mod automaton;
 pub mod discover;
@@ -105,8 +105,6 @@ pub struct HistoryStats {
     pub discharged_pause: usize,
     /// Callbacks with a provably-empty occurrence set.
     pub dead_callbacks: usize,
-    /// Dead-callback CFG edges actually exported to the refuter.
-    pub infeasible_exported: usize,
 }
 
 impl HistoryStats {

@@ -5,7 +5,7 @@ use crate::automaton::{LifeState, LifecycleAutomaton, StateSet};
 use crate::discover::{discover, Discovered};
 use crate::{HistoryPattern, HistoryStats};
 use android_model::{ActionId, ActionKind, FrameworkClasses};
-use apir::{ClassId, InfeasibleEdges, MethodId, Program};
+use apir::{ClassId, Program};
 use pointer::Analysis;
 use std::collections::HashSet;
 
@@ -45,15 +45,12 @@ pub struct PairCheck {
 pub struct HistoryModel {
     automaton: LifecycleAutomaton,
     facts: Vec<ActionFacts>,
-    dead_edges: InfeasibleEdges,
-    dead_methods: HashSet<MethodId>,
     stats: HistoryStats,
 }
 
 impl HistoryModel {
     /// Builds the model: discovers closing calls, solves the occurrence
-    /// recursion over the action graph, and collects dead-callback CFG
-    /// edges.
+    /// recursion over the action graph, and counts dead callbacks.
     pub fn build(program: &Program, fw: &FrameworkClasses, analysis: &Analysis) -> HistoryModel {
         let automaton = LifecycleAutomaton::new();
         let discovered = discover(program, fw, analysis);
@@ -96,49 +93,22 @@ impl HistoryModel {
         }
 
         // Dead callbacks: relevant actions whose occurrence set is
-        // empty. Their bodies can never execute under any realizable
-        // history, so every CFG edge of a method reachable *only* from
-        // dead actions is infeasible for the symbolic refuter too.
-        let dead: HashSet<ActionId> = analysis
+        // empty. Their bodies never execute under any realizable history.
+        let dead = analysis
             .actions
             .ids()
             .filter(|id| facts[id.index()].relevant && facts[id.index()].occ.is_empty())
-            .collect();
-        let mut dead_edges = InfeasibleEdges::new();
-        let mut dead_methods = HashSet::new();
-        let mut methods: HashSet<MethodId> = HashSet::new();
-        for &(m, _) in &analysis.reachable {
-            methods.insert(m);
-        }
-        for m in methods {
-            let ctxs = analysis.contexts_of(m);
-            if ctxs.is_empty() || !program.method(m).has_body() {
-                continue;
-            }
-            if !ctxs.iter().all(|&c| dead.contains(&analysis.action_of(c))) {
-                continue;
-            }
-            dead_methods.insert(m);
-            let method = program.method(m);
-            for (bid, block) in method.iter_blocks() {
-                for succ in block.terminator.successors() {
-                    dead_edges.insert(m, bid, succ);
-                }
-            }
-        }
-
+            .count();
         let stats = HistoryStats {
             automaton_states: automaton.state_count() * components.len(),
             automaton_edges: automaton.edge_count() * components.len(),
             components: components.len(),
-            dead_callbacks: dead.len(),
+            dead_callbacks: dead,
             ..HistoryStats::default()
         };
         HistoryModel {
             automaton,
             facts,
-            dead_edges,
-            dead_methods,
             stats,
         }
     }
@@ -146,27 +116,6 @@ impl HistoryModel {
     /// Build-time counters (automaton size, components, dead callbacks).
     pub fn stats(&self) -> HistoryStats {
         self.stats
-    }
-
-    /// The shared event-order automaton.
-    pub fn automaton(&self) -> &LifecycleAutomaton {
-        &self.automaton
-    }
-
-    /// The occurrence set computed for `action`.
-    pub fn occurrence(&self, action: ActionId) -> StateSet {
-        self.facts[action.index()].occ
-    }
-
-    /// CFG edges of provably-dead callbacks, in the same shape the
-    /// prefilter shares with `symexec`.
-    pub fn dead_edges(&self) -> &InfeasibleEdges {
-        &self.dead_edges
-    }
-
-    /// Methods whose every reachable context belongs to a dead action.
-    pub fn dead_methods(&self) -> &HashSet<MethodId> {
-        &self.dead_methods
     }
 
     /// Checks one surviving pair for joint reachability under a

@@ -252,7 +252,7 @@ impl std::fmt::Display for ParseSelectorError {
 impl std::error::Error for ParseSelectorError {}
 
 impl std::fmt::Display for SelectorKind {
-    /// The canonical spec syntax, re-parsable by [`FromStr`]:
+    /// The canonical spec syntax, re-parsable by [`FromStr`](std::str::FromStr):
     /// `insensitive`, `action:K`, `k-cfa:K`, `k-obj:K`, `hybrid:K`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -268,7 +268,7 @@ impl std::fmt::Display for SelectorKind {
 impl std::str::FromStr for SelectorKind {
     type Err = ParseSelectorError;
 
-    /// Parses the spec syntax rendered by [`Display`](fmt::Display):
+    /// Parses the spec syntax rendered by [`Display`](std::fmt::Display):
     /// `insensitive`, or one of `action`/`k-cfa`/`k-obj`/`hybrid`
     /// followed by `:K` (`K` defaults to 1 when omitted).
     fn from_str(s: &str) -> Result<Self, Self::Err> {

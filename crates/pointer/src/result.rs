@@ -6,15 +6,6 @@ use crate::summary::{reachable_access_sites, AccessSite};
 use android_model::ActionId;
 use apir::{ClassId, FieldId, MethodId, Program, StmtAddr};
 
-/// An abstract memory location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum AccessLoc {
-    /// An instance field of an abstract object.
-    Field(ObjId, FieldId),
-    /// A static field.
-    Static(FieldId),
-}
-
 /// One memory access attributed to an action.
 #[derive(Debug, Clone)]
 pub struct Access {
@@ -40,18 +31,6 @@ pub struct Access {
 }
 
 impl Access {
-    /// The abstract locations this access may touch.
-    pub fn locs(&self) -> Vec<AccessLoc> {
-        if self.is_static {
-            vec![AccessLoc::Static(self.field)]
-        } else {
-            self.base
-                .iter()
-                .map(|&o| AccessLoc::Field(o, self.field))
-                .collect()
-        }
-    }
-
     /// Whether two accesses may touch a common location. Both base sets
     /// are sorted (see [`Access::base`]), so the intersection test is a
     /// linear two-pointer walk instead of a quadratic scan.
@@ -179,6 +158,5 @@ mod tests {
         let c = mk(vec![4]);
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert_eq!(a.locs().len(), 2);
     }
 }

@@ -5,14 +5,9 @@
 //! states map locals to known constants (absent = unknown, intersection
 //! join), and the edge transfer refutes the untaken side of an `If`
 //! whose condition folds to a constant — the framework's executable-edge
-//! semantics. At the fixpoint, an `If` edge of an executable block that
-//! was never taken is statically infeasible, and a block with no
-//! executable in-edge is dead.
-//!
-//! Both facts are consumed twice: the prefilter drops candidate accesses
-//! in dead blocks ([`crate::Verdict::ConstProp`]), and the infeasible
-//! edges are exported to the symbolic refuter so backward path search
-//! never crosses them.
+//! semantics. At the fixpoint, a block with no executable in-edge is
+//! dead, and the prefilter drops candidate accesses in dead blocks
+//! ([`crate::Verdict::ConstProp`]).
 
 use apir::dataflow::{self, DataflowAnalysis, JoinSemiLattice};
 use apir::{
@@ -23,8 +18,6 @@ use std::collections::HashMap;
 /// Per-method constant-propagation facts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConstFacts {
-    /// `If` edges that can never be taken, in `(from, to)` block order.
-    pub infeasible: Vec<(BlockId, BlockId)>,
     /// Blocks that never execute (no feasible in-edge), sorted.
     pub dead_blocks: Vec<BlockId>,
 }
@@ -94,26 +87,13 @@ impl DataflowAnalysis for Sccp {
 /// Analyzes one method body.
 pub fn analyze_method(method: &Method) -> ConstFacts {
     let results = dataflow::solve(method, &Sccp);
-    let mut facts = ConstFacts::default();
-    for (b, block) in method.iter_blocks() {
-        if !results.reached(b) {
-            facts.dead_blocks.push(b);
-            continue;
-        }
-        if let Terminator::If {
-            then_bb, else_bb, ..
-        } = block.terminator
-        {
-            if then_bb != else_bb {
-                for succ in [then_bb, else_bb] {
-                    if !results.edge_executable(b, succ) {
-                        facts.infeasible.push((b, succ));
-                    }
-                }
-            }
-        }
+    ConstFacts {
+        dead_blocks: method
+            .iter_blocks()
+            .map(|(b, _)| b)
+            .filter(|&b| !results.reached(b))
+            .collect(),
     }
-    facts
 }
 
 fn eval(op: Operand, state: &HashMap<Local, ConstValue>) -> Option<ConstValue> {

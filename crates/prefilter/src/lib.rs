@@ -17,11 +17,9 @@
 //!    dead or one-sided-ordered against its partner; such pairs are pruned
 //!    with [`Verdict::Guarded`].
 //! 3. **Intraprocedural constant/branch pruning** ([`constprop`]): a
-//!    sparse conditional constant propagation marks statically-infeasible
-//!    branch edges. Accesses in dead blocks are pruned with
-//!    [`Verdict::ConstProp`], and the edge set is exported (as
-//!    [`apir::InfeasibleEdges`]) so the symbolic refuter skips infeasible
-//!    paths and converges in fewer steps.
+//!    sparse conditional constant propagation finds the blocks no
+//!    feasible branch edge reaches. Accesses in those dead blocks are
+//!    pruned with [`Verdict::ConstProp`].
 //!
 //! Every pruned pair carries a machine-checkable [`Verdict`] so that
 //! reports (and the soundness regression tests) can audit exactly why a
@@ -32,7 +30,7 @@ pub mod escape;
 pub mod guard;
 
 use android_model::ActionId;
-use apir::{FieldId, InfeasibleEdges, MethodId, Program, StmtAddr};
+use apir::{FieldId, MethodId, Program, StmtAddr};
 use pointer::{Access, Analysis, ObjId};
 use shbg::Shbg;
 use std::collections::HashSet;
@@ -141,8 +139,6 @@ pub struct PrefilterStats {
     pub pruned_guarded: usize,
     /// Pairs pruned by constant/branch pruning.
     pub pruned_constprop: usize,
-    /// Statically-infeasible branch edges found (exported to the refuter).
-    pub infeasible_edges: usize,
 }
 
 impl PrefilterStats {
@@ -159,8 +155,6 @@ pub struct PrefilterResult {
     pub kept: Vec<(Access, Access)>,
     /// Pruned pairs with their verdicts, in input order.
     pub pruned: Vec<PrunedPair>,
-    /// Statically-infeasible branch edges over all reachable methods.
-    pub infeasible: InfeasibleEdges,
     /// Stage counters.
     pub stats: PrefilterStats,
 }
@@ -172,8 +166,7 @@ pub struct PrefilterResult {
 /// The result partitions the input: `kept ∪ pruned == candidates`, order
 /// preserved within each part. Analyses are tried per pair in a fixed
 /// order (escape, then guard, then constprop) so verdict counts are
-/// deterministic. Infeasible edges are exported for every method
-/// reachable in `analysis`.
+/// deterministic.
 pub fn run<'f>(
     program: &Program,
     analysis: &Analysis,
@@ -184,18 +177,7 @@ pub fn run<'f>(
     let confined = escape::non_escaping_objects(program, analysis);
     let mut guards = guard::GuardAnalysis::new(program, analysis, graph);
 
-    let mut infeasible = InfeasibleEdges::new();
-    let reachable: HashSet<MethodId> = analysis.reachable.iter().map(|&(m, _)| m).collect();
-    for m in reachable {
-        for &(from, to) in const_facts(m).map_or(&[][..], |f| &f.infeasible) {
-            infeasible.insert(m, from, to);
-        }
-    }
-
-    let mut stats = PrefilterStats {
-        infeasible_edges: infeasible.len(),
-        ..PrefilterStats::default()
-    };
+    let mut stats = PrefilterStats::default();
     let mut kept = Vec::new();
     let mut pruned = Vec::new();
     for (a, b) in candidates {
@@ -224,18 +206,13 @@ pub fn run<'f>(
     PrefilterResult {
         kept,
         pruned,
-        infeasible,
         stats,
     }
 }
 
 /// Escape check: all shared base objects confined ⇒ the two actions can
 /// never alias a concrete instance, so the pair cannot race.
-fn escape_verdict(
-    confined: &std::collections::HashSet<ObjId>,
-    a: &Access,
-    b: &Access,
-) -> Option<Verdict> {
+fn escape_verdict(confined: &HashSet<ObjId>, a: &Access, b: &Access) -> Option<Verdict> {
     if a.is_static || b.is_static {
         return None;
     }

@@ -33,7 +33,6 @@ fn constant_false_branch_is_infeasible_and_then_block_dead() {
     let p = pb.finish();
 
     let facts = constprop::analyze_method(p.method(m));
-    assert_eq!(facts.infeasible, vec![(BlockId(0), t)]);
     assert_eq!(facts.dead_blocks, vec![t]);
     assert!(facts.is_dead(t));
     assert!(!facts.is_dead(e));
@@ -57,7 +56,6 @@ fn unknown_branch_prunes_nothing() {
     let p = pb.finish();
 
     let facts = constprop::analyze_method(p.method(m));
-    assert!(facts.infeasible.is_empty());
     assert!(facts.dead_blocks.is_empty());
 }
 
@@ -101,7 +99,6 @@ fn constants_survive_joins_only_when_they_agree() {
     let p = pb.finish();
 
     let facts = constprop::analyze_method(p.method(m));
-    assert_eq!(facts.infeasible, vec![(join, e2)]);
     assert_eq!(facts.dead_blocks, vec![e2]);
 }
 
@@ -143,7 +140,6 @@ fn disagreeing_joins_reach_bottom() {
     let p = pb.finish();
 
     let facts = constprop::analyze_method(p.method(m));
-    assert!(facts.infeasible.is_empty());
     assert!(facts.dead_blocks.is_empty());
 }
 
@@ -183,7 +179,6 @@ fn negated_bool_and_arithmetic_fold() {
     let p = pb.finish();
 
     let facts = constprop::analyze_method(p.method(m));
-    assert_eq!(facts.infeasible, vec![(BlockId(0), e)]);
     assert_eq!(facts.dead_blocks, vec![e]);
 }
 

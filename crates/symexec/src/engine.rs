@@ -12,12 +12,16 @@
 //! If either direction has no witness, the candidate is refuted — the
 //! accesses are protected by ad-hoc synchronization. Budget exhaustion
 //! reports the race (over-approximation, §5 "Caching").
+//!
+//! The search crosses every CFG predecessor edge. What prunes a path is
+//! the search's own state: a conflicting constraint, the per-path
+//! block-visit bound, or a method in the refuted-node cache.
 
 use crate::constraints::{Constraint, ConstraintStore, SymLoc};
 use android_model::{ActionId, ActionKind};
 use apir::{
-    BlockId, CallSiteId, ConstValue, FieldId, InfeasibleEdges, Local, MethodId, Operand, Program,
-    Stmt, StmtAddr, Terminator,
+    BlockId, CallSiteId, ConstValue, FieldId, Local, MethodId, Operand, Program, Stmt, StmtAddr,
+    Terminator,
 };
 use pointer::{Access, Analysis, CtxId};
 use std::collections::{HashMap, HashSet};
@@ -129,9 +133,6 @@ pub struct Refuter<'a> {
     /// `Message.what`'s field id, enabling the §5 on-demand
     /// constant-propagation facts for `handleMessage` actions.
     message_what_field: Option<FieldId>,
-    /// Statically-infeasible branch edges (from the prefilter's constant
-    /// propagation): backward search never crosses them.
-    infeasible: Arc<InfeasibleEdges>,
     /// Aggregate statistics.
     pub stats: RefuterStats,
 }
@@ -158,7 +159,6 @@ impl<'a> Refuter<'a> {
             callers: Arc::new(callers),
             refuted_methods: HashSet::new(),
             message_what_field: None,
-            infeasible: Arc::new(InfeasibleEdges::new()),
             stats: RefuterStats::default(),
         }
     }
@@ -168,15 +168,6 @@ impl<'a> Refuter<'a> {
     /// `msg.what = code` to every query touching it.
     pub fn with_message_model(mut self, message_what: FieldId) -> Self {
         self.message_what_field = Some(message_what);
-        self
-    }
-
-    /// Installs statically-infeasible branch edges (from the prefilter's
-    /// constant propagation). Backward path search skips predecessors
-    /// reached through such an edge, so queries converge in fewer paths
-    /// without changing any feasible verdict.
-    pub fn with_infeasible_edges(mut self, edges: Arc<InfeasibleEdges>) -> Self {
-        self.infeasible = edges;
         self
     }
 
@@ -390,9 +381,6 @@ impl<'a> Refuter<'a> {
                 for &p in pred_list {
                     let count = st.visits.get(&(st.m, p)).copied().unwrap_or(0);
                     if count >= BLOCK_VISIT_LIMIT {
-                        continue;
-                    }
-                    if self.infeasible.contains(st.m, p, st.block) {
                         continue;
                     }
                     let mut forked = st.clone();
