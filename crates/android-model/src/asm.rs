@@ -550,6 +550,15 @@ fn assemble_body(
         }
     }
 
+    // A block may use a local that a later block assigns (a loop's back
+    // edge): every assigned name gets its local up front, in the order
+    // the statements would allocate them. Unassigned names stay unknown.
+    for (_, line) in &src.body {
+        if let Some(lhs) = assigned_local(line) {
+            env.local(&mut mb, lhs);
+        }
+    }
+
     // Collect labels so forward branches resolve.
     let mut first_label = true;
     for (_, line) in &src.body {
@@ -830,6 +839,13 @@ fn assemble_stmt(
         }
     }
     Ok(false)
+}
+
+/// The local a body line assigns, if any: a bare name left of its `=`.
+fn assigned_local(line: &str) -> Option<&str> {
+    let lhs = split_assign(line)?.0.trim();
+    let bare = lhs.chars().all(|c| c.is_alphanumeric() || c == '_');
+    bare.then_some(lhs)
 }
 
 /// Splits `lhs = rhs` at the first `=` that is an assignment (not part of

@@ -10,9 +10,12 @@
 //! cargo bench --bench figures
 //! ```
 
+use apir::MethodId;
 use pointer::SelectorKind;
+use shbg::CallDominance;
 use sierra_bench::{group, time};
 use sierra_core::Sierra;
+use std::collections::HashMap;
 
 fn main() {
     group("figures");
@@ -27,9 +30,10 @@ fn main() {
         Sierra::new().analyze_app(fig2.clone()).races.len()
     });
 
-    // Figures 5/6/7: SHBG construction on a prepared analysis. The corpus's
-    // ordered-posts idiom exercises rules 4–7; the lifecycle/GUI rules run
-    // on every harness.
+    // Figures 5/6/7: SHBG construction on a prepared analysis and its
+    // per-method dominance facts; only `shbg::build` is timed. The
+    // corpus's ordered-posts idiom exercises rules 4–7; the lifecycle/GUI
+    // rules run on every harness.
     let mut app = android_model::AndroidAppBuilder::new("HbFixture");
     let mut truth = corpus::GroundTruth::new();
     corpus::Idiom::OrderedPosts.plant(&mut app, "com.fix.Posts", &mut truth);
@@ -37,8 +41,13 @@ fn main() {
     let app = app.finish().expect("fixture builds");
     let harness = harness_gen::generate(app);
     let analysis = pointer::analyze(&harness, SelectorKind::ActionSensitive(1));
+    let dominance: HashMap<MethodId, CallDominance> = analysis
+        .reachable
+        .iter()
+        .map(|&(m, _)| (m, CallDominance::compute(harness.app.program.method(m))))
+        .collect();
     time("fig5_fig6_fig7_shbg_construction", 30, || {
-        shbg::build(&analysis, &harness).ordered_pair_count()
+        shbg::build(&analysis, &harness, |m| &dominance[&m]).ordered_pair_count()
     });
 
     // Figure 8: the refutation showcase.

@@ -795,8 +795,9 @@ mod tests {
     #[test]
     fn shared_layer_serves_framework_summaries_across_apps() {
         // One shared in-memory layer, two different apps with private
-        // per-app stores: the second app's framework-origin methods are
-        // all served from the layer the first app populated.
+        // per-app stores: the framework method both reach
+        // (`Adapter.notifyDataSetChanged`) is served to the second app
+        // from the layer the first app populated.
         let shared: Arc<dyn SummaryStore> = Arc::new(sierra_core::MemoryStore::new());
         let template = default_template().shared_store(shared);
         let er = EventRacerConfig::default();
@@ -808,7 +809,8 @@ mod tests {
         let first = run(app1, &truth1).report.metrics.link;
         assert_eq!(first.summaries_shared, 0, "nothing to share yet");
 
-        let (app2, truth2) = corpus::figures::inter_component();
+        let spec = twenty::TWENTY.iter().find(|s| s.name == "NotePad");
+        let (app2, truth2) = twenty::build_app(*spec.expect("NotePad is in the corpus"));
         let second = run(app2, &truth2).report.metrics.link;
         assert!(second.summaries_shared > 0, "framework summaries shared");
     }

@@ -452,18 +452,23 @@ mod tests {
 
     #[test]
     fn shared_store_serves_framework_summaries_across_different_apps() {
-        const FIG2: &str = include_str!("../../../fixtures/fig2_inter_component.sierra");
-        let fig2_request = obj(vec![
+        // Fig 1 and NotePad both reach `Adapter.notifyDataSetChanged`.
+        let spec = corpus::twenty::TWENTY.iter().find(|s| s.name == "NotePad");
+        let (notepad, _) = corpus::twenty::build_app(*spec.expect("NotePad is in the corpus"));
+        let second_request = obj(vec![
             ("id", num(2)),
             ("op", Json::Str("analyze".to_owned())),
-            ("name", Json::Str("Fig2".to_owned())),
-            ("source", Json::Str(FIG2.to_owned())),
+            ("name", Json::Str("NotePad".to_owned())),
+            (
+                "source",
+                Json::Str(android_model::asm::render_app(&notepad)),
+            ),
         ])
         .render();
         let input = format!(
             "{}\n{}\n{}\n",
             analyze_request(1),
-            fig2_request,
+            second_request,
             r#"{"op":"shutdown"}"#
         );
 
@@ -487,7 +492,7 @@ mod tests {
         // without any sharing reports identically (modulo run-dependent
         // groups).
         let (_, baseline) = drive(
-            format!("{fig2_request}\n").as_bytes(),
+            format!("{second_request}\n").as_bytes(),
             Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>,
         );
         let strip = |e: &Json| {

@@ -54,7 +54,7 @@ pub use counters::{Counter, CounterGroup, ReadCounter, COUNTER_GROUPS};
 pub use engine::{run_jobs, EngineError};
 pub use histories::{HistoryPattern, HistoryStats};
 pub use json::Json;
-pub use link::{LinkStats, LinkedSummaries};
+pub use link::LinkStats;
 pub use pipeline::{
     Sierra, SierraConfig, SierraConfigBuilder, SierraResult, Stage, StageMetrics, StageSet,
     StageTimings,

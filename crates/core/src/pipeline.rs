@@ -282,11 +282,11 @@ pub struct StageMetrics {
     /// reachable-callback recall (computed after the pointer stage
     /// regardless of policy; only *rendered* under `resolve`/`havoc`).
     pub soundness: SoundnessStats,
-    /// Summary-store counters from the linking pass: how many per-method
-    /// summaries were served from the store vs. recomputed, and whether
-    /// the whole points-to `Analysis` artifact was reused. Never affects
-    /// results — reuse changes work done, not answers — so it is excluded
-    /// from the stable report rendering.
+    /// Reuse counters of the pointer stage: whether the whole points-to
+    /// `Analysis` artifact was reused, and how many summaries of the
+    /// methods it reached were served from the store vs. recomputed.
+    /// Never affects results — reuse changes work done, not answers — so
+    /// it is excluded from the stable report rendering.
     pub link: LinkStats,
 }
 

@@ -19,12 +19,14 @@
 //!
 //! Sessions are built with [`SessionBuilder`] from an app, a generated
 //! harness, or inline `.sierra` source, optionally over a shared
-//! [`SummaryStore`]. The pointer stage's **linking pass** pulls each
-//! method's facts from the store by content hash (recomputing misses)
-//! and reuses the whole points-to `Analysis` when no solver-relevant
-//! statement changed; later stages consume the linked facts, so a warm
-//! session redoes only what an edit touched, with byte-identical
-//! reports. Reuse is observable in [`StageMetrics::link`].
+//! [`SummaryStore`]. The pointer stage solves first and links after: it
+//! digests the program, reuses the whole points-to `Analysis` cached
+//! under the program's analysis key (or solves and caches it), audits
+//! it, and then its **linking pass** pulls the facts of each method the
+//! analysis reached from the store by content hash, summarizing only
+//! misses. Later stages read only those facts, so a warm session redoes
+//! only what an edit touched, with byte-identical reports. Reuse is
+//! observable in [`StageMetrics::link`].
 
 use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, SierraResult, Stage, StageMetrics, StageSet};
@@ -35,6 +37,7 @@ use crate::stages::{
 };
 use crate::summary::{MemoryStore, SummaryStore};
 use android_model::AndroidApp;
+use apir::ProgramDigest;
 use harness_gen::HarnessResult;
 use histories::HistoryModel;
 use pointer::{Access, Analysis};
@@ -168,7 +171,7 @@ impl SessionBuilder {
 
     /// Consults (and feeds) a corpus-shared store for framework-origin
     /// method summaries, ahead of the per-app store (see the linking
-    /// pass of [`AnalysisSession::pointer`]). The shared store may be
+    /// step of [`AnalysisSession::pointer`]). The shared store may be
     /// the same object as the per-app store: the key spaces are
     /// disjoint by fingerprint.
     pub fn shared_store(mut self, shared: Arc<dyn SummaryStore>) -> Self {
@@ -245,7 +248,7 @@ pub struct AnalysisSession {
 #[derive(Debug, Default)]
 struct Outputs {
     harness: Option<Arc<HarnessResult>>,
-    pointer: Option<(LinkedSummaries, Arc<Analysis>)>,
+    pointer: Option<(ProgramDigest, Arc<Analysis>, LinkedSummaries)>,
     shbg: Option<Shbg>,
     candidates: Option<Candidates>,
     prefilter: Option<PrefilterOutcome>,
@@ -305,12 +308,13 @@ impl AnalysisSession {
         self.through(Stage::Harness, |o| o.harness.as_ref())
     }
 
-    /// Stage 2: summary linking + call graph + pointer analysis (§3.3).
-    /// Recomputes only the method summaries whose content key misses the
-    /// store and reuses the whole cached `Analysis` when no method's
-    /// pointer digest changed; then audits the call graph.
+    /// Stage 2: call graph + pointer analysis (§3.3), then summary
+    /// linking. Reuses the whole cached `Analysis` when no method's
+    /// pointer digest changed, audits the call graph, and links the
+    /// summaries of the methods the analysis reached, recomputing only
+    /// those whose content key misses the store.
     pub fn pointer(&mut self) -> Result<&Arc<Analysis>, SessionError> {
-        self.through(Stage::Pointer, |o| o.pointer.as_ref().map(|(_, a)| a))
+        self.through(Stage::Pointer, |o| o.pointer.as_ref().map(|(_, a, _)| a))
     }
 
     /// Stage 3: SHBG construction (§4), over the linked dominance facts.
@@ -370,7 +374,7 @@ impl AnalysisSession {
         self.walk(Stage::Compare, &mut on_stage);
         let Outputs {
             harness: Some(harness),
-            pointer: Some((_, analysis)),
+            pointer: Some((_, analysis, _)),
             shbg: Some(graph),
             candidates: Some(Candidates {
                 pairs: candidates, ..
@@ -432,13 +436,11 @@ impl AnalysisSession {
         let harness = d.step(Stage::Harness, &mut out.harness, |_| {
             app.take().map(|app| Arc::new(harness_gen::generate(app)))
         })?;
-        let (linked, analysis) = d.step(Stage::Pointer, &mut out.pointer, |m| {
+        let (digest, analysis, linked) = d.step(Stage::Pointer, &mut out.pointer, |m| {
             Some(link_and_solve(&config, store, shared, harness, m))
         })?;
         let graph = d.step(Stage::Shbg, &mut out.shbg, |m| {
-            let graph = shbg::build_with_dominance(analysis, harness, |m| {
-                linked.summary(m).map(|s| &s.dominance)
-            });
+            let graph = shbg::build(analysis, harness, |m| &linked.summary(m).dominance);
             m.shbg = graph.stats;
             Some(graph)
         })?;
@@ -456,7 +458,7 @@ impl AnalysisSession {
             &mut out.prefilter,
             |m| {
                 let run = prefilter::run(&harness.app.program, analysis, graph, candidates, |m| {
-                    linked.summary(m).map(|s| &s.consts)
+                    &linked.summary(m).consts
                 });
                 m.prefilter = run.stats;
                 Some(PrefilterOutcome {
@@ -510,7 +512,7 @@ impl AnalysisSession {
         d.step_or(
             Stage::Compare,
             &mut out.compare,
-            |_| Some(compare_without_as(&config, store, harness, linked)),
+            |_| Some(compare_without_as(&config, store, shared, harness, digest)),
             || 0,
         )?;
         Some(())

@@ -2,49 +2,55 @@
 //! is a function from the stage's typed inputs to its output, writing
 //! its work counters into the stats it is handed.
 
-use crate::link::LinkedSummaries;
+use crate::link::{analysis_key, link_reached, LinkStats, LinkedSummaries};
 use crate::pipeline::{SierraConfig, StageMetrics};
 use crate::report::{priority_of, RaceReport};
-use crate::summary::{config_fingerprint, load_or_summarize, SummaryStore};
+use crate::summary::{config_fingerprint, SummaryStore};
+use apir::ProgramDigest;
 use harness_gen::HarnessResult;
 use histories::{HistoryModel, HistoryPattern, HistoryStats};
-use pointer::{collect_accesses_from_sites, Access, Analysis, SelectorKind};
+use pointer::{collect_accesses, Access, Analysis, SelectorKind};
 use prefilter::{PrunedPair, Verdict};
 use shbg::Shbg;
 use std::collections::HashMap;
 use std::sync::Arc;
 use symexec::Outcome;
 
-/// The pointer stage: links per-method summaries through the store,
-/// reuses or solves the points-to analysis, and audits its call graph.
+/// The pointer stage: digests the program, reuses or solves the
+/// points-to analysis under its key, audits its call graph, and then
+/// links the summaries of the methods it reached (see `link.rs`).
+/// Returns the digest (the comparison pass keys its own analysis by it),
+/// the analysis and the linked summaries.
 pub(crate) fn link_and_solve(
     config: &SierraConfig,
     store: &dyn SummaryStore,
     shared: Option<&dyn SummaryStore>,
     harness: &HarnessResult,
     m: &mut StageMetrics,
-) -> (LinkedSummaries, Arc<Analysis>) {
+) -> (ProgramDigest, Arc<Analysis>, LinkedSummaries) {
     let program = &harness.app.program;
     let (corrupt_before, evicted_before) = (store.corrupt_misses(), store.evictions());
-    let (linked, link) = load_or_summarize(program, &harness.app.framework, store, shared);
-    m.link = link;
-
-    let (analysis, reused) = load_or_solve(config, store, harness, &linked, config.selector);
-    // A reused analysis keeps its producing run's stats (reports stay
-    // byte-identical); this session's work is in `link`.
-    m.link.analysis_reused = reused;
-    m.link.pointer_iterations_run = if reused {
-        0
-    } else {
-        analysis.stats.worklist_iterations
-    };
-    m.link.corrupt_misses = store.corrupt_misses() - corrupt_before;
-    m.link.evictions = store.evictions() - evicted_before;
+    let digest = ProgramDigest::of(program);
+    let (analysis, reused) = load_or_solve(config, store, harness, &digest, config.selector);
     m.pointer = analysis.stats;
     // The audit runs under every policy (it is how `ignore`'s gap is
     // measured); its stats ride StageMetrics into tables and gates.
     m.soundness = soundness::audit(program, &analysis);
-    (linked, analysis)
+    let (linked, link) = link_reached(harness, &digest, &analysis, store, shared);
+    // A reused analysis keeps its producing run's stats (reports stay
+    // byte-identical); this session's work is in `link`.
+    m.link = LinkStats {
+        analysis_reused: reused,
+        pointer_iterations_run: if reused {
+            0
+        } else {
+            m.pointer.worklist_iterations
+        },
+        corrupt_misses: store.corrupt_misses() - corrupt_before,
+        evictions: store.evictions() - evicted_before,
+        ..link
+    };
+    (digest, analysis, linked)
 }
 
 /// Gets the points-to `Analysis` of `selector` and the config's opaque
@@ -54,10 +60,10 @@ fn load_or_solve(
     config: &SierraConfig,
     store: &dyn SummaryStore,
     harness: &HarnessResult,
-    linked: &LinkedSummaries,
+    digest: &ProgramDigest,
     selector: SelectorKind,
 ) -> (Arc<Analysis>, bool) {
-    let key = linked.analysis_key(config_fingerprint(selector, config.opaque_policy));
+    let key = analysis_key(digest, config_fingerprint(selector, config.opaque_policy));
     if let Some(cached) = store.get_analysis(key, &harness.app.framework) {
         return (cached, true);
     }
@@ -152,24 +158,25 @@ pub(crate) fn triage_races(
 }
 
 /// The comparison pass (Table 3 col 6): the candidate-pair count under
-/// the hybrid selector of the same k. Summaries read no config, so it
-/// reuses the main pass's and keys only its `Analysis` under the hybrid
-/// config fingerprint, cached like the main one.
+/// the hybrid selector of the same k. It keys its `Analysis` under the
+/// hybrid config fingerprint, cached like the main one, and links the
+/// methods that analysis reaches through the same store, so it never
+/// assumes the main pass reached the same methods.
 pub(crate) fn compare_without_as(
     config: &SierraConfig,
     store: &dyn SummaryStore,
+    shared: Option<&dyn SummaryStore>,
     harness: &HarnessResult,
-    linked: &LinkedSummaries,
+    digest: &ProgramDigest,
 ) -> usize {
     let selector = match config.selector {
         SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
         other => other,
     };
-    let (analysis, _) = load_or_solve(config, store, harness, linked, selector);
-    let graph = shbg::build_with_dominance(&analysis, harness, |m| {
-        linked.summary(m).map(|s| &s.dominance)
-    });
-    let accesses = linked_accesses(harness, &analysis, linked);
+    let (analysis, _) = load_or_solve(config, store, harness, digest, selector);
+    let (linked, _) = link_reached(harness, digest, &analysis, store, shared);
+    let graph = shbg::build(&analysis, harness, |m| &linked.summary(m).dominance);
+    let accesses = linked_accesses(harness, &analysis, &linked);
     racy_pairs(&accesses, &analysis, &graph).len()
 }
 
@@ -180,11 +187,11 @@ pub(crate) fn linked_accesses(
     analysis: &Analysis,
     linked: &LinkedSummaries,
 ) -> Vec<Access> {
-    dedupe(collect_accesses_from_sites(
+    dedupe(collect_accesses(
         analysis,
         &harness.app.program,
         Some(harness.harness_class),
-        |m| linked.summary(m).map(|s| s.sites.as_slice()),
+        |m| &linked.summary(m).sites,
     ))
 }
 

@@ -1,79 +1,58 @@
 //! Content-addressed per-method summaries and their stores.
 //!
-//! The compositional layer (after RacerD's per-method summaries) splits
-//! each pipeline stage's per-method work into a [`MethodSummary`]:
-//!
-//! - **call dominance** ([`shbg::CallDominance`]) — the dominance pairs
-//!   HB rules 2–4 query;
-//! - **constant-propagation facts** ([`prefilter::constprop::ConstFacts`])
-//!   — the dead blocks the prefilter's constprop rule reads;
-//! - **access sites** ([`pointer::AccessSite`]) — the field accesses the
-//!   candidate stage instantiates per context.
+//! A [`MethodSummary`] holds the per-method facts the stages after the
+//! solve read (after RacerD's per-method summaries): **call dominance**
+//! for HB rules 2–4, **constant-propagation facts** for the prefilter's
+//! constprop rule, and **access sites** for the candidate stage.
+//! [`summarize_method`] is the one place they are computed, and only for
+//! the methods the points-to analysis reached (see `link.rs`).
 //!
 //! Every fact is a pure function of one method body and reads no
 //! configuration. Keys come from one walk over the IR
-//! ([`apir::ProgramDigest`]) that prints nothing and builds no `String`;
-//! a summary is keyed by `fnv64(structural fingerprint ‖ body digest)`:
+//! ([`apir::ProgramDigest`]) that prints nothing; a summary is keyed by
+//! `fnv64(structural fingerprint ‖ body digest)`:
 //!
 //! - the **structural fingerprint** covers the class/field/method tables
 //!   *excluding bodies* — renames, signature changes, or hierarchy edits
 //!   shift ids and invalidate every summary (conservative but sound);
 //! - the **body digest** hashes every field of the body, so editing one
-//!   method changes only that method's key. It hashes class, field and
-//!   method references as ids, which the structural fingerprint maps to
-//!   names.
+//!   method changes only that method's key.
 //!
-//! So one store serves every configuration: sessions that differ in
-//! context selector or opaque policy share all their summaries.
-//! Whole-`Analysis` artifacts do depend on the config; they are cached
-//! under `fnv64(structural fp ‖ config fp ‖ every method's pointer
-//! digest)`, where the **config fingerprint** covers the selector and
-//! the opaque policy, and a method's **pointer digest** covers only
-//! what the Andersen solver reads of its body: if no solver-relevant
-//! statement changed anywhere, the previous points-to result is reused
-//! outright and the warm run performs zero worklist iterations. The
-//! on-disk backend ([`DiskStore`], `--cache-dir`) persists these
-//! analyses, and only these, as versioned binary blobs
-//! ([`pointer::artifact`]), so the solve is skipped across process
-//! boundaries: a cold `sierra analyze`, a restarted `serve`, or a fresh
-//! CI job warm-starts from `--cache-dir` like an in-memory warm hit. Per-method summaries stay
-//! in memory: reading one file per method cost more than recomputing
-//! the summary.
+//! So sessions that differ in context selector or opaque policy share
+//! the summaries of the methods they both reach. Whole-`Analysis`
+//! artifacts do depend on the config: they are cached under
+//! `fnv64(structural fp ‖ config fp ‖ every method's pointer digest)`,
+//! where the **config fingerprint** covers the selector and the opaque
+//! policy and a **pointer digest** covers only what the Andersen solver
+//! reads of a body, so a warm run with no solver-relevant change reuses
+//! the analysis with zero worklist iterations. [`DiskStore`]
+//! (`--cache-dir`) persists these analyses, and only these, as versioned
+//! blobs ([`pointer::artifact`]), so the solve is skipped across
+//! processes too. Summaries stay in memory: reading one file per method
+//! cost more than recomputing it.
 //!
 //! ## Corpus-shared framework summaries
 //!
-//! Most corpus apps embed the *same* framework model, and a framework
-//! method's summary depends only on framework content — yet the
-//! standard key covers the whole program's structural fingerprint, so
-//! per-app stores recompute identical framework summaries once per app.
-//! [`load_or_summarize`] therefore accepts an optional **shared store**:
-//! methods of [`apir::Origin::Framework`] classes whose bodies name only
-//! framework entities are additionally keyed by the **framework
-//! fingerprint** (the structural fingerprint restricted to framework
-//! entities, identical across apps built from one framework model) and
-//! looked up shared-first. A miss promotes the freshly computed summary
-//! into the shared store, so the framework slice of an entire corpus is
-//! summarized exactly once. The two key spaces cannot collide
-//! semantically — a framework-keyed entry is only ever looked up by
-//! sessions whose framework slice hashes identically — so one backing
-//! store may safely serve as both the per-app and the shared layer (how
-//! the `--shared-store` flag wires it).
+//! A framework method's summary depends only on framework content, yet
+//! the standard key covers the whole program. So linking accepts an
+//! optional **shared store**: methods of [`apir::Origin::Framework`]
+//! classes whose bodies name only framework entities are also keyed by
+//! the **framework fingerprint** (the structural fingerprint restricted
+//! to framework entities, identical across apps built from one framework
+//! model) and looked up there first; a miss promotes the summary into
+//! it. The key spaces cannot collide semantically, so one backing store
+//! may serve as both layers (how `--shared-store` wires it).
 //!
 //! ## Arena-stable keys
 //!
-//! Sessions are built through [`crate::SessionBuilder`], which may
-//! intern an app's names into a process-wide shared
-//! [`apir::SymbolArena`] (`sierra serve`, corpus runs) instead of a
-//! private per-program interner. Summary and analysis keys are
-//! **independent of that choice**: the fingerprints hash name *text*,
-//! and the body and pointer digests hash string constants by their text
-//! too, never a raw symbol value. So a store primed without a shared
-//! arena hits from sessions built over one — and hits across processes
-//! whose arenas interned names in different orders.
+//! Fingerprints hash name *text*, and body and pointer digests hash
+//! string constants by their text, never a symbol value. So keys are the
+//! same whether a session interns into a private interner or a shared
+//! [`apir::SymbolArena`] (`sierra serve`, corpus runs), and whatever
+//! order an arena interned names in.
 
-use crate::link::{LinkStats, LinkedSummaries};
 use android_model::FrameworkClasses;
-use apir::{Fnv64, MethodId, Program, ProgramDigest};
+use apir::{Fnv64, MethodId, Program};
 use pointer::{method_access_sites, AccessSite, Analysis, OpaquePolicy, SelectorKind};
 use prefilter::constprop::{self, ConstFacts};
 use shbg::CallDominance;
@@ -88,7 +67,7 @@ use std::sync::{Arc, Mutex};
 pub struct MethodSummary {
     /// Call-statement dominance pairs for HB rules 2–4.
     pub dominance: CallDominance,
-    /// Constant-propagation facts for the prefilter and refuter.
+    /// Constant-propagation facts (dead blocks) for the prefilter.
     pub consts: ConstFacts,
     /// Field-access sites for candidate generation.
     pub sites: Vec<AccessSite>,
@@ -371,57 +350,6 @@ impl SummaryStore for DiskStore {
     fn evictions(&self) -> usize {
         self.evicted.load(Ordering::Relaxed)
     }
-}
-
-/// Digests `program` and computes (or retrieves) the summary of every
-/// method with a body, in method-id order, consulting `store` by content
-/// key — and, for framework methods whose bodies name only framework
-/// entities, `shared` first under the framework-scoped key. A shared
-/// miss that resolves elsewhere promotes the summary into the shared
-/// store, so across a corpus each framework method is summarized exactly
-/// once. The returned stats count `summaries_reused`,
-/// `summaries_recomputed` and `summaries_shared`; shared-layer hits count
-/// toward `summaries_shared` only, keeping `summaries_reused` comparable
-/// with and without a shared store.
-pub fn load_or_summarize(
-    program: &Program,
-    fw: &FrameworkClasses,
-    store: &dyn SummaryStore,
-    shared: Option<&dyn SummaryStore>,
-) -> (LinkedSummaries, LinkStats) {
-    let digest = ProgramDigest::of(program);
-    let mut stats = LinkStats::default();
-    let mut summaries = Vec::with_capacity(digest.methods.len());
-    for m in &digest.methods {
-        let key = summary_key(digest.structural, m.digest.body);
-        // Framework methods additionally live in the shared layer under
-        // a key independent of this app's app/library code.
-        let shared_key = shared
-            .filter(|_| m.framework_only)
-            .map(|sh| (sh, summary_key(digest.framework, m.digest.body)));
-        if let Some(s) = shared_key.and_then(|(sh, sk)| sh.get(sk)) {
-            stats.summaries_shared += 1;
-            summaries.push(s);
-            continue;
-        }
-        let summary = match store.get(key) {
-            Some(s) => {
-                stats.summaries_reused += 1;
-                s
-            }
-            None => {
-                stats.summaries_recomputed += 1;
-                let s = Arc::new(summarize_method(program, fw, m.id));
-                store.put(key, Arc::clone(&s));
-                s
-            }
-        };
-        if let Some((sh, sk)) = shared_key {
-            sh.put(sk, Arc::clone(&summary));
-        }
-        summaries.push(summary);
-    }
-    (LinkedSummaries { digest, summaries }, stats)
 }
 
 #[cfg(test)]

@@ -439,9 +439,9 @@ fn soundness_section_renders_only_under_non_ignore_policies() {
     );
 }
 
-/// The comparison pass reuses the main pass's linked summaries (sound
-/// because summaries read no config), so its count must equal a
-/// standalone hybrid session's.
+/// The comparison pass links the summaries its own hybrid analysis
+/// reaches through the main pass's store (sound because summaries read
+/// no config), so its count must equal a standalone hybrid session's.
 #[test]
 fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
     use crate::{OpaquePolicy, SessionBuilder};

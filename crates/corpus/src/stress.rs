@@ -56,6 +56,20 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
         .collect();
     let inited = cb.field("inited", Type::Bool);
     let activity = cb.build();
+    // `Hot`'s methods are reserved ahead of `Runner`'s, the order
+    // `render_app` prints them in, so the app's `.sierra` text parses
+    // back to the same method ids and reports identically.
+    let [on_resume, on_pause, on_create, on_click, on_long_click] = [
+        ("onResume", 1),
+        ("onPause", 1),
+        ("onCreate", 1),
+        ("onClick", 2),
+        ("onLongClick", 2),
+    ]
+    .map(|(name, params)| {
+        app.program_builder()
+            .abstract_method(activity, name, params)
+    });
 
     let mut cb = app.subclass("Runner", fw.object);
     cb.add_interface(fw.runnable);
@@ -88,8 +102,7 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     mb.ret(None);
     mb.finish();
 
-    let mut mb = app.method(activity, "onResume");
-    mb.set_param_count(1);
+    let mut mb = app.program_builder().fill_method(on_resume);
     let this = mb.param(0);
     let r = mb.fresh_local();
     mb.new_(r, runner);
@@ -110,8 +123,7 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     mb.ret(None);
     mb.finish();
 
-    let mut mb = app.method(activity, "onPause");
-    mb.set_param_count(1);
+    let mut mb = app.program_builder().fill_method(on_pause);
     let this = mb.param(0);
     for &f in &slots {
         mb.store(this, f, Operand::Const(ConstValue::Int(2)));
@@ -135,8 +147,7 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     mb.finish();
 
     // onCreate wires up the two GUI handlers hosting the prunable pairs.
-    let mut mb = app.method(activity, "onCreate");
-    mb.set_param_count(1);
+    let mut mb = app.program_builder().fill_method(on_create);
     let this = mb.param(0);
     for (id, register) in [
         (1i64, fw.set_on_click_listener),
@@ -162,8 +173,7 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     mb.finish();
 
     // onClick: if (false) write d0..d5; if (inited) read cfg0..cfg2.
-    let mut mb = app.method(activity, "onClick");
-    mb.set_param_count(2);
+    let mut mb = app.program_builder().fill_method(on_click);
     let this = mb.param(0);
     let c = mb.fresh_local();
     mb.const_(c, ConstValue::Bool(false));
@@ -192,8 +202,7 @@ pub fn refutation_stress_app(diamonds: usize, fields: usize) -> AndroidApp {
     mb.finish();
 
     // onLongClick: the live writes, ending with the unique `inited` store.
-    let mut mb = app.method(activity, "onLongClick");
-    mb.set_param_count(2);
+    let mut mb = app.program_builder().fill_method(on_long_click);
     let this = mb.param(0);
     for &d in &dead_slots {
         mb.store(this, d, Operand::Const(ConstValue::Int(2)));

@@ -3,7 +3,7 @@
 //! `--cache-dir` persists. Only the core crate's `DiskStore` reads and
 //! writes these blobs.
 //!
-//! [`encode`] flattens everything the linking pass reuses on an
+//! [`encode`] flattens everything the pointer stage reuses on an
 //! analysis-key hit (points-to solution, call graph, context/object
 //! tables, actions, posting records, solver stats) into a
 //! self-validating blob; [`decode`] rebuilds an `Analysis` that is

@@ -29,7 +29,7 @@ pub use ctx::{
     CtxData, CtxElem, CtxId, CtxTable, ObjData, ObjId, ObjTable, ParseSelectorError, SelectorKind,
 };
 pub use ptsset::PtsSet;
-pub use result::{collect_accesses, collect_accesses_from_sites, Access};
+pub use result::{collect_accesses, Access};
 pub use solver::{
     analyze, analyze_opts, scratch_pool_stats, Analysis, OpaquePolicy, PostRecord, SolverStats,
 };

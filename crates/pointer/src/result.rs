@@ -2,7 +2,7 @@
 
 use crate::ctx::{CtxId, ObjId};
 use crate::solver::Analysis;
-use crate::summary::{reachable_access_sites, AccessSite};
+use crate::summary::AccessSite;
 use android_model::ActionId;
 use apir::{ClassId, FieldId, MethodId, Program, StmtAddr};
 
@@ -55,42 +55,28 @@ impl Access {
     }
 }
 
-/// Extracts every heap access from the reachable program, attributed to its
-/// action. Accesses to fields declared on `exclude_class` (the synthetic
-/// `$Harness`) are skipped. Opaque container ops (`ArrayList.setAt`/`getAt`)
-/// contribute accesses on their (possibly index-sensitive) slot fields.
-pub fn collect_accesses(
-    analysis: &Analysis,
-    program: &Program,
-    exclude_class: Option<ClassId>,
-) -> Vec<Access> {
-    let sites = reachable_access_sites(analysis, program);
-    collect_accesses_from_sites(analysis, program, exclude_class, |m| {
-        sites.get(&m).map(Vec::as_slice)
-    })
-}
-
 /// Instantiates per-method [`AccessSite`]s against the points-to result:
 /// one [`Access`] per reachable `(method, ctx)` per site, with the base
-/// local resolved to its abstract objects. This is the linking half of
-/// [`collect_accesses`]; the summary layer feeds it cached sites,
-/// looked up by method (`None` for a method without a body).
-pub fn collect_accesses_from_sites<'s>(
+/// local resolved to its abstract objects and attributed to its action.
+/// `sites` looks up the sites of a reached method with a body (the
+/// summary layer's facts). Accesses inside `exclude_class` (the
+/// synthetic `$Harness`) or to its fields are skipped. Opaque container
+/// ops (`ArrayList.setAt`/`getAt`) contribute accesses on their
+/// (possibly index-sensitive) slot fields.
+pub fn collect_accesses<'s>(
     analysis: &Analysis,
     program: &Program,
     exclude_class: Option<ClassId>,
-    sites: impl Fn(MethodId) -> Option<&'s [AccessSite]>,
+    sites: impl Fn(MethodId) -> &'s [AccessSite],
 ) -> Vec<Access> {
     let mut out = Vec::new();
     for &(method, ctx) in &analysis.reachable {
-        let Some(method_sites) = sites(method) else {
-            continue; // bodyless
-        };
-        if Some(program.method(method).class) == exclude_class {
-            continue; // harness body itself
+        let m = program.method(method);
+        if !m.has_body() || Some(m.class) == exclude_class {
+            continue; // bodyless, or the harness body itself
         }
         let action = analysis.action_of(ctx);
-        for site in method_sites {
+        for site in sites(method) {
             if Some(program.field(site.field).class) == exclude_class {
                 continue; // synthetic registration fields
             }

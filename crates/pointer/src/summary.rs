@@ -1,19 +1,18 @@
 //! Per-method access sites.
 //!
 //! [`AccessSite`] is the per-method half of access collection
-//! (`collect_accesses`): the field-access statements of one body with
-//! their base locals, before any context/points-to instantiation. Access
-//! sites are pure functions of the body (given the framework table), so
-//! they are cacheable per method hash.
+//! ([`crate::collect_accesses`]): the field-access statements of one body
+//! with their base locals, before any context/points-to instantiation.
+//! Access sites are pure functions of the body (given the framework
+//! table), so they are cacheable per method hash.
 
-use crate::solver::Analysis;
 use android_model::{FrameworkClasses, FrameworkOp};
 use apir::{
     local_defs, ConstValue, FieldId, Local, Method, MethodId, Operand, Program, Stmt, StmtAddr,
 };
 
 /// One field-access statement of a method body, before context
-/// instantiation: the per-method half of `collect_accesses`.
+/// instantiation: the per-method half of [`crate::collect_accesses`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessSite {
     /// The accessing statement.
@@ -90,22 +89,4 @@ pub(crate) fn resolve_index_field(
         Some(ConstValue::Int(k)) if (0..8).contains(&k) => fw.index_slots[k as usize],
         _ => fw.array_list_contents,
     }
-}
-
-/// Per-method access sites for every method with a body that is
-/// reachable in `analysis`, keyed by method id.
-pub(crate) fn reachable_access_sites(
-    analysis: &Analysis,
-    program: &Program,
-) -> std::collections::HashMap<MethodId, Vec<AccessSite>> {
-    let fw = analysis.framework();
-    let mut sites = std::collections::HashMap::new();
-    for &(m, _) in &analysis.reachable {
-        if program.method(m).has_body() {
-            sites
-                .entry(m)
-                .or_insert_with(|| method_access_sites(program, fw, m));
-        }
-    }
-    sites
 }

@@ -1,9 +1,22 @@
 //! End-to-end tests of the points-to analysis over harnessed apps.
 
-use crate::{analyze, collect_accesses, SelectorKind};
+use crate::{analyze, collect_accesses, method_access_sites, Access, AccessSite, SelectorKind};
 use android_model::{ActionKind, AndroidAppBuilder, GuiEventKind, LifecycleEvent, ThreadKind};
-use apir::{ConstValue, InvokeKind, Operand, Type};
-use harness_gen::generate;
+use apir::{ConstValue, InvokeKind, MethodId, Operand, Type};
+use harness_gen::{generate, HarnessResult};
+use std::collections::HashMap;
+
+/// [`collect_accesses`] outside the harness class, over access sites
+/// extracted from each reached body.
+fn reached_accesses(a: &crate::Analysis, h: &HarnessResult) -> Vec<Access> {
+    let program = &h.app.program;
+    let sites: HashMap<MethodId, Vec<AccessSite>> = a
+        .reachable
+        .iter()
+        .map(|&(m, _)| (m, method_access_sites(program, a.framework(), m)))
+        .collect();
+    collect_accesses(a, program, Some(h.harness_class), |m| &sites[&m])
+}
 
 /// Builds the Figure-1 style app: an activity whose `onClick` executes an
 /// `AsyncTask` that writes the adapter's data in `doInBackground`, while
@@ -192,7 +205,7 @@ fn news_app_actions_and_posts() {
 fn news_app_accesses_overlap_between_bg_write_and_scroll_read() {
     let h = news_app();
     let a = analyze(&h, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
+    let accesses = reached_accesses(&a, &h);
     let data_field = h.app.program.class_by_name("NewsAdapter").unwrap();
     let data_field = h.app.program.declared_field(data_field, "data").unwrap();
 
@@ -302,7 +315,7 @@ fn action_sensitivity_separates_per_action_allocations() {
 
     let count_holder_writes = |sel: SelectorKind| {
         let a = analyze(&h, sel);
-        let accesses = collect_accesses(&a, program, Some(h.harness_class));
+        let accesses = reached_accesses(&a, &h);
         let writes: Vec<_> = accesses
             .into_iter()
             .filter(|x| x.is_write && x.field == xf)
@@ -375,7 +388,7 @@ fn thread_with_runnable_reaches_run_body() {
     );
 
     // Work.run's store must be attributed to the thread action.
-    let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
+    let accesses = reached_accesses(&a, &h);
     let run_writes: Vec<_> = accesses
         .iter()
         .filter(|x| x.is_write && x.field == done)
@@ -476,7 +489,7 @@ fn find_view_by_id_aliases_across_actions() {
 
     let h = generate(app.finish().unwrap());
     let a = analyze(&h, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
+    let accesses = reached_accesses(&a, &h);
     let text_writes: Vec<_> = accesses
         .iter()
         .filter(|x| x.is_write && x.field == fw.text_view_text)
@@ -556,7 +569,7 @@ fn index_sensitive_containers_separate_slots() {
     // The slot-0 write and slot-1 read touch different fields and cannot
     // overlap.
     let a = analyze(&h, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(&a, &h.app.program, Some(h.harness_class));
+    let accesses = reached_accesses(&a, &h);
     let slot_accs: Vec<_> = accesses
         .iter()
         .filter(|x| {
@@ -822,7 +835,7 @@ mod solver_determinism {
 
     /// Canonical rendering of every access the analysis extracts.
     fn canon_accesses(a: &Analysis, h: &harness_gen::HarnessResult) -> Vec<String> {
-        collect_accesses(a, &h.app.program, Some(h.harness_class))
+        reached_accesses(a, h)
             .iter()
             .map(|x| {
                 let mut base: Vec<String> = x
@@ -921,13 +934,13 @@ mod solver_determinism {
 }
 
 mod artifact_roundtrip {
-    use super::news_app;
-    use crate::{analyze, artifact, collect_accesses, SelectorKind};
+    use super::{news_app, reached_accesses};
+    use crate::{analyze, artifact, SelectorKind};
 
     /// Canonical projection of accesses for equality (Access lacks
     /// PartialEq by design).
     fn canon(a: &crate::Analysis, h: &harness_gen::HarnessResult) -> Vec<String> {
-        let mut v: Vec<String> = collect_accesses(a, &h.app.program, Some(h.harness_class))
+        let mut v: Vec<String> = reached_accesses(a, h)
             .iter()
             .map(|x| {
                 format!(

@@ -159,9 +159,9 @@ pub struct PrefilterResult {
     pub stats: PrefilterStats,
 }
 
-/// Runs the three pruning analyses over `candidates`, with each
-/// method's constant-propagation facts supplied by the summary layer
-/// (`None` for a method without a body).
+/// Runs the three pruning analyses over `candidates`, with the
+/// constant-propagation facts of each accessing method (a reached body)
+/// supplied by the summary layer.
 ///
 /// The result partitions the input: `kept ∪ pruned == candidates`, order
 /// preserved within each part. Analyses are tried per pair in a fixed
@@ -172,7 +172,7 @@ pub fn run<'f>(
     analysis: &Analysis,
     graph: &Shbg,
     candidates: &[(Access, Access)],
-    const_facts: impl Fn(MethodId) -> Option<&'f constprop::ConstFacts>,
+    const_facts: impl Fn(MethodId) -> &'f constprop::ConstFacts,
 ) -> PrefilterResult {
     let confined = escape::non_escaping_objects(program, analysis);
     let mut guards = guard::GuardAnalysis::new(program, analysis, graph);
@@ -232,18 +232,14 @@ fn escape_verdict(confined: &HashSet<ObjId>, a: &Access, b: &Access) -> Option<V
 /// Constant-propagation check: an access inside a dead block never
 /// executes, so any pair containing it is vacuous.
 fn constprop_verdict<'f>(
-    facts: &impl Fn(MethodId) -> Option<&'f constprop::ConstFacts>,
+    facts: &impl Fn(MethodId) -> &'f constprop::ConstFacts,
     a: &Access,
     b: &Access,
 ) -> Option<Verdict> {
-    for x in [a, b] {
-        if let Some(f) = facts(x.method) {
-            if f.is_dead(x.addr.block) {
-                return Some(Verdict::ConstProp { dead: x.addr });
-            }
-        }
-    }
-    None
+    [a, b]
+        .into_iter()
+        .find(|x| facts(x.method).is_dead(x.addr.block))
+        .map(|x| Verdict::ConstProp { dead: x.addr })
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ mod bitmat;
 mod rules;
 
 pub use bitmat::BitMatrix;
-pub use rules::{build, build_with_dominance, CallDominance, HbEdge, HbRule, Shbg, ShbgStats};
+pub use rules::{build, CallDominance, HbEdge, HbRule, Shbg, ShbgStats};
 
 #[cfg(test)]
 mod tests;

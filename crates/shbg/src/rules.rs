@@ -5,7 +5,7 @@ use android_model::{ActionId, ActionKind};
 use apir::{BlockId, CallSiteId, Dominators, Method, MethodId, Stmt, StmtAddr};
 use harness_gen::HarnessResult;
 use pointer::{Analysis, CtxId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// The per-method dominance fact the HB rules consume: which call
 /// statements of one method dominate which others. Rules 2–4 only ever
@@ -226,36 +226,14 @@ impl Shbg {
     }
 }
 
-/// Builds the SHBG from a points-to analysis over a harnessed app.
-pub fn build(analysis: &Analysis, harness: &HarnessResult) -> Shbg {
-    build_with_dominance(analysis, harness, |_| None)
-}
-
-/// Looks up a method's [`CallDominance`] from the summary layer,
-/// falling back to a locally-computed (and cached) fact for methods the
-/// caller did not supply — e.g. every method under plain [`build`].
-fn dom_of<'c, 'd: 'c>(
-    provided: &impl Fn(MethodId) -> Option<&'d CallDominance>,
-    cache: &'c mut HashMap<MethodId, CallDominance>,
-    program: &apir::Program,
-    m: MethodId,
-) -> &'c CallDominance {
-    if let Some(d) = provided(m) {
-        return d;
-    }
-    cache
-        .entry(m)
-        .or_insert_with(|| CallDominance::compute(program.method(m)))
-}
-
-/// [`build`] with per-method dominance facts supplied by the summary
-/// layer, looked up by method. Methods the lookup does not supply get
-/// their fact computed locally, so any partial lookup is sound; results
-/// are identical to [`build`] by construction.
-pub fn build_with_dominance<'d>(
+/// Builds the SHBG from a points-to analysis over a harnessed app. HB
+/// rules 2–4 read the [`CallDominance`] of harness and posting methods
+/// through `dominance`, which must answer for every method with a body
+/// that `analysis` reached.
+pub fn build<'d>(
     analysis: &Analysis,
     harness: &HarnessResult,
-    dominance: impl Fn(MethodId) -> Option<&'d CallDominance>,
+    dominance: impl Fn(MethodId) -> &'d CallDominance,
 ) -> Shbg {
     let n = analysis.actions.len();
     let mut closure = BitMatrix::new(n);
@@ -332,9 +310,8 @@ pub fn build_with_dominance<'d>(
     }
 
     // --- Rules 2 & 3: harness-CFG dominance orders lifecycle/GUI actions. ---
-    let mut dom_cache: HashMap<MethodId, CallDominance> = HashMap::new();
     for h in &harness.activities {
-        let dom = dom_of(&dominance, &mut dom_cache, program, h.method);
+        let dom = dominance(h.method);
         let site_actions: Vec<(CallSiteId, ActionId, bool)> = h
             .sites
             .iter()
@@ -394,7 +371,7 @@ pub fn build_with_dominance<'d>(
                 let addr2 = program.call_site_addr(s2);
                 if addr1.method == addr2.method {
                     // Rule 4: plain intra-procedural dominance.
-                    let dom = dom_of(&dominance, &mut dom_cache, program, addr1.method);
+                    let dom = dominance(addr1.method);
                     if dom.dominates(addr1, addr2) {
                         add(
                             &mut edges,

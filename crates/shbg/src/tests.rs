@@ -1,10 +1,22 @@
 //! SHBG construction tests over small harnessed apps.
 
-use crate::{build, HbRule};
+use crate::{CallDominance, HbRule, Shbg};
 use android_model::{ActionId, ActionKind, AndroidAppBuilder, GuiEventKind, LifecycleEvent};
-use apir::{ConstValue, InvokeKind, Operand, Type};
-use harness_gen::generate;
+use apir::{ConstValue, InvokeKind, MethodId, Operand, Type};
+use harness_gen::{generate, HarnessResult};
 use pointer::{analyze, Analysis, SelectorKind};
+use std::collections::HashMap;
+
+/// [`crate::build`] over dominance computed from each reached body.
+fn build(a: &Analysis, h: &HarnessResult) -> Shbg {
+    let program = &h.app.program;
+    let dominance: HashMap<MethodId, CallDominance> = a
+        .reachable
+        .iter()
+        .map(|&(m, _)| (m, CallDominance::compute(program.method(m))))
+        .collect();
+    crate::build(a, h, |m| &dominance[&m])
+}
 
 fn lifecycle_action(a: &Analysis, ev: LifecycleEvent, instance: u8) -> ActionId {
     a.actions

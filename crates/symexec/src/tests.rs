@@ -2,9 +2,27 @@
 
 use crate::{Outcome, Refuter, RefuterConfig};
 use android_model::{ActionKind, AndroidAppBuilder};
-use apir::{ConstValue, FieldId, InvokeKind, Operand, Type};
+use apir::{ConstValue, FieldId, InvokeKind, MethodId, Operand, Type};
 use harness_gen::{generate, HarnessResult};
-use pointer::{analyze, collect_accesses, Access, Analysis, SelectorKind};
+use pointer::{
+    analyze, collect_accesses, method_access_sites, Access, AccessSite, Analysis, SelectorKind,
+};
+use std::collections::HashMap;
+
+/// [`collect_accesses`] outside the harness class, over access sites
+/// extracted from each reached body.
+fn reached_accesses(analysis: &Analysis, harness: &HarnessResult) -> Vec<Access> {
+    let program = &harness.app.program;
+    let fw = analysis.framework();
+    let sites: HashMap<MethodId, Vec<AccessSite>> = analysis
+        .reachable
+        .iter()
+        .map(|&(m, _)| (m, method_access_sites(program, fw, m)))
+        .collect();
+    collect_accesses(analysis, program, Some(harness.harness_class), |m| {
+        &sites[&m]
+    })
+}
 
 /// Builds the Figure 8 app:
 ///
@@ -156,11 +174,7 @@ fn access_in<'a>(
 fn figure_8_accum_time_race_is_refuted() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
 
     let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
         matches!(k, ActionKind::RunnablePost)
@@ -189,11 +203,7 @@ fn figure_8_accum_time_race_is_refuted() {
 fn figure_8_guard_variable_race_is_a_true_positive() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
 
     // The guard itself races: run() reads mIsRunning, stop() writes it.
     let guard_read = access_in(&accesses, &analysis, f.is_running, false, |k| {
@@ -223,11 +233,7 @@ fn figure_8_guard_variable_race_is_a_true_positive() {
 fn budget_exhaustion_reports_the_race() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
     let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
         matches!(k, ActionKind::RunnablePost)
     });
@@ -302,7 +308,7 @@ fn unguarded_pair_is_witnessed() {
 
     let harness = generate(app.finish().unwrap());
     let analysis = analyze(&harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(&analysis, &harness.app.program, Some(harness.harness_class));
+    let accesses = reached_accesses(&analysis, &harness);
     let a = access_in(&accesses, &analysis, accum, true, |k| {
         matches!(k, ActionKind::RunnablePost)
     });
@@ -317,11 +323,7 @@ fn unguarded_pair_is_witnessed() {
 fn cache_short_circuits_repeat_queries() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
     let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
         matches!(k, ActionKind::RunnablePost)
     });
@@ -344,11 +346,7 @@ fn cache_short_circuits_repeat_queries() {
 fn refute_all_grows_the_cache_only_between_batches() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
     let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
         matches!(k, ActionKind::RunnablePost)
     });
@@ -459,7 +457,7 @@ fn refutation_ascends_through_nested_callers() {
 
     let harness = generate(app.finish().unwrap());
     let analysis = analyze(&harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(&analysis, &harness.app.program, Some(harness.harness_class));
+    let accesses = reached_accesses(&analysis, &harness);
     let xf = harness
         .app
         .program
@@ -489,11 +487,7 @@ fn refutation_ascends_through_nested_callers() {
 fn disabling_the_cache_gives_the_same_verdicts() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = collect_accesses(
-        &analysis,
-        &f.harness.app.program,
-        Some(f.harness.harness_class),
-    );
+    let accesses = reached_accesses(&analysis, &f.harness);
     let pairs: Vec<(&Access, &Access)> = {
         let mut v = Vec::new();
         for i in 0..accesses.len() {

@@ -81,17 +81,21 @@ fn reflection_resolve() -> String {
 }
 
 /// The reflection and intent fixtures resolve their opaque edges from
-/// string constants, which `.sierra` text carries as quoted literals:
-/// analyzed from [`render_app`] text, both report exactly what they
-/// report when built in code.
+/// string constants, which `.sierra` text carries as quoted literals,
+/// and the pointer-cycle stress app uses locals in blocks above the one
+/// that assigns them (its loop back edges): analyzed from [`render_app`]
+/// text, each reports exactly what it reports when built in code, as
+/// does the refutation stress app.
 #[test]
 fn reflection_fixtures_report_the_same_from_rendered_text() {
     let cfg = SierraConfig::builder()
         .opaque_policy(OpaquePolicy::Resolve)
         .build();
-    for (app, _) in [
-        corpus::reflection_idioms::reflection_idioms_app(),
-        corpus::reflection_idioms::intent_idioms_app(),
+    for app in [
+        corpus::reflection_idioms::reflection_idioms_app().0,
+        corpus::reflection_idioms::intent_idioms_app().0,
+        stress::refutation_stress_app(13, 8),
+        stress::pointer_cycle_stress_app(48, 8),
     ] {
         let text = render_app(&app);
         let reparsed = parse_app(&app.name, &text).unwrap_or_else(|e| panic!("{e}\n{text}"));

@@ -12,6 +12,7 @@ use sierra_core::{
     run_jobs, DiskStore, MemoryStore, OpaquePolicy, Report, SessionBuilder, SierraConfig,
     SierraResult, SummaryStore,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn run_with_store(
@@ -30,6 +31,25 @@ fn run_with_store(
 
 fn stable(result: &SierraResult) -> String {
     Report::from_result(result).render_stable()
+}
+
+/// The methods with a body that the result's analysis reached: the
+/// methods the pointer stage links summaries for.
+fn reached_bodies(result: &SierraResult) -> impl Iterator<Item = apir::MethodId> + '_ {
+    let reached: BTreeSet<apir::MethodId> =
+        result.analysis.reachable.iter().map(|&(m, _)| m).collect();
+    let program = &result.harness.app.program;
+    reached
+        .into_iter()
+        .filter(|&m| program.method(m).has_body())
+}
+
+/// OpenSudoku from the 20-app corpus.
+fn open_sudoku() -> android_model::AndroidApp {
+    let spec = corpus::twenty::TWENTY
+        .iter()
+        .find(|s| s.name == "OpenSudoku");
+    corpus::twenty::build_app(*spec.expect("OpenSudoku is in the corpus")).0
 }
 
 #[test]
@@ -104,6 +124,46 @@ fn one_method_edit_recomputes_only_the_changed_method() {
         warm_edited.races.len(),
         base.races.len()
     );
+}
+
+/// Only the methods the solver reaches are linked, so editing a body it
+/// never reaches recomputes no summary. The edit-pair app, from text,
+/// gains a static method nothing calls; the second version edits it.
+#[test]
+fn editing_an_unreached_body_recomputes_no_summary() {
+    let text = android_model::asm::render_app(&edit_pairs::base_app());
+    let with_unused = |extra: &str| {
+        let unused = format!(
+            "  method unused() static {{\n    bb0:\n      v0 = 1\n{extra}      return\n  }}\n"
+        );
+        let at = text.find("  method helper()").expect("helper is rendered");
+        let mut edited = text.clone();
+        edited.insert_str(at, &unused);
+        edited
+    };
+    let (base, edited) = (
+        with_unused(""),
+        with_unused("      com.edit.Main::extra = v0\n"),
+    );
+    let run = |text: &str, store: Arc<dyn SummaryStore>| {
+        SessionBuilder::new(SierraConfig::default())
+            .source("EditPair", text)
+            .store(store)
+            .build()
+            .expect("valid source")
+            .finish()
+            .expect("pipeline runs")
+    };
+    let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+    let first = run(&base, Arc::clone(&store));
+    let warm = run(&edited, Arc::clone(&store));
+    let cold = run(&edited, Arc::new(MemoryStore::new()));
+
+    let w = warm.metrics.link;
+    assert_eq!(w.summaries_recomputed, 0, "the edited body is not reached");
+    assert_eq!(w.summaries_reused, first.metrics.link.summaries_recomputed);
+    assert_eq!(w.summaries_reused, reached_bodies(&warm).count());
+    assert_eq!(stable(&warm), stable(&cold));
 }
 
 #[test]
@@ -303,31 +363,29 @@ fn shared_store_computes_framework_summaries_once_corpus_wide() {
     assert_eq!(first.metrics.link.summaries_shared, 0, "cold shared layer");
 
     // Second, *different* app with its own cold per-app store: every
-    // framework-origin method with a body is served from the shared
-    // layer — i.e. the framework slice is computed once corpus-wide.
-    let (app2, _) = corpus::figures::intra_component();
-    let framework_methods = app2
-        .program
-        .methods()
-        .iter()
-        .filter(|m| m.has_body() && app2.program.class(m.class).origin == apir::Origin::Framework)
+    // framework-origin method with a body that it reaches (`Thread.<init>`
+    // and `Thread.run`, which the first app reaches too) is served from
+    // the shared layer — i.e. the framework slice is computed once
+    // corpus-wide.
+    let second = run_shared(open_sudoku());
+    let program = &second.harness.app.program;
+    let framework_methods = reached_bodies(&second)
+        .filter(|&m| program.class(program.method(m).class).origin == apir::Origin::Framework)
         .count();
     assert!(framework_methods >= 1, "fixture must exercise the layer");
-    let second = run_shared(app2);
     assert_eq!(
         second.metrics.link.summaries_shared, framework_methods,
-        "all framework summaries must come from the shared layer"
+        "all reached framework summaries must come from the shared layer"
     );
-    assert!(
-        second.metrics.link.summaries_recomputed
-            < framework_methods + second.metrics.link.summaries_shared,
+    assert_eq!(
+        second.metrics.link.summaries_recomputed + second.metrics.link.summaries_shared,
+        reached_bodies(&second).count(),
         "shared hits must not be recomputed"
     );
 
     // Sharing changes work done, never results.
-    let (app2_again, _) = corpus::figures::intra_component();
     let unshared = run_with_store(
-        app2_again,
+        open_sudoku(),
         cfg,
         Arc::new(MemoryStore::new()) as Arc<dyn SummaryStore>,
     );
@@ -338,8 +396,8 @@ fn shared_store_computes_framework_summaries_once_corpus_wide() {
 /// workers can miss the same framework key at once and both compute it:
 /// under parallel workers the split between shared hits and
 /// recomputations depends on scheduling. Each app still accounts for
-/// every method with a body exactly once and reports as a serial pass
-/// does.
+/// every reached method with a body exactly once and reports as a serial
+/// pass does.
 #[test]
 fn parallel_pass_over_a_shared_layer_accounts_for_every_method() {
     let cfg = SierraConfig::default();
@@ -365,9 +423,11 @@ fn parallel_pass_over_a_shared_layer_accounts_for_every_method() {
             .expect("pipeline runs");
         // The harnessed program: the session's generated harness
         // methods are summarized too.
-        let methods = result.harness.app.program.methods();
-        let bodies = methods.iter().filter(|m| m.has_body()).count();
-        (bodies, result.metrics.link, stable(&result))
+        (
+            reached_bodies(&result).count(),
+            result.metrics.link,
+            stable(&result),
+        )
     });
     assert_eq!(rows.len(), serial.len());
     for (row, serial) in rows.into_iter().zip(serial) {
