@@ -52,7 +52,8 @@
 //! Locals are typed by inference (assignments from `new`, loads, calls and
 //! constants), which is what lets unqualified `y.field` resolve. Classes
 //! extending `Activity`/`BroadcastReceiver`/`Service` register in the
-//! manifest automatically.
+//! manifest automatically, in source order; `unlisted class …` keeps one
+//! out (a receiver registered only through `registerReceiver`, say).
 
 use crate::app::{AndroidApp, AndroidAppBuilder};
 use crate::callbacks::GuiEventKind;
@@ -98,6 +99,7 @@ struct ClassSrc {
     super_name: Option<String>,
     interfaces: Vec<String>,
     is_interface: bool,
+    unlisted: bool,                             // kept out of the manifest
     fields: Vec<(usize, bool, String, String)>, // (line, is_static, name, type text)
     methods: Vec<MethodSrc>,
 }
@@ -178,7 +180,7 @@ pub fn parse_app_with(
             builder.program_builder().add_interface_to(id, i);
         }
     }
-    for c in &classes {
+    for c in classes.iter().filter(|c| !c.unlisted) {
         builder.register_component(class_ids[&c.name]);
     }
     for c in &classes {
@@ -241,6 +243,9 @@ fn parse_structure(source: &str) -> Result<(Vec<ClassSrc>, Vec<LayoutSrc>), AsmE
     let mut i = 0;
     while i < lines.len() {
         let (ln, line) = (&lines[i].0, lines[i].1.as_str());
+        let (unlisted, line) = line
+            .strip_prefix("unlisted ")
+            .map_or((false, line), |l| (true, l));
         if let Some(rest) = line
             .strip_prefix("class ")
             .or_else(|| line.strip_prefix("interface "))
@@ -326,6 +331,7 @@ fn parse_structure(source: &str) -> Result<(Vec<ClassSrc>, Vec<LayoutSrc>), AsmE
                 super_name,
                 interfaces,
                 is_interface,
+                unlisted,
                 fields,
                 methods,
             });
@@ -1249,16 +1255,23 @@ layout com.ex.Act {
 /// Renders an app back to assembler text that [`parse_app`] accepts.
 ///
 /// Only app-origin classes are rendered (the framework is implicit).
-/// Locals are written as `p0…`/`v0…`; blocks as `bb0…`; string constants
-/// as quoted literals with every character outside `[A-Za-z0-9._$-]`
-/// escaped as `\u{hex}`.
+/// A component subclass the manifest does not declare is marked
+/// `unlisted`. Locals are written as `p0…`/`v0…`; blocks as `bb0…`;
+/// string constants as quoted literals with every character outside
+/// `[A-Za-z0-9._$-]` escaped as `\u{hex}`.
 pub fn render_app(app: &AndroidApp) -> String {
     use std::fmt::Write as _;
-    let p = &app.program;
+    let (p, fw, m) = (&app.program, &app.framework, &app.manifest);
+    let components = [fw.activity, fw.broadcast_receiver, fw.service];
+    let listed = [&m.activities, &m.receivers, &m.services];
     let mut out = String::new();
     for class in p.classes() {
         if class.origin != apir::Origin::App {
             continue;
+        }
+        let component = components.iter().any(|&c| p.is_subtype(class.id, c));
+        if component && !listed.iter().any(|l| l.contains(&class.id)) {
+            out.push_str("unlisted ");
         }
         let kw = if class.is_interface {
             "interface"

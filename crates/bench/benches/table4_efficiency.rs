@@ -3,10 +3,10 @@
 //! The paper splits analysis time into CG+PA (dominant), HBG
 //! construction (cheap) and refutation (second-largest). Every number
 //! here comes from full analysis sessions: stage times are read from
-//! `StageMetrics::timings`, so the bench times exactly the code
-//! `analyze` runs. The work counters behind these runs are pinned
-//! exactly by `tests/golden/counters.txt`; this bench records only time
-//! and memory.
+//! `StageMetrics::timings` through its stage listing (the `timings_ms`
+//! keys), so the bench times exactly the code `analyze` runs. The work
+//! counters behind these runs are pinned exactly by
+//! `tests/golden/counters.txt`; this bench records only time and memory.
 //!
 //! Every timing is a median, so one descheduled session cannot skew
 //! it. Groups: per-stage medians of 30 sessions on the medium app (NPR
@@ -43,7 +43,11 @@ fn sessions(iters: usize, mut run: impl FnMut() -> SierraResult) -> Vec<StageTim
 }
 
 /// The median of one timing over `runs`, printed under `label`.
-fn median(label: &str, runs: &[StageTimings], pick: fn(&StageTimings) -> Duration) -> Duration {
+fn median(
+    label: &str,
+    runs: &[StageTimings],
+    pick: impl Fn(&StageTimings) -> Duration,
+) -> Duration {
     let mut sorted: Vec<Duration> = runs.iter().map(pick).collect();
     sorted.sort_unstable();
     let median = percentile(&sorted, 0.5);
@@ -139,29 +143,16 @@ fn main() {
 
     group("table4_efficiency");
     let runs = sessions(30, || analyze(detector, &app));
-    let stage_medians = obj(vec![
-        ("harness", us(median("stage_harness", &runs, |t| t.harness))),
-        ("cg_pa", us(median("stage_cg_pa", &runs, |t| t.cg_pa))),
-        ("hbg", us(median("stage_hbg", &runs, |t| t.hbg))),
+    // The stage listing: every stage that ran, `unattributed`, `total`.
+    let listing = StageTimings::default().listing(detector.stages);
+    let stage_medians = listing.enumerate().map(|(i, (name, ..))| {
+        let pick = |t: &StageTimings| t.listing(detector.stages).nth(i).expect("listed").2;
         (
-            "candidates",
-            us(median("stage_candidates", &runs, |t| t.candidates)),
-        ),
-        (
-            "prefilter",
-            us(median("stage_prefilter", &runs, |t| t.prefilter)),
-        ),
-        (
-            "refutation",
-            us(median("stage_refutation", &runs, |t| t.refutation)),
-        ),
-        (
-            "histories",
-            us(median("stage_histories", &runs, |t| t.histories)),
-        ),
-        ("triage", us(median("stage_triage", &runs, |t| t.triage))),
-        ("total", us(median("total", &runs, |t| t.total))),
-    ]);
+            name.to_owned(),
+            us(median(&format!("stage_{name}"), &runs, pick)),
+        )
+    });
+    let stage_medians = Json::Obj(stage_medians.collect());
 
     // The stress app's GUI handlers carry pairs the refuter can only
     // settle by exhausting its path budget, while the prefilter
@@ -170,9 +161,9 @@ fn main() {
     let stress_app = stress::refutation_stress_app(13, 8);
     let no_prefilter = SierraConfig::builder().without(Stage::Prefilter).build();
     let runs = sessions(3, || analyze(detector, &stress_app));
-    let t_refute_pf = median("refutation_with_prefilter", &runs, |t| t.refutation);
+    let t_refute_pf = median("refute_with_prefilter", &runs, |t| t.of(Stage::Refute));
     let runs = sessions(3, || analyze(no_prefilter, &stress_app));
-    let t_refute_nopf = median("refutation_without_prefilter", &runs, |t| t.refutation);
+    let t_refute_nopf = median("refute_without_prefilter", &runs, |t| t.of(Stage::Refute));
 
     group("triage_ablation");
     let no_triage = SierraConfig::builder().without(Stage::Triage).build();

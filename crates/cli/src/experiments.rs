@@ -10,11 +10,10 @@ use apir::SymbolArena;
 use corpus::{fdroid, twenty, EvalCounts, GroundTruth, HarmEval};
 use eventracer::EventRacerConfig;
 use sierra_core::{
-    run_jobs, AnalysisSession, EngineError, Report, SessionBuilder, Sierra, SierraResult,
-    StageMetrics,
+    run_jobs, AnalysisSession, CounterGroup, EngineError, Report, SessionBuilder, Sierra,
+    SierraResult, StageSet, StageTimings,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One app's row of Tables 3–5: its analysis [`Report`] plus the
 /// columns that are not analysis output.
@@ -264,62 +263,124 @@ pub fn table2() -> String {
     out
 }
 
-/// A table cell for a value only some runs compute: `-` for none.
-fn cell<T: std::fmt::Display>(value: Option<T>) -> String {
-    value.map_or_else(|| "-".to_owned(), |v| v.to_string())
+/// One column of a per-app table: its header and width, the digits
+/// after the point, and how its cell is read from a row (`None`, printed
+/// `-`, for a value only some runs compute).
+struct Column {
+    header: String,
+    width: usize,
+    decimals: usize,
+    read: ReadCell,
+}
+
+type ReadCell = Box<dyn Fn(&AppRow) -> Option<f64>>;
+
+impl Column {
+    fn new(header: &str, width: usize, decimals: usize, read: ReadCell) -> Column {
+        let header = header.to_owned();
+        Column {
+            header,
+            width,
+            decimals,
+            read,
+        }
+    }
+
+    fn count(header: &str, width: usize, read: fn(&AppRow) -> usize) -> Column {
+        Column::new(header, width, 0, Box::new(move |r| Some(read(r) as f64)))
+    }
+
+    /// `value` printed under this column, after one space.
+    fn cell(&self, value: Option<f64>) -> String {
+        let (w, d) = (self.width, self.decimals);
+        value.map_or_else(|| format!(" {:>w$}", "-"), |v| format!(" {v:>w$.d$}"))
+    }
+}
+
+/// The header line of `columns`, with `first` over the name column.
+fn header_line(first: &str, columns: &[Column]) -> String {
+    let mut line = format!("{first:<17}");
+    for c in columns {
+        line.push_str(&format!(" {:>w$}", c.header, w = c.width));
+    }
+    line + "\n"
+}
+
+/// The median of column `c` over the rows that analyzed and have a
+/// value in it.
+fn column_median(rows: &[AppRow], c: &Column) -> Option<f64> {
+    let values = ok_rows(rows).into_iter().filter_map(&c.read);
+    median(&values.collect::<Vec<_>>())
+}
+
+/// The MEDIAN line of `columns`.
+fn median_line(rows: &[AppRow], columns: &[Column]) -> String {
+    let mut line = format!("{:<17}", "MEDIAN");
+    for c in columns {
+        line.push_str(&c.cell(column_median(rows, c)));
+    }
+    line + "\n"
+}
+
+/// `title`, then each column's median as `<label> <median><unit>`, the
+/// label being the header without its `(ms)`.
+fn medians_line(title: &str, rows: &[AppRow], columns: &[Column], unit: &str) -> String {
+    let medians: Vec<String> = columns
+        .iter()
+        .map(|c| {
+            let (label, d) = (c.header.trim_end_matches("(ms)"), c.decimals);
+            let median = column_median(rows, c).unwrap_or(0.0);
+            format!("{label} {median:.d$}{unit}")
+        })
+        .collect();
+    format!("{title}: {}\n", medians.join(", "))
+}
+
+/// A per-app table: one column list serves the header, every row (an
+/// error row says so) and the MEDIAN line.
+fn render_table(rows: &[AppRow], columns: &[Column]) -> String {
+    let mut out = header_line("App", columns);
+    for r in rows {
+        out.push_str(&format!("{:<17}", r.name));
+        match &r.error {
+            Some(err) => out.push_str(&format!(" ERROR: {err}")),
+            None => out.extend(columns.iter().map(|c| c.cell((c.read)(r)))),
+        }
+        out.push('\n');
+    }
+    out + &median_line(rows, columns)
+}
+
+/// Table 3's columns; Table 5 shows some of them.
+fn table3_columns() -> Vec<Column> {
+    let without_as: ReadCell = Box::new(|r| r.report.racy_pairs_without_as.map(|n| n as f64));
+    vec![
+        Column::count("Harn", 4, |r| r.report.harness_count),
+        Column::count("Actions", 7, |r| r.report.action_count),
+        Column::count("HBedges", 8, |r| r.report.hb_edges),
+        Column::new("Ord%", 5, 1, Box::new(|r| Some(r.report.hb_percent()))),
+        Column::new("RP-noAS", 7, 0, without_as),
+        Column::count("RP-AS", 7, |r| r.report.racy_pairs_with_as),
+        Column::count("AfterR", 6, AppRow::races),
+        Column::count("True", 5, |r| r.sierra_eval.true_races),
+        Column::count("FP", 4, |r| {
+            r.sierra_eval.false_positives + r.sierra_eval.unplanted
+        }),
+        Column::count("Miss", 5, |r| r.sierra_eval.missed),
+        Column::count("EvRac", 5, |r| r.eventracer_eval.true_races),
+        Column::count("Crash", 5, AppRow::crash),
+        Column::count("ValI", 4, |r| r.report.metrics.triage.value_inconsistency),
+        Column::count("Benign", 6, |r| r.report.metrics.triage.likely_benign),
+    ]
 }
 
 /// Renders Table 3 (effectiveness on the 20-app dataset), extended with
 /// the triage verdict histogram (Crash / ValI / Benign columns) and a
 /// corpus-wide crash-precision/recall summary line. The RP-noAS column
-/// reads `-` for rows analyzed without the opt-in comparison pass.
+/// reads `-` for rows analyzed without the opt-in comparison pass; its
+/// median is over the rows that ran it.
 pub fn table3(rows: &[AppRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<17} {:>4} {:>7} {:>8} {:>5} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
-        "App",
-        "Harn",
-        "Actions",
-        "HBedges",
-        "Ord%",
-        "RP-noAS",
-        "RP-AS",
-        "AfterR",
-        "True",
-        "FP",
-        "Miss",
-        "EvRac",
-        "Crash",
-        "ValI",
-        "Benign"
-    ));
-    for r in rows {
-        if let Some(err) = &r.error {
-            out.push_str(&format!("{:<17} ERROR: {err}\n", r.name));
-            continue;
-        }
-        out.push_str(&format!(
-            "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
-            r.name,
-            r.report.harness_count,
-            r.report.action_count,
-            r.report.hb_edges,
-            r.report.hb_percent(),
-            cell(r.report.racy_pairs_without_as),
-            r.report.racy_pairs_with_as,
-            r.races(),
-            r.sierra_eval.true_races,
-            r.sierra_eval.false_positives + r.sierra_eval.unplanted,
-            r.sierra_eval.missed,
-            r.eventracer_eval.true_races,
-            r.crash(),
-            r.report.metrics.triage.value_inconsistency,
-            r.report.metrics.triage.likely_benign,
-        ));
-    }
-    out.push_str(&median_row(rows));
-    out.push_str(&triage_summary(rows));
-    out
+    render_table(rows, &table3_columns()) + &triage_summary(rows)
 }
 
 /// Corpus-wide triage score: crash-capable precision/recall over every
@@ -350,119 +411,56 @@ pub fn triage_summary(rows: &[AppRow]) -> String {
     )
 }
 
-/// Renders the Table 3/5 median summary line.
-pub fn median_row(rows: &[AppRow]) -> String {
-    let ok = ok_rows(rows);
-    let m = |f: &dyn Fn(&AppRow) -> f64| {
-        median(&ok.iter().map(|r| f(r)).collect::<Vec<_>>()).unwrap_or(0.0)
-    };
-    // Over the rows the comparison pass ran on.
-    let without_as: Vec<f64> = ok
-        .iter()
-        .filter_map(|r| r.report.racy_pairs_without_as)
-        .map(|n| n as f64)
-        .collect();
-    format!(
-        "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>7} {:>6} {:>5} {:>4} {:>5} {:>5} {:>5} {:>4} {:>6}\n",
-        "MEDIAN",
-        m(&|r| r.report.harness_count as f64),
-        m(&|r| r.report.action_count as f64),
-        m(&|r| r.report.hb_edges as f64),
-        m(&|r| r.report.hb_percent()),
-        cell(median(&without_as)),
-        m(&|r| r.report.racy_pairs_with_as as f64),
-        m(&|r| r.races() as f64),
-        m(&|r| r.sierra_eval.true_races as f64),
-        m(&|r| (r.sierra_eval.false_positives + r.sierra_eval.unplanted) as f64),
-        m(&|r| r.sierra_eval.missed as f64),
-        m(&|r| r.eventracer_eval.true_races as f64),
-        m(&|r| r.crash() as f64),
-        m(&|r| r.report.metrics.triage.value_inconsistency as f64),
-        m(&|r| r.report.metrics.triage.likely_benign as f64),
-    )
+/// Table 4's work columns: each header, then the counter group and key
+/// it reads through [`COUNTER_GROUPS`](sierra_core::COUNTER_GROUPS).
+const TABLE4_COUNTERS: [(&str, &str, &str); 8] = [
+    ("PAiters", "pointer", "worklist_iterations"),
+    ("CGedges", "pointer", "cg_edges"),
+    ("HBapps", "shbg", "rule_applications"),
+    ("Paths", "refuter", "paths"),
+    ("Pruned", "prefilter", "pruned"),
+    ("DFiters", "triage", "dataflow_iterations"),
+    ("HistChk", "histories", "pairs_checked"),
+    ("HistDis", "histories", "discharged"),
+];
+
+/// One time column per entry of the rows' stage listing (every row
+/// runs the same stages), headed `<label>(ms)`.
+fn time_columns(rows: &[AppRow]) -> Vec<Column> {
+    let stages = ok_rows(rows)
+        .first()
+        .map_or(StageSet::default(), |r| r.report.stages);
+    let listing = StageTimings::default().listing(stages);
+    let columns = listing.enumerate().map(|(i, (_, label, _))| {
+        let read: ReadCell = Box::new(move |r| {
+            let (.., t) = r.report.metrics.timings.listing(stages).nth(i)?;
+            Some(t.as_secs_f64() * 1e3)
+        });
+        let header = format!("{label}(ms)");
+        Column::new(&header, header.len().max(8), 2, read)
+    });
+    columns.collect()
+}
+
+/// One column per [`TABLE4_COUNTERS`] entry.
+fn counter_columns() -> impl Iterator<Item = Column> {
+    TABLE4_COUNTERS.iter().map(|&(header, group, key)| {
+        let group = CounterGroup::named(group).expect("a listed group");
+        let read: ReadCell = Box::new(move |r| {
+            let mut counters = group.read(&r.report.metrics);
+            Some(counters.find(|&(k, _)| k == key)?.1.value())
+        });
+        Column::new(header, header.len().max(8), 0, read)
+    })
 }
 
 /// Renders Table 4 (per-stage efficiency: timings plus work counters).
-/// One time column per stage of the default pipeline, so the stage
-/// columns account for `Total(ms)`.
+/// One time column per stage that ran, then the unattributed remainder,
+/// so the time columns add up to `Total(ms)`.
 pub fn table4(rows: &[AppRow]) -> String {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<17} {:>11} {:>10} {:>8} {:>8} {:>11} {:>12} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>7} {:>7}\n",
-        "App",
-        "Harness(ms)",
-        "CG+PA(ms)",
-        "HBG(ms)",
-        "Cand(ms)",
-        "Prefilt(ms)",
-        "Refute(ms)",
-        "Hist(ms)",
-        "Triage(ms)",
-        "Total(ms)",
-        "PAiters",
-        "CGedges",
-        "HBapps",
-        "Paths",
-        "Pruned",
-        "DFiters",
-        "HistChk",
-        "HistDis"
-    ));
-    for r in rows {
-        if let Some(err) = &r.error {
-            out.push_str(&format!("{:<17} ERROR: {err}\n", r.name));
-            continue;
-        }
-        let m = &r.report.metrics;
-        out.push_str(&format!(
-            "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>7} {:>7}\n",
-            r.name,
-            ms(m.timings.harness),
-            ms(m.timings.cg_pa),
-            ms(m.timings.hbg),
-            ms(m.timings.candidates),
-            ms(m.timings.prefilter),
-            ms(m.timings.refutation),
-            ms(m.timings.histories),
-            ms(m.timings.triage),
-            ms(m.timings.total),
-            m.pointer.worklist_iterations,
-            m.pointer.cg_edges,
-            m.shbg.total_applications(),
-            m.refuter.paths,
-            m.prefilter.pruned_total(),
-            m.triage.dataflow_iterations,
-            m.histories.pairs_checked,
-            m.histories.discharged_total(),
-        ));
-    }
-    let ok = ok_rows(rows);
-    let med = |f: &dyn Fn(&StageMetrics) -> f64| {
-        median(&ok.iter().map(|r| f(&r.report.metrics)).collect::<Vec<_>>()).unwrap_or(0.0)
-    };
-    out.push_str(&format!(
-        "{:<17} {:>11.2} {:>10.2} {:>8.2} {:>8.2} {:>11.2} {:>12.2} {:>8.2} {:>10.2} {:>10.2} {:>8.0} {:>8.0} {:>8.0} {:>6.0} {:>6.0} {:>7.0} {:>7.0} {:>7.0}\n",
-        "MEDIAN",
-        med(&|m| ms(m.timings.harness)),
-        med(&|m| ms(m.timings.cg_pa)),
-        med(&|m| ms(m.timings.hbg)),
-        med(&|m| ms(m.timings.candidates)),
-        med(&|m| ms(m.timings.prefilter)),
-        med(&|m| ms(m.timings.refutation)),
-        med(&|m| ms(m.timings.histories)),
-        med(&|m| ms(m.timings.triage)),
-        med(&|m| ms(m.timings.total)),
-        med(&|m| m.pointer.worklist_iterations as f64),
-        med(&|m| m.pointer.cg_edges as f64),
-        med(&|m| m.shbg.total_applications() as f64),
-        med(&|m| m.refuter.paths as f64),
-        med(&|m| m.prefilter.pruned_total() as f64),
-        med(&|m| m.triage.dataflow_iterations as f64),
-        med(&|m| m.histories.pairs_checked as f64),
-        med(&|m| m.histories.discharged_total() as f64),
-    ));
-    out
+    let mut columns = time_columns(rows);
+    columns.extend(counter_columns());
+    render_table(rows, &columns)
 }
 
 /// Renders Table 5 (174-app medians).
@@ -479,38 +477,15 @@ pub fn table5(rows: &[AppRow]) -> String {
             out.push_str(&format!("{:<17} ERROR: {err}\n", r.name));
         }
     }
-    out.push_str(&format!(
-        "{:<17} {:>4} {:>7} {:>8} {:>5} {:>7} {:>6}\n",
-        "", "Harn", "Actions", "HBedges", "Ord%", "RP-AS", "AfterR"
-    ));
-    let m = |f: &dyn Fn(&Report) -> f64| {
-        median(&ok.iter().map(|r| f(&r.report)).collect::<Vec<_>>()).unwrap_or(0.0)
-    };
-    out.push_str(&format!(
-        "{:<17} {:>4} {:>7} {:>8} {:>5.1} {:>7} {:>6}\n",
-        "MEDIAN",
-        m(&|r| r.harness_count as f64),
-        m(&|r| r.action_count as f64),
-        m(&|r| r.hb_edges as f64),
-        m(&|r| r.hb_percent()),
-        m(&|r| r.racy_pairs_with_as as f64),
-        m(&|r| r.race_lines.len() as f64),
-    ));
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    out.push_str(&format!(
-        "Efficiency medians: CG+PA {:.2} ms, HBG {:.2} ms, refutation {:.2} ms, total {:.2} ms\n",
-        m(&|r| ms(r.metrics.timings.cg_pa)),
-        m(&|r| ms(r.metrics.timings.hbg)),
-        m(&|r| ms(r.metrics.timings.refutation)),
-        m(&|r| ms(r.metrics.timings.total)),
-    ));
-    out.push_str(&format!(
-        "Work medians: {:.0} PA worklist iterations, {:.0} CG edges, {:.0} HB rule applications, {:.0} refuter paths\n",
-        m(&|r| r.metrics.pointer.worklist_iterations as f64),
-        m(&|r| r.metrics.pointer.cg_edges as f64),
-        m(&|r| r.metrics.shbg.total_applications() as f64),
-        m(&|r| r.metrics.refuter.paths as f64),
-    ));
+    let shown = ["Harn", "Actions", "HBedges", "Ord%", "RP-AS", "AfterR"];
+    let mut columns = table3_columns();
+    columns.retain(|c| shown.contains(&c.header.as_str()));
+    out.push_str(&header_line("", &columns));
+    out.push_str(&median_line(rows, &columns));
+    let times = time_columns(rows);
+    out.push_str(&medians_line("Efficiency medians", rows, &times, " ms"));
+    let counters: Vec<Column> = counter_columns().collect();
+    out.push_str(&medians_line("Work medians", rows, &counters, ""));
     out
 }
 
@@ -692,15 +667,30 @@ mod tests {
         // Rendering includes the row and a median line.
         let t3 = table3(std::slice::from_ref(&row));
         assert!(t3.contains("fig1") && t3.contains("MEDIAN"));
+        // Table 4's time columns are the stage listing: every stage that
+        // ran (the comparison pass too, here), then the remainder.
         let t4 = table4(std::slice::from_ref(&row));
-        assert!(t4.contains("CG+PA") && t4.contains("PAiters"));
-        assert!(t4.contains("Prefilt(ms)") && t4.contains("Pruned"));
-        assert!(t4.contains("Harness(ms)") && t4.contains("Cand(ms)"));
-        assert!(!t4.contains("Compare(ms)"));
-        assert!(t4.contains("Hist(ms)") && t4.contains("HistChk"));
-        assert!(t4.contains("HistDis"));
+        let header: Vec<&str> = t4
+            .lines()
+            .next()
+            .expect("a header")
+            .split_whitespace()
+            .collect();
+        let mut expected: Vec<String> = Stage::ALL
+            .iter()
+            .map(|s| format!("{}(ms)", s.label()))
+            .collect();
+        expected.extend(["Unattributed(ms)", "Total(ms)"].map(String::from));
+        expected.extend(TABLE4_COUNTERS.iter().map(|(h, ..)| h.to_string()));
+        assert_eq!(header[0], "App");
+        assert_eq!(header[1..], expected);
+        assert_eq!(t4.lines().count(), 3, "{t4}");
         let t5 = table5(std::slice::from_ref(&row));
-        assert!(t5.contains("medians"));
+        assert!(t5.contains("Efficiency medians: Harness "), "{t5}");
+        assert!(
+            t5.contains(", Compare ") && t5.contains(", Unattributed "),
+            "{t5}"
+        );
         let cmp = comparison_summary(std::slice::from_ref(&row));
         assert!(cmp.contains("SIERRA"));
     }
@@ -865,6 +855,8 @@ mod tests {
             assert!(render.contains("ERROR: index out of bounds"), "{render}");
         }
         // The median line matches the one computed without the error row.
-        assert_eq!(median_row(&rows), median_row(std::slice::from_ref(&ok)));
+        let columns = table3_columns();
+        let alone = std::slice::from_ref(&ok);
+        assert_eq!(median_line(&rows, &columns), median_line(alone, &columns));
     }
 }

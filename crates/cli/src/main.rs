@@ -195,7 +195,7 @@ fn main() {
                 eval.false_positives + eval.unplanted,
                 eval.missed
             );
-            if result.triage_ran {
+            if result.stages.contains(Stage::Triage) {
                 let verdicts = experiments::sierra_harm_verdicts(&result);
                 let harm = truth.evaluate_harm(
                     verdicts

@@ -37,12 +37,12 @@
 //! counters; a stage removed by `--no-histories` and the like sends
 //! none), then a `report` event
 //! carrying the full [`Report`] JSON, then a `done` event with the
-//! store-reuse counters:
+//! race count and the report's `link` counters (store reuse):
 //!
 //! ```json
 //! {"id":1,"event":"stage","stage":"pointer","ms":1.2,"counters":{...}}
 //! {"id":1,"event":"report","report":{...}}
-//! {"id":1,"event":"done","races":2,"summaries_reused":0,"summaries_recomputed":9,"analysis_reused":false}
+//! {"id":1,"event":"done","races":5,"summaries_reused":0,"summaries_recomputed":9,"analysis_reused":false,"pointer_iterations_run":26,"summaries_shared":0}
 //! {"id":1,"event":"error","message":"..."}
 //! ```
 //!
@@ -253,9 +253,8 @@ fn analyze(
     let result = session.finish_with(|stage, m| {
         let ms = m.timings.of(stage).as_secs_f64() * 1e3;
         let counters = stage_counters(stage, m, audited);
-        let name = Json::Str(stage.to_string());
         let fields = vec![
-            ("stage", name),
+            ("stage", Json::Str(stage.to_string())),
             ("ms", Json::Num(ms)),
             ("counters", counters),
         ];
@@ -263,14 +262,9 @@ fn analyze(
     })?;
     let report = Report::from_result(&result).render_json();
     emit(out, id, "report", vec![("report", report)]);
-    let link = result.metrics.link;
-    let done = vec![
-        ("races", num(result.races.len())),
-        ("summaries_reused", num(link.summaries_reused)),
-        ("summaries_recomputed", num(link.summaries_recomputed)),
-        ("summaries_shared", num(link.summaries_shared)),
-        ("analysis_reused", Json::Bool(link.analysis_reused)),
-    ];
+    let link = sierra_core::CounterGroup::named("link").expect("the link group");
+    let mut done = vec![("races", num(result.races.len()))];
+    done.extend(link.read(&result.metrics).map(|(k, v)| (k, v.to_json())));
     emit(out, id, "done", done);
     Ok(())
 }

@@ -60,18 +60,13 @@ fn race_reports_are_deterministically_ordered() {
     };
     let first = render();
     let second = render();
-    // Drop the lines that legitimately vary from run to run: wall clock
-    // ("stages:" and the histories and triage stages' ms figures). The
-    // harm annotations on the race lines themselves remain under
-    // comparison.
+    // Drop the one line that legitimately varies from run to run: the
+    // wall clock of "stages:". The harm annotations on the race lines
+    // themselves remain under comparison.
     let stable = |r: &sierra_core::SierraResult| {
         format!("{r}")
             .lines()
-            .filter(|l| {
-                !l.starts_with("stages:")
-                    && !l.starts_with("histories:")
-                    && !l.starts_with("triage:")
-            })
+            .filter(|l| !l.starts_with("stages:"))
             .collect::<Vec<_>>()
             .join("\n")
     };

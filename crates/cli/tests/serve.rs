@@ -211,12 +211,23 @@ fn serve_streams_one_timed_event_per_stage_that_ran() {
                 .collect(),
         ),
     ] {
-        let events = stages(&run_serve(flags, &input), 1);
+        let output = run_serve(flags, &input);
+        let events = stages(&output, 1);
         let names: Vec<&str> = events.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, expected, "stage sequence under {flags:?}");
         assert!(
             events.iter().all(|(_, ms)| *ms > 0.0),
             "every stage is measured under {flags:?}: {events:?}"
         );
+        // The report's timings are keyed by the same stage names, in the
+        // same order, followed by the remainder and the total.
+        let report = event(&output, 1, "report").get("report").expect("payload");
+        let Some(Json::Obj(timings)) = report.get("timings_ms") else {
+            panic!("no timings_ms object under {flags:?}: {report:?}");
+        };
+        let keys: Vec<&str> = timings.iter().map(|(k, _)| k.as_str()).collect();
+        let mut listed = names.clone();
+        listed.extend(["unattributed", "total"]);
+        assert_eq!(keys, listed, "timings_ms keys under {flags:?}");
     }
 }

@@ -30,6 +30,15 @@ impl Counter {
             Percent(p) => Json::Num(p),
         }
     }
+
+    /// The value as a number; a flag reads 1 or 0.
+    pub fn value(self) -> f64 {
+        match self {
+            Count(n) => n as f64,
+            Flag(b) => f64::from(u8::from(b)),
+            Percent(p) => p,
+        }
+    }
 }
 
 /// The value as the report JSON renders it.
@@ -58,6 +67,11 @@ pub struct CounterGroup {
 }
 
 impl CounterGroup {
+    /// The group the report JSON keys `name`.
+    pub fn named(name: &str) -> Option<&'static CounterGroup> {
+        COUNTER_GROUPS.iter().find(|g| g.name == name)
+    }
+
     /// Whether a run shows this group; `audited` says whether it
     /// audited call-graph soundness.
     pub fn shown(&self, audited: bool) -> bool {

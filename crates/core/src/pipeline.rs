@@ -55,24 +55,54 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Every stage, in driver order.
+    pub const ALL: [Stage; 9] = [
+        Stage::Harness,
+        Stage::Pointer,
+        Stage::Shbg,
+        Stage::Candidates,
+        Stage::Prefilter,
+        Stage::Refute,
+        Stage::Histories,
+        Stage::Triage,
+        Stage::Compare,
+    ];
+
     const fn bit(self) -> u16 {
         1 << self as u16
     }
+
+    /// The stage's human label, the text `stages:` line's and the
+    /// tables' (`CG+PA` and `HBG` are the paper's Table 4 names).
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::Harness => "Harness",
+            Stage::Pointer => "CG+PA",
+            Stage::Shbg => "HBG",
+            Stage::Candidates => "Candidates",
+            Stage::Prefilter => "Prefilter",
+            Stage::Refute => "Refute",
+            Stage::Histories => "Histories",
+            Stage::Triage => "Triage",
+            Stage::Compare => "Compare",
+        }
+    }
 }
 
-/// The lowercase variant name (`harness`, …, `compare`).
+/// The machine name, the lowercase variant name (`harness`, …): serve's
+/// `stage` events and the report's `timings_ms` keys use it.
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&format!("{self:?}").to_ascii_lowercase())
     }
 }
 
-/// The stages a session runs (default: [`StageSet::DEFAULT`], every
-/// stage but `Compare`). An ablation is a stage removed with
-/// [`StageSet::without`]; the driver then stores that stage's identity
-/// output instead of running it. The comparison pass is added with
-/// [`StageSet::with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The stages a session runs (a config's default: [`StageSet::DEFAULT`],
+/// every stage but `Compare`; the `Default` set is empty). An ablation
+/// is a stage removed with [`StageSet::without`]; the driver then stores
+/// that stage's identity output instead of running it. The comparison
+/// pass is added with [`StageSet::with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageSet(u16);
 
 impl StageSet {
@@ -109,6 +139,11 @@ impl StageSet {
     /// comparison pass.
     pub fn with(self, stage: Stage) -> StageSet {
         StageSet(self.0 | stage.bit())
+    }
+
+    /// The stages in the set, in driver order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = Stage> {
+        Stage::ALL.into_iter().filter(move |&s| self.contains(s))
     }
 }
 
@@ -212,48 +247,48 @@ impl SierraConfigBuilder {
 /// not run records zero.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Harness generation.
-    pub harness: Duration,
-    /// Summary linking, call-graph + pointer analysis and the soundness
-    /// audit ("CG+PA").
-    pub cg_pa: Duration,
-    /// SHBG construction ("HBG").
-    pub hbg: Duration,
-    /// Candidate racy-pair generation.
-    pub candidates: Duration,
-    /// Pre-refutation static pruning.
-    pub prefilter: Duration,
-    /// Symbolic-execution refutation.
-    pub refutation: Duration,
-    /// Message-history refutation (automaton build + product checks).
-    pub histories: Duration,
-    /// Post-refutation harm triage.
-    pub triage: Duration,
-    /// The comparison pass (`racy pairs w/o AS`; zero unless opted in).
-    pub compare: Duration,
-    /// End-to-end, from session start. At least the sum of the stages.
+    /// Each stage's time, indexed in [`Stage::ALL`] order.
+    stages: [Duration; Stage::ALL.len()],
+    /// End-to-end, from session start: the stages plus
+    /// [`Self::unattributed`].
     pub total: Duration,
 }
 
 impl StageTimings {
     /// The time recorded for `stage`.
-    pub fn of(mut self, stage: Stage) -> Duration {
-        *self.of_mut(stage)
+    pub fn of(&self, stage: Stage) -> Duration {
+        self.stages[stage as usize]
     }
 
-    /// The slot that accumulates `stage`'s time.
-    pub(crate) fn of_mut(&mut self, stage: Stage) -> &mut Duration {
-        match stage {
-            Stage::Harness => &mut self.harness,
-            Stage::Pointer => &mut self.cg_pa,
-            Stage::Shbg => &mut self.hbg,
-            Stage::Candidates => &mut self.candidates,
-            Stage::Prefilter => &mut self.prefilter,
-            Stage::Refute => &mut self.refutation,
-            Stage::Histories => &mut self.histories,
-            Stage::Triage => &mut self.triage,
-            Stage::Compare => &mut self.compare,
-        }
+    /// Adds `time` to `stage`.
+    pub(crate) fn add(&mut self, stage: Stage, time: Duration) {
+        self.stages[stage as usize] += time;
+    }
+
+    /// The part of [`Self::total`] no stage accounts for: session setup
+    /// and the driver's own work between stages.
+    pub fn unattributed(&self) -> Duration {
+        self.total.saturating_sub(self.stages.iter().sum())
+    }
+
+    /// The listing every timing surface renders, as `(name, label,
+    /// time)`: each stage of `stages` in driver order (its `Display`
+    /// name and [`Stage::label`]), then `unattributed`, then `total`.
+    pub fn listing(
+        self,
+        stages: StageSet,
+    ) -> impl Iterator<Item = (String, &'static str, Duration)> {
+        let ran = stages
+            .iter()
+            .map(move |s| (s.to_string(), s.label(), self.of(s)));
+        ran.chain([
+            (
+                "unattributed".to_owned(),
+                "Unattributed",
+                self.unattributed(),
+            ),
+            ("total".to_owned(), "Total", self.total),
+        ])
     }
 }
 
@@ -305,7 +340,7 @@ pub struct SierraResult {
     /// app's actions, cross-harness pairs included.
     pub hb_max: usize,
     /// Candidate racy pairs without action sensitivity. Only meaningful
-    /// when `compare_ran`; 0 otherwise.
+    /// when `stages` holds [`Stage::Compare`]; 0 otherwise.
     pub racy_pairs_without_as: usize,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
@@ -313,12 +348,8 @@ pub struct SierraResult {
     /// stage ran, each carries a [`triage::TriageVerdict`] and reports
     /// below `min_harm` have been dropped.
     pub races: Vec<RaceReport>,
-    /// Whether the harm-triage stage ran.
-    pub triage_ran: bool,
-    /// Whether the message-history stage ran.
-    pub histories_ran: bool,
-    /// Whether the comparison pass ran (it is opt-in).
-    pub compare_ran: bool,
+    /// The stages that ran (the comparison pass is opt-in).
+    pub stages: StageSet,
     /// Candidate pairs the prefilter and the histories stage removed,
     /// each with its machine-checkable reason (prefilter pairs first,
     /// each stage's in candidate order).

@@ -10,7 +10,7 @@
 
 use crate::counters::COUNTER_GROUPS;
 use crate::json::{num, obj, Json};
-use crate::pipeline::{SierraResult, StageMetrics};
+use crate::pipeline::{SierraResult, Stage, StageMetrics, StageSet};
 use shbg::HbRule;
 use std::time::Duration;
 
@@ -37,10 +37,8 @@ pub struct Report {
     pub race_lines: Vec<String>,
     /// Pruned pairs as `(pair description, verdict description)`.
     pub pruned_lines: Vec<(String, String)>,
-    /// Whether the harm-triage stage ran.
-    pub triage_ran: bool,
-    /// Whether the message-history refutation stage ran.
-    pub histories_ran: bool,
+    /// The stages that ran.
+    pub stages: StageSet,
     /// Whether the soundness audit is part of the report surface (true
     /// under the `resolve`/`havoc` opaque policies; `ignore` keeps the
     /// pre-soundness-modes output byte-identical).
@@ -59,13 +57,14 @@ impl Report {
     pub fn from_result(result: &SierraResult) -> Report {
         let program = &result.harness.app.program;
         let actions = &result.analysis.actions;
+        let compared = result.stages.contains(Stage::Compare);
         Report {
             app_name: result.app_name.clone(),
             harness_count: result.harness_count,
             action_count: result.action_count,
             hb_edges: result.hb_edges,
             hb_max: result.hb_max,
-            racy_pairs_without_as: result.compare_ran.then_some(result.racy_pairs_without_as),
+            racy_pairs_without_as: compared.then_some(result.racy_pairs_without_as),
             racy_pairs_with_as: result.racy_pairs_with_as,
             race_lines: result
                 .races
@@ -82,8 +81,7 @@ impl Report {
                     )
                 })
                 .collect(),
-            triage_ran: result.triage_ran,
-            histories_ran: result.histories_ran,
+            stages: result.stages,
             soundness_audited: result.analysis.opaque_policy != pointer::OpaquePolicy::Ignore,
             metrics: result.metrics,
         }
@@ -104,9 +102,8 @@ impl Report {
     }
 
     /// The report with every wall-clock-dependent part removed (no
-    /// `stages:` line, no triage milliseconds): byte-identical across
-    /// runs of identical inputs, so cold-vs-warm and determinism tests
-    /// compare this form.
+    /// `stages:` line): byte-identical across runs of identical inputs,
+    /// so cold-vs-warm and determinism tests compare this form.
     pub fn render_stable(&self) -> String {
         self.render(false)
     }
@@ -130,21 +127,12 @@ impl Report {
             let _ = write!(out, " (without action-sensitivity: {without_as})");
         }
         let _ = writeln!(out, "; {} race(s) after refutation", self.race_lines.len());
-        let t = &self.metrics.timings;
         if with_timings {
-            let _ = write!(
-                out,
-                "stages: harness {:.2} ms, CG+PA {:.2} ms, HBG {:.2} ms, prefilter {:.2} ms, refutation {:.2} ms, ",
-                ms(t.harness),
-                ms(t.cg_pa),
-                ms(t.hbg),
-                ms(t.prefilter),
-                ms(t.refutation),
-            );
-            if self.racy_pairs_without_as.is_some() {
-                let _ = write!(out, "compare {:.2} ms, ", ms(t.compare));
-            }
-            let _ = writeln!(out, "total {:.2} ms", ms(t.total));
+            let listing = self.metrics.timings.listing(self.stages);
+            let times: Vec<String> = listing
+                .map(|(_, label, t)| format!("{label} {:.2} ms", ms(t)))
+                .collect();
+            let _ = writeln!(out, "stages: {}", times.join(", "));
         }
         let pa = &self.metrics.pointer;
         let _ = writeln!(
@@ -198,9 +186,9 @@ impl Report {
         );
         // Only emitted when the stage ran, so `--no-histories` output
         // stays byte-identical to the histories-free pipeline.
-        if self.histories_ran {
+        if self.stages.contains(Stage::Histories) {
             let hs = &self.metrics.histories;
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "histories: {} of {} pair(s) discharged (unregistered {}, destroy {}, pause {}), {} automaton states / {} edges over {} component(s), {} product edges, {} dead callback(s)",
                 hs.discharged_total(),
@@ -214,16 +202,12 @@ impl Report {
                 hs.product_edges,
                 hs.dead_callbacks,
             );
-            if with_timings {
-                let _ = write!(out, ", {:.2} ms", ms(self.metrics.timings.histories));
-            }
-            out.push('\n');
         }
         // Only emitted when the stage ran, so `--no-triage` output stays
         // byte-identical to the pre-triage pipeline.
-        if self.triage_ran {
+        if self.stages.contains(Stage::Triage) {
             let tg = &self.metrics.triage;
-            let _ = write!(
+            let _ = writeln!(
                 out,
                 "triage: {} race(s) classified ({} null-deref, {} use-before-init, {} value-inconsistency, {} likely-benign), {} dataflow iterations over {} method(s)",
                 tg.classified,
@@ -234,10 +218,6 @@ impl Report {
                 tg.dataflow_iterations,
                 tg.methods_analyzed,
             );
-            if with_timings {
-                let _ = write!(out, ", {:.2} ms", ms(self.metrics.timings.triage));
-            }
-            out.push('\n');
         }
         // Only emitted under `resolve`/`havoc`, so `--opaque-policy
         // ignore` output stays byte-identical to the pre-soundness-modes
@@ -274,7 +254,6 @@ impl Report {
     /// `timings_ms` (wall clock) and `link` (store-reuse telemetry).
     /// Clients comparing reports for identity should drop both.
     pub fn render_json(&self) -> Json {
-        let t = &self.metrics.timings;
         let mut fields = vec![
             ("app".to_owned(), Json::Str(self.app_name.clone())),
             ("harnesses".to_owned(), num(self.harness_count)),
@@ -290,6 +269,7 @@ impl Report {
         if let Some(without_as) = self.racy_pairs_without_as {
             fields.push(("racy_pairs_without_as".to_owned(), num(without_as)));
         }
+        let ran = |stage| Json::Bool(self.stages.contains(stage));
         fields.extend([
             (
                 "races".to_owned(),
@@ -309,28 +289,16 @@ impl Report {
                         .collect(),
                 ),
             ),
-            ("triage_ran".to_owned(), Json::Bool(self.triage_ran)),
-            ("histories_ran".to_owned(), Json::Bool(self.histories_ran)),
+            ("triage_ran".to_owned(), ran(Stage::Triage)),
+            ("histories_ran".to_owned(), ran(Stage::Histories)),
         ]);
         fields.reserve_exact(COUNTER_GROUPS.len() + 1);
         for group in COUNTER_GROUPS.iter().filter(|g| !g.audited_only) {
             fields.push((group.name.to_owned(), group.to_json(&self.metrics)));
         }
-        let mut timings = vec![
-            ("harness", Json::Num(ms(t.harness))),
-            ("cg_pa", Json::Num(ms(t.cg_pa))),
-            ("hbg", Json::Num(ms(t.hbg))),
-            ("candidates", Json::Num(ms(t.candidates))),
-            ("prefilter", Json::Num(ms(t.prefilter))),
-            ("refutation", Json::Num(ms(t.refutation))),
-            ("histories", Json::Num(ms(t.histories))),
-            ("triage", Json::Num(ms(t.triage))),
-        ];
-        if self.racy_pairs_without_as.is_some() {
-            timings.push(("compare", Json::Num(ms(t.compare))));
-        }
-        timings.push(("total", Json::Num(ms(t.total))));
-        fields.push(("timings_ms".to_owned(), obj(timings)));
+        let listing = self.metrics.timings.listing(self.stages);
+        let timings = listing.map(|(name, _, t)| (name, Json::Num(ms(t))));
+        fields.push(("timings_ms".to_owned(), Json::Obj(timings.collect())));
         // The audit's groups appear only under `resolve`/`havoc`.
         if self.soundness_audited {
             for group in COUNTER_GROUPS.iter().filter(|g| g.audited_only) {

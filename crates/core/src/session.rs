@@ -9,7 +9,7 @@
 //! stores its identity output instead, untimed: no prefilter keeps every
 //! candidate, no refute reports every kept pair as [`Outcome::Budget`],
 //! no histories or triage passes the races through, no compare counts 0
-//! and the result says `compare_ran: false`. The comparison pass is
+//! and the result's `stages` leave it out. The comparison pass is
 //! outside the default set; only Table 3 asks for it.
 //!
 //! The getters (`harness()` … `triage()`) drive through their stage and
@@ -408,9 +408,7 @@ impl AnalysisSession {
             racy_pairs_without_as,
             racy_pairs_with_as: candidates.len(),
             races,
-            triage_ran: self.config.stages.contains(Stage::Triage),
-            histories_ran: self.config.stages.contains(Stage::Histories),
-            compare_ran: self.config.stages.contains(Stage::Compare),
+            stages: self.config.stages,
             pruned,
             metrics,
             analysis,
@@ -542,7 +540,7 @@ impl Driver<'_> {
         if slot.is_none() && stage <= self.last {
             let t = Instant::now();
             *slot = body(self.metrics);
-            *self.metrics.timings.of_mut(stage) += t.elapsed();
+            self.metrics.timings.add(stage, t.elapsed());
             if slot.is_some() {
                 (self.on_stage)(stage, self.metrics);
             }

@@ -1,6 +1,6 @@
 //! End-to-end pipeline tests on the paper's figure apps.
 
-use crate::{Priority, Sierra, SierraConfig, Stage};
+use crate::{Priority, Sierra, SierraConfig, Stage, StageSet, StageTimings};
 use corpus::{figures, RaceLabel};
 
 fn reported_groups(result: &crate::SierraResult) -> Vec<(String, String)> {
@@ -105,7 +105,7 @@ fn action_sensitivity_does_not_increase_racy_pairs() {
     let (app, _) = figures::intra_component();
     let config = SierraConfig::builder().with(Stage::Compare).build();
     let result = Sierra::with_config(config).analyze_app(app);
-    assert!(result.compare_ran);
+    assert!(result.stages.contains(Stage::Compare));
     assert!(
         result.racy_pairs_with_as <= result.racy_pairs_without_as,
         "AS must only remove pairs ({} vs {})",
@@ -130,8 +130,8 @@ fn metrics_are_populated() {
     let (app, _) = figures::intra_component();
     let result = Sierra::new().analyze_app(app);
     let t = &result.metrics.timings;
-    assert!(t.total >= t.cg_pa);
-    assert!(t.total >= t.refutation);
+    assert!(t.total >= t.of(Stage::Pointer));
+    assert!(t.total >= t.of(Stage::Refute));
     assert!(t.total.as_nanos() > 0);
     // The stage counters carry through from solver, SHBG, and refuter.
     assert!(result.metrics.pointer.worklist_iterations > 0);
@@ -176,7 +176,7 @@ fn staged_session_matches_one_shot_run() {
     assert_eq!(staged.pruned.len(), n_pruned);
     assert_eq!(staged.races.len(), n_races);
     assert_eq!(staged.racy_pairs_with_as, one_shot.racy_pairs_with_as);
-    assert!(staged.compare_ran && one_shot.compare_ran);
+    assert!(staged.stages.contains(Stage::Compare) && one_shot.stages.contains(Stage::Compare));
     assert_eq!(staged.racy_pairs_without_as, one_shot.racy_pairs_without_as);
     assert_eq!(staged.races.len(), one_shot.races.len());
     assert_eq!(staged.hb_edges, one_shot.hb_edges);
@@ -220,7 +220,7 @@ fn display_and_dot_outputs_are_complete() {
 fn triage_fixture_classifies_each_harm_variant() {
     let (app, truth) = corpus::triage_idioms::triage_idioms_app();
     let result = Sierra::new().analyze_app(app);
-    assert!(result.triage_ran);
+    assert!(result.stages.contains(Stage::Triage));
     let p = &result.harness.app.program;
     // Highest harm reported per field.
     let mut by_field: std::collections::BTreeMap<String, crate::Harm> =
@@ -316,7 +316,7 @@ fn no_triage_restores_unannotated_reports() {
     let plain = Sierra::with_config(SierraConfig::builder().without(Stage::Triage).build())
         .analyze_app(app.clone());
     let triaged = Sierra::new().analyze_app(app);
-    assert!(!plain.triage_ran);
+    assert!(!plain.stages.contains(Stage::Triage));
     let text = plain.to_string();
     assert!(!text.contains("triage:"), "{text}");
     assert!(!text.contains("harm="), "{text}");
@@ -499,7 +499,6 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
 
 #[test]
 fn removing_refute_also_removes_prefilter_and_histories() {
-    use crate::StageSet;
     let set = StageSet::ALL.without(Stage::Refute);
     for stage in [Stage::Prefilter, Stage::Refute, Stage::Histories] {
         assert!(!set.contains(stage), "{stage} dropped with refute");
@@ -525,7 +524,6 @@ fn removing_refute_also_removes_prefilter_and_histories() {
 
 #[test]
 fn the_comparison_pass_is_opt_in_and_with_undoes_without() {
-    use crate::StageSet;
     assert_eq!(SierraConfig::default().stages, StageSet::DEFAULT);
     assert!(!StageSet::DEFAULT.contains(Stage::Compare));
     assert_eq!(StageSet::DEFAULT.with(Stage::Compare), StageSet::ALL);
@@ -551,21 +549,23 @@ fn a_run_without_the_comparison_pass_renders_no_without_as_count() {
     let plain = Sierra::new().analyze_app(app.clone());
     let config = SierraConfig::builder().with(Stage::Compare).build();
     let compared = Sierra::with_config(config).analyze_app(app);
-    assert!(!plain.compare_ran && compared.compare_ran);
-    assert_eq!(plain.metrics.timings.compare, std::time::Duration::ZERO);
+    assert_eq!(plain.stages, StageSet::DEFAULT);
+    assert_eq!(compared.stages, StageSet::ALL);
+    let compare_time = plain.metrics.timings.of(Stage::Compare);
+    assert_eq!(compare_time, std::time::Duration::ZERO);
 
     let (plain, compared) = (Report::from_result(&plain), Report::from_result(&compared));
     assert_eq!(plain.racy_pairs_without_as, None);
     let text = plain.render_text();
     assert!(!text.contains("without action-sensitivity"), "{text}");
-    assert!(!text.contains("compare"), "{text}");
+    assert!(!text.contains("Compare"), "{text}");
     let json = plain.render_json().render();
     assert!(!json.contains("without_as"), "{json}");
     assert!(!json.contains("\"compare\""), "{json}");
 
     let text = compared.render_text();
     assert!(text.contains("(without action-sensitivity: "), "{text}");
-    assert!(text.contains(" ms, compare "), "{text}");
+    assert!(text.contains(" ms, Compare "), "{text}");
     let json = compared.render_json().render();
     assert!(json.contains("\"racy_pairs_without_as\":"), "{json}");
     assert!(json.contains("\"compare\":"), "{json}");
@@ -574,51 +574,62 @@ fn a_run_without_the_comparison_pass_renders_no_without_as_count() {
 #[test]
 fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
     use std::time::Duration;
-    let stages = [
-        Stage::Harness,
-        Stage::Pointer,
-        Stage::Shbg,
-        Stage::Candidates,
-        Stage::Prefilter,
-        Stage::Refute,
-        Stage::Histories,
-        Stage::Triage,
-        Stage::Compare,
-    ];
     // Every stage, the opt-in comparison pass included.
     let all = SierraConfig::builder().with(Stage::Compare);
-    for (app, _) in [
-        corpus::prefilter_idioms::prefilter_idioms_app(),
-        corpus::protocol_idioms::pause_unregister(),
+    let mut apps: Vec<_> = corpus::twenty::build_all()
+        .into_iter()
+        .map(|(_, app, _)| app)
+        .collect();
+    apps.extend(
+        corpus::protocol_idioms::build_all()
+            .into_iter()
+            .map(|(_, app, _)| app),
+    );
+    for idiom in [
+        corpus::prefilter_idioms::prefilter_idioms_app,
+        corpus::triage_idioms::triage_idioms_app,
+        corpus::reflection_idioms::reflection_idioms_app,
+        corpus::reflection_idioms::intent_idioms_app,
     ] {
+        apps.push(idiom().0);
+    }
+    // The stage times and the unattributed remainder add up to the
+    // total exactly.
+    let fits = |t: &StageTimings| {
+        let sum: Duration = Stage::ALL.iter().map(|&s| t.of(s)).sum();
+        sum + t.unattributed() == t.total
+    };
+    for app in apps {
         let full = Sierra::with_config(all.build()).analyze_app(app.clone());
         let t = full.metrics.timings;
-        let sum: Duration = stages.iter().map(|&s| t.of(s)).sum();
-        assert!(sum <= t.total, "{sum:?} of stages > {:?} total", t.total);
+        assert!(fits(&t), "{}: {t:?}", app.name);
+        let listed: Vec<String> = t.listing(full.stages).map(|(name, ..)| name).collect();
+        let mut expected: Vec<String> = Stage::ALL.iter().map(Stage::to_string).collect();
+        expected.extend(["unattributed", "total"].map(String::from));
+        assert_eq!(listed, expected, "{}", app.name);
 
-        for removed in [
-            Stage::Prefilter,
-            Stage::Refute,
-            Stage::Histories,
-            Stage::Triage,
-            Stage::Compare,
-        ] {
+        for removed in Stage::ALL {
             let cfg = all.without(removed).build();
+            if cfg.stages == StageSet::ALL {
+                continue; // a core stage: it cannot be removed
+            }
             let r = Sierra::with_config(cfg).analyze_app(app.clone());
             let m = &r.metrics;
-            for stage in stages.iter().filter(|&&s| !cfg.stages.contains(s)) {
+            assert_eq!(r.stages, cfg.stages);
+            for stage in Stage::ALL.into_iter().filter(|&s| !cfg.stages.contains(s)) {
                 assert_eq!(
-                    m.timings.of(*stage),
+                    m.timings.of(stage),
                     Duration::ZERO,
                     "{stage} without {removed}"
                 );
             }
+            assert!(fits(&m.timings), "{} without {removed}", app.name);
             let zero = match removed {
                 Stage::Prefilter => m.prefilter == Default::default(),
                 Stage::Refute => m.refuter == Default::default(),
                 Stage::Histories => m.histories == Default::default(),
                 Stage::Triage => m.triage == Default::default(),
-                _ => !r.compare_ran && r.racy_pairs_without_as == 0,
+                _ => r.racy_pairs_without_as == 0,
             };
             assert!(zero, "{removed} recorded counters while removed");
         }
@@ -634,7 +645,7 @@ fn refute_does_no_histories_work() {
     session.refute().expect("refute runs");
     let m = session.metrics();
     assert_eq!(m.histories, histories::HistoryStats::default());
-    assert_eq!(m.timings.histories, Duration::ZERO);
+    assert_eq!(m.timings.of(Stage::Histories), Duration::ZERO);
 
     session.histories().expect("histories runs");
     let h = session.metrics().histories;

@@ -37,8 +37,8 @@ fn check_partition(name: &str, app: android_model::AndroidApp, truth: &GroundTru
     let without = Sierra::with_config(SierraConfig::builder().without(Stage::Histories).build())
         .analyze_app(app);
 
-    assert!(with.histories_ran, "{name}");
-    assert!(!without.histories_ran, "{name}");
+    assert!(with.stages.contains(Stage::Histories), "{name}");
+    assert!(!without.stages.contains(Stage::Histories), "{name}");
 
     // The ablated run must not carry any history verdicts.
     assert!(

@@ -192,3 +192,56 @@ fn disassemble_reassemble_preserves_race_verdicts() {
         assert_eq!(g1, g2, "{label}: verdicts must survive the round trip");
     }
 }
+
+#[test]
+fn text_round_trip_keeps_the_manifest() {
+    use sierra::android_model::{parse_app, render_app, AndroidApp};
+    // A component subclass the manifest leaves out (fig 2's `Recv`,
+    // registered only through `registerReceiver`) must stay out of the
+    // manifest parsed back from text.
+    let manifest = |app: &AndroidApp| {
+        let (p, m) = (&app.program, &app.manifest);
+        [&m.activities, &m.receivers, &m.services].map(|list| {
+            list.iter()
+                .map(|&c| p.class_name(c).to_owned())
+                .collect::<Vec<_>>()
+        })
+    };
+    let reparse = |app: &AndroidApp| {
+        let text = render_app(app);
+        parse_app(&app.name, &text).unwrap_or_else(|e| panic!("{}: {e}", app.name))
+    };
+    let mut apps: Vec<AndroidApp> = twenty::build_all().into_iter().map(|(_, a, _)| a).collect();
+    apps.extend(corpus::fdroid::iter_apps().map(|(_, app, _)| app));
+    for figure in [
+        corpus::figures::intra_component,
+        corpus::figures::inter_component,
+        corpus::figures::open_sudoku_guard,
+        corpus::figures::open_manager_implicit,
+        corpus::figures::message_guard,
+    ] {
+        apps.push(figure().0);
+    }
+    assert_eq!(apps.len(), 20 + 174 + 5);
+    for app in &apps {
+        assert_eq!(manifest(app), manifest(&reparse(app)), "{}", app.name);
+    }
+
+    // So fig 2 parsed from its own text reaches the bodies it reaches
+    // built in code: `Recv.onReceive` is not a manifest entry point.
+    let reached = |app: AndroidApp| {
+        let result = Sierra::new().analyze_app(app);
+        let p = &result.harness.app.program;
+        let mut names: Vec<String> = (result.analysis.reachable.iter())
+            .map(|&(m, _)| p.method(m))
+            .filter(|m| m.has_body())
+            .map(|m| format!("{}.{}", p.class_name(m.class), p.name(m.name)))
+            .collect();
+        names.sort();
+        names.dedup();
+        names
+    };
+    let (fig2, _) = corpus::figures::inter_component();
+    let from_text = reparse(&fig2);
+    assert_eq!(reached(fig2), reached(from_text));
+}

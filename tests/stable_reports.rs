@@ -146,8 +146,7 @@ fn ablations() -> String {
 
 /// The group of [`COUNTER_GROUPS`] called `name`.
 fn group(name: &str) -> &'static CounterGroup {
-    let found = COUNTER_GROUPS.iter().find(|g| g.name == name);
-    found.expect("a listed counter group")
+    CounterGroup::named(name).expect("a listed counter group")
 }
 
 /// One `group.key value` line per counter of `groups`, read from `m`.
