@@ -138,7 +138,7 @@ fn alternating(
 fn main() {
     let (_, app, _) = sierra_bench::size_classes().remove(1); // NPR News
     let us = |d: Duration| Json::Num(d.as_secs_f64() * 1e6);
-    // The default pipeline, as `analyze` runs it (no comparison pass).
+    // The default pipeline, as `analyze` runs it.
     let detector = SierraConfig::default();
 
     group("table4_efficiency");

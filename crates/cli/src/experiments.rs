@@ -24,9 +24,12 @@ pub struct AppRow {
     /// Set when the app's analysis panicked; the report is then empty
     /// and the row is excluded from medians.
     pub error: Option<String>,
-    /// The analysis report every table column except the four below
+    /// The analysis report every table column except the five below
     /// is read from.
     pub report: Report,
+    /// Candidate racy pairs of a second session under the hybrid
+    /// selector (Table 3's RP-noAS); `None` when the run had none.
+    pub racy_pairs_without_as: Option<usize>,
     /// Ground-truth evaluation of SIERRA's reports.
     pub sierra_eval: EvalCounts,
     /// Ground-truth scoring of the crash-capable verdicts.
@@ -95,13 +98,16 @@ pub fn sierra_groups(result: &SierraResult) -> Vec<(String, String)> {
 /// session is `template` with the app as its input, so a template with
 /// a store reuses per-method summaries and whole points-to artifacts.
 /// Reuse never changes the row's analysis columns — only the cache
-/// counters and the time spent. Panics on an internal stage failure,
-/// mirroring [`Sierra::analyze_app`].
+/// counters and the time spent. With `without_as`, a second session
+/// from that template over the first one's harness counts the
+/// candidate pairs of the RP-noAS column. Panics on an internal stage
+/// failure, mirroring [`Sierra::analyze_app`].
 pub fn run_app(
     name: &str,
     app: android_model::AndroidApp,
     truth: &GroundTruth,
     template: &SessionBuilder,
+    without_as: Option<&SessionBuilder>,
     er_cfg: &EventRacerConfig,
 ) -> AppRow {
     let er_report = eventracer::detect(&app, er_cfg);
@@ -111,6 +117,14 @@ pub fn run_app(
         .build()
         .and_then(AnalysisSession::finish)
         .unwrap_or_else(|e| panic!("{e}"));
+    let racy_pairs_without_as = without_as.map(|template| {
+        template
+            .clone()
+            .harness(Arc::clone(&result.harness))
+            .build()
+            .and_then(|mut session| session.candidates().map(<[_]>::len))
+            .unwrap_or_else(|e| panic!("{e}"))
+    });
 
     let s_groups = sierra_groups(&result);
     let e_groups = er_report.race_groups();
@@ -119,6 +133,7 @@ pub fn run_app(
         name: name.to_owned(),
         error: None,
         report: Report::from_result(&result),
+        racy_pairs_without_as,
         sierra_eval: truth.evaluate(s_groups.iter().map(|(c, f)| (c.as_str(), f.as_str()))),
         harm_eval: truth.evaluate_harm(
             harm_verdicts
@@ -139,12 +154,14 @@ fn row_or_error(outcome: Result<AppRow, EngineError>) -> AppRow {
 
 /// Runs the 20-app dataset (Tables 3 and 4): apps are built on the
 /// caller's thread over one corpus-wide symbol arena, then analyzed
-/// from `template` on `jobs` workers. Workers share the template's
-/// store: a second pass over the same store reuses every unchanged
-/// summary and points-to artifact, and with a shared layer each
-/// framework-method summary is computed once corpus-wide.
+/// from `template` (and `without_as`, see [`run_app`]) on `jobs`
+/// workers. Workers share the template's store: a second pass over the
+/// same store reuses every unchanged summary and points-to artifact,
+/// and with a shared layer each framework-method summary is computed
+/// once corpus-wide.
 pub fn run_twenty(
     template: &SessionBuilder,
+    without_as: Option<&SessionBuilder>,
     er_cfg: &EventRacerConfig,
     jobs: usize,
 ) -> Vec<AppRow> {
@@ -153,7 +170,7 @@ pub fn run_twenty(
         .map(|(spec, app, truth)| (spec.name.to_owned(), (app, truth)))
         .collect();
     run_jobs(jobs, items, |name, (app, truth)| {
-        run_app(name, app, &truth, template, er_cfg)
+        run_app(name, app, &truth, template, without_as, er_cfg)
     })
     .into_iter()
     .map(row_or_error)
@@ -169,7 +186,7 @@ pub fn run_fdroid(count: usize, template: &SessionBuilder, jobs: usize) -> Vec<A
         .map(|(i, app, truth)| (format!("app{i:03}"), (app, truth)))
         .collect();
     run_jobs(jobs, items, |name, (app, truth)| {
-        run_app(name, app, &truth, template, &er_cfg)
+        run_app(name, app, &truth, template, None, &er_cfg)
     })
     .into_iter()
     .map(row_or_error)
@@ -353,7 +370,7 @@ fn render_table(rows: &[AppRow], columns: &[Column]) -> String {
 
 /// Table 3's columns; Table 5 shows some of them.
 fn table3_columns() -> Vec<Column> {
-    let without_as: ReadCell = Box::new(|r| r.report.racy_pairs_without_as.map(|n| n as f64));
+    let without_as: ReadCell = Box::new(|r| r.racy_pairs_without_as.map(|n| n as f64));
     vec![
         Column::count("Harn", 4, |r| r.report.harness_count),
         Column::count("Actions", 7, |r| r.report.action_count),
@@ -377,8 +394,8 @@ fn table3_columns() -> Vec<Column> {
 /// Renders Table 3 (effectiveness on the 20-app dataset), extended with
 /// the triage verdict histogram (Crash / ValI / Benign columns) and a
 /// corpus-wide crash-precision/recall summary line. The RP-noAS column
-/// reads `-` for rows analyzed without the opt-in comparison pass; its
-/// median is over the rows that ran it.
+/// reads `-` for rows analyzed without a hybrid-selector session; its
+/// median is over the rows that had one.
 pub fn table3(rows: &[AppRow]) -> String {
     render_table(rows, &table3_columns()) + &triage_summary(rows)
 }
@@ -498,7 +515,7 @@ pub fn run_soundness_corpus(
     er_cfg: &EventRacerConfig,
     jobs: usize,
 ) -> Vec<AppRow> {
-    let mut rows = run_twenty(template, er_cfg, jobs);
+    let mut rows = run_twenty(template, None, er_cfg, jobs);
     for (name, (app, truth)) in [
         (
             "ReflectionIdioms",
@@ -509,7 +526,7 @@ pub fn run_soundness_corpus(
             corpus::reflection_idioms::intent_idioms_app(),
         ),
     ] {
-        rows.push(run_app(name, app, &truth, template, er_cfg));
+        rows.push(run_app(name, app, &truth, template, None, er_cfg));
     }
     rows
 }
@@ -621,10 +638,11 @@ mod tests {
         SessionBuilder::new(SierraConfig::default())
     }
 
-    /// The template `sierra-cli table3` analyzes with: the default plus
-    /// the opt-in comparison pass.
-    fn compare_template() -> SessionBuilder {
-        SessionBuilder::new(SierraConfig::builder().with(Stage::Compare).build())
+    /// The second template `sierra-cli table3` analyzes with: the
+    /// default under the hybrid selector.
+    fn hybrid_template() -> SessionBuilder {
+        let hybrid = pointer::SelectorKind::Hybrid(1);
+        SessionBuilder::new(SierraConfig::builder().selector(hybrid).build())
     }
 
     #[test]
@@ -651,13 +669,14 @@ mod tests {
             "fig1",
             app,
             &truth,
-            &compare_template(),
+            &default_template(),
+            Some(&hybrid_template()),
             &EventRacerConfig::default(),
         );
         let (report, m) = (&row.report, &row.report.metrics);
         assert_eq!(report.harness_count, 1);
         assert!(report.action_count > 0);
-        let without_as = report.racy_pairs_without_as.expect("the pass ran");
+        let without_as = row.racy_pairs_without_as.expect("a hybrid session ran");
         assert!(report.racy_pairs_with_as <= without_as);
         assert!(row.races() <= report.racy_pairs_with_as);
         assert_eq!(row.sierra_eval.missed, 0);
@@ -668,7 +687,7 @@ mod tests {
         let t3 = table3(std::slice::from_ref(&row));
         assert!(t3.contains("fig1") && t3.contains("MEDIAN"));
         // Table 4's time columns are the stage listing: every stage that
-        // ran (the comparison pass too, here), then the remainder.
+        // ran, then the remainder.
         let t4 = table4(std::slice::from_ref(&row));
         let header: Vec<&str> = t4
             .lines()
@@ -688,7 +707,7 @@ mod tests {
         let t5 = table5(std::slice::from_ref(&row));
         assert!(t5.contains("Efficiency medians: Harness "), "{t5}");
         assert!(
-            t5.contains(", Compare ") && t5.contains(", Unattributed "),
+            t5.contains(", Triage ") && t5.contains(", Unattributed "),
             "{t5}"
         );
         let cmp = comparison_summary(std::slice::from_ref(&row));
@@ -704,7 +723,8 @@ mod tests {
         let row_for = |policy: sierra_core::OpaquePolicy| {
             let (app, truth) = corpus::reflection_idioms::intent_idioms_app();
             let cfg = SierraConfig::builder().opaque_policy(policy).build();
-            run_app("IntentIdioms", app, &truth, &SessionBuilder::new(cfg), &er)
+            let template = SessionBuilder::new(cfg);
+            run_app("IntentIdioms", app, &truth, &template, None, &er)
         };
         let ignore = vec![row_for(sierra_core::OpaquePolicy::Ignore)];
         let resolve = vec![row_for(sierra_core::OpaquePolicy::Resolve)];
@@ -750,7 +770,7 @@ mod tests {
         let er = EventRacerConfig::default();
         let run = |template: &SessionBuilder| {
             let (app, truth) = corpus::figures::intra_component();
-            run_app("fig1", app, &truth, template, &er)
+            run_app("fig1", app, &truth, template, None, &er)
         };
 
         let cold = run(&cached);
@@ -793,7 +813,8 @@ mod tests {
         let er = EventRacerConfig::default();
         let run = |app, truth: &GroundTruth| {
             let private = Arc::new(sierra_core::MemoryStore::new());
-            run_app("app", app, truth, &template.clone().store(private), &er)
+            let template = template.clone().store(private);
+            run_app("app", app, truth, &template, None, &er)
         };
         let (app1, truth1) = corpus::figures::intra_component();
         let first = run(app1, &truth1).report.metrics.link;
@@ -813,7 +834,7 @@ mod tests {
         let (app, truth) = corpus::figures::intra_component();
         let result = Sierra::new().analyze_app(app.clone());
         let er = EventRacerConfig::default();
-        let row = run_app("fig1", app, &truth, &default_template(), &er);
+        let row = run_app("fig1", app, &truth, &default_template(), None, &er);
         assert!(row.error.is_none());
         assert_eq!(
             row.report.render_stable(),
@@ -823,11 +844,11 @@ mod tests {
     }
 
     #[test]
-    fn rows_without_the_comparison_pass_show_no_without_as_count() {
+    fn rows_without_a_hybrid_session_show_no_without_as_count() {
         let (app, truth) = corpus::figures::intra_component();
         let er = EventRacerConfig::default();
-        let row = run_app("fig1", app, &truth, &default_template(), &er);
-        assert_eq!(row.report.racy_pairs_without_as, None);
+        let row = run_app("fig1", app, &truth, &default_template(), None, &er);
+        assert_eq!(row.racy_pairs_without_as, None);
         let t3 = table3(std::slice::from_ref(&row));
         for line in t3
             .lines()
@@ -846,6 +867,7 @@ mod tests {
             app,
             &truth,
             &default_template(),
+            None,
             &EventRacerConfig::default(),
         );
         let bad = AppRow::failed("broken.app", "index out of bounds");

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! sierra-cli table2                 # Table 2: the 20-app dataset
-//! sierra-cli table3                 # Table 3: effectiveness (adds the
-//!                                   # opt-in comparison pass)
+//! sierra-cli table3                 # Table 3: effectiveness (adds a
+//!                                   # hybrid-selector session per app)
 //! sierra-cli table4                 # Table 4: per-stage efficiency + counters
 //! sierra-cli table5 [--apps N]      # Table 5: the 174-app dataset (medians)
 //! sierra-cli compare                # §6.4 SIERRA vs EventRacer summary
@@ -37,12 +37,14 @@
 //! Any other `--flag` is an error (exit code 2) that names the flag.
 //!
 //! Every analysis runs from one session template built from these
-//! flags. Corpus commands run against `--cache-dir` print an aggregate
+//! flags; `table3` adds a second one for its without-AS column. Corpus
+//! commands run against `--cache-dir` print an aggregate
 //! `cache: …` hit-stats line after their table; a second identical run
 //! reuses every points-to analysis from the first.
 
 use apir::SymbolArena;
 use eventracer::EventRacerConfig;
+use pointer::SelectorKind;
 use sierra_cli::experiments;
 use sierra_cli::flags::{reject_unknown_flags, take_flag, CommonFlags};
 use sierra_core::{AnalysisSession, SessionBuilder, SierraConfig, SierraResult, Stage};
@@ -140,16 +142,22 @@ fn main() {
     match cmd.as_str() {
         "table2" => print!("{}", experiments::table2()),
         "table3" => {
-            // The one command that reads the without-AS column, so the
-            // one that runs the comparison pass.
-            let mut cfg = common.config;
-            cfg.stages = cfg.stages.with(Stage::Compare);
-            let rows = experiments::run_twenty(&template_for(cfg), &er_cfg, jobs);
+            // The without-AS column: each app's candidate pairs under
+            // the hybrid selector of the same k, from a second session.
+            let selector = match common.config.selector {
+                SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
+                other => other,
+            };
+            let without_as = template_for(SierraConfig {
+                selector,
+                ..common.config
+            });
+            let rows = experiments::run_twenty(&template, Some(&without_as), &er_cfg, jobs);
             print!("{}", experiments::table3(&rows));
             print_cache_stats(&rows);
         }
         "table4" => {
-            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
+            let rows = experiments::run_twenty(&template, None, &er_cfg, jobs);
             print!("{}", experiments::table4(&rows));
             print_cache_stats(&rows);
         }
@@ -159,7 +167,7 @@ fn main() {
             print_cache_stats(&rows);
         }
         "compare" => {
-            let rows = experiments::run_twenty(&template, &er_cfg, jobs);
+            let rows = experiments::run_twenty(&template, None, &er_cfg, jobs);
             print!("{}", experiments::comparison_summary(&rows));
             print_cache_stats(&rows);
         }

@@ -379,8 +379,7 @@ mod tests {
         let (shutdown, events) = drive(input.as_bytes(), Arc::new(MemoryStore::new()));
         assert!(shutdown, "shutdown request ends the connection");
 
-        // Both requests stream the default stage sequence: every stage
-        // but the opt-in comparison pass.
+        // Both requests stream the default stage sequence: every stage.
         for id in [1, 2] {
             let stages: Vec<&str> = events_for(&events, id, "stage")
                 .iter()

@@ -13,8 +13,8 @@ fn parallel_and_serial_sweeps_render_identical_tables() {
         runs: 4,
         ..Default::default()
     };
-    let serial = run_twenty(&template, &er, 1);
-    let parallel = run_twenty(&template, &er, 8);
+    let serial = run_twenty(&template, None, &er, 1);
+    let parallel = run_twenty(&template, None, &er, 8);
 
     // Table 3 carries only analysis results — byte-identical.
     assert_eq!(table3(&serial), table3(&parallel));

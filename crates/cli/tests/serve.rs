@@ -189,7 +189,7 @@ fn stages(events: &[Json], id: u64) -> Vec<(String, f64)> {
 #[test]
 fn serve_streams_one_timed_event_per_stage_that_ran() {
     let input = format!("{}\n{{\"op\":\"shutdown\"}}\n", analyze_line(1));
-    // Every stage but the opt-in comparison pass.
+    // Every stage.
     let default = [
         "harness",
         "pointer",

@@ -1,5 +1,6 @@
-//! `sierra-cli table3` is the one command that runs the opt-in
-//! comparison pass. Its stdout is pinned byte for byte by the workspace
+//! `sierra-cli table3` is the one command that counts racy pairs
+//! without action sensitivity, from a second session per app under the
+//! hybrid selector. Its stdout is pinned byte for byte by the workspace
 //! golden `tests/golden/table3.txt`, the one golden that shows the 20
 //! per-app without-AS counts; every other command prints none.
 
@@ -39,5 +40,5 @@ fn analyze_prints_no_without_as_count() {
     assert!(!report.contains("without action-sensitivity"), "{report}");
     let stages = report.lines().find(|l| l.starts_with("stages: "));
     let stages = stages.expect("a timed stages line");
-    assert!(!stages.contains("compare"), "{stages}");
+    assert!(!stages.contains("Compare"), "{stages}");
 }

@@ -22,11 +22,10 @@
 //! 7. **Message histories** (`histories`) prune pairs whose callbacks no
 //!    realizable lifecycle event history reaches together; **harm
 //!    triage** (`triage`) gives each race a harm verdict.
-//! 8. **Comparison pass** (opt-in, for Table 3 only): candidate pairs
-//!    without action sensitivity. `SierraConfig::default()` leaves it
-//!    out; add it with `SierraConfigBuilder::with(Stage::Compare)`.
 //!
-//! [`AnalysisSession`] runs these [`Stage`]s through one driver.
+//! [`AnalysisSession`] runs these [`Stage`]s through one driver. Table 3's
+//! candidate pairs without action sensitivity are not a stage: they are a
+//! second session under the hybrid selector over the same harness.
 //!
 //! ```no_run
 //! use android_model::AndroidAppBuilder;

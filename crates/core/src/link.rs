@@ -59,8 +59,8 @@ pub struct LinkStats {
 /// fingerprint `config_fp` ([`crate::summary::config_fingerprint`]): the
 /// structural and config fingerprints plus every method's pointer digest
 /// in id order. Methods whose digests all match a previous run build the
-/// identical constraint graph, so the artifact is interchangeable. The
-/// main and comparison passes both key their analyses here.
+/// identical constraint graph, so the artifact is interchangeable.
+/// Sessions under different selectors share one store by this key.
 pub(crate) fn analysis_key(digest: &ProgramDigest, config_fp: u64) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(digest.structural).write_u64(config_fp);

@@ -2,14 +2,14 @@
 //!
 //! `app → harness generation → pointer analysis (action-sensitive) →
 //! SHBG → racy pairs → prefilter → symbolic refutation → message
-//! histories → harm triage → prioritized race reports`. The comparison
-//! pass without action sensitivity (Table 3, column 6) is an evaluation
-//! ablation: it runs only when the config asks for it with
-//! [`SierraConfigBuilder::with`]`(Stage::Compare)`.
+//! histories → harm triage → prioritized race reports`. Table 3's count
+//! without action sensitivity (column 6) is an evaluation, not a stage:
+//! `sierra-cli table3` reads it from a second session under the hybrid
+//! selector over the same harness.
 //!
 //! The pipeline is staged: [`crate::AnalysisSession`] runs the stages
 //! (`harness → pointer → shbg → candidates → prefilter → refute →
-//! histories → triage → compare`, the [`Stage`] order) through one
+//! histories → triage`, the [`Stage`] order) through one
 //! driver, so callers can stop early, share a generated harness across
 //! passes, or collect per-stage [`StageMetrics`]. A [`StageSet`] in the
 //! config says which stages run. [`Sierra::analyze_app`] remains the
@@ -49,14 +49,11 @@ pub enum Stage {
     Histories,
     /// Harm triage.
     Triage,
-    /// The comparison pass without action sensitivity (opt-in: not in
-    /// [`StageSet::DEFAULT`]).
-    Compare,
 }
 
 impl Stage {
     /// Every stage, in driver order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 8] = [
         Stage::Harness,
         Stage::Pointer,
         Stage::Shbg,
@@ -65,7 +62,6 @@ impl Stage {
         Stage::Refute,
         Stage::Histories,
         Stage::Triage,
-        Stage::Compare,
     ];
 
     const fn bit(self) -> u16 {
@@ -84,7 +80,6 @@ impl Stage {
             Stage::Refute => "Refute",
             Stage::Histories => "Histories",
             Stage::Triage => "Triage",
-            Stage::Compare => "Compare",
         }
     }
 }
@@ -97,21 +92,16 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// The stages a session runs (a config's default: [`StageSet::DEFAULT`],
-/// every stage but `Compare`; the `Default` set is empty). An ablation
-/// is a stage removed with [`StageSet::without`]; the driver then stores
-/// that stage's identity output instead of running it. The comparison
-/// pass is added with [`StageSet::with`].
+/// The stages a session runs (a config's default: [`StageSet::ALL`]; the
+/// `Default` set is empty). An ablation is a stage removed with
+/// [`StageSet::without`]; the driver then stores that stage's identity
+/// output instead of running it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageSet(u16);
 
 impl StageSet {
     /// Every stage.
-    pub const ALL: StageSet = StageSet((Stage::Compare.bit() << 1) - 1);
-
-    /// The detector: every stage but the comparison pass, which only
-    /// fills Table 3's without-AS column.
-    pub const DEFAULT: StageSet = StageSet(Self::ALL.0 & !Stage::Compare.bit());
+    pub const ALL: StageSet = StageSet((Stage::Triage.bit() << 1) - 1);
 
     /// The stages every later stage consumes; they cannot be removed.
     const CORE: u16 =
@@ -134,13 +124,6 @@ impl StageSet {
         StageSet((self.0 & !dropped) | Self::CORE)
     }
 
-    /// The set with `stage`, the inverse of [`Self::without`] for a
-    /// stage it removes alone. This is how a caller opts in to the
-    /// comparison pass.
-    pub fn with(self, stage: Stage) -> StageSet {
-        StageSet(self.0 | stage.bit())
-    }
-
     /// The stages in the set, in driver order.
     pub(crate) fn iter(self) -> impl Iterator<Item = Stage> {
         Stage::ALL.into_iter().filter(move |&s| self.contains(s))
@@ -154,12 +137,11 @@ pub struct SierraConfig {
     pub selector: SelectorKind,
     /// Refutation knobs.
     pub refuter: RefuterConfig,
-    /// The stages that run (default: [`StageSet::DEFAULT`], every stage
-    /// but `Compare`). A removed stage's output is byte-identical to a
-    /// pipeline that never had it.
+    /// The stages that run (default: [`StageSet::ALL`]). A removed
+    /// stage's output is byte-identical to a pipeline that never had it.
     pub stages: StageSet,
     /// Soundness policy for opaque calls (reflection and intent
-    /// dispatch). The comparison pass inherits it.
+    /// dispatch).
     pub opaque_policy: OpaquePolicy,
     /// Drop reports classified below this harm level (`--min-harm`).
     /// `None` keeps everything. Ignored without the `Triage` stage,
@@ -172,7 +154,7 @@ impl Default for SierraConfig {
         Self {
             selector: SelectorKind::ActionSensitive(1),
             refuter: RefuterConfig::default(),
-            stages: StageSet::DEFAULT,
+            stages: StageSet::ALL,
             opaque_policy: OpaquePolicy::default(),
             min_harm: None,
         }
@@ -214,13 +196,6 @@ impl SierraConfigBuilder {
     /// Removes `stage` from the run (see [`StageSet::without`]).
     pub fn without(mut self, stage: Stage) -> Self {
         self.cfg.stages = self.cfg.stages.without(stage);
-        self
-    }
-
-    /// Adds `stage` to the run (see [`StageSet::with`]); the comparison
-    /// pass runs only when added this way.
-    pub fn with(mut self, stage: Stage) -> Self {
-        self.cfg.stages = self.cfg.stages.with(stage);
         self
     }
 
@@ -339,8 +314,9 @@ pub struct SierraResult {
     /// Theoretical maximum ordered pairs: `n·(n−1)/2` over all `n` of the
     /// app's actions, cross-harness pairs included.
     pub hb_max: usize,
-    /// Candidate racy pairs without action sensitivity. Only meaningful
-    /// when `stages` holds [`Stage::Compare`]; 0 otherwise.
+    /// Always 0: no stage counts racy pairs without action sensitivity.
+    /// Kept for callers that still read it; Table 3's count comes from a
+    /// second session under the hybrid selector (`sierra-cli table3`).
     pub racy_pairs_without_as: usize,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
@@ -348,7 +324,7 @@ pub struct SierraResult {
     /// stage ran, each carries a [`triage::TriageVerdict`] and reports
     /// below `min_harm` have been dropped.
     pub races: Vec<RaceReport>,
-    /// The stages that ran (the comparison pass is opt-in).
+    /// The stages that ran.
     pub stages: StageSet,
     /// Candidate pairs the prefilter and the histories stage removed,
     /// each with its machine-checkable reason (prefilter pairs first,
@@ -362,7 +338,8 @@ pub struct SierraResult {
     pub analysis: Arc<Analysis>,
     /// The SHBG.
     pub shbg: Shbg,
-    /// The harnessed app (shared with any comparison pass).
+    /// The harnessed app (shareable with further sessions through
+    /// [`crate::SessionBuilder::harness`]).
     pub harness: Arc<HarnessResult>,
 }
 

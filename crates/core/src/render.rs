@@ -28,9 +28,6 @@ pub struct Report {
     pub hb_edges: usize,
     /// Theoretical maximum ordered pairs.
     pub hb_max: usize,
-    /// Candidate racy pairs without action sensitivity; `None` when the
-    /// opt-in comparison pass did not run.
-    pub racy_pairs_without_as: Option<usize>,
     /// Candidate racy pairs with action sensitivity.
     pub racy_pairs_with_as: usize,
     /// Ranked race descriptions (one line per surviving race).
@@ -57,14 +54,12 @@ impl Report {
     pub fn from_result(result: &SierraResult) -> Report {
         let program = &result.harness.app.program;
         let actions = &result.analysis.actions;
-        let compared = result.stages.contains(Stage::Compare);
         Report {
             app_name: result.app_name.clone(),
             harness_count: result.harness_count,
             action_count: result.action_count,
             hb_edges: result.hb_edges,
             hb_max: result.hb_max,
-            racy_pairs_without_as: compared.then_some(result.racy_pairs_without_as),
             racy_pairs_with_as: result.racy_pairs_with_as,
             race_lines: result
                 .races
@@ -120,13 +115,12 @@ impl Report {
             self.hb_edges,
             self.hb_percent()
         );
-        // The without-AS count and the comparison pass's time appear
-        // only when the opt-in pass ran.
-        let _ = write!(out, "racy pairs: {}", self.racy_pairs_with_as);
-        if let Some(without_as) = self.racy_pairs_without_as {
-            let _ = write!(out, " (without action-sensitivity: {without_as})");
-        }
-        let _ = writeln!(out, "; {} race(s) after refutation", self.race_lines.len());
+        let _ = writeln!(
+            out,
+            "racy pairs: {}; {} race(s) after refutation",
+            self.racy_pairs_with_as,
+            self.race_lines.len()
+        );
         if with_timings {
             let listing = self.metrics.timings.listing(self.stages);
             let times: Vec<String> = listing
@@ -254,6 +248,7 @@ impl Report {
     /// `timings_ms` (wall clock) and `link` (store-reuse telemetry).
     /// Clients comparing reports for identity should drop both.
     pub fn render_json(&self) -> Json {
+        let ran = |stage| Json::Bool(self.stages.contains(stage));
         let mut fields = vec![
             ("app".to_owned(), Json::Str(self.app_name.clone())),
             ("harnesses".to_owned(), num(self.harness_count)),
@@ -265,12 +260,6 @@ impl Report {
                 "racy_pairs_with_as".to_owned(),
                 num(self.racy_pairs_with_as),
             ),
-        ];
-        if let Some(without_as) = self.racy_pairs_without_as {
-            fields.push(("racy_pairs_without_as".to_owned(), num(without_as)));
-        }
-        let ran = |stage| Json::Bool(self.stages.contains(stage));
-        fields.extend([
             (
                 "races".to_owned(),
                 Json::Arr(self.race_lines.iter().cloned().map(Json::Str).collect()),
@@ -291,7 +280,7 @@ impl Report {
             ),
             ("triage_ran".to_owned(), ran(Stage::Triage)),
             ("histories_ran".to_owned(), ran(Stage::Histories)),
-        ]);
+        ];
         fields.reserve_exact(COUNTER_GROUPS.len() + 1);
         for group in COUNTER_GROUPS.iter().filter(|g| !g.audited_only) {
             fields.push((group.name.to_owned(), group.to_json(&self.metrics)));

@@ -2,20 +2,22 @@
 //!
 //! [`AnalysisSession`] runs the pipeline through one driver that walks
 //! the [`Stage`] order (`harness → pointer → shbg → candidates →
-//! prefilter → refute → histories → triage → compare`). Each stage body
+//! prefilter → refute → histories → triage`). Each stage body
 //! (see `stages.rs`) maps typed inputs to an output plus work counters;
 //! the driver times every stage at one site and stores each output
 //! once for the later stages. A stage outside [`SierraConfig::stages`]
 //! stores its identity output instead, untimed: no prefilter keeps every
 //! candidate, no refute reports every kept pair as [`Outcome::Budget`],
-//! no histories or triage passes the races through, no compare counts 0
-//! and the result's `stages` leave it out. The comparison pass is
-//! outside the default set; only Table 3 asks for it.
+//! no histories or triage passes the races through, and the result's
+//! `stages` leave it out.
 //!
 //! The getters (`harness()` … `triage()`) drive through their stage and
 //! return its output, so `finish()` alone reproduces
 //! [`crate::Sierra::analyze_app`]; [`AnalysisSession::finish_with`] also
 //! reports each stage as it completes (the `sierra serve` stream).
+//! Table 3's count without action sensitivity is a second session under
+//! the hybrid selector, built with [`SessionBuilder::harness`] from the
+//! first session's harness and stopped at [`AnalysisSession::candidates`].
 //!
 //! Sessions are built with [`SessionBuilder`] from an app, a generated
 //! harness, or inline `.sierra` source, optionally over a shared
@@ -32,12 +34,10 @@ use crate::link::LinkedSummaries;
 use crate::pipeline::{SierraConfig, SierraResult, Stage, StageMetrics, StageSet};
 use crate::report::RaceReport;
 use crate::stages::{
-    compare_without_as, discharge_histories, link_and_solve, linked_accesses, race_reports,
-    racy_pairs, triage_races,
+    discharge_histories, link_and_solve, linked_accesses, race_reports, racy_pairs, triage_races,
 };
 use crate::summary::{MemoryStore, SummaryStore};
 use android_model::AndroidApp;
-use apir::ProgramDigest;
 use harness_gen::HarnessResult;
 use histories::HistoryModel;
 use pointer::{Access, Analysis};
@@ -248,7 +248,7 @@ pub struct AnalysisSession {
 #[derive(Debug, Default)]
 struct Outputs {
     harness: Option<Arc<HarnessResult>>,
-    pointer: Option<(ProgramDigest, Arc<Analysis>, LinkedSummaries)>,
+    pointer: Option<(Arc<Analysis>, LinkedSummaries)>,
     shbg: Option<Shbg>,
     candidates: Option<Candidates>,
     prefilter: Option<PrefilterOutcome>,
@@ -256,7 +256,6 @@ struct Outputs {
     /// The races left, and the pairs no event history realizes.
     histories: Option<(Vec<RaceReport>, Vec<PrunedPair>)>,
     triage: Option<Vec<RaceReport>>,
-    compare: Option<usize>,
 }
 
 /// Output of the candidates stage.
@@ -314,7 +313,7 @@ impl AnalysisSession {
     /// summaries of the methods the analysis reached, recomputing only
     /// those whose content key misses the store.
     pub fn pointer(&mut self) -> Result<&Arc<Analysis>, SessionError> {
-        self.through(Stage::Pointer, |o| o.pointer.as_ref().map(|(_, a, _)| a))
+        self.through(Stage::Pointer, |o| o.pointer.as_ref().map(|(a, _)| a))
     }
 
     /// Stage 3: SHBG construction (§4), over the linked dominance facts.
@@ -371,10 +370,10 @@ impl AnalysisSession {
         mut self,
         mut on_stage: impl FnMut(Stage, &StageMetrics),
     ) -> Result<SierraResult, SessionError> {
-        self.walk(Stage::Compare, &mut on_stage);
+        self.walk(Stage::Triage, &mut on_stage);
         let Outputs {
             harness: Some(harness),
-            pointer: Some((_, analysis, _)),
+            pointer: Some((analysis, _)),
             shbg: Some(graph),
             candidates: Some(Candidates {
                 pairs: candidates, ..
@@ -382,7 +381,6 @@ impl AnalysisSession {
             prefilter: Some(prefilter),
             histories: Some((_, history_pruned)),
             triage: Some(races),
-            compare: Some(racy_pairs_without_as),
             ..
         } = self.out
         else {
@@ -405,7 +403,7 @@ impl AnalysisSession {
             action_count: n,
             hb_edges: graph.ordered_pair_count(),
             hb_max: n * n.saturating_sub(1) / 2,
-            racy_pairs_without_as,
+            racy_pairs_without_as: 0,
             racy_pairs_with_as: candidates.len(),
             races,
             stages: self.config.stages,
@@ -434,7 +432,7 @@ impl AnalysisSession {
         let harness = d.step(Stage::Harness, &mut out.harness, |_| {
             app.take().map(|app| Arc::new(harness_gen::generate(app)))
         })?;
-        let (digest, analysis, linked) = d.step(Stage::Pointer, &mut out.pointer, |m| {
+        let (analysis, linked) = d.step(Stage::Pointer, &mut out.pointer, |m| {
             Some(link_and_solve(&config, store, shared, harness, m))
         })?;
         let graph = d.step(Stage::Shbg, &mut out.shbg, |m| {
@@ -506,12 +504,6 @@ impl AnalysisSession {
                 Some(races)
             },
             || races.clone(),
-        )?;
-        d.step_or(
-            Stage::Compare,
-            &mut out.compare,
-            |_| Some(compare_without_as(&config, store, shared, harness, digest)),
-            || 0,
         )?;
         Some(())
     }

@@ -9,7 +9,7 @@ use crate::summary::{config_fingerprint, SummaryStore};
 use apir::ProgramDigest;
 use harness_gen::HarnessResult;
 use histories::{HistoryModel, HistoryPattern, HistoryStats};
-use pointer::{collect_accesses, Access, Analysis, SelectorKind};
+use pointer::{collect_accesses, Access, Analysis};
 use prefilter::{PrunedPair, Verdict};
 use shbg::Shbg;
 use std::collections::HashMap;
@@ -19,19 +19,18 @@ use symexec::Outcome;
 /// The pointer stage: digests the program, reuses or solves the
 /// points-to analysis under its key, audits its call graph, and then
 /// links the summaries of the methods it reached (see `link.rs`).
-/// Returns the digest (the comparison pass keys its own analysis by it),
-/// the analysis and the linked summaries.
+/// Returns the analysis and the linked summaries.
 pub(crate) fn link_and_solve(
     config: &SierraConfig,
     store: &dyn SummaryStore,
     shared: Option<&dyn SummaryStore>,
     harness: &HarnessResult,
     m: &mut StageMetrics,
-) -> (ProgramDigest, Arc<Analysis>, LinkedSummaries) {
+) -> (Arc<Analysis>, LinkedSummaries) {
     let program = &harness.app.program;
     let (corrupt_before, evicted_before) = (store.corrupt_misses(), store.evictions());
     let digest = ProgramDigest::of(program);
-    let (analysis, reused) = load_or_solve(config, store, harness, &digest, config.selector);
+    let (analysis, reused) = load_or_solve(config, store, harness, &digest);
     m.pointer = analysis.stats;
     // The audit runs under every policy (it is how `ignore`'s gap is
     // measured); its stats ride StageMetrics into tables and gates.
@@ -50,10 +49,10 @@ pub(crate) fn link_and_solve(
         evictions: store.evictions() - evicted_before,
         ..link
     };
-    (digest, analysis, linked)
+    (analysis, linked)
 }
 
-/// Gets the points-to `Analysis` of `selector` and the config's opaque
+/// Gets the points-to `Analysis` of the config's selector and opaque
 /// policy cached under its analysis key, or solves and caches it.
 /// Returns the analysis and whether it was reused.
 fn load_or_solve(
@@ -61,15 +60,15 @@ fn load_or_solve(
     store: &dyn SummaryStore,
     harness: &HarnessResult,
     digest: &ProgramDigest,
-    selector: SelectorKind,
 ) -> (Arc<Analysis>, bool) {
-    let key = analysis_key(digest, config_fingerprint(selector, config.opaque_policy));
+    let fingerprint = config_fingerprint(config.selector, config.opaque_policy);
+    let key = analysis_key(digest, fingerprint);
     if let Some(cached) = store.get_analysis(key, &harness.app.framework) {
         return (cached, true);
     }
     let analysis = Arc::new(pointer::analyze_opts(
         harness,
-        selector,
+        config.selector,
         config.opaque_policy,
     ));
     store.put_analysis(key, Arc::clone(&analysis));
@@ -155,29 +154,6 @@ pub(crate) fn triage_races(
         races.retain(|r| r.triage.as_ref().is_some_and(|t| t.harm >= min));
     }
     (races, stats)
-}
-
-/// The comparison pass (Table 3 col 6): the candidate-pair count under
-/// the hybrid selector of the same k. It keys its `Analysis` under the
-/// hybrid config fingerprint, cached like the main one, and links the
-/// methods that analysis reaches through the same store, so it never
-/// assumes the main pass reached the same methods.
-pub(crate) fn compare_without_as(
-    config: &SierraConfig,
-    store: &dyn SummaryStore,
-    shared: Option<&dyn SummaryStore>,
-    harness: &HarnessResult,
-    digest: &ProgramDigest,
-) -> usize {
-    let selector = match config.selector {
-        SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
-        other => other,
-    };
-    let (analysis, _) = load_or_solve(config, store, harness, digest, selector);
-    let (linked, _) = link_reached(harness, digest, &analysis, store, shared);
-    let graph = shbg::build(&analysis, harness, |m| &linked.summary(m).dominance);
-    let accesses = linked_accesses(harness, &analysis, &linked);
-    racy_pairs(&accesses, &analysis, &graph).len()
 }
 
 /// Instantiates the linked access sites against `analysis`, one

@@ -1,7 +1,31 @@
 //! End-to-end pipeline tests on the paper's figure apps.
 
-use crate::{Priority, Sierra, SierraConfig, Stage, StageSet, StageTimings};
+use crate::{
+    Priority, SessionBuilder, Sierra, SierraConfig, SierraResult, Stage, StageSet, StageTimings,
+};
 use corpus::{figures, RaceLabel};
+use pointer::SelectorKind;
+use std::sync::Arc;
+
+/// A session template under the hybrid selector: Table 3's context
+/// without action sensitivity.
+fn hybrid() -> SessionBuilder {
+    SessionBuilder::new(
+        SierraConfig::builder()
+            .selector(SelectorKind::Hybrid(1))
+            .build(),
+    )
+}
+
+/// The candidate racy pairs a session from `template` finds over
+/// `result`'s harness (Table 3's without-AS count under [`hybrid`]).
+fn candidates_over(template: SessionBuilder, result: &SierraResult) -> usize {
+    template
+        .harness(Arc::clone(&result.harness))
+        .build()
+        .and_then(|mut session| session.candidates().map(<[_]>::len))
+        .expect("pipeline runs")
+}
 
 fn reported_groups(result: &crate::SierraResult) -> Vec<(String, String)> {
     let p = &result.harness.app.program;
@@ -103,14 +127,12 @@ fn implicit_dependency_is_reported_as_designed() {
 #[test]
 fn action_sensitivity_does_not_increase_racy_pairs() {
     let (app, _) = figures::intra_component();
-    let config = SierraConfig::builder().with(Stage::Compare).build();
-    let result = Sierra::with_config(config).analyze_app(app);
-    assert!(result.stages.contains(Stage::Compare));
+    let result = Sierra::new().analyze_app(app);
+    let without_as = candidates_over(hybrid(), &result);
     assert!(
-        result.racy_pairs_with_as <= result.racy_pairs_without_as,
-        "AS must only remove pairs ({} vs {})",
+        result.racy_pairs_with_as <= without_as,
+        "AS must only remove pairs ({} vs {without_as})",
         result.racy_pairs_with_as,
-        result.racy_pairs_without_as
     );
 }
 
@@ -152,7 +174,7 @@ fn metrics_are_populated() {
 #[test]
 fn staged_session_matches_one_shot_run() {
     let (app, _) = figures::inter_component();
-    let sierra = Sierra::with_config(SierraConfig::builder().with(Stage::Compare).build());
+    let sierra = Sierra::new();
     let one_shot = sierra.analyze_app(app.clone());
     let mut session = sierra.session(app);
     session.harness().expect("harness stage runs");
@@ -176,8 +198,9 @@ fn staged_session_matches_one_shot_run() {
     assert_eq!(staged.pruned.len(), n_pruned);
     assert_eq!(staged.races.len(), n_races);
     assert_eq!(staged.racy_pairs_with_as, one_shot.racy_pairs_with_as);
-    assert!(staged.stages.contains(Stage::Compare) && one_shot.stages.contains(Stage::Compare));
-    assert_eq!(staged.racy_pairs_without_as, one_shot.racy_pairs_without_as);
+    let without_as = candidates_over(hybrid(), &staged);
+    assert_eq!(without_as, candidates_over(hybrid(), &one_shot));
+    assert!(staged.racy_pairs_with_as <= without_as);
     assert_eq!(staged.races.len(), one_shot.races.len());
     assert_eq!(staged.hb_edges, one_shot.hb_edges);
     assert_eq!(
@@ -439,13 +462,13 @@ fn soundness_section_renders_only_under_non_ignore_policies() {
     );
 }
 
-/// The comparison pass links the summaries its own hybrid analysis
-/// reaches through the main pass's store (sound because summaries read
-/// no config), so its count must equal a standalone hybrid session's.
+/// A hybrid session over the store an action-sensitive session just
+/// warmed links the summaries its own analysis reaches from that store
+/// (sound because summaries read no config), so it must count the same
+/// candidate pairs as a hybrid session over a fresh store.
 #[test]
 fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
-    use crate::{OpaquePolicy, SessionBuilder};
-    use pointer::SelectorKind;
+    use crate::{AnalysisSession, MemoryStore, OpaquePolicy, SummaryStore};
 
     const SEED: u64 = 0x00c0_4a2e_5eed; // vary to sweep other F-Droid apps
     let mut rng = sierra_prng::SplitMix64::new(SEED);
@@ -472,27 +495,18 @@ fn comparison_pass_reuses_summaries_soundly_across_corpora_and_policies() {
             OpaquePolicy::Resolve,
             OpaquePolicy::Havoc,
         ] {
-            let cfg = SierraConfig::builder()
-                .opaque_policy(policy)
-                .with(Stage::Compare)
-                .build();
-            let hybrid = match cfg.selector {
-                SelectorKind::ActionSensitive(k) => SelectorKind::Hybrid(k),
-                other => panic!("default selector {other:?} is not action-sensitive"),
-            };
-            let result = Sierra::with_config(cfg).analyze_app(app.clone());
-            let harness = std::sync::Arc::clone(&result.harness);
-            let context = format!("{name} ({SEED:#x}) under {policy}");
-            let hybrid_cfg = SierraConfig {
-                selector: hybrid,
-                ..cfg
-            };
-            let standalone = SessionBuilder::new(hybrid_cfg)
-                .harness(harness)
+            let cfg = SierraConfig::builder().opaque_policy(policy);
+            let store: Arc<dyn SummaryStore> = Arc::new(MemoryStore::new());
+            let result = SessionBuilder::new(cfg.build())
+                .store(Arc::clone(&store))
+                .app(app.clone())
                 .build()
-                .and_then(|mut session| session.candidates().map(<[_]>::len))
+                .and_then(AnalysisSession::finish)
                 .expect("pipeline runs");
-            assert_eq!(result.racy_pairs_without_as, standalone, "{context}");
+            let hybrid = SessionBuilder::new(cfg.selector(SelectorKind::Hybrid(1)).build());
+            let warmed = candidates_over(hybrid.clone().store(store), &result);
+            let fresh = candidates_over(hybrid, &result);
+            assert_eq!(warmed, fresh, "{name} ({SEED:#x}) under {policy}");
         }
     }
 }
@@ -503,9 +517,10 @@ fn removing_refute_also_removes_prefilter_and_histories() {
     for stage in [Stage::Prefilter, Stage::Refute, Stage::Histories] {
         assert!(!set.contains(stage), "{stage} dropped with refute");
     }
-    for stage in [Stage::Triage, Stage::Compare] {
-        assert!(set.contains(stage), "{stage} is independent of refute");
-    }
+    assert!(
+        set.contains(Stage::Triage),
+        "triage is independent of refute"
+    );
     // Every other removal drops exactly the stage named.
     let set = StageSet::ALL.without(Stage::Prefilter);
     assert!(!set.contains(Stage::Prefilter));
@@ -523,59 +538,11 @@ fn removing_refute_also_removes_prefilter_and_histories() {
 }
 
 #[test]
-fn the_comparison_pass_is_opt_in_and_with_undoes_without() {
-    assert_eq!(SierraConfig::default().stages, StageSet::DEFAULT);
-    assert!(!StageSet::DEFAULT.contains(Stage::Compare));
-    assert_eq!(StageSet::DEFAULT.with(Stage::Compare), StageSet::ALL);
-    assert_eq!(StageSet::ALL.without(Stage::Compare), StageSet::DEFAULT);
-    for stage in [
-        Stage::Prefilter,
-        Stage::Histories,
-        Stage::Triage,
-        Stage::Compare,
-    ] {
-        assert_eq!(
-            StageSet::ALL.without(stage).with(stage),
-            StageSet::ALL,
-            "{stage}"
-        );
-    }
-}
-
-#[test]
-fn a_run_without_the_comparison_pass_renders_no_without_as_count() {
-    use crate::Report;
-    let (app, _) = figures::intra_component();
-    let plain = Sierra::new().analyze_app(app.clone());
-    let config = SierraConfig::builder().with(Stage::Compare).build();
-    let compared = Sierra::with_config(config).analyze_app(app);
-    assert_eq!(plain.stages, StageSet::DEFAULT);
-    assert_eq!(compared.stages, StageSet::ALL);
-    let compare_time = plain.metrics.timings.of(Stage::Compare);
-    assert_eq!(compare_time, std::time::Duration::ZERO);
-
-    let (plain, compared) = (Report::from_result(&plain), Report::from_result(&compared));
-    assert_eq!(plain.racy_pairs_without_as, None);
-    let text = plain.render_text();
-    assert!(!text.contains("without action-sensitivity"), "{text}");
-    assert!(!text.contains("Compare"), "{text}");
-    let json = plain.render_json().render();
-    assert!(!json.contains("without_as"), "{json}");
-    assert!(!json.contains("\"compare\""), "{json}");
-
-    let text = compared.render_text();
-    assert!(text.contains("(without action-sensitivity: "), "{text}");
-    assert!(text.contains(" ms, Compare "), "{text}");
-    let json = compared.render_json().render();
-    assert!(json.contains("\"racy_pairs_without_as\":"), "{json}");
-    assert!(json.contains("\"compare\":"), "{json}");
-}
-
-#[test]
 fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
     use std::time::Duration;
-    // Every stage, the opt-in comparison pass included.
-    let all = SierraConfig::builder().with(Stage::Compare);
+    // Every stage: the default.
+    let all = SierraConfig::builder();
+    assert_eq!(all.build().stages, StageSet::ALL);
     let mut apps: Vec<_> = corpus::twenty::build_all()
         .into_iter()
         .map(|(_, app, _)| app)
@@ -629,7 +596,7 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
                 Stage::Refute => m.refuter == Default::default(),
                 Stage::Histories => m.histories == Default::default(),
                 Stage::Triage => m.triage == Default::default(),
-                _ => r.racy_pairs_without_as == 0,
+                core => unreachable!("{core} cannot be removed"),
             };
             assert!(zero, "{removed} recorded counters while removed");
         }

@@ -35,13 +35,14 @@ const REFUTE_BATCH: usize = 16;
 /// unrolling).
 const BLOCK_VISIT_LIMIT: u32 = 2;
 
+/// Maximum backward steps per query direction.
+const MAX_STEPS: usize = 200_000;
+
 /// Refutation tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RefuterConfig {
     /// Maximum forked paths per query direction (the paper uses 5,000).
     pub max_paths: usize,
-    /// Maximum backward steps per query direction.
-    pub max_steps: usize,
     /// Enable the refuted-node memoization cache (§5 "Caching").
     pub use_cache: bool,
 }
@@ -50,7 +51,6 @@ impl Default for RefuterConfig {
     fn default() -> Self {
         Self {
             max_paths: 5_000,
-            max_steps: 200_000,
             use_cache: true,
         }
     }
@@ -289,7 +289,7 @@ impl<'a> Refuter<'a> {
 
         while let Some(mut st) = stack.pop() {
             steps += 1;
-            if steps > self.config.max_steps || paths > self.config.max_paths {
+            if steps > MAX_STEPS || paths > self.config.max_paths {
                 self.stats.paths += paths;
                 return WitnessResult::Budget;
             }

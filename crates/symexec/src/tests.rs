@@ -243,7 +243,6 @@ fn budget_exhaustion_reports_the_race() {
 
     let config = RefuterConfig {
         max_paths: 1,
-        max_steps: 2,
         ..Default::default()
     };
     let mut refuter = Refuter::new(&analysis, &f.harness.app.program, config);

@@ -7,7 +7,9 @@
 
 use sierra::android_model::AndroidAppBuilder;
 use sierra::apir::{ConstValue, InvokeKind, Operand, Type};
-use sierra::sierra_core::{Sierra, SierraConfig, Stage};
+use sierra::pointer::SelectorKind;
+use sierra::sierra_core::{SessionBuilder, Sierra, SierraConfig};
+use std::sync::Arc;
 
 fn main() {
     // An activity whose onClick starts a background thread writing a field
@@ -105,10 +107,16 @@ fn main() {
 
     let app = app.finish().expect("well-formed app");
 
-    // Run the full SIERRA pipeline, plus the opt-in comparison pass
-    // that counts racy pairs without action sensitivity.
-    let config = SierraConfig::builder().with(Stage::Compare).build();
-    let result = Sierra::with_config(config).analyze_app(app);
+    // Run the full SIERRA pipeline.
+    let result = Sierra::new().analyze_app(app);
+    // Racy pairs without action sensitivity: a second session under the
+    // hybrid selector over the same harness, stopped at its candidates.
+    let hybrid = SierraConfig::builder().selector(SelectorKind::Hybrid(1));
+    let without_as = SessionBuilder::new(hybrid.build())
+        .harness(Arc::clone(&result.harness))
+        .build()
+        .and_then(|mut session| session.candidates().map(<[_]>::len))
+        .expect("pipeline runs");
     println!(
         "{}: {} harnesses, {} actions, {} HB edges ({:.1}% of max)",
         result.app_name,
@@ -119,7 +127,7 @@ fn main() {
     );
     println!(
         "racy pairs: {} without action-sensitivity, {} with; {} race(s) after refutation:",
-        result.racy_pairs_without_as,
+        without_as,
         result.racy_pairs_with_as,
         result.races.len()
     );

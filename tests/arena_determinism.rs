@@ -28,7 +28,7 @@ fn private_interner_table() -> String {
         .take(CORPUS_APPS)
         .map(|(i, app, truth)| {
             let name = format!("app{i:03}");
-            run_app(&name, app, &truth, &template, &er_cfg)
+            run_app(&name, app, &truth, &template, None, &er_cfg)
         })
         .collect();
     checked_table(rows)

@@ -1,7 +1,8 @@
 //! End-to-end integration: the full pipeline over the corpus datasets.
 
 use sierra::corpus::{self, twenty, RaceLabel};
-use sierra::sierra_core::{Sierra, SierraConfig, SierraResult, Stage};
+use sierra::pointer::SelectorKind;
+use sierra::sierra_core::{SessionBuilder, Sierra, SierraConfig, SierraResult, Stage};
 
 fn groups(result: &SierraResult) -> Vec<(String, String)> {
     let p = &result.harness.app.program;
@@ -46,10 +47,17 @@ fn every_figure_app_matches_its_ground_truth() {
 
 #[test]
 fn twenty_app_dataset_invariants() {
-    // The without-AS count comes from the opt-in comparison pass.
-    let cfg = SierraConfig::builder().with(Stage::Compare).build();
+    // Table 3's context without action sensitivity: the hybrid selector.
+    let hybrid = SierraConfig::builder()
+        .selector(SelectorKind::Hybrid(1))
+        .build();
     for (spec, app, truth) in twenty::build_all() {
-        let result = Sierra::with_config(cfg).analyze_app(app);
+        let result = Sierra::new().analyze_app(app);
+        let without_as = SessionBuilder::new(hybrid)
+            .harness(std::sync::Arc::clone(&result.harness))
+            .build()
+            .and_then(|mut session| session.candidates().map(<[_]>::len))
+            .expect("pipeline runs");
         // Structural invariants of Table 3.
         assert_eq!(
             result.harness_count,
@@ -58,7 +66,7 @@ fn twenty_app_dataset_invariants() {
         assert!(result.action_count > 0, "{}", spec.name);
         assert!(result.hb_edges <= result.hb_max, "{}", spec.name);
         assert!(
-            result.racy_pairs_with_as <= result.racy_pairs_without_as,
+            result.racy_pairs_with_as <= without_as,
             "{}: action sensitivity must only remove pairs",
             spec.name
         );

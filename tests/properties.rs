@@ -5,7 +5,7 @@
 use sierra::corpus::twenty::synthesize;
 use sierra::eventracer::{detect, EventRacerConfig};
 use sierra::pointer::SelectorKind;
-use sierra::sierra_core::{Sierra, SierraConfig, Stage};
+use sierra::sierra_core::{SessionBuilder, Sierra, SierraConfig, Stage};
 use sierra_prng::SplitMix64;
 
 /// Any synthesized app passes IR validation and the full pipeline runs
@@ -13,17 +13,25 @@ use sierra_prng::SplitMix64;
 #[test]
 fn pipeline_invariants_hold_on_random_apps() {
     let mut rng = SplitMix64::new(0x11A171);
+    let hybrid = SierraConfig::builder()
+        .selector(SelectorKind::Hybrid(1))
+        .build();
     for _ in 0..16 {
         let seed = rng.next_u64() % 1_000_000;
         let n = 1 + rng.usize(5);
         let (app, truth) = synthesize("prop.app", n, seed);
         assert!(app.program.validate().is_ok());
-        // The without-AS count comes from the opt-in comparison pass.
-        let cfg = SierraConfig::builder().with(Stage::Compare).build();
-        let result = Sierra::with_config(cfg).analyze_app(app);
+        let result = Sierra::new().analyze_app(app);
         assert_eq!(result.harness_count, n);
         assert!(result.hb_edges <= result.hb_max);
-        assert!(result.racy_pairs_with_as <= result.racy_pairs_without_as);
+        // The hybrid selector over the same harness is Table 3's context
+        // without action sensitivity: it finds at least as many pairs.
+        let without_as = SessionBuilder::new(hybrid)
+            .harness(std::sync::Arc::clone(&result.harness))
+            .build()
+            .and_then(|mut session| session.candidates().map(<[_]>::len))
+            .expect("pipeline runs");
+        assert!(result.racy_pairs_with_as <= without_as);
         assert!(result.races.len() <= result.racy_pairs_with_as);
         // Static analysis never misses a planted true race.
         let p = &result.harness.app.program;

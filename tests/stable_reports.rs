@@ -5,7 +5,8 @@
 //! for the 20 Table-2 apps and the shipped `fixtures/*.sierra` under the
 //! default configuration, for the reflection/intent fixture apps
 //! under the `resolve` opaque policy, and for the fixtures plus the
-//! prefilter/triage/reflection idiom apps under each stage ablation
+//! prefilter/triage/reflection idiom apps under each stage ablation,
+//! the hybrid selector (Table 3's context without action sensitivity)
 //! and `min_harm(NullDeref)`. A fifth golden, `counters.txt`, pins the
 //! work counters those reports do not show: the stress apps, the corpus
 //! aggregates, store and arena reuse, and the per-policy soundness
@@ -107,9 +108,9 @@ fn reflection_fixtures_report_the_same_from_rendered_text() {
     }
 }
 
-/// Every stage ablation, the opt-in comparison pass and `min_harm`
-/// over the fixtures and the prefilter, triage and reflection idiom
-/// apps, one section per config.
+/// Every stage ablation, the hybrid selector and `min_harm` over the
+/// fixtures and the prefilter, triage and reflection idiom apps, one
+/// section per config.
 fn ablations() -> String {
     let configs = [
         (
@@ -125,7 +126,10 @@ fn ablations() -> String {
             "skip refutation",
             SierraConfig::builder().without(Stage::Refute),
         ),
-        ("with compare", SierraConfig::builder().with(Stage::Compare)),
+        (
+            "hybrid selector",
+            SierraConfig::builder().selector(pointer::SelectorKind::Hybrid(1)),
+        ),
         (
             "min harm null-deref",
             SierraConfig::builder().min_harm(Harm::NullDeref),
