@@ -5,7 +5,6 @@
 //!   (the paper's 5× reduction claim).
 //! - **Refutation budget**: path budgets from starved to the paper's
 //!   5,000-path default.
-//! - **Refuted-node cache**: §5's memoization on versus off.
 //!
 //! ```sh
 //! cargo bench --bench ablations
@@ -15,7 +14,6 @@ use pointer::SelectorKind;
 use sierra_bench::{group, time};
 use sierra_core::{SessionBuilder, Sierra, SierraConfig, Stage};
 use std::sync::Arc;
-use symexec::RefuterConfig;
 
 fn context_ablation() {
     let (_, app, _) = sierra_bench::size_classes().remove(1); // NPR News
@@ -51,32 +49,8 @@ fn refutation_budget() {
     let (_, app, _) = sierra_bench::size_classes().remove(1);
     group("ablation_budget");
     for budget in [10usize, 100, 5_000] {
-        let cfg = SierraConfig::builder()
-            .refuter(RefuterConfig {
-                max_paths: budget,
-                ..Default::default()
-            })
-            .build();
+        let cfg = SierraConfig::builder().refuter_budget(budget).build();
         time(&format!("max_paths/{budget}"), 10, || {
-            Sierra::with_config(cfg)
-                .analyze_app(app.clone())
-                .races
-                .len()
-        });
-    }
-}
-
-fn cache_ablation() {
-    let (_, app, _) = sierra_bench::size_classes().remove(2); // Astrid (largest)
-    group("ablation_cache");
-    for (label, use_cache) in [("cache_on", true), ("cache_off", false)] {
-        let cfg = SierraConfig::builder()
-            .refuter(RefuterConfig {
-                use_cache,
-                ..Default::default()
-            })
-            .build();
-        time(&format!("refutation/{label}"), 8, || {
             Sierra::with_config(cfg)
                 .analyze_app(app.clone())
                 .races
@@ -119,6 +93,5 @@ fn schedule_exploration() {
 fn main() {
     context_ablation();
     refutation_budget();
-    cache_ablation();
     schedule_exploration();
 }

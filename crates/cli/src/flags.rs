@@ -206,7 +206,7 @@ mod tests {
         let flags = CommonFlags::parse(&mut args).expect("parse");
         assert_eq!(flags.jobs, 4);
         assert_eq!(flags.config.selector, SelectorKind::KObj(2));
-        assert_eq!(flags.config.refuter.max_paths, 100);
+        assert_eq!(flags.config.refuter_budget, 100);
         // Subcommand flags survive.
         assert_eq!(args, argv(&["table5", "--apps", "10"]));
     }

@@ -145,7 +145,6 @@ pub static COUNTER_GROUPS: [CounterGroup; 8] = [
             ("refuted", |m| Count(m.refuter.refuted)),
             ("witnessed", |m| Count(m.refuter.witnessed)),
             ("budget_exhausted", |m| Count(m.refuter.budget_exhausted)),
-            ("cache_hits", |m| Count(m.refuter.cache_hits)),
         ],
         audited_only: false,
     },

@@ -27,7 +27,7 @@ use shbg::{Shbg, ShbgStats};
 use soundness::SoundnessStats;
 use std::sync::Arc;
 use std::time::Duration;
-use symexec::{RefuterConfig, RefuterStats};
+use symexec::RefuterStats;
 
 /// A pipeline stage. The variants are in driver order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -135,8 +135,9 @@ impl StageSet {
 pub struct SierraConfig {
     /// Context-sensitivity for the main run (default: action-sensitive).
     pub selector: SelectorKind,
-    /// Refutation knobs.
-    pub refuter: RefuterConfig,
+    /// The refuter's path budget: forked paths per query direction
+    /// (default: the paper's 5,000).
+    pub refuter_budget: usize,
     /// The stages that run (default: [`StageSet::ALL`]). A removed
     /// stage's output is byte-identical to a pipeline that never had it.
     pub stages: StageSet,
@@ -153,7 +154,7 @@ impl Default for SierraConfig {
     fn default() -> Self {
         Self {
             selector: SelectorKind::ActionSensitive(1),
-            refuter: RefuterConfig::default(),
+            refuter_budget: 5_000,
             stages: StageSet::ALL,
             opaque_policy: OpaquePolicy::default(),
             min_harm: None,
@@ -181,15 +182,9 @@ impl SierraConfigBuilder {
         self
     }
 
-    /// Sets the refuter configuration.
-    pub fn refuter(mut self, refuter: RefuterConfig) -> Self {
-        self.cfg.refuter = refuter;
-        self
-    }
-
-    /// Sets the refuter path budget, keeping the other refuter knobs.
+    /// Sets the refuter path budget.
     pub fn refuter_budget(mut self, max_paths: usize) -> Self {
-        self.cfg.refuter.max_paths = max_paths;
+        self.cfg.refuter_budget = max_paths;
         self
     }
 

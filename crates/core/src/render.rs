@@ -170,13 +170,8 @@ impl Report {
         let rf = &self.metrics.refuter;
         let _ = writeln!(
             out,
-            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted, {} cache hits)",
-            rf.paths,
-            rf.queries,
-            rf.refuted,
-            rf.witnessed,
-            rf.budget_exhausted,
-            rf.cache_hits
+            "refuter: {} paths over {} queries ({} refuted, {} witnessed, {} budget-exhausted)",
+            rf.paths, rf.queries, rf.refuted, rf.witnessed, rf.budget_exhausted,
         );
         // Only emitted when the stage ran, so `--no-histories` output
         // stays byte-identical to the histories-free pipeline.

@@ -473,9 +473,11 @@ impl AnalysisSession {
             Stage::Refute,
             &mut out.refute,
             |m| {
-                let mut refuter = Refuter::new(analysis, program, config.refuter)
+                let mut refuter = Refuter::new(analysis, program, config.refuter_budget)
                     .with_message_model(harness.app.framework.message_what);
-                let outcomes = refuter.refute_all(&prefilter.kept);
+                let outcomes = (prefilter.kept.iter())
+                    .map(|(a, b)| refuter.refute_pair(a, b))
+                    .collect();
                 m.refuter = refuter.stats;
                 Some(race_reports(program, &prefilter.kept, outcomes))
             },

@@ -603,6 +603,48 @@ fn stage_times_fit_in_the_total_and_removed_stages_record_nothing() {
     }
 }
 
+/// A refutation verdict depends only on the pair: refuting an app's kept
+/// pairs in forward and in reversed order gives every pair the same
+/// outcome, on all 194 corpus apps.
+#[test]
+fn refutation_verdicts_do_not_depend_on_pair_order() {
+    use crate::{run_jobs, AnalysisSession};
+    use symexec::{Outcome, Refuter};
+
+    let mut apps: Vec<_> = corpus::twenty::build_all()
+        .into_iter()
+        .map(|(spec, app, _)| (spec.name.to_owned(), app))
+        .collect();
+    apps.extend(corpus::fdroid::iter_apps().map(|(i, app, _)| (format!("app{i:03}"), app)));
+    assert_eq!(apps.len(), 20 + 174);
+    let config = SierraConfig::default();
+    let rows = run_jobs(0, apps, |name, app| {
+        let mut session = AnalysisSession::new(config, app);
+        let kept = session.prefilter().expect("pipeline runs").kept.clone();
+        let analysis = Arc::clone(session.pointer().expect("pipeline runs"));
+        let harness = Arc::clone(session.harness().expect("pipeline runs"));
+        let app = &harness.app;
+        let refute = |order: &mut dyn Iterator<Item = usize>| {
+            let mut refuter = Refuter::new(&analysis, &app.program, config.refuter_budget)
+                .with_message_model(app.framework.message_what);
+            let mut outcomes = vec![None; kept.len()];
+            for i in order {
+                outcomes[i] = Some(refuter.refute_pair(&kept[i].0, &kept[i].1));
+            }
+            outcomes
+        };
+        let forward = refute(&mut (0..kept.len()));
+        let reversed = refute(&mut (0..kept.len()).rev());
+        assert_eq!(forward, reversed, "{name}: verdicts depend on pair order");
+        forward.contains(&Some(Outcome::Refuted))
+    });
+    let refuting = rows
+        .into_iter()
+        .map(|row| row.expect("no panic"))
+        .filter(|&r| r);
+    assert!(refuting.count() > 0, "some app refutes a pair");
+}
+
 #[test]
 fn refute_does_no_histories_work() {
     use crate::AnalysisSession;

@@ -28,9 +28,8 @@ use apir::{ConstValue, InvokeKind, Local, Operand, Type};
 ///   witness early nor refute before exploring the whole frontier.
 ///
 /// With `diamonds` ≥ 13 the frontier exceeds the default 5,000-path
-/// budget, making each query cost exactly one budget's worth of work —
-/// refuted-method caching never kicks in (budgeted queries are not
-/// cached), so all `fields` queries stay equally expensive.
+/// budget, making each query cost exactly one budget's worth of work,
+/// so all `fields` queries stay equally expensive.
 ///
 /// The activity additionally carries two GUI handlers full of
 /// statically-prunable pairs — constant-dead writes (`d0..d5`),

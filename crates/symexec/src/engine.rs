@@ -14,8 +14,8 @@
 //! reports the race (over-approximation, §5 "Caching").
 //!
 //! The search crosses every CFG predecessor edge. What prunes a path is
-//! the search's own state: a conflicting constraint, the per-path
-//! block-visit bound, or a method in the refuted-node cache.
+//! the search's own state: a conflicting constraint or the per-path
+//! block-visit bound. Nothing carries over from one query to the next.
 
 use crate::constraints::{Constraint, ConstraintStore, SymLoc};
 use android_model::{ActionId, ActionKind};
@@ -27,34 +27,12 @@ use pointer::{Access, Analysis, CtxId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Pairs per batch in [`Refuter::refute_all`]: the refuted-node cache
-/// grows only between batches.
-const REFUTE_BATCH: usize = 16;
-
 /// Per-path bound on re-visiting one basic block (backward loop
 /// unrolling).
 const BLOCK_VISIT_LIMIT: u32 = 2;
 
 /// Maximum backward steps per query direction.
 const MAX_STEPS: usize = 200_000;
-
-/// Refutation tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct RefuterConfig {
-    /// Maximum forked paths per query direction (the paper uses 5,000).
-    pub max_paths: usize,
-    /// Enable the refuted-node memoization cache (§5 "Caching").
-    pub use_cache: bool,
-}
-
-impl Default for RefuterConfig {
-    fn default() -> Self {
-        Self {
-            max_paths: 5_000,
-            use_cache: true,
-        }
-    }
-}
 
 /// Outcome of a refutation query on a candidate race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +57,8 @@ pub struct RefuterStats {
     pub witnessed: usize,
     /// Queries that ran out of budget.
     pub budget_exhausted: usize,
-    /// Queries answered from the refuted-node cache.
+    /// Always 0: kept only for callers that still read it. There is no
+    /// refuted-node cache, so no query is answered from one.
     pub cache_hits: usize,
     /// Total paths explored.
     pub paths: usize,
@@ -123,13 +102,12 @@ type CallerIndex = HashMap<(MethodId, CtxId), Vec<(MethodId, CtxId, CallSiteId)>
 pub struct Refuter<'a> {
     program: &'a Program,
     analysis: &'a Analysis,
-    config: RefuterConfig,
+    /// Maximum forked paths per query direction.
+    max_paths: usize,
     /// Inverse call graph: callee frame → (caller frame, site). Behind
     /// an `Arc` so the backward search can walk it while `self` is
     /// mutably borrowed.
     callers: Arc<CallerIndex>,
-    /// Methods visited by fully-refuted queries (the paper's cache).
-    refuted_methods: HashSet<MethodId>,
     /// `Message.what`'s field id, enabling the §5 on-demand
     /// constant-propagation facts for `handleMessage` actions.
     message_what_field: Option<FieldId>,
@@ -138,8 +116,10 @@ pub struct Refuter<'a> {
 }
 
 impl<'a> Refuter<'a> {
-    /// Creates a refuter over a finished analysis.
-    pub fn new(analysis: &'a Analysis, program: &'a Program, config: RefuterConfig) -> Self {
+    /// Creates a refuter over a finished analysis, exploring at most
+    /// `max_paths` forked paths per query direction (the paper uses
+    /// 5,000).
+    pub fn new(analysis: &'a Analysis, program: &'a Program, max_paths: usize) -> Self {
         let mut callers: CallerIndex = HashMap::new();
         for (&(cm, cctx, site), callees) in &analysis.cg_edges {
             for &(m, ctx) in callees {
@@ -155,9 +135,8 @@ impl<'a> Refuter<'a> {
         Self {
             program,
             analysis,
-            config,
+            max_paths,
             callers: Arc::new(callers),
-            refuted_methods: HashSet::new(),
             message_what_field: None,
             stats: RefuterStats::default(),
         }
@@ -192,80 +171,30 @@ impl<'a> Refuter<'a> {
         true
     }
 
-    /// Queries a candidate racy pair. A refuted query's visited methods
-    /// enter the refuted-node cache at once.
+    /// Queries a candidate racy pair.
     pub fn refute_pair(&mut self, a: &Access, b: &Access) -> Outcome {
-        let (outcome, visited) = self.query(a, b);
-        self.cache(visited);
-        outcome
-    }
-
-    /// Queries every pair in order, in batches of 16: each pair sees the
-    /// refuted-node cache as of its batch's start, and the methods
-    /// visited by the batch's refuted queries enter the cache when the
-    /// batch ends. A method refuted by one pair can therefore answer
-    /// pairs of later batches, never a sibling in its own batch.
-    pub fn refute_all(&mut self, pairs: &[(Access, Access)]) -> Vec<Outcome> {
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        for batch in pairs.chunks(REFUTE_BATCH) {
-            let mut refuted = HashSet::new();
-            for (a, b) in batch {
-                let (outcome, visited) = self.query(a, b);
-                outcomes.push(outcome);
-                refuted.extend(visited);
-            }
-            self.cache(refuted);
-        }
-        outcomes
-    }
-
-    /// Runs one query against the current cache without updating it. The
-    /// returned method set is the search's visited methods if the query
-    /// was refuted, and empty otherwise.
-    fn query(&mut self, a: &Access, b: &Access) -> (Outcome, HashSet<MethodId>) {
         self.stats.queries += 1;
-        if self.config.use_cache
-            && self.refuted_methods.contains(&a.method)
-            && self.refuted_methods.contains(&b.method)
-        {
-            self.stats.cache_hits += 1;
-            self.stats.refuted += 1;
-            return (Outcome::Refuted, HashSet::new());
-        }
-        let mut visited_methods: HashSet<MethodId> = HashSet::new();
-        let d1 = self.witness(a, b, &mut visited_methods);
+        let d1 = self.witness(a, b);
         let d2 = if d1 == WitnessResult::NoWitness {
             d1
         } else {
-            self.witness(b, a, &mut visited_methods)
+            self.witness(b, a)
         };
         if d2 == WitnessResult::NoWitness {
             self.stats.refuted += 1;
-            return (Outcome::Refuted, visited_methods);
-        }
-        if d1 == WitnessResult::Budget || d2 == WitnessResult::Budget {
+            Outcome::Refuted
+        } else if d1 == WitnessResult::Budget || d2 == WitnessResult::Budget {
             self.stats.budget_exhausted += 1;
-            (Outcome::Budget, HashSet::new())
+            Outcome::Budget
         } else {
             self.stats.witnessed += 1;
-            (Outcome::TruePositive, HashSet::new())
-        }
-    }
-
-    fn cache(&mut self, refuted: HashSet<MethodId>) {
-        if self.config.use_cache {
-            self.refuted_methods.extend(refuted);
+            Outcome::TruePositive
         }
     }
 
     /// Searches for a witness of the schedule "`earlier`'s action completes,
     /// then `later`'s action runs up to its access".
-    fn witness(
-        &mut self,
-        later: &Access,
-        earlier: &Access,
-        visited_methods: &mut HashSet<MethodId>,
-    ) -> WitnessResult {
+    fn witness(&mut self, later: &Access, earlier: &Access) -> WitnessResult {
         let later_action = later.action;
         let earlier_action = earlier.action;
         let mut steps = 0usize;
@@ -289,16 +218,9 @@ impl<'a> Refuter<'a> {
 
         while let Some(mut st) = stack.pop() {
             steps += 1;
-            if steps > MAX_STEPS || paths > self.config.max_paths {
+            if steps > MAX_STEPS || paths > self.max_paths {
                 self.stats.paths += paths;
                 return WitnessResult::Budget;
-            }
-            visited_methods.insert(st.m);
-            if self.config.use_cache
-                && self.refuted_methods.contains(&st.m)
-                && st.phase == Phase::Earlier
-            {
-                continue; // paper's cache: refuted nodes prune paths
             }
 
             if st.next >= 0 {

@@ -14,15 +14,17 @@
 //!   vice versa);
 //! - strong updates to must-aliased locations conflict-check against the
 //!   accumulated path constraints (the `mIsRunning` example of Figure 8);
-//! - exploration is budgeted (5,000 paths by default); budget exhaustion
-//!   reports the race, over-approximating;
-//! - refuted queries populate a node cache that later queries consult.
+//! - exploration is budgeted (5,000 paths in the default configuration);
+//!   budget exhaustion reports the race, over-approximating.
+//!
+//! §5's refuted-node cache is deliberately absent: each query starts from
+//! nothing, so a pair's verdict does not depend on which pairs ran first.
 
 mod constraints;
 mod engine;
 
 pub use constraints::{Constraint, ConstraintStore, SymLoc};
-pub use engine::{Outcome, Refuter, RefuterConfig, RefuterStats};
+pub use engine::{Outcome, Refuter, RefuterStats};
 
 #[cfg(test)]
 mod tests;

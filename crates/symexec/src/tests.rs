@@ -1,6 +1,6 @@
 //! Refutation tests on the paper's Figure 8 idiom (OpenSudoku).
 
-use crate::{Outcome, Refuter, RefuterConfig};
+use crate::{Outcome, Refuter};
 use android_model::{ActionKind, AndroidAppBuilder};
 use apir::{ConstValue, FieldId, InvokeKind, MethodId, Operand, Type};
 use harness_gen::{generate, HarnessResult};
@@ -8,6 +8,9 @@ use pointer::{
     analyze, collect_accesses, method_access_sites, Access, AccessSite, Analysis, SelectorKind,
 };
 use std::collections::HashMap;
+
+/// The paper's path budget per query direction.
+const BUDGET: usize = 5_000;
 
 /// [`collect_accesses`] outside the harness class, over access sites
 /// extracted from each reached body.
@@ -189,7 +192,7 @@ fn figure_8_accum_time_race_is_refuted() {
         )
     });
 
-    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, RefuterConfig::default());
+    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, BUDGET);
     let outcome = refuter.refute_pair(alpha_a, alpha_b);
     assert_eq!(
         outcome,
@@ -219,7 +222,7 @@ fn figure_8_guard_variable_race_is_a_true_positive() {
         )
     });
 
-    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, RefuterConfig::default());
+    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, BUDGET);
     let outcome = refuter.refute_pair(guard_read, guard_write);
     assert_eq!(
         outcome,
@@ -241,11 +244,7 @@ fn budget_exhaustion_reports_the_race() {
         matches!(k, ActionKind::Lifecycle { .. })
     });
 
-    let config = RefuterConfig {
-        max_paths: 1,
-        ..Default::default()
-    };
-    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, config);
+    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, 1);
     assert_eq!(refuter.refute_pair(alpha_a, alpha_b), Outcome::Budget);
     assert_eq!(refuter.stats.budget_exhausted, 1);
 }
@@ -314,12 +313,15 @@ fn unguarded_pair_is_witnessed() {
     let b = access_in(&accesses, &analysis, accum, true, |k| {
         matches!(k, ActionKind::Lifecycle { .. })
     });
-    let mut refuter = Refuter::new(&analysis, &harness.app.program, RefuterConfig::default());
+    let mut refuter = Refuter::new(&analysis, &harness.app.program, BUDGET);
     assert_eq!(refuter.refute_pair(a, b), Outcome::TruePositive);
 }
 
+/// A verdict is a function of the pair: asking again, in either
+/// orientation, gives the same outcome, and a repeat explores exactly
+/// as many paths as the first query did.
 #[test]
-fn cache_short_circuits_repeat_queries() {
+fn repeat_queries_in_either_orientation_are_answered_afresh() {
     let f = fig8();
     let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
     let accesses = reached_accesses(&analysis, &f.harness);
@@ -329,36 +331,20 @@ fn cache_short_circuits_repeat_queries() {
     let alpha_b = access_in(&accesses, &analysis, f.accum, true, |k| {
         matches!(k, ActionKind::Lifecycle { .. })
     });
-    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, RefuterConfig::default());
-    assert_eq!(refuter.refute_pair(alpha_a, alpha_b), Outcome::Refuted);
-    // The same pair again: answered from the refuted-node cache.
-    assert_eq!(refuter.refute_pair(alpha_a, alpha_b), Outcome::Refuted);
-    assert_eq!(refuter.stats.cache_hits, 1);
-    assert_eq!(refuter.stats.queries, 2);
-}
-
-/// `refute_all`'s batch rule: the methods a refuted pair visits join the
-/// cache only when its 16-pair batch ends. Of 17 copies of one refutable
-/// pair, the first 16 share a batch and all run in full; only the 17th,
-/// in the next batch, is answered from the cache.
-#[test]
-fn refute_all_grows_the_cache_only_between_batches() {
-    let f = fig8();
-    let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = reached_accesses(&analysis, &f.harness);
-    let alpha_a = access_in(&accesses, &analysis, f.accum, true, |k| {
-        matches!(k, ActionKind::RunnablePost)
-    });
-    let alpha_b = access_in(&accesses, &analysis, f.accum, true, |k| {
-        matches!(k, ActionKind::Lifecycle { .. })
-    });
-    let pairs = vec![(alpha_a.clone(), alpha_b.clone()); 17];
-    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, RefuterConfig::default());
-    let outcomes = refuter.refute_all(&pairs);
-    assert_eq!(outcomes, vec![Outcome::Refuted; 17]);
-    assert_eq!(refuter.stats.queries, 17);
-    assert_eq!(refuter.stats.refuted, 17);
-    assert_eq!(refuter.stats.cache_hits, 1, "only the 17th pair may hit");
+    let mut refuter = Refuter::new(&analysis, &f.harness.app.program, BUDGET);
+    for (a, b) in [(alpha_a, alpha_b), (alpha_b, alpha_a)] {
+        let mut paths = Vec::new();
+        for _ in 0..2 {
+            let before = refuter.stats.paths;
+            assert_eq!(refuter.refute_pair(a, b), Outcome::Refuted);
+            paths.push(refuter.stats.paths - before);
+        }
+        assert!(paths[0] > 0, "the query explores the program");
+        assert_eq!(paths[0], paths[1], "the repeat explores as much");
+    }
+    assert_eq!(refuter.stats.queries, 4);
+    assert_eq!(refuter.stats.refuted, 4);
+    assert_eq!(refuter.stats.cache_hits, 0);
 }
 
 #[test]
@@ -474,53 +460,10 @@ fn refutation_ascends_through_nested_callers() {
             }
         )
     });
-    let mut refuter = Refuter::new(&analysis, &harness.app.program, RefuterConfig::default());
+    let mut refuter = Refuter::new(&analysis, &harness.app.program, BUDGET);
     assert_eq!(
         refuter.refute_pair(a, b),
         Outcome::Refuted,
         "guard conflict must be found two frames deep"
     );
-}
-
-#[test]
-fn disabling_the_cache_gives_the_same_verdicts() {
-    let f = fig8();
-    let analysis = analyze(&f.harness, SelectorKind::ActionSensitive(1));
-    let accesses = reached_accesses(&analysis, &f.harness);
-    let pairs: Vec<(&Access, &Access)> = {
-        let mut v = Vec::new();
-        for i in 0..accesses.len() {
-            for j in i + 1..accesses.len() {
-                let (a, b) = (&accesses[i], &accesses[j]);
-                if a.action != b.action && (a.is_write || b.is_write) && a.overlaps(b) {
-                    v.push((a, b));
-                }
-            }
-        }
-        v
-    };
-    let run = |use_cache: bool| {
-        let cfg = RefuterConfig {
-            use_cache,
-            ..Default::default()
-        };
-        let mut r = Refuter::new(&analysis, &f.harness.app.program, cfg);
-        pairs
-            .iter()
-            .map(|(a, b)| r.refute_pair(a, b))
-            .collect::<Vec<_>>()
-    };
-    // The paper's cache is deliberately aggressive (§5 "Caching"): paths
-    // entering a node visited by a refuted query are pruned, so the cache
-    // can only *add* refutations, never remove one.
-    let with_cache = run(true);
-    let without = run(false);
-    assert_eq!(with_cache.len(), without.len());
-    for (w, wo) in with_cache.iter().zip(&without) {
-        if *wo == Outcome::Refuted {
-            assert_eq!(*w, Outcome::Refuted, "cache must preserve refutations");
-        }
-    }
-    let refuted = |v: &[Outcome]| v.iter().filter(|o| **o == Outcome::Refuted).count();
-    assert!(refuted(&with_cache) >= refuted(&without));
 }

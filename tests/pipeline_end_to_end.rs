@@ -1,8 +1,11 @@
 //! End-to-end integration: the full pipeline over the corpus datasets.
 
+use sierra::android_model::AndroidApp;
 use sierra::corpus::{self, twenty, RaceLabel};
-use sierra::pointer::SelectorKind;
-use sierra::sierra_core::{SessionBuilder, Sierra, SierraConfig, SierraResult, Stage};
+use sierra::pointer::{Access, SelectorKind};
+use sierra::sierra_core::{
+    describe_action, run_jobs, SessionBuilder, Sierra, SierraConfig, SierraResult, Stage,
+};
 
 fn groups(result: &SierraResult) -> Vec<(String, String)> {
     let p = &result.harness.app.program;
@@ -179,26 +182,80 @@ class com.t.Main extends android.app.Activity {
     );
 }
 
+/// Each race as a key with no numbering in it: the field, each side's
+/// action label (without its `A<n>:` id) and access kind, the two sides
+/// sorted, then the priority, outcome and harm text.
+fn race_keys(result: &SierraResult) -> Vec<String> {
+    let p = &result.harness.app.program;
+    let actions = &result.analysis.actions;
+    let side = |a: &Access| {
+        let label = describe_action(actions, a.action);
+        let (_, label) = label.split_once(':').expect("labels start with an id");
+        let kind = if a.is_write { "write" } else { "read" };
+        format!("{label} ({kind})")
+    };
+    let mut keys: Vec<String> = (result.races.iter())
+        .map(|r| {
+            let f = p.field(r.field);
+            let mut sides = [side(&r.a), side(&r.b)];
+            sides.sort();
+            let harm =
+                (r.triage.as_ref()).map(|t| format!(" harm={} ({})", t.harm, t.witness.summary));
+            format!(
+                "{}.{} between {} and {} [{:?}, {:?}]{}",
+                p.class_name(f.class),
+                p.name(f.name),
+                sides[0],
+                sides[1],
+                r.priority,
+                r.outcome,
+                harm.unwrap_or_default(),
+            )
+        })
+        .collect();
+    keys.sort();
+    keys
+}
+
 #[test]
 fn disassemble_reassemble_preserves_race_verdicts() {
-    // Round-tripping a corpus figure app through the text format must not
-    // change what the detector reports.
-    for (label, (app, _)) in [
-        ("fig1", corpus::figures::intra_component()),
-        ("fig2", corpus::figures::inter_component()),
-        ("fig8", corpus::figures::open_sudoku_guard()),
-    ] {
-        let text = sierra::android_model::render_app(&app);
-        let reparsed = sierra::android_model::parse_app(&app.name, &text)
-            .unwrap_or_else(|e| panic!("{label}: {e}\n{text}"));
-        let r1 = Sierra::new().analyze_app(app);
-        let r2 = Sierra::new().analyze_app(reparsed);
-        let mut g1 = groups(&r1);
-        let mut g2 = groups(&r2);
-        g1.sort();
-        g2.sort();
-        assert_eq!(g1, g2, "{label}: verdicts must survive the round trip");
-    }
+    // Round-tripping an app through the text format must not change which
+    // races the detector reports, on the figure apps and on any of the
+    // 194 corpus apps.
+    use sierra::android_model::{parse_app, render_app};
+    let mut apps: Vec<(String, AndroidApp)> = vec![
+        ("fig1".into(), corpus::figures::intra_component().0),
+        ("fig2".into(), corpus::figures::inter_component().0),
+        ("fig8".into(), corpus::figures::open_sudoku_guard().0),
+    ];
+    apps.extend(
+        twenty::build_all()
+            .into_iter()
+            .map(|(spec, app, _)| (spec.name.to_owned(), app)),
+    );
+    apps.extend(corpus::fdroid::iter_apps().map(|(i, app, _)| (format!("app{i:03}"), app)));
+    assert_eq!(apps.len(), 3 + 20 + 174);
+    let rows = run_jobs(0, apps, |label, app| {
+        let text = render_app(&app);
+        let reparsed = parse_app(&app.name, &text).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let built = race_keys(&Sierra::new().analyze_app(app));
+        let parsed = race_keys(&Sierra::new().analyze_app(reparsed));
+        let only = |x: &[String], y: &[String]| -> Vec<String> {
+            x.iter().filter(|k| !y.contains(k)).cloned().collect()
+        };
+        (built != parsed).then(|| {
+            let (in_code, in_text) = (only(&built, &parsed), only(&parsed, &built));
+            format!("{label}: only built in code {in_code:#?}, only parsed {in_text:#?}")
+        })
+    });
+    let differ: Vec<String> = (rows.into_iter())
+        .filter_map(|row| row.expect("analysis runs"))
+        .collect();
+    assert!(
+        differ.is_empty(),
+        "races differ after the round trip:\n{}",
+        differ.join("\n")
+    );
 }
 
 #[test]
