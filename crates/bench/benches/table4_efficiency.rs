@@ -17,8 +17,11 @@
 //! classes with and without a shared framework layer; and corpus
 //! throughput, where every Table 2 app is analyzed ten times after one
 //! warm-up pass and the 200 samples give p50, p99 and the median
-//! absolute deviation, next to the process's peak RSS. Everything goes
-//! to `BENCH_table4.json`, which CI uploads and `bench_gate` checks.
+//! absolute deviation, next to the process's peak RSS; and harness
+//! scaling, the median of nine `harness_gen::generate` runs on
+//! synthesized apps of 32 to 160 activities, with the log-log slope of
+//! time over activities. Everything goes to `BENCH_table4.json`, which
+//! CI uploads and `bench_gate` checks.
 //!
 //! ```sh
 //! cargo bench --bench table4_efficiency
@@ -92,6 +95,29 @@ fn mad(sorted: &[Duration]) -> Duration {
     let mut deviations: Vec<Duration> = sorted.iter().map(|&d| d.abs_diff(median)).collect();
     deviations.sort_unstable();
     percentile(&deviations, 0.5)
+}
+
+/// Activity counts of the harness-scaling group, each timed
+/// [`SCALING_RUNS`] times; the exponent is fitted over the counts from
+/// [`SCALING_FIT_FROM`] up.
+const SCALING_ACTIVITIES: [usize; 6] = [32, 96, 112, 128, 144, 160];
+const SCALING_RUNS: usize = 9;
+const SCALING_FIT_FROM: usize = 96;
+
+/// The least-squares slope of `ln ms` over `ln activities`.
+fn log_log_slope(points: &[(usize, f64)]) -> f64 {
+    let xy: Vec<(f64, f64)> = points
+        .iter()
+        .map(|&(n, ms)| ((n as f64).ln(), ms.ln()))
+        .collect();
+    let k = xy.len() as f64;
+    let (mx, my) = (
+        xy.iter().map(|p| p.0).sum::<f64>() / k,
+        xy.iter().map(|p| p.1).sum::<f64>() / k,
+    );
+    let cov: f64 = xy.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
+    let var: f64 = xy.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
+    cov / var
 }
 
 /// Rounds of an [`alternating`] comparison.
@@ -295,6 +321,41 @@ fn main() {
     let (t_corpus_shared, t_corpus_unshared) =
         (percentile(&shared, 0.5), percentile(&unshared, 0.5));
 
+    // Harness generation alone, on seeded synthesized apps. The CHA
+    // discovery graph is built once per app, so time should grow about
+    // linearly in activities; `bench_gate` caps the fitted exponent.
+    group("harness_scaling");
+    let mut scaling: Vec<(usize, f64)> = Vec::new();
+    for n in SCALING_ACTIVITIES {
+        let (synthesized, _) = corpus::twenty::synthesize(&format!("Scale{n}"), n, 1);
+        let mut runs: Vec<Duration> = (0..SCALING_RUNS)
+            .map(|_| {
+                let input = synthesized.clone();
+                let start = Instant::now();
+                let result = harness_gen::generate(input);
+                let elapsed = start.elapsed();
+                drop(std::hint::black_box(result));
+                elapsed
+            })
+            .collect();
+        runs.sort_unstable();
+        let median = percentile(&runs, 0.5);
+        let label = format!("harness_generate_{n}_activities");
+        println!("{label:<46} median {median:>12.3?}  ({SCALING_RUNS} runs)");
+        scaling.push((n, median.as_secs_f64() * 1e3));
+    }
+    let fitted: Vec<(usize, f64)> = scaling
+        .iter()
+        .copied()
+        .filter(|&(n, _)| n >= SCALING_FIT_FROM)
+        .collect();
+    let exponent = log_log_slope(&fitted);
+    println!("harness time ~ activities^{exponent:.2} over {SCALING_FIT_FROM}-160 activities");
+    let scaling_ms = scaling
+        .iter()
+        .map(|&(n, ms)| (n.to_string(), Json::Num(ms)))
+        .collect();
+
     let json = obj(vec![
         ("bench", Json::Str("table4_efficiency".to_owned())),
         ("app", Json::Str("NPR News".to_owned())),
@@ -337,6 +398,13 @@ fn main() {
             ]),
         ),
         ("corpus_throughput", obj(throughput)),
+        (
+            "harness_scaling",
+            obj(vec![
+                ("harness_scaling_ms", Json::Obj(scaling_ms)),
+                ("harness_scaling_exponent", Json::Num(exponent)),
+            ]),
+        ),
     ]);
     let mut rendered = json.render();
     rendered.push('\n');

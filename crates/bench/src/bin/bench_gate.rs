@@ -1,6 +1,6 @@
 //! Bench regression gate over the wall-clock and memory numbers of a
 //! fresh `BENCH_table4.json` (written by the `table4_efficiency` bench).
-//! It exits nonzero on either of two checks:
+//! It exits nonzero on any of three checks:
 //!
 //! - the **corpus SLO**: p99 per-app latency and peak RSS of the
 //!   `corpus_throughput` group may regress by at most 10% against the
@@ -12,8 +12,14 @@
 //!   process over a populated cache directory must be below the cold
 //!   median of the same run (both from alternating rounds; no baseline
 //!   involved).
+//! - the **harness scaling**: the log-log slope of harness-generation
+//!   time over 96–160 activities (`harness_scaling_exponent`) must not
+//!   exceed 1.5 (`MAX_HARNESS_EXPONENT`). A per-activity fixpoint grows
+//!   about as activities^2.5; one discovery graph per app is about
+//!   linear. Like the artifact check, it needs no baseline and is
+//!   skipped when the run does not record the key.
 //!
-//! `BENCH_GATE_SLO=0` disables both on noisy or throttled hosts. The
+//! `BENCH_GATE_SLO=0` disables all three on noisy or throttled hosts. The
 //! work counters are not gated here: `tests/golden/counters.txt` pins
 //! them exactly and asserts their invariants in `cargo test`.
 //!
@@ -32,6 +38,9 @@ const TOLERANCE: f64 = 0.10;
 /// Latency-SLO keys from the `corpus_throughput` group, gated only when
 /// the baseline records them.
 const SLO_GATED: &[&str] = &["corpus_p99_latency_us", "corpus_peak_rss_kb"];
+
+/// The largest harness-scaling exponent the gate accepts.
+const MAX_HARNESS_EXPONENT: f64 = 1.5;
 
 /// Extracts the numeric value of `"key": <number>` from `json`. No serde
 /// in-tree, and the bench JSON is flat and machine-written, so a quoted
@@ -59,6 +68,14 @@ fn run(current: &str, baseline: &str, slo_enabled: bool) -> Result<(), Vec<Strin
             violations.push(format!(
                 "artifact_warm_process_us ({warm}) must be below artifact_cold_us \
                  ({cold}): the artifact cache stopped paying for itself"
+            ));
+        }
+    }
+    if let Some(exponent) = number(current, "harness_scaling_exponent") {
+        if exponent > MAX_HARNESS_EXPONENT {
+            violations.push(format!(
+                "harness_scaling_exponent ({exponent:.2}) exceeds {MAX_HARNESS_EXPONENT}: \
+                 harness generation grows superlinearly in activities"
             ));
         }
     }
@@ -109,7 +126,8 @@ fn main() -> ExitCode {
         }
         Ok(()) => {
             println!(
-                "bench_gate: corpus SLO within {:.0}% of baseline, warm artifact run below cold",
+                "bench_gate: corpus SLO within {:.0}% of baseline, warm artifact run below cold, \
+                 harness scaling exponent at most {MAX_HARNESS_EXPONENT}",
                 TOLERANCE * 100.0
             );
             ExitCode::SUCCESS
@@ -140,6 +158,9 @@ mod tests {
       "corpus_throughput": {
         "corpus_p99_latency_us": 1000.0,
         "corpus_peak_rss_kb": 50000
+      },
+      "harness_scaling": {
+        "harness_scaling_exponent": 1.08
       }
     }"#;
 
@@ -250,5 +271,30 @@ mod tests {
         // …and a slow one is waved through with BENCH_GATE_SLO=0 (noisy
         // hosts).
         assert!(run(&slow_warm, &slow_warm, false).is_ok());
+    }
+
+    #[test]
+    fn superlinear_harness_scaling_fails_without_a_baseline() {
+        let quadratic = BASE.replace(
+            "\"harness_scaling_exponent\": 1.08",
+            "\"harness_scaling_exponent\": 2.52",
+        );
+        let err = run(&quadratic, BASE, true).unwrap_err();
+        assert!(
+            err.iter()
+                .any(|v| v.starts_with("harness_scaling_exponent")),
+            "{err:?}"
+        );
+        // The bound is inclusive…
+        let at_bound = BASE.replace(
+            "\"harness_scaling_exponent\": 1.08",
+            "\"harness_scaling_exponent\": 1.5",
+        );
+        assert!(run(&at_bound, BASE, true).is_ok());
+        // …a run that does not record the key is not checked…
+        let absent = BASE.replace("\"harness_scaling_exponent\": 1.08", "");
+        assert!(run(&absent, BASE, true).is_ok());
+        // …and BENCH_GATE_SLO=0 waves it through.
+        assert!(run(&quadratic, BASE, false).is_ok());
     }
 }

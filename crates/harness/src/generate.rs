@@ -1,6 +1,6 @@
 //! Harness method generation (Figures 4, 5, 6).
 
-use crate::cha::ChaReachability;
+use crate::cha::{ChaGraph, DispatchTargets, SHARED};
 use crate::registrations::{self, Registration, RegistrationSeed};
 use android_model::{AndroidApp, FrameworkClasses, FrameworkOp, GuiEventKind, LifecycleEvent};
 use apir::{
@@ -143,7 +143,12 @@ pub fn generate(app: AndroidApp) -> HarnessResult {
 /// Maps each activity to the registration sites reachable from it, in seed
 /// discovery order (the order must be deterministic: it fixes the order in
 /// which harness call sites are minted).
-fn assign_registrations(
+///
+/// One CHA discovery graph serves every activity. The receiver and service
+/// roots are the same for every activity, so their closure is marked once;
+/// each activity then marks what its lifecycle and XML-listener roots reach
+/// beyond it.
+pub(crate) fn assign_registrations(
     program: &Program,
     fw: &FrameworkClasses,
     app: &AndroidApp,
@@ -153,9 +158,27 @@ fn assign_registrations(
     for (_, seed) in seeds {
         by_method.entry(seed.in_method).or_default().push(seed);
     }
+    let mut graph = ChaGraph::new(program, |dispatch, m| {
+        discovery_targets(program, fw, m, &by_method, dispatch)
+    });
+
+    let mut shared_roots: Vec<MethodId> = Vec::new();
+    for &r in &app.manifest.receivers {
+        shared_roots.extend(program.dispatch(r, fw.on_receive));
+    }
+    for &s in &app.manifest.services {
+        for decl in [
+            fw.service_on_start_command,
+            fw.service_on_create,
+            fw.service_on_destroy,
+        ] {
+            shared_roots.extend(program.dispatch(s, decl));
+        }
+    }
+    graph.mark(shared_roots, SHARED);
 
     let mut out: HashMap<ClassId, Vec<CallSiteId>> = HashMap::new();
-    for &activity in &app.manifest.activities {
+    for (tag, &activity) in (SHARED + 1..).zip(&app.manifest.activities) {
         let mut roots: Vec<MethodId> = Vec::new();
         for ev in LifecycleEvent::ALL {
             if let Some(m) = program.dispatch(activity, ev.declared_callback(fw)) {
@@ -171,29 +194,10 @@ fn assign_registrations(
                 }
             }
         }
-        for &r in &app.manifest.receivers {
-            if let Some(m) = program.dispatch(r, fw.on_receive) {
-                roots.push(m);
-            }
-        }
-        for &s in &app.manifest.services {
-            for decl in [
-                fw.service_on_start_command,
-                fw.service_on_create,
-                fw.service_on_destroy,
-            ] {
-                if let Some(m) = program.dispatch(s, decl) {
-                    roots.push(m);
-                }
-            }
-        }
-
-        let cha = ChaReachability::compute(program, roots, |p, m| {
-            discovery_targets(p, fw, m, &by_method)
-        });
+        graph.mark(roots, tag);
         let sites: Vec<CallSiteId> = seeds
             .iter()
-            .filter(|(_, seed)| cha.contains(seed.in_method))
+            .filter(|(_, seed)| graph.reached(seed.in_method, tag))
             .map(|(_, seed)| seed.site)
             .collect();
         out.insert(activity, sites);
@@ -201,24 +205,21 @@ fn assign_registrations(
     out
 }
 
-/// Extra CHA roots contributed by a reached method: callbacks of listeners
-/// it registers, and task callbacks of concurrency ops it invokes.
+/// Extra CHA successors of a reached method: callbacks of listeners it
+/// registers, and task callbacks of concurrency ops it invokes.
 fn discovery_targets(
     program: &Program,
     fw: &FrameworkClasses,
     m: MethodId,
     by_method: &HashMap<MethodId, Vec<&RegistrationSeed>>,
+    dispatch: &mut DispatchTargets<'_>,
 ) -> Vec<MethodId> {
     let mut out = Vec::new();
     if let Some(seeds) = by_method.get(&m) {
         for seed in seeds {
             let iface_cb = seed.kind.interface_method(fw);
             let iface = program.method(iface_cb).class;
-            for sub in program.concrete_subtypes(iface) {
-                if let Some(t) = program.dispatch(sub, iface_cb) {
-                    out.push(t);
-                }
-            }
+            out.extend_from_slice(dispatch.of(iface, iface_cb));
         }
     }
     let method = program.method(m);
@@ -233,12 +234,10 @@ fn discovery_targets(
             continue;
         };
         let mut add_callbacks = |base: ClassId, decls: &[MethodId]| {
-            for sub in program.concrete_subtypes(base) {
-                for &decl in decls {
-                    if let Some(t) = program.dispatch(sub, decl) {
-                        if program.method(t).has_body() {
-                            out.push(t);
-                        }
+            for &decl in decls {
+                for &t in dispatch.of(base, decl) {
+                    if program.method(t).has_body() {
+                        out.push(t);
                     }
                 }
             }

@@ -15,7 +15,11 @@
 //!
 //! Callback discovery is the fixpoint of §3.2: listener registrations found
 //! in CHA-reachable code contribute callbacks, whose bodies may register
-//! more listeners. Each discovered registration site is *instrumented* with
+//! more listeners. The fixpoint is one CHA discovery graph per app, not one
+//! traversal per activity: successor lists and dispatch lookups are built
+//! once and shared by every activity, the closure of the receiver and
+//! service roots is marked once, and each activity's traversal stops where
+//! it meets that closure. Each discovered registration site is *instrumented* with
 //! a store of the listener into a synthetic static field; the harness's GUI
 //! case loads from that field and virtually invokes the listener interface
 //! method, so the pointer analysis resolves the concrete callback bodies
@@ -24,7 +28,8 @@
 mod cha;
 mod generate;
 mod registrations;
+#[cfg(test)]
+mod tests;
 
-pub use cha::ChaReachability;
 pub use generate::{generate, ActivityHarness, HarnessResult, HarnessSiteKind};
 pub use registrations::{discover_in_app, Registration, RegistrationSeed};
