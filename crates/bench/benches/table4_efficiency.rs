@@ -18,7 +18,8 @@
 //! throughput, where every Table 2 app is analyzed ten times after one
 //! warm-up pass and the 200 samples give p50, p99 and the median
 //! absolute deviation, next to the process's peak RSS; and harness
-//! scaling, the median of nine `harness_gen::generate` runs on
+//! and SHBG scaling, the median of nine `harness_gen::generate` runs,
+//! and of nine SHBG stages each after an untimed pointer stage, on
 //! synthesized apps of 32 to 160 activities, with the log-log slope of
 //! time over activities. Everything goes to `BENCH_table4.json`, which
 //! CI uploads and `bench_gate` checks.
@@ -32,8 +33,8 @@ use corpus::stress;
 use sierra_bench::group;
 use sierra_core::json::{num, obj};
 use sierra_core::{
-    DiskStore, Json, MemoryStore, SessionBuilder, Sierra, SierraConfig, SierraResult, Stage,
-    StageTimings, SummaryStore,
+    AnalysisSession, DiskStore, Json, MemoryStore, SessionBuilder, Sierra, SierraConfig,
+    SierraResult, Stage, StageTimings, SummaryStore,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,7 +98,7 @@ fn mad(sorted: &[Duration]) -> Duration {
     percentile(&deviations, 0.5)
 }
 
-/// Activity counts of the harness-scaling group, each timed
+/// Activity counts of the harness- and SHBG-scaling groups, each timed
 /// [`SCALING_RUNS`] times; the exponent is fitted over the counts from
 /// [`SCALING_FIT_FROM`] up.
 const SCALING_ACTIVITIES: [usize; 6] = [32, 96, 112, 128, 144, 160];
@@ -118,6 +119,37 @@ fn log_log_slope(points: &[(usize, f64)]) -> f64 {
     let cov: f64 = xy.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
     let var: f64 = xy.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
     cov / var
+}
+
+/// Times `run` [`SCALING_RUNS`] times on a synthesized app of each of
+/// [`SCALING_ACTIVITIES`], printing each median under `what`; returns
+/// the medians in ms, keyed by activity count, and their fitted
+/// exponent.
+fn scaling(what: &str, mut run: impl FnMut(AndroidApp) -> Duration) -> (Json, f64) {
+    let mut medians: Vec<(usize, f64)> = Vec::new();
+    for n in SCALING_ACTIVITIES {
+        let (synthesized, _) = corpus::twenty::synthesize(&format!("Scale{n}"), n, 1);
+        let mut runs: Vec<Duration> = (0..SCALING_RUNS)
+            .map(|_| run(synthesized.clone()))
+            .collect();
+        runs.sort_unstable();
+        let median = percentile(&runs, 0.5);
+        let label = format!("{what}_{n}_activities");
+        println!("{label:<46} median {median:>12.3?}  ({SCALING_RUNS} runs)");
+        medians.push((n, median.as_secs_f64() * 1e3));
+    }
+    let fitted: Vec<(usize, f64)> = medians
+        .iter()
+        .copied()
+        .filter(|&(n, _)| n >= SCALING_FIT_FROM)
+        .collect();
+    let exponent = log_log_slope(&fitted);
+    println!("{what} time ~ activities^{exponent:.2} over {SCALING_FIT_FROM}-160 activities");
+    let ms = medians
+        .iter()
+        .map(|&(n, ms)| (n.to_string(), Json::Num(ms)))
+        .collect();
+    (Json::Obj(ms), exponent)
 }
 
 /// Rounds of an [`alternating`] comparison.
@@ -325,36 +357,26 @@ fn main() {
     // discovery graph is built once per app, so time should grow about
     // linearly in activities; `bench_gate` caps the fitted exponent.
     group("harness_scaling");
-    let mut scaling: Vec<(usize, f64)> = Vec::new();
-    for n in SCALING_ACTIVITIES {
-        let (synthesized, _) = corpus::twenty::synthesize(&format!("Scale{n}"), n, 1);
-        let mut runs: Vec<Duration> = (0..SCALING_RUNS)
-            .map(|_| {
-                let input = synthesized.clone();
-                let start = Instant::now();
-                let result = harness_gen::generate(input);
-                let elapsed = start.elapsed();
-                drop(std::hint::black_box(result));
-                elapsed
-            })
-            .collect();
-        runs.sort_unstable();
-        let median = percentile(&runs, 0.5);
-        let label = format!("harness_generate_{n}_activities");
-        println!("{label:<46} median {median:>12.3?}  ({SCALING_RUNS} runs)");
-        scaling.push((n, median.as_secs_f64() * 1e3));
-    }
-    let fitted: Vec<(usize, f64)> = scaling
-        .iter()
-        .copied()
-        .filter(|&(n, _)| n >= SCALING_FIT_FROM)
-        .collect();
-    let exponent = log_log_slope(&fitted);
-    println!("harness time ~ activities^{exponent:.2} over {SCALING_FIT_FROM}-160 activities");
-    let scaling_ms = scaling
-        .iter()
-        .map(|&(n, ms)| (n.to_string(), Json::Num(ms)))
-        .collect();
+    let (harness_scaling_ms, harness_exponent) = scaling("harness_generate", |app| {
+        let start = Instant::now();
+        let result = harness_gen::generate(app);
+        let elapsed = start.elapsed();
+        drop(std::hint::black_box(result));
+        elapsed
+    });
+    // SHBG construction alone, after an untimed pointer stage on the
+    // same apps. Report-only: the in-place closure's guard is the
+    // allocation test in `crates/shbg/tests`, not this slope.
+    group("shbg_scaling");
+    let (shbg_scaling_ms, shbg_exponent) = scaling("shbg", |app| {
+        let mut session = AnalysisSession::new(SierraConfig::default(), app);
+        session.pointer().expect("pointer stage");
+        let start = Instant::now();
+        session.shbg().expect("SHBG stage");
+        let elapsed = start.elapsed();
+        drop(std::hint::black_box(session));
+        elapsed
+    });
 
     let json = obj(vec![
         ("bench", Json::Str("table4_efficiency".to_owned())),
@@ -401,8 +423,15 @@ fn main() {
         (
             "harness_scaling",
             obj(vec![
-                ("harness_scaling_ms", Json::Obj(scaling_ms)),
-                ("harness_scaling_exponent", Json::Num(exponent)),
+                ("harness_scaling_ms", harness_scaling_ms),
+                ("harness_scaling_exponent", Json::Num(harness_exponent)),
+            ]),
+        ),
+        (
+            "shbg_scaling",
+            obj(vec![
+                ("shbg_scaling_ms", shbg_scaling_ms),
+                ("shbg_scaling_exponent", Json::Num(shbg_exponent)),
             ]),
         ),
     ]);

@@ -1,12 +1,14 @@
 //! A dense bit matrix for transitive-closure computation.
 //!
 //! The closure is computed by **SCC condensation**: Tarjan's algorithm
-//! shrinks the edge relation to its strongly-connected components, the
-//! condensation (a DAG) is closed in reverse topological order with
-//! word-level row ORs, and the component rows are expanded back to the
-//! original nodes. On the mostly-acyclic happens-before graphs the SHBG
-//! produces, this does one linear pass plus one OR per condensation
-//! edge, instead of Warshall-style re-sweeps to a fixpoint.
+//! shrinks the edge relation to its strongly-connected components, and
+//! the condensation (a DAG) is closed in place, in reverse topological
+//! order. Each component's closed row is built in one row-sized
+//! accumulator from its members' direct edges and its successors'
+//! already-closed rows, then copied into every member's row. On the
+//! acyclic happens-before graphs the SHBG produces, this is one linear
+//! pass plus one row OR per condensation edge, with scratch linear in
+//! the node count rather than a second matrix.
 
 /// An `n × n` boolean matrix backed by `u64` words.
 ///
@@ -70,25 +72,6 @@ impl BitMatrix {
             self.n
         );
         self.rows[a * self.words + b / 64] & (1 << (b % 64)) != 0
-    }
-
-    /// `row[a] |= row[b]`; returns whether row `a` changed.
-    pub fn or_row(&mut self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let mut changed = false;
-        let (ra, rb) = (a * self.words, b * self.words);
-        for w in 0..self.words {
-            let src = self.rows[rb + w];
-            let dst = &mut self.rows[ra + w];
-            let nv = *dst | src;
-            if nv != *dst {
-                *dst = nv;
-                changed = true;
-            }
-        }
-        changed
     }
 
     /// Iterates over the set bits of row `a`, ascending, without
@@ -163,56 +146,72 @@ impl BitMatrix {
             return 0;
         }
         let scc = tarjan(self);
-        let words = self.words;
-        let sccs = scc.count;
-        // Bit mask of each component's member nodes.
-        let mut members = vec![0u64; sccs * words];
-        for a in 0..self.n {
-            members[scc.comp[a] * words + a / 64] |= 1 << (a % 64);
+        let (n, words, sccs) = (self.n, self.words, scc.count);
+        // Bucket the members of each component with one counting sort:
+        // component `s` owns `order[start[s]..start[s + 1]]`, ascending.
+        let mut start = vec![0usize; sccs + 1];
+        for &s in &scc.comp {
+            start[s] += 1;
         }
-        // A single-node component is cyclic only via a self-loop.
-        let mut cyclic = scc.multi;
-        for a in 0..self.n {
-            if self.get(a, a) {
-                cyclic[scc.comp[a]] = true;
-            }
+        let mut end = 0;
+        for slot in &mut start {
+            end += *slot;
+            *slot = end;
+        }
+        let mut order = vec![0usize; n];
+        for a in (0..n).rev() {
+            let s = scc.comp[a];
+            start[s] -= 1;
+            order[start[s]] = a;
         }
         // Close the condensation. Tarjan emits components in reverse
         // topological order (every component reachable from `s` has a
-        // smaller id), so by the time `s` is processed the full rows of
-        // all its successors are final: one OR per condensation edge.
-        let mut full = vec![0u64; sccs * words];
+        // smaller id), so the rows of all of `s`'s successors are final
+        // when `s` is processed, and all rows of one component are equal.
+        // The rows of `s` itself are still its direct edges: each is read
+        // before the accumulator is copied over it.
+        let mut acc = vec![0u64; words];
         let mut seen = vec![false; sccs];
         let mut touched: Vec<usize> = Vec::new();
         for s in 0..sccs {
-            for a in (0..self.n).filter(|&a| scc.comp[a] == s) {
+            let members = &order[start[s]..start[s + 1]];
+            acc.fill(0);
+            // A single-node component is cyclic only via a self-loop.
+            let mut cyclic = members.len() > 1;
+            for &a in members {
                 for b in self.row_bits(a) {
                     let t = scc.comp[b];
-                    if t == s || seen[t] {
+                    if t == s {
+                        cyclic = true;
+                        continue;
+                    }
+                    if seen[t] {
                         continue;
                     }
                     seen[t] = true;
                     touched.push(t);
-                    for w in 0..words {
-                        full[s * words + w] |= full[t * words + w] | members[t * words + w];
+                    // `t`'s closed row, plus its members: a cyclic
+                    // component's row already holds them all, and an
+                    // acyclic one has the single member `b`.
+                    let rep = order[start[t]] * words;
+                    for (dst, src) in acc.iter_mut().zip(&self.rows[rep..rep + words]) {
+                        *dst |= src;
                     }
+                    acc[b / 64] |= 1 << (b % 64);
                 }
             }
-            if cyclic[s] {
-                for w in 0..words {
-                    full[s * words + w] |= members[s * words + w];
+            if cyclic {
+                for &a in members {
+                    acc[a / 64] |= 1 << (a % 64);
                 }
+            }
+            for &a in members {
+                self.rows[a * words..(a + 1) * words].copy_from_slice(&acc);
             }
             for &t in &touched {
                 seen[t] = false;
             }
             touched.clear();
-        }
-        // Expand component rows back to the original nodes.
-        for a in 0..self.n {
-            let s = scc.comp[a];
-            self.rows[a * words..(a + 1) * words]
-                .copy_from_slice(&full[s * words..(s + 1) * words]);
         }
         sccs
     }
@@ -253,8 +252,6 @@ struct SccResult {
     comp: Vec<usize>,
     /// Number of components.
     count: usize,
-    /// Per component: whether it has more than one member.
-    multi: Vec<bool>,
 }
 
 fn tarjan(m: &BitMatrix) -> SccResult {
@@ -266,7 +263,6 @@ fn tarjan(m: &BitMatrix) -> SccResult {
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0u32;
     let mut comp = vec![usize::MAX; n];
-    let mut multi = Vec::new();
     let mut count = 0usize;
     // Explicit DFS frames: (node, its successor iterator).
     let mut frames: Vec<(usize, RowBits<'_>)> = Vec::new();
@@ -295,17 +291,14 @@ fn tarjan(m: &BitMatrix) -> SccResult {
                 }
             } else {
                 if lowlink[v] == index[v] {
-                    let mut size = 0usize;
                     loop {
                         let w = stack.pop().expect("tarjan stack");
                         on_stack[w] = false;
                         comp[w] = count;
-                        size += 1;
                         if w == v {
                             break;
                         }
                     }
-                    multi.push(size > 1);
                     count += 1;
                 }
                 frames.pop();
@@ -316,12 +309,34 @@ fn tarjan(m: &BitMatrix) -> SccResult {
             }
         }
     }
-    SccResult { comp, count, multi }
+    SccResult { comp, count }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BitMatrix {
+        /// `row[a] |= row[b]`; returns whether row `a` changed. Only the
+        /// naive Warshall oracle in `proptests` needs it.
+        pub(super) fn or_row(&mut self, a: usize, b: usize) -> bool {
+            if a == b {
+                return false;
+            }
+            let mut changed = false;
+            let (ra, rb) = (a * self.words, b * self.words);
+            for w in 0..self.words {
+                let src = self.rows[rb + w];
+                let dst = &mut self.rows[ra + w];
+                let nv = *dst | src;
+                if nv != *dst {
+                    *dst = nv;
+                    changed = true;
+                }
+            }
+            changed
+        }
+    }
 
     #[test]
     fn set_get_roundtrip() {
@@ -551,49 +566,81 @@ mod proptests {
         }
     }
 
+    /// A random DAG-plus-cycles graph over `n` nodes: `base` random
+    /// edges, a forward backbone, and up to `cycles` planted cycles
+    /// (chains closed with a back edge) whose consecutive members lie
+    /// `stride` apart, so a stride of 64 or more puts every member in a
+    /// different word of the row.
+    fn random_graph(
+        rng: &mut SplitMix64,
+        n: usize,
+        base: usize,
+        cycles: usize,
+        stride: usize,
+    ) -> BitMatrix {
+        let mut m = BitMatrix::new(n);
+        // A sparse random base graph...
+        for _ in 0..rng.usize(base + 1) {
+            m.set(rng.usize(n), rng.usize(n));
+        }
+        // ...a layered DAG backbone...
+        for a in 0..n.saturating_sub(1) {
+            if rng.usize(3) == 0 {
+                m.set(a, a + 1 + rng.usize(n - a - 1));
+            }
+        }
+        // ...plus a few planted cycles.
+        for _ in 0..rng.usize(cycles + 1) {
+            let start = rng.usize(n);
+            let len = 1 + rng.usize(8);
+            let mut prev = start;
+            for k in 1..=len {
+                let next = (start + k * stride) % n;
+                m.set(prev, next);
+                prev = next;
+            }
+            m.set(prev, start);
+        }
+        m
+    }
+
+    /// Closes `m` both ways and asserts they agree on every pair.
+    fn assert_matches_naive(mut m: BitMatrix, what: &str) {
+        let n = m.len();
+        let mut reference = m.clone();
+        naive_closure(&mut reference);
+        let sccs = m.transitive_closure();
+        assert!(sccs >= 1 && sccs <= n);
+        for a in 0..n {
+            for b in 0..n {
+                assert_eq!(m.get(a, b), reference.get(a, b), "({a},{b}) {what} n={n}");
+            }
+        }
+    }
+
     /// The SCC-condensed closure agrees with naive Warshall on random
-    /// DAG-plus-cycles graphs up to 512 nodes.
+    /// DAG-plus-cycles graphs: 24 of up to 512 nodes with short cycles
+    /// of neighbours, and 3 of 513 to 2,100 nodes (9 to 33 words a row)
+    /// with long forward chains and cycles that span several words.
     #[test]
     fn scc_closure_matches_naive_warshall() {
         let mut rng = SplitMix64::new(0x5CC_C105);
         for round in 0..24 {
             let n = 2 + rng.usize(511);
-            let mut m = BitMatrix::new(n);
-            // A sparse random base graph...
-            for _ in 0..rng.usize(4 * n + 1) {
-                m.set(rng.usize(n), rng.usize(n));
-            }
-            // ...a layered DAG backbone...
-            for a in 0..n.saturating_sub(1) {
-                if rng.usize(3) == 0 {
-                    m.set(a, a + 1 + rng.usize(n - a - 1));
+            let m = random_graph(&mut rng, n, 4 * n, 3, 1);
+            assert_matches_naive(m, &format!("round {round}"));
+        }
+        let mut rng = SplitMix64::new(0x5CC_C106);
+        for n in [513, 1031, 2100] {
+            let stride = 64 + rng.usize(n / 8);
+            let mut m = random_graph(&mut rng, n, n / 2, 6, stride);
+            // Short forward hops make long chains, so most rows are wide.
+            for a in 0..n - 1 {
+                for _ in 0..2 {
+                    m.set(a, a + 1 + rng.usize((n - a - 1).min(256)));
                 }
             }
-            // ...plus a few planted cycles (chains closed with a back edge).
-            for _ in 0..rng.usize(4) {
-                let start = rng.usize(n);
-                let len = 1 + rng.usize(8);
-                let mut prev = start;
-                for k in 1..=len {
-                    let next = (start + k) % n;
-                    m.set(prev, next);
-                    prev = next;
-                }
-                m.set(prev, start);
-            }
-            let mut reference = m.clone();
-            naive_closure(&mut reference);
-            let sccs = m.transitive_closure();
-            assert!(sccs >= 1 && sccs <= n);
-            for a in 0..n {
-                for b in 0..n {
-                    assert_eq!(
-                        m.get(a, b),
-                        reference.get(a, b),
-                        "({a},{b}) round {round} n={n}"
-                    );
-                }
-            }
+            assert_matches_naive(m, "large");
         }
     }
 }

@@ -239,18 +239,20 @@ pub fn build<'d>(
     let mut closure = BitMatrix::new(n);
     let mut edges: Vec<HbEdge> = Vec::new();
     let mut stats = ShbgStats::default();
-    let mut edge_set: HashSet<(ActionId, ActionId)> = HashSet::new();
-    let mut add = |edges: &mut Vec<HbEdge>,
-                   stats: &mut ShbgStats,
-                   closure: &mut BitMatrix,
-                   src: ActionId,
-                   dst: ActionId,
-                   rule: HbRule| {
+    // Until the first closure the matrix holds exactly the accepted
+    // edges; after it, the closure only grows and rule 6 adds only pairs
+    // it lacks. So an edge is new iff its bit is clear.
+    let add = |edges: &mut Vec<HbEdge>,
+               stats: &mut ShbgStats,
+               closure: &mut BitMatrix,
+               src: ActionId,
+               dst: ActionId,
+               rule: HbRule| {
         if src == dst {
             return;
         }
         stats.applications[rule.index()] += 1;
-        if edge_set.insert((src, dst)) {
+        if !closure.get(src.index(), dst.index()) {
             stats.accepted[rule.index()] += 1;
             edges.push(HbEdge { src, dst, rule });
             closure.set(src.index(), dst.index());
